@@ -24,17 +24,14 @@ from .disorder import (
     adaptive_quadrature_spec,
     disorder_average_mc,
     disorder_average_quadrature,
-    erf,
     pdf_delta_e,
     pdf_exchange,
     sample_noise,
 )
 from .qubit import (
-    Coefficients,
     ExchangeParams,
     build_full_hamiltonian,
     build_logical_hamiltonian,
-    coefficients,
     evolve,
     logical_basis_vectors,
     oscillation_terms,
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HBAR_EV_S",
-    "Coefficients",
     "EnvelopeFit",
     "ExchangeParams",
     "MaterialPoint",
@@ -74,13 +70,11 @@ __all__ = [
     "adaptive_quadrature_spec",
     "build_full_hamiltonian",
     "build_logical_hamiltonian",
-    "coefficients",
     "default_material_presets",
     "default_material_sigma_j_ev",
     "default_time_grid",
     "disorder_average_mc",
     "disorder_average_quadrature",
-    "erf",
     "evolve",
     "extract_upper_envelope",
     "fit_envelope",

@@ -5,6 +5,10 @@ tables, JSON for fit reports).  Every output embeds the fully resolved
 config that produced it (a trailing ``# config=...`` line in CSV, a
 ``config`` key in JSON), so any result can be reproduced bit-for-bit from
 the file alone.  Exit codes: 0 success, 2 invalid input, 3 I/O failure.
+
+Config blocks are read straight into the package's dataclasses by one
+reader, ``_read``, and the echo is built from those same objects, so the
+config that runs a command and the config it writes cannot drift apart.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,6 +32,7 @@ from .disorder import (
 )
 from .qubit import ExchangeParams
 from .sweep import (
+    DEFAULT_J0_EV,
     MaterialPreset,
     SweepGrid,
     default_material_presets,
@@ -40,7 +46,6 @@ TRACE_HEADER = "t,t_seconds,p,p_stderr"
 SWEEP_HEADER = "sigma_e,sigma_j,j0_t2_star,t2_star_seconds,q,alpha,status"
 MATERIALS_HEADER = "material,sigma_j_ev,initial_condition,t2_star_seconds"
 
-_DEFAULT_TIMES = {"t_max": 200.0, "n_points": 8001}
 _DEFAULT_N_SAMPLES = 100000
 
 
@@ -48,7 +53,41 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 2)."""
 
 
-def _require_keys(d: dict, allowed: tuple, context: str) -> None:
+@dataclass(frozen=True)
+class _Times:
+    """The ``times`` block: a uniform grid from 0 to t_max (hbar/j0 units)."""
+
+    t_max: float = 200.0
+    n_points: int = 8001
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
+        if self.n_points < 2:
+            raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
+
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.n_points)
+
+
+_KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if it is a JSON value of ``kind`` (ints widen to float); null never is."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _get(cfg: dict, key: str, default):
+    """Top-level ``key``, typed like ``default``, or ``default`` when absent."""
+    return _typed(cfg[key], type(default), f"config.{key}") if key in cfg else default
+
+
+def _require_keys(d, allowed, context: str) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{context} must be a JSON object")
     for key in d:
@@ -56,102 +95,57 @@ def _require_keys(d: dict, allowed: tuple, context: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {context}")
 
 
-def _number(d: dict, key: str, context: str, default):
-    v = d.get(key, default)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number, got {v!r}")
-    return float(v)
+def _read(cls, d, context: str, **defaults):
+    """Build dataclass ``cls`` from the JSON object ``d``.
 
-
-def _integer(d: dict, key: str, context: str, default):
-    v = d.get(key, default)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{context}.{key} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _parse_params(cfg: dict) -> ExchangeParams:
-    d = cfg.get("params", {})
-    _require_keys(d, ("j_prime", "j1", "j2", "ez"), "params")
-    base = ExchangeParams()
+    Keys must be field names; each value must have the type of the field's
+    default.  Missing keys take ``defaults``, then the field defaults, and
+    the dataclass itself validates the values.
+    """
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    _require_keys(d, kinds, context)
+    values = {**defaults, **{k: _typed(v, kinds[k], f"{context}.{k}") for k, v in d.items()}}
     try:
-        return ExchangeParams(
-            j_prime=_number(d, "j_prime", "params", base.j_prime),
-            j1=_number(d, "j1", "params", base.j1),
-            j2=_number(d, "j2", "params", base.j2),
-            ez=_number(d, "ez", "params", base.ez),
-        )
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _parse_noise(cfg: dict, params: ExchangeParams) -> NoiseSpec:
-    d = cfg.get("noise", {})
-    _require_keys(d, ("sigma_e", "sigma_j1", "sigma_j2", "j01", "j02"), "noise")
-    try:
-        return NoiseSpec(
-            sigma_e=_number(d, "sigma_e", "noise", 0.0),
-            sigma_j1=_number(d, "sigma_j1", "noise", 0.0),
-            sigma_j2=_number(d, "sigma_j2", "noise", 0.0),
-            j01=_number(d, "j01", "noise", params.j1),
-            j02=_number(d, "j02", "noise", params.j2),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-
-
-def _parse_quadrature(cfg: dict) -> Optional[QuadratureSpec]:
+def _quadrature(cfg: dict) -> Optional[QuadratureSpec]:
+    """The optional ``quadrature`` block; absent or null sizes nodes adaptively."""
     d = cfg.get("quadrature")
-    if d is None:
-        return None
-    _require_keys(d, ("n_hermite", "n_legendre", "truncation_width", "delta_e_rule"), "quadrature")
-    base = QuadratureSpec()
-    rule = d.get("delta_e_rule", base.delta_e_rule)
-    try:
-        return QuadratureSpec(
-            n_hermite=_integer(d, "n_hermite", "quadrature", base.n_hermite),
-            n_legendre=_integer(d, "n_legendre", "quadrature", base.n_legendre),
-            truncation_width=_number(d, "truncation_width", "quadrature", base.truncation_width),
-            delta_e_rule=rule,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from exc
+    return None if d is None else _read(QuadratureSpec, d, "quadrature")
 
 
-def _parse_times(cfg: dict) -> np.ndarray:
-    d = cfg.get("times", dict(_DEFAULT_TIMES))
-    _require_keys(d, ("t_max", "n_points"), "times")
-    t_max = _number(d, "t_max", "times", _DEFAULT_TIMES["t_max"])
-    n = _integer(d, "n_points", "times", _DEFAULT_TIMES["n_points"])
-    if not (t_max > 0):
-        raise ConfigError(f"times.t_max must be > 0, got {t_max!r}")
-    if n < 2:
-        raise ConfigError(f"times.n_points must be >= 2, got {n!r}")
-    return np.linspace(0.0, t_max, n)
-
-
-def _parse_initial(cfg: dict, default: str = "zero") -> str:
+def _initial(cfg: dict, default: str = "zero") -> str:
     initial = cfg.get("initial", default)
     if initial not in ("zero", "superposition"):
         raise ConfigError(f"initial must be 'zero' or 'superposition', got {initial!r}")
     return initial
 
 
-def _parse_j0_ev(cfg: dict, default=None) -> Optional[float]:
-    j0_ev = _number(cfg, "j0_ev", "config", default)
-    if j0_ev is not None and not (math.isfinite(j0_ev) and j0_ev > 0):
+def _j0_ev(cfg: dict, default: Optional[float], nullable: bool = False) -> Optional[float]:
+    """Top-level ``j0_ev`` in eV; where ``nullable``, null or no value at all means none."""
+    j0_ev = cfg.get("j0_ev", default)
+    if j0_ev is None and nullable:
+        return None
+    j0_ev = _typed(j0_ev, float, "config.j0_ev")
+    if not (math.isfinite(j0_ev) and j0_ev > 0):
         raise ConfigError(f"j0_ev must be finite and > 0, got {j0_ev!r}")
     return j0_ev
 
 
-def _check_command(cfg: dict, command: str) -> None:
+def _check_config(cfg: dict, allowed: tuple, command: str) -> None:
+    """Top-level keys must be ``allowed``; a declared command must be ``command``."""
+    _require_keys(cfg, allowed, "config")
     declared = cfg.get("command")
     if declared is not None and declared != command:
         raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
+
+
+def _echo(**entries) -> dict:
+    """Resolved config: dataclasses become their fields, None entries are left out."""
+    return {k: asdict(v) if is_dataclass(v) else v for k, v in entries.items() if v is not None}
 
 
 def _fmt(x) -> str:
@@ -171,13 +165,10 @@ def _json_value(x):
     return x
 
 
-def _echo_line(cfg: dict) -> str:
-    return "# config=" + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-
-
-def _write_text(path: str, text: str) -> None:
+def _write_csv(path: str, lines: list, echo: dict) -> None:
+    lines.append("# config=" + json.dumps(echo, sort_keys=True, separators=(",", ":")))
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- simulate
@@ -189,73 +180,49 @@ _SIMULATE_KEYS = (
 )
 
 
-def _resolve_simulate(cfg: dict, args) -> dict:
-    _require_keys(cfg, _SIMULATE_KEYS, "config")
-    _check_command(cfg, "simulate")
+def _simulate(cfg: dict, args) -> tuple[dict, ProbabilityTrace]:
+    """Validate a simulate config, run it, and return (echo, trace)."""
+    _check_config(cfg, _SIMULATE_KEYS, "simulate")
     method = cfg.get("method", "quadrature")
     if args is not None and args.method is not None:
         method = args.method
     if method not in ("quadrature", "mc"):
         raise ConfigError(f"method must be 'quadrature' or 'mc', got {method!r}")
-    params = _parse_params(cfg)
-    noise = _parse_noise(cfg, params)
-    quad = _parse_quadrature(cfg)
-    times = _parse_times(cfg)
-    check = cfg.get("check_convergence", False)
-    if not isinstance(check, bool):
-        raise ConfigError(f"check_convergence must be a boolean, got {check!r}")
-    resolved = {
-        "command": "simulate",
-        "method": method,
-        "params": {"j_prime": params.j_prime, "j1": params.j1, "j2": params.j2, "ez": params.ez},
-        "noise": {
-            "sigma_e": noise.sigma_e, "sigma_j1": noise.sigma_j1, "sigma_j2": noise.sigma_j2,
-            "j01": noise.j01, "j02": noise.j02,
-        },
-        "initial": _parse_initial(cfg),
-        "times": {"t_max": float(times[-1]), "n_points": len(times)},
-        "check_convergence": check,
-    }
-    if quad is not None:
-        resolved["quadrature"] = {
-            "n_hermite": quad.n_hermite, "n_legendre": quad.n_legendre,
-            "truncation_width": quad.truncation_width, "delta_e_rule": quad.delta_e_rule,
-        }
+    params = _read(ExchangeParams, cfg.get("params", {}), "params")
+    noise = _read(NoiseSpec, cfg.get("noise", {}), "noise", j01=params.j1, j02=params.j2)
+    quad = _quadrature(cfg)
+    times = _read(_Times, cfg.get("times", {}), "times")
+    check = _get(cfg, "check_convergence", False)
+    initial = _initial(cfg)
+    seed = n_samples = None
     if method == "mc":
-        seed = _integer(cfg, "seed", "config", 0)
+        seed = _get(cfg, "seed", 0)
         if args is not None and args.seed is not None:
             seed = args.seed
-        n_samples = _integer(cfg, "n_samples", "config", _DEFAULT_N_SAMPLES)
+        n_samples = _get(cfg, "n_samples", _DEFAULT_N_SAMPLES)
         if args is not None and args.samples is not None:
             n_samples = args.samples
         if n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {n_samples!r}")
-        resolved["seed"] = seed
-        resolved["n_samples"] = n_samples
-    j0_ev = _parse_j0_ev(cfg)
-    if j0_ev is not None:
-        resolved["j0_ev"] = j0_ev
-    return resolved
-
-
-def _run_simulate(resolved: dict) -> ProbabilityTrace:
-    params = _parse_params(resolved)
-    noise = _parse_noise(resolved, params)
-    times = _parse_times(resolved)
-    initial = resolved["initial"]
-    if resolved["method"] == "mc":
-        return disorder_average_mc(
-            params, noise, initial, times, resolved["n_samples"], resolved["seed"]
-        )
-    return disorder_average_quadrature(
-        params, noise, initial, times,
-        q=_parse_quadrature(resolved),
-        check_convergence=resolved.get("check_convergence", False),
+    j0_ev = _j0_ev(cfg, None, nullable=True)
+    echo = _echo(
+        command="simulate", method=method, params=params, noise=noise, initial=initial,
+        times=times, check_convergence=check, quadrature=quad, seed=seed,
+        n_samples=n_samples, j0_ev=j0_ev,
     )
+    if method == "mc":
+        trace = disorder_average_mc(params, noise, initial, times.grid(), n_samples, seed)
+    else:
+        trace = disorder_average_quadrature(
+            params, noise, initial, times.grid(), q=quad, check_convergence=check
+        )
+    return echo, trace
 
 
-def _trace_csv(trace: ProbabilityTrace, resolved: dict) -> str:
-    j0_ev = resolved.get("j0_ev")
+def cmd_simulate(cfg: dict, out_path: str, args=None) -> int:
+    """Write a disorder-averaged trace as CSV."""
+    echo, trace = _simulate(cfg, args)
+    j0_ev = echo.get("j0_ev")
     scale = PhysicalScale(j0_ev) if j0_ev is not None else None
     errs = trace.mc_std_errors
     lines = [TRACE_HEADER]
@@ -263,15 +230,7 @@ def _trace_csv(trace: ProbabilityTrace, resolved: dict) -> str:
         t_s = _fmt(t * scale.time_unit_s) if scale is not None else ""
         err = _fmt(errs[k]) if errs is not None else ""
         lines.append(f"{_fmt(t)},{t_s},{_fmt(trace.values[k])},{err}")
-    lines.append(_echo_line(resolved))
-    return "\n".join(lines) + "\n"
-
-
-def cmd_simulate(cfg: dict, out_path: str, args=None) -> int:
-    """Write a disorder-averaged trace as CSV."""
-    resolved = _resolve_simulate(cfg, args)
-    trace = _run_simulate(resolved)
-    _write_text(out_path, _trace_csv(trace, resolved))
+    _write_csv(out_path, lines, echo)
     return 0
 
 
@@ -312,72 +271,54 @@ def _read_trace_csv(path: str):
 
 def cmd_fit(cfg: dict, out_path: str, args=None) -> int:
     """Fit the upper envelope of a trace (from file or inline simulate)."""
-    _require_keys(cfg, _FIT_KEYS, "config")
-    _check_command(cfg, "fit")
+    _check_config(cfg, _FIT_KEYS, "fit")
     has_file = "trace_file" in cfg
     has_inline = "simulate" in cfg
     if has_file == has_inline:
         raise ConfigError("config must provide exactly one of trace_file or simulate")
 
     if has_inline:
-        sim_resolved = _resolve_simulate(cfg["simulate"], args)
-        trace = _run_simulate(sim_resolved)
-        initial = sim_resolved["initial"]
-        j0_ev = _parse_j0_ev(cfg, sim_resolved.get("j0_ev"))
-        resolved = {"command": "fit", "simulate": sim_resolved}
+        sim_echo, trace = _simulate(cfg["simulate"], args)
+        j0_ev = _j0_ev(cfg, sim_echo.get("j0_ev"), nullable=True)
+        echo = {"command": "fit", "simulate": sim_echo}
     else:
         path = cfg["trace_file"]
         if not isinstance(path, str):
             raise ConfigError(f"trace_file must be a string path, got {path!r}")
-        rows, echo = _read_trace_csv(path)
+        rows, file_echo = _read_trace_csv(path)
         times = np.array([r[0] for r in rows])
         values = np.array([r[1] for r in rows])
         errs = [r[2] for r in rows]
-        mc_errs = np.array([e for e in errs], dtype=float) if all(e is not None for e in errs) else None
-        echo = echo or {}
-        initial = _parse_initial(cfg, echo.get("initial", "zero"))
-        j0_ev = _parse_j0_ev(cfg, echo.get("j0_ev"))
-        params = _parse_params(echo)
-        noise = _parse_noise(echo, params)
+        mc_errs = np.array(errs, dtype=float) if all(e is not None for e in errs) else None
+        file_echo = file_echo or {}
+        initial = _initial(cfg, file_echo.get("initial", "zero"))
+        j0_ev = _j0_ev(cfg, file_echo.get("j0_ev"), nullable=True)
+        params = _read(ExchangeParams, file_echo.get("params", {}), "params")
+        noise = _read(NoiseSpec, file_echo.get("noise", {}), "noise", j01=params.j1, j02=params.j2)
         try:
             trace = ProbabilityTrace(
                 times=times, values=values, initial=initial,
-                method=echo.get("method", "file"), params=params, noise=noise,
+                method=file_echo.get("method", "file"), params=params, noise=noise,
                 mc_std_errors=mc_errs,
             )
         except ValueError as exc:
             raise ConfigError(f"trace file: {exc}") from exc
-        resolved = {"command": "fit", "trace_file": path, "initial": initial}
+        echo = {"command": "fit", "trace_file": path, "initial": initial}
     if j0_ev is not None:
-        resolved["j0_ev"] = j0_ev
+        echo["j0_ev"] = j0_ev
 
     fit = fit_trace(trace)
-    if fit.status == "insufficient-peaks":
-        q = None
-        n_env = len(extract_upper_envelope(trace))
-    else:
-        q = quality_factor(fit.t2_star)
-        n_env = None
-    t2_seconds = None
+    out = {k: _json_value(getattr(fit, k)) for k in ("p_infinity", "p_start", "t2_star", "alpha", "sse")}
+    out["status"] = fit.status
+    out["q"] = None if fit.status == "insufficient-peaks" else _json_value(quality_factor(fit.t2_star))
+    out["t2_star_seconds"] = None
     if j0_ev is not None and math.isfinite(fit.t2_star):
-        t2_seconds = fit.t2_star * PhysicalScale(j0_ev).time_unit_s
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": resolved,
-        "fit": {
-            "p_infinity": _json_value(fit.p_infinity),
-            "p_start": _json_value(fit.p_start),
-            "t2_star": _json_value(fit.t2_star),
-            "t2_star_seconds": _json_value(t2_seconds),
-            "alpha": _json_value(fit.alpha),
-            "q": _json_value(q) if q is not None else None,
-            "status": fit.status,
-            "sse": _json_value(fit.sse),
-        },
-    }
-    if n_env is not None:
-        report["fit"]["n_envelope_points"] = n_env
-    _write_text(out_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        out["t2_star_seconds"] = _json_value(fit.t2_star * PhysicalScale(j0_ev).time_unit_s)
+    if fit.status == "insufficient-peaks":
+        out["n_envelope_points"] = len(extract_upper_envelope(trace))
+    report = {"schema_version": SCHEMA_VERSION, "config": echo, "fit": out}
+    with open(out_path, "w") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -389,50 +330,34 @@ _SWEEP_KEYS = ("command", "grid", "params", "initial", "times", "quadrature", "j
 
 def cmd_sweep(cfg: dict, out_path: str, args=None) -> int:
     """Run a (sigma_e, sigma_j) grid and write the T2*/Q map as CSV."""
-    _require_keys(cfg, _SWEEP_KEYS, "config")
-    _check_command(cfg, "sweep")
+    _check_config(cfg, _SWEEP_KEYS, "sweep")
     grid_cfg = cfg.get("grid", {})
     _require_keys(grid_cfg, ("sigma_e_values", "sigma_j_values"), "grid")
-    params = _parse_params(cfg)
-    times = _parse_times(cfg)
+    params = _read(ExchangeParams, cfg.get("params", {}), "params")
+    times = _read(_Times, cfg.get("times", {}), "times")
+    quad = _quadrature(cfg)
     try:
         grid = SweepGrid(
-            sigma_e_values=grid_cfg.get("sigma_e_values", SweepGrid().sigma_e_values),
-            sigma_j_values=grid_cfg.get("sigma_j_values", SweepGrid().sigma_j_values),
-            initial=_parse_initial(cfg),
-            params=params,
-            times=times,
-            quadrature=_parse_quadrature(cfg),
+            **grid_cfg, initial=_initial(cfg), params=params, times=times.grid(), quadrature=quad
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    j0_ev = _parse_j0_ev(cfg, 1e-6)
-    scale = PhysicalScale(j0_ev)
-    resolved = {
-        "command": "sweep",
-        "grid": {"sigma_e_values": list(grid.sigma_e_values),
-                 "sigma_j_values": list(grid.sigma_j_values)},
-        "params": {"j_prime": params.j_prime, "j1": params.j1, "j2": params.j2, "ez": params.ez},
-        "initial": grid.initial,
-        "times": {"t_max": float(times[-1]), "n_points": len(times)},
-        "j0_ev": j0_ev,
-    }
-    if grid.quadrature is not None:
-        resolved["quadrature"] = {
-            "n_hermite": grid.quadrature.n_hermite, "n_legendre": grid.quadrature.n_legendre,
-            "truncation_width": grid.quadrature.truncation_width,
-            "delta_e_rule": grid.quadrature.delta_e_rule,
-        }
-    cells = run_sweep(grid)
+    j0_ev = _j0_ev(cfg, DEFAULT_J0_EV)
+    echo = _echo(
+        command="sweep",
+        grid={"sigma_e_values": list(grid.sigma_e_values),
+              "sigma_j_values": list(grid.sigma_j_values)},
+        params=params, initial=grid.initial, times=times, j0_ev=j0_ev, quadrature=quad,
+    )
+    unit_s = PhysicalScale(j0_ev).time_unit_s
     lines = [SWEEP_HEADER]
-    for c in cells:
-        t2_s = c.j0_t2_star * scale.time_unit_s if math.isfinite(c.j0_t2_star) else c.j0_t2_star
+    for c in run_sweep(grid):
+        # inf and nan (no decay, failed fit) carry through the product unchanged
         lines.append(
             f"{_fmt(c.sigma_e)},{_fmt(c.sigma_j)},{_fmt(c.j0_t2_star)},"
-            f"{_fmt(t2_s)},{_fmt(c.q)},{_fmt(c.alpha)},{c.fit_status}"
+            f"{_fmt(c.j0_t2_star * unit_s)},{_fmt(c.q)},{_fmt(c.alpha)},{c.fit_status}"
         )
-    lines.append(_echo_line(resolved))
-    _write_text(out_path, "\n".join(lines) + "\n")
+    _write_csv(out_path, lines, echo)
     return 0
 
 
@@ -444,43 +369,43 @@ _MATERIALS_KEYS = (
 )
 
 
+def _presets(cfg: dict) -> tuple:
+    entries = cfg.get("presets")
+    if entries is None:
+        return default_material_presets()
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("presets must be a non-empty list")
+    presets = []
+    for entry in entries:
+        _require_keys(entry, ("name", "sigma_e_floor_ev"), "presets entry")
+        name = entry.get("name")
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"preset name must be a non-empty string, got {name!r}")
+        if entry.get("sigma_e_floor_ev") is None:
+            raise ConfigError(f"preset {name!r} needs sigma_e_floor_ev")
+        floor = _typed(entry["sigma_e_floor_ev"], float, "presets entry.sigma_e_floor_ev")
+        try:
+            presets.append(MaterialPreset(name, floor))
+        except ValueError as exc:
+            raise ConfigError(f"preset {name!r}: {exc}") from exc
+    return tuple(presets)
+
+
 def cmd_materials(cfg: dict, out_path: str, args=None) -> int:
     """Compare material presets across charge-noise widths; write CSV."""
-    _require_keys(cfg, _MATERIALS_KEYS, "config")
-    _check_command(cfg, "materials")
-    params = _parse_params(cfg)
-    j0_ev = _parse_j0_ev(cfg, 1e-6)
-    both = cfg.get("both_initial_conditions", True)
-    if not isinstance(both, bool):
-        raise ConfigError(f"both_initial_conditions must be a boolean, got {both!r}")
-    presets_cfg = cfg.get("presets")
-    if presets_cfg is None:
-        presets = None
-    else:
-        if not isinstance(presets_cfg, list) or not presets_cfg:
-            raise ConfigError("presets must be a non-empty list")
-        presets = []
-        for entry in presets_cfg:
-            _require_keys(entry, ("name", "sigma_e_floor_ev"), "presets entry")
-            name = entry.get("name")
-            if not isinstance(name, str) or not name:
-                raise ConfigError(f"preset name must be a non-empty string, got {name!r}")
-            floor = _number(entry, "sigma_e_floor_ev", "presets entry", None)
-            if floor is None:
-                raise ConfigError(f"preset {name!r} needs sigma_e_floor_ev")
-            try:
-                presets.append(MaterialPreset(name, floor))
-            except ValueError as exc:
-                raise ConfigError(f"preset {name!r}: {exc}") from exc
-    sj_cfg = cfg.get("sigma_j_values_ev")
-    if sj_cfg is not None:
-        if (not isinstance(sj_cfg, list) or not sj_cfg
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0
-                       for v in sj_cfg)):
-            raise ConfigError("sigma_j_values_ev must be a non-empty list of positive numbers")
-        sj_values = [float(v) for v in sj_cfg]
-    else:
-        sj_values = None
+    _check_config(cfg, _MATERIALS_KEYS, "materials")
+    params = _read(ExchangeParams, cfg.get("params", {}), "params")
+    j0_ev = _j0_ev(cfg, DEFAULT_J0_EV)
+    both = _get(cfg, "both_initial_conditions", True)
+    presets = _presets(cfg)
+    sj_values = cfg.get("sigma_j_values_ev")
+    if sj_values is None:
+        sj_values = default_material_sigma_j_ev()
+    elif (not isinstance(sj_values, list) or not sj_values
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0
+                   for v in sj_values)):
+        raise ConfigError("sigma_j_values_ev must be a non-empty list of positive numbers")
+    sj_values = [float(v) for v in sj_values]
 
     rows = material_comparison(
         presets=presets,
@@ -489,23 +414,15 @@ def cmd_materials(cfg: dict, out_path: str, args=None) -> int:
         both_initial_conditions=both,
         params=params,
     )
-    resolved = {
-        "command": "materials",
-        "presets": [
-            {"name": p.name, "sigma_e_floor_ev": p.sigma_e_floor}
-            for p in (presets if presets is not None else default_material_presets())
-        ],
-        "sigma_j_values_ev": (sj_values if sj_values is not None
-                              else [float(v) for v in default_material_sigma_j_ev()]),
-        "j0_ev": j0_ev,
-        "both_initial_conditions": both,
-        "params": {"j_prime": params.j_prime, "j1": params.j1, "j2": params.j2, "ez": params.ez},
-    }
+    echo = _echo(
+        command="materials",
+        presets=[{"name": p.name, "sigma_e_floor_ev": p.sigma_e_floor} for p in presets],
+        sigma_j_values_ev=sj_values, j0_ev=j0_ev, both_initial_conditions=both, params=params,
+    )
     lines = [MATERIALS_HEADER]
     for r in rows:
         lines.append(f"{r.material},{_fmt(r.sigma_j_ev)},{r.initial_condition},{_fmt(r.t2_star_seconds)}")
-    lines.append(_echo_line(resolved))
-    _write_text(out_path, "\n".join(lines) + "\n")
+    _write_csv(out_path, lines, echo)
     return 0
 
 
@@ -539,8 +456,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command in ("sweep", "materials") and (args.method is not None or args.samples is not None):
-        print(f"deoq-dyn {args.command}: --method/--samples do not apply", file=sys.stderr)
+    if args.command in ("sweep", "materials") and (
+        args.seed is not None or args.method is not None or args.samples is not None
+    ):
+        print(f"deoq-dyn {args.command}: --seed/--method/--samples do not apply", file=sys.stderr)
         return 2
     try:
         with open(args.config) as fh:
@@ -558,7 +477,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg, args.out, args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"deoq-dyn: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -144,11 +144,6 @@ def _validate_times(times: np.ndarray) -> None:
             raise ValueError("times must be uniformly spaced")
 
 
-def erf(x):
-    """Error function, elementwise; absolute error below 1e-12."""
-    return scipy.special.erf(x)
-
-
 def pdf_delta_e(delta_e, sigma_e: float):
     """Gaussian density of the field gradient, std sqrt(2) sigma_e.
 

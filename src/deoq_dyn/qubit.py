@@ -60,22 +60,6 @@ class ExchangeParams:
             raise ValueError(f"j2 must be >= 0, got {self.j2}")
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """Scalar combinations controlling the projected two-level dynamics.
-
-    a and b are the diagonal energies (up to sign), c the off-diagonal
-    coupling, d = a - b + delta_e the effective detuning, and
-    beta = sqrt(d^2 + 4 c^2)/2 half the oscillation angular frequency.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    beta: float
-
-
 def logical_basis_vectors() -> tuple[np.ndarray, np.ndarray]:
     """Return the logical |0> and |1> as 8-component spin-product vectors.
 
@@ -148,22 +132,13 @@ def build_logical_hamiltonian(p: ExchangeParams, delta_e: float = 0.0) -> np.nda
     return np.array([[h00, off], [off, h11]], dtype=complex)
 
 
-def coefficients(p: ExchangeParams, delta_e: float = 0.0) -> Coefficients:
-    """Closed-form oscillation coefficients of the logical two-level system."""
-    delta_e = _check_finite("delta_e", delta_e)
-    a = p.ez / 2.0 + 3.0 * p.j_prime / 4.0
-    b = p.ez / 2.0 - p.j_prime / 4.0 + (p.j1 + p.j2) / 2.0
-    c = SQRT3 * (p.j1 - p.j2) / 4.0
-    d = a - b + delta_e
-    beta = math.sqrt(d * d + 4.0 * c * c) / 2.0
-    return Coefficients(a=a, b=b, c=c, d=d, beta=beta)
-
-
 def oscillation_terms(j_prime, j1, j2, delta_e):
     """Vectorized oscillation frequency and amplitudes of both return probabilities.
 
-    Accepts scalars or broadcastable arrays.  Returns (omega, amp_zero,
-    amp_sup) where the zero-state return probability is
+    Accepts scalars or broadcastable arrays.  With detuning d = j' - (j1 + j2)/2
+    + delta_e and coupling c = sqrt(3) (j1 - j2)/4, omega = sqrt(d^2 + 4 c^2),
+    amp_zero = 4 c^2 / omega^2 and amp_sup = 4 c d / omega^2; the zero-state
+    return probability is
     1 - amp_zero * sin^2(omega t / 2) and the balanced-superposition one is
     (1 + amp_sup * sin^2(omega t / 2)) / 2.  Both amplitudes are defined as 0
     at the degenerate point omega = 0, where the probabilities are constant.
@@ -229,8 +204,8 @@ def evolve(psi0: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
 def return_probability_zero(p: ExchangeParams, delta_e: float, t) -> np.ndarray:
     """Probability of remaining in |0> after free evolution from |0>.
 
-    P = 1 - (4 c^2 / (d^2 + 4 c^2)) sin^2(beta t); exactly 1 for all t when
-    d^2 + 4 c^2 = 0.  t may be a scalar or array.
+    P = 1 - (4 c^2 / omega^2) sin^2(omega t / 2) (see oscillation_terms);
+    exactly 1 for all t when omega = 0.  t may be a scalar or array.
     """
     omega, amp_zero, _ = oscillation_terms(p.j_prime, p.j1, p.j2, _check_finite("delta_e", delta_e))
     out = 1.0 - amp_zero * np.sin(0.5 * omega * np.asarray(t, dtype=float)) ** 2
@@ -240,8 +215,8 @@ def return_probability_zero(p: ExchangeParams, delta_e: float, t) -> np.ndarray:
 def return_probability_superposition(p: ExchangeParams, delta_e: float, t) -> np.ndarray:
     """Return probability for the balanced superposition (|0> + |1>)/sqrt(2).
 
-    P = (1 + (4 c d / (d^2 + 4 c^2)) sin^2(beta t)) / 2; exactly 1/2 when
-    d^2 + 4 c^2 = 0.
+    P = (1 + (4 c d / omega^2) sin^2(omega t / 2)) / 2; exactly 1/2 when
+    omega = 0.
     """
     omega, _, amp_sup = oscillation_terms(p.j_prime, p.j1, p.j2, _check_finite("delta_e", delta_e))
     out = 0.5 * (1.0 + amp_sup * np.sin(0.5 * omega * np.asarray(t, dtype=float)) ** 2)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import PhysicalScale, fit_trace, quality_factor, to_physical_time
-from .disorder import NoiseSpec, QuadratureSpec, disorder_average_quadrature
+from .disorder import NoiseSpec, ProbabilityTrace, QuadratureSpec, disorder_average_quadrature
 from .qubit import ExchangeParams
 
 WORKERS_ENV_VAR = "DEOQ_DYN_WORKERS"
@@ -139,11 +139,27 @@ def suggested_time_grid(noise: NoiseSpec, params: ExchangeParams = ExchangeParam
     return np.linspace(0.0, t_max, n + 1)
 
 
+def score(trace: ProbabilityTrace) -> tuple[float, float, float, str]:
+    """Fit a trace and reduce it to (j0_t2_star, q, alpha, fit_status).
+
+    Fit problems never raise: too few envelope points ("insufficient-peaks")
+    and a fit that cannot run ("fit-failure", fit_trace raising RuntimeError
+    or ValueError) come back with nan results.  No-decay gives t2 = inf,
+    q = 1.
+    """
+    try:
+        fit = fit_trace(trace)
+    except (RuntimeError, ValueError):
+        return math.nan, math.nan, math.nan, "fit-failure"
+    if fit.status == "insufficient-peaks":
+        return math.nan, math.nan, math.nan, fit.status
+    return fit.t2_star, quality_factor(fit.t2_star), fit.alpha, fit.status
+
+
 def run_cell(sigma_e: float, sigma_j: float, config: SweepGrid) -> SweepCell:
     """Average, fit, and score a single (sigma_e, sigma_j) grid point.
 
-    Fit problems never raise; they come back as the cell's fit_status
-    ("insufficient-peaks" or "fit-failure") with nan results.
+    Fit problems never raise; see ``score``.
     """
     noise = NoiseSpec(
         sigma_e=float(sigma_e),
@@ -155,14 +171,8 @@ def run_cell(sigma_e: float, sigma_j: float, config: SweepGrid) -> SweepCell:
     trace = disorder_average_quadrature(
         config.params, noise, config.initial, config.times, q=config.quadrature
     )
-    try:
-        fit = fit_trace(trace)
-    except Exception:
-        return SweepCell(float(sigma_e), float(sigma_j), math.nan, math.nan, "fit-failure", math.nan)
-    if fit.status == "insufficient-peaks":
-        return SweepCell(float(sigma_e), float(sigma_j), math.nan, math.nan, fit.status, math.nan)
-    q = quality_factor(fit.t2_star)
-    return SweepCell(float(sigma_e), float(sigma_j), fit.t2_star, q, fit.status, fit.alpha)
+    t2, q, alpha, status = score(trace)
+    return SweepCell(float(sigma_e), float(sigma_j), t2, q, status, alpha)
 
 
 def _worker_count() -> int:
@@ -226,29 +236,8 @@ def material_comparison(
             times = suggested_time_grid(noise, params)
             for initial in initials:
                 trace = disorder_average_quadrature(params, noise, initial, times)
-                try:
-                    fit = fit_trace(trace)
-                except Exception:
-                    rows.append(
-                        MaterialPoint(
-                            preset.name, float(sj_ev), initial, math.nan, math.nan,
-                            math.nan, "fit-failure",
-                        )
-                    )
-                    continue
-                if fit.status == "insufficient-peaks":
-                    t2_seconds = math.nan
-                else:
-                    t2_seconds = to_physical_time(fit.t2_star, scale) if math.isfinite(fit.t2_star) else math.inf
-                rows.append(
-                    MaterialPoint(
-                        preset.name,
-                        float(sj_ev),
-                        initial,
-                        t2_seconds,
-                        fit.t2_star if fit.status != "insufficient-peaks" else math.nan,
-                        fit.alpha,
-                        fit.status,
-                    )
-                )
+                t2, _, alpha, status = score(trace)
+                # nan (no fit) and inf (no decay) pass through the unit conversion
+                t2_seconds = to_physical_time(t2, scale)
+                rows.append(MaterialPoint(preset.name, float(sj_ev), initial, t2_seconds, t2, alpha, status))
     return rows

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from deoq_dyn.disorder import NoiseSpec, disorder_average_quadrature
 from deoq_dyn.qubit import ExchangeParams
 
 SHORT_TIMES = {"t_max": 100.0, "n_points": 2001}
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(tmp_path, command, cfg, extra=(), name="cfg"):
@@ -111,6 +113,33 @@ def test_invalid_noise_exits_2_and_names_field(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "simulate", cfg)
     assert code == 2
     assert "sigma_e" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("simulate", {"params": {"j1": None}}, "params.j1"),
+        ("simulate", {"noise": {"sigma_e": None}}, "noise.sigma_e"),
+        ("simulate", {"times": {"t_max": None}}, "times.t_max"),
+        ("simulate", {"quadrature": {"n_hermite": None}}, "quadrature.n_hermite"),
+        ("simulate", {"method": "mc", "n_samples": None}, "n_samples"),
+        ("simulate", {"method": "mc", "seed": None}, "seed"),
+        ("sweep", {"j0_ev": None}, "j0_ev"),
+        ("materials", {"j0_ev": None}, "j0_ev"),
+        ("fit", {"simulate": {"noise": {"sigma_j1": None}}}, "noise.sigma_j1"),
+    ],
+)
+def test_null_number_exits_2_and_names_field(tmp_path, capsys, command, cfg, field):
+    code, _ = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_null_j0_ev_means_absent_for_simulate(tmp_path):
+    code, out = run_cli(tmp_path, "simulate", {"j0_ev": None, "times": {"t_max": 2.0, "n_points": 3}})
+    assert code == 0
+    _, rows, echo = read_csv(out)
+    assert "j0_ev" not in echo and rows[1][1] == ""
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
@@ -267,6 +296,16 @@ def test_sweep_rejects_method_flag(tmp_path, capsys):
     assert "do not apply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "materials"])
+def test_sweep_and_materials_reject_seed_flag(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{}")
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"),
+                 "--seed", "3"])
+    assert code == 2
+    assert "do not apply" in capsys.readouterr().err
+
+
 def test_materials_small_run(tmp_path):
     cfg = {
         "presets": [
@@ -294,6 +333,28 @@ def test_materials_rejects_bad_preset(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "materials", cfg)
     assert code == 2
     assert "sigma_e_floor" in capsys.readouterr().err
+
+
+# expected output file -> command line; the config is <stem>.config.json beside it
+GOLDEN_CASES = {
+    "simulate_quadrature.csv": ("simulate",),
+    "simulate_mc.csv": ("simulate", "--seed", "11", "--samples", "300"),
+    "fit_inline.json": ("fit",),
+    "sweep_1x2.csv": ("sweep",),
+    "materials_1preset.csv": ("materials",),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
+def test_output_matches_golden_file(tmp_path, name):
+    """Outputs stay byte-identical to the files an earlier release wrote."""
+    command, *extra = GOLDEN_CASES[name]
+    stem = name.rsplit(".", 1)[0]
+    out_path = tmp_path / name
+    code = main([command, "--config", str(GOLDEN / f"{stem}.config.json"),
+                 "--out", str(out_path), *extra])
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -13,7 +13,6 @@ from deoq_dyn.disorder import (
     adaptive_quadrature_spec,
     disorder_average_mc,
     disorder_average_quadrature,
-    erf,
     pdf_delta_e,
     pdf_exchange,
     sample_noise,
@@ -21,32 +20,6 @@ from deoq_dyn.disorder import (
 from deoq_dyn.qubit import ExchangeParams, return_probability_superposition, return_probability_zero
 
 P = ExchangeParams()
-
-
-def erf_taylor(x):
-    """Maclaurin series of erf, summed to convergence; oracle for |x| <= 3."""
-    total = 0.0
-    term = x
-    n = 0
-    while abs(term) > 1e-18:
-        total += term / (2 * n + 1)
-        n += 1
-        term = -term * x * x / n
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-def test_erf_matches_taylor_series():
-    for x in np.linspace(-3.0, 3.0, 61):
-        assert abs(erf(x) - erf_taylor(x)) < 1e-12
-
-
-def test_erf_special_values():
-    assert erf(0.0) == 0.0
-    assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-12)
-    assert erf(1.3) == -erf(-1.3)
-    assert erf(np.array([0.5, 2.0])) == pytest.approx(
-        [0.5204998778130465, 0.9953222650189527], abs=1e-12
-    )
 
 
 def test_pdf_delta_e_value_and_symmetry():

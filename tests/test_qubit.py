@@ -7,11 +7,9 @@ import pytest
 import scipy.linalg
 
 from deoq_dyn.qubit import (
-    Coefficients,
     ExchangeParams,
     build_full_hamiltonian,
     build_logical_hamiltonian,
-    coefficients,
     evolve,
     logical_basis_vectors,
     oscillation_terms,
@@ -89,28 +87,6 @@ def test_logical_hamiltonian_delta_e_shift():
     h0 = build_logical_hamiltonian(p, 0.0)
     h = build_logical_hamiltonian(p, 0.4)
     np.testing.assert_allclose(h - h0, np.diag([-0.2, 0.2]), atol=1e-15)
-
-
-def test_coefficients_default_values():
-    c = coefficients(ExchangeParams(), 0.0)
-    assert isinstance(c, Coefficients)
-    assert c.a == pytest.approx(5.375, abs=1e-15)
-    assert c.b == pytest.approx(5.875, abs=1e-15)
-    assert c.c == pytest.approx(-0.43301270189221935, abs=1e-15)
-    assert c.d == pytest.approx(-0.5, abs=1e-15)
-    assert c.beta == pytest.approx(0.5, abs=1e-15)
-
-
-def test_coefficients_beta_from_d_and_c():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = random_params(rng)
-        de = rng.normal(0, 1)
-        c = coefficients(p, de)
-        assert c.d == pytest.approx(c.a - c.b + de, rel=1e-12, abs=1e-12)
-        assert c.beta == pytest.approx(
-            0.5 * math.hypot(c.d, 2 * c.c), rel=1e-12, abs=1e-15
-        )
 
 
 def _propagator_oracle(h, t):
@@ -237,16 +213,29 @@ def test_probabilities_stay_in_unit_interval():
 
 
 def test_oscillation_terms_consistent_with_coefficients():
+    """omega and both amplitudes against the logical Hamiltonian's eigensystem.
+
+    omega is the eigenvalue splitting.  With eigenvectors v_k, the zero-state
+    amplitude is 4 |v_0[0]|^2 |v_1[0]|^2 and, writing a_k = v_k[0] <v_k|+>
+    for |+> = (|0> + |1>)/sqrt(2), the superposition one is -8 a_0 a_1 (both
+    are products that do not depend on the eigenvectors' signs).
+    """
     rng = np.random.default_rng(5)
+    plus = np.array([1.0, 1.0]) / SQRT2
     for _ in range(50):
         p = random_params(rng)
         de = rng.normal(0, 1)
         omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, p.j1, p.j2, de)
-        c = coefficients(p, de)
-        assert omega == pytest.approx(2 * c.beta, rel=1e-12, abs=1e-15)
+        h = build_logical_hamiltonian(p, de).real
+        # subtracting the mean energy keeps the rounding relative to the splitting
+        h = h - 0.5 * np.trace(h) * np.eye(2)
+        e0, e1 = np.linalg.eigvalsh(h)
+        assert omega == pytest.approx(e1 - e0, rel=1e-12, abs=1e-15)
         if omega > 1e-12:
-            assert amp_zero == pytest.approx(4 * c.c**2 / omega**2, rel=1e-10, abs=1e-12)
-            assert amp_sup == pytest.approx(4 * c.c * c.d / omega**2, rel=1e-10, abs=1e-12)
+            v0, v1 = np.linalg.eigh(h)[1].T
+            a0, a1 = v0[0] * (v0 @ plus), v1[0] * (v1 @ plus)
+            assert amp_zero == pytest.approx(4 * v0[0] ** 2 * v1[0] ** 2, rel=1e-10, abs=1e-12)
+            assert amp_sup == pytest.approx(-8 * a0 * a1, rel=1e-10, abs=1e-12)
 
 
 def test_oscillation_terms_degenerate_amplitudes_vanish():

@@ -20,6 +20,7 @@ from deoq_dyn.sweep import (
     material_comparison,
     run_cell,
     run_sweep,
+    score,
     suggested_time_grid,
 )
 
@@ -56,6 +57,27 @@ def test_cell_matches_manual_pipeline():
     assert cell.alpha == fit.alpha
     assert cell.q == quality_factor(fit.t2_star)
     assert cell.q == math.exp(-1.0 / cell.j0_t2_star)
+
+
+def test_score_maps_fit_errors_to_fit_failure(monkeypatch):
+    trace = disorder_average_quadrature(ExchangeParams(), NoiseSpec(sigma_e=0.2), "zero", SHORT_TIMES)
+    t2, q, alpha, status = score(trace)
+    assert status == "converged" and q == pytest.approx(quality_factor(t2), rel=1e-12)
+
+    def no_start(trace):
+        raise RuntimeError("envelope fit failed to produce a finite objective from any start")
+
+    monkeypatch.setattr("deoq_dyn.sweep.fit_trace", no_start)
+    t2, q, alpha, status = score(trace)
+    assert status == "fit-failure"
+    assert math.isnan(t2) and math.isnan(q) and math.isnan(alpha)
+
+    def broken(trace):
+        raise TypeError("a programming error, not a fit problem")
+
+    monkeypatch.setattr("deoq_dyn.sweep.fit_trace", broken)
+    with pytest.raises(TypeError):
+        score(trace)
 
 
 def test_single_cell_sweep_equals_run_cell():
