@@ -10,6 +10,12 @@ probability.  Two independent routes compute it:
   Gauss-Legendre in delta_e, pdf-weighted Gauss-Legendre per coupling), and
 * a Monte Carlo estimator with per-point standard errors, used as an oracle.
 
+The direct quadrature sum and the Monte Carlo average use that the grid is
+uniform and starts at 0: writing t = (b R + r) dt with R = isqrt(n_times),
+cos(omega t) and sin(omega t / 2) follow by angle addition from
+O(sqrt(n_times)) trigonometric evaluations per node or sample instead of
+n_times of them.
+
 Because the integrand oscillates as cos(omega(x) t), the node count a
 dimension needs grows linearly with the phase span t_max * d(omega)/dx *
 range(x).  ``adaptive_quadrature_spec`` sizes node counts that way;
@@ -24,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.signal
 import scipy.special
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.special import roots_hermite
 
 from .qubit import ExchangeParams, oscillation_terms
@@ -37,6 +43,15 @@ _BIN_PHASE_STEP = 2.4e-3
 # switch from direct node-times summation to the binned evaluator above
 # this many node*time products
 _DIRECT_LIMIT = 2 ** 25
+
+# node-count ceilings of the tensor quadrature, about 4x what the default
+# sweep grid and material presets size (at most 1,188 nodes in one
+# dimension and 117.9 M in the tensor)
+_MAX_DIM_NODES = 5_000
+_MAX_TENSOR_NODES = 500_000_000
+
+# Monte Carlo samples per chunk; each chunk's moments merge into the total
+_MC_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -144,6 +159,33 @@ def _validate_times(times: np.ndarray) -> None:
             raise ValueError("times must be uniformly spaced")
 
 
+def _grid_blocks(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets r dt (r < R) and block anchors b R dt of a validated grid.
+
+    Point k = b R + r of the grid lies at anchor b plus offset r, with
+    R = isqrt(n_times); the last block may run past the end of the grid.
+    """
+    n = len(times)
+    r = math.isqrt(n)
+    dt = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    return np.arange(r) * dt, (np.arange(-(-n // r)) * r) * dt
+
+
+def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
+    """Chirp-z transform X_j = sum_k x_k a^-k w^(j k), j < m (Bluestein 1968).
+
+    Performs the operations of ``scipy.signal.czt`` in the same order, so
+    the results are bit-identical, without importing ``scipy.signal``.
+    """
+    n = len(x)
+    k = np.arange(max(m, n))
+    wk2 = w ** (k**2 / 2.0)
+    nfft = next_fast_len(n + m - 1)
+    chirp = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    y = ifft(chirp * fft(x * (a ** -k[:n] * wk2[:n]), nfft))
+    return y[n - 1:n + m - 1] * wk2[:m]
+
+
 def pdf_delta_e(delta_e, sigma_e: float):
     """Gaussian density of the field gradient, std sqrt(2) sigma_e.
 
@@ -245,6 +287,20 @@ def adaptive_quadrature_spec(
     )
 
 
+def _check_node_counts(spec: NoiseSpec, q: QuadratureSpec) -> None:
+    """Reject a node set too large to build, naming its sizes."""
+    n_de = q.n_hermite if spec.sigma_e > 0 else 1
+    n_j1 = q.n_legendre if spec.sigma_j1 > 0 else 1
+    n_j2 = q.n_legendre if spec.sigma_j2 > 0 else 1
+    widest, total = max(n_de, n_j1, n_j2), n_de * n_j1 * n_j2
+    if widest > _MAX_DIM_NODES or total > _MAX_TENSOR_NODES:
+        raise ValueError(
+            f"quadrature needs {widest} nodes in one dimension and {total} in the "
+            f"tensor, above the limits of {_MAX_DIM_NODES} and {_MAX_TENSOR_NODES}; "
+            f"reduce the noise widths or the time window"
+        )
+
+
 def _nodes_delta_e(sigma_e: float, q: QuadratureSpec, sign: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and unit-mass weights for the delta_e dimension."""
     if sigma_e == 0.0:
@@ -300,6 +356,8 @@ def _tensor_average(
         n_bins = int(2 ** math.ceil(math.log2(max(4096.0, om_max * times[-1] / _BIN_PHASE_STEP))))
         d_om = om_max / n_bins
         mass = np.zeros(n_bins + 2)
+    else:
+        offsets, anchors = _grid_blocks(times)
     base = 0.0
     osc = np.zeros(n_times)
     # accumulate one j01-slab at a time to bound memory
@@ -324,20 +382,21 @@ def _tensor_average(
             mass += np.bincount(idx, coef * (1.0 - frac), minlength=n_bins + 2)
             mass += np.bincount(idx + 1, coef * frac, minlength=n_bins + 2)
         else:
+            # cos(omega (anchor + offset)) by angle addition: two GEMMs
+            # instead of a cos per node and time
             chunk = max(1, _DIRECT_LIMIT // max(n_times, 1) // 8)
             for s in range(0, len(omega), chunk):
                 sl = slice(s, s + chunk)
-                osc += coef[sl] @ np.cos(np.outer(omega[sl], times))
+                at_anchor = np.outer(anchors, omega[sl])
+                at_offset = np.outer(omega[sl], offsets)
+                block = (np.cos(at_anchor) * coef[sl]) @ np.cos(at_offset)
+                block -= (np.sin(at_anchor) * coef[sl]) @ np.sin(at_offset)
+                osc += block.ravel()[:n_times]
     if evaluator == "binned":
         if n_times > 1:
             dt = (times[-1] - times[0]) / (n_times - 1)
             osc = np.real(
-                scipy.signal.czt(
-                    mass.astype(complex),
-                    m=n_times,
-                    w=np.exp(-1j * d_om * dt),
-                    a=np.exp(1j * d_om * times[0]),
-                )
+                _czt(mass.astype(complex), n_times, np.exp(-1j * d_om * dt), np.exp(1j * d_om * times[0]))
             )
         else:
             osc = np.array([mass.sum() * math.cos(0.0)])
@@ -403,6 +462,7 @@ def disorder_average_quadrature(
         raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
     if q is None:
         q = adaptive_quadrature_spec(spec, float(times[-1]))
+    _check_node_counts(spec, q)
     values, meta = _tensor_average(p, spec, initial, times, q, _delta_e_sign, _evaluator)
     meta["quadrature_spec"] = q
     if check_convergence:
@@ -439,9 +499,18 @@ def disorder_average_mc(
 ) -> ProbabilityTrace:
     """Monte Carlo disorder average with per-point standard errors.
 
-    Samples (j1, j2, delta_e) once and evaluates the closed-form probability
-    at every time point; the standard error is the sample standard deviation
-    over sqrt(n_samples).  Bit-reproducible for a given seed.
+    Samples (j1, j2, delta_e) once and averages the closed-form probability
+    p0 + amp sin^2(omega t / 2) over them; the standard error is the sample
+    standard deviation over sqrt(n_samples).  Bit-reproducible for a given
+    seed.
+
+    Samples are taken in chunks.  Within a chunk, sin(omega t / 2) on each
+    block of R = isqrt(n_times) times follows by angle addition from the
+    block's anchor and a per-chunk table of offsets, so there are O(sqrt
+    (n_times)) sin/cos evaluations per sample.  Each block gives the chunk's
+    mean and centred sum of squares per time, and the chunks' moments merge
+    by the pairwise update of Chan, Golub & LeVeque (1979).  No moment is
+    formed as E[p^2] - E[p]^2, so the standard error at t = 0 is exactly 0.
     """
     times = np.asarray(times, dtype=float)
     _validate_times(times)
@@ -453,21 +522,44 @@ def disorder_average_mc(
     rng = np.random.default_rng(seed)
     j1, j2, delta_e = sample_noise(rng, spec, size=n_samples)
     omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, j1, j2, delta_e)
-    values = np.empty(len(times))
-    errors = np.zeros(len(times))
-    scale = 1.0 / math.sqrt(n_samples)
-    for k, t in enumerate(times):
-        s2 = np.sin(0.5 * omega * t) ** 2
-        if initial == "zero":
-            probs = 1.0 - amp_zero * s2
-        else:
-            probs = 0.5 * (1.0 + amp_sup * s2)
-        values[k] = probs.mean()
-        if n_samples > 1:
-            errors[k] = probs.std(ddof=1) * scale
+    if initial == "zero":
+        p0, amp = 1.0, -amp_zero
+    else:
+        p0, amp = 0.5, 0.5 * amp_sup
+    n_times = len(times)
+    offsets, anchors = _grid_blocks(times)
+    n_rows = len(offsets)
+    count = 0
+    mean = np.zeros(n_times)
+    m2 = np.zeros(n_times)
+    chunk_mean = np.empty(len(anchors) * n_rows)
+    chunk_m2 = np.empty(len(anchors) * n_rows)
+    for start in range(0, n_samples, _MC_CHUNK):
+        half = 0.5 * omega[start:start + _MC_CHUNK]
+        a = amp[start:start + _MC_CHUNK]
+        sin_off = np.sin(np.outer(offsets, half))
+        cos_off = np.cos(np.outer(offsets, half))
+        x = np.empty_like(sin_off)
+        for b, anchor in enumerate(anchors):
+            # x = amp sin^2(h (anchor + offset)), rows = offsets, columns = samples
+            np.multiply(cos_off, np.sin(half * anchor), out=x)
+            x += sin_off * np.cos(half * anchor)
+            np.square(x, out=x)
+            x *= a
+            rows = slice(b * n_rows, (b + 1) * n_rows)
+            chunk_mean[rows] = x.mean(axis=1)
+            x -= chunk_mean[rows, None]
+            chunk_m2[rows] = np.einsum("ij,ij->i", x, x)
+        n = len(half)
+        delta = chunk_mean[:n_times] - mean
+        total = count + n
+        mean += delta * (n / total)
+        m2 += chunk_m2[:n_times] + delta * delta * (count * n / total)
+        count = total
+    errors = np.sqrt(m2 / (n_samples - 1) / n_samples) if n_samples > 1 else np.zeros(n_times)
     return ProbabilityTrace(
         times=times,
-        values=_clip_probabilities(values),
+        values=_clip_probabilities(p0 + mean),
         initial=initial,
         method="monte-carlo",
         params=p,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -327,6 +328,15 @@ def test_materials_small_run(tmp_path):
     assert echo["j0_ev"] == 1e-6
 
 
+def test_materials_rejects_oversized_quadrature(tmp_path, capsys):
+    # sigma_e = 1e6 j0 would size about 3.6e8 delta_e nodes
+    cfg = {"presets": [{"name": "a", "sigma_e_floor_ev": 1}],
+           "sigma_j_values_ev": [3e-7], "params": {"j2": 2}}
+    code, _ = run_cli(tmp_path, "materials", cfg)
+    assert code == 2
+    assert "nodes" in capsys.readouterr().err
+
+
 def test_materials_rejects_bad_preset(tmp_path, capsys):
     cfg = {"presets": [{"name": "x", "sigma_e_floor_ev": -1.0}],
            "sigma_j_values_ev": [0.1e-6]}
@@ -355,6 +365,17 @@ def test_output_matches_golden_file(tmp_path, name):
                  "--out", str(out_path), *extra])
     assert code == 0
     assert out_path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_cli_import_skips_scipy_signal():
+    """Importing scipy.signal would add about a second to every CLI start."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, deoq_dyn.cli; assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):

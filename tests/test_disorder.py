@@ -10,6 +10,9 @@ from deoq_dyn.disorder import (
     NoiseSpec,
     ProbabilityTrace,
     QuadratureSpec,
+    _czt,
+    _nodes_coupling,
+    _nodes_delta_e,
     adaptive_quadrature_spec,
     disorder_average_mc,
     disorder_average_quadrature,
@@ -17,7 +20,12 @@ from deoq_dyn.disorder import (
     pdf_exchange,
     sample_noise,
 )
-from deoq_dyn.qubit import ExchangeParams, return_probability_superposition, return_probability_zero
+from deoq_dyn.qubit import (
+    ExchangeParams,
+    oscillation_terms,
+    return_probability_superposition,
+    return_probability_zero,
+)
 
 P = ExchangeParams()
 
@@ -233,6 +241,35 @@ def test_binned_evaluator_matches_direct():
         np.testing.assert_allclose(binned.values, direct.values, atol=5e-9)
 
 
+def test_direct_evaluator_matches_cos_matrix():
+    """The blocked two-GEMM direct sum equals coef @ cos(outer(omega, t))."""
+    times = np.linspace(0.0, 80.0, 203)  # 15 blocks of 14, the last one ragged
+    noise = NoiseSpec(sigma_e=0.3, sigma_j1=0.2, sigma_j2=0.1)
+    q = QuadratureSpec(n_hermite=31, n_legendre=17, delta_e_rule="legendre")
+    x1, w1 = _nodes_coupling(noise.j01, noise.sigma_j1, q)
+    x2, w2 = _nodes_coupling(noise.j02, noise.sigma_j2, q)
+    xe, we = _nodes_delta_e(noise.sigma_e, q, 1.0)
+    j1, j2, de = (g.ravel() for g in np.meshgrid(x1, x2, xe, indexing="ij"))
+    w = (w1[:, None, None] * w2[None, :, None] * we[None, None, :]).ravel()
+    omega, amp_zero, amp_sup = oscillation_terms(P.j_prime, j1, j2, de)
+    cos_matrix = np.cos(np.outer(omega, times))
+    for initial, coef, base in (
+        ("zero", 0.5 * w * amp_zero, w.sum() - 0.5 * (w * amp_zero).sum()),
+        ("superposition", -0.25 * w * amp_sup, 0.5 * w.sum() + 0.25 * (w * amp_sup).sum()),
+    ):
+        trace = disorder_average_quadrature(P, noise, initial, times, q=q, _evaluator="direct")
+        np.testing.assert_allclose(trace.values, base + coef @ cos_matrix, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, m", [(4098, 401), (301, 1000)])
+def test_czt_is_bitwise_scipy_signal_czt(n, m):
+    from scipy.signal import czt
+
+    x = np.random.default_rng(n).normal(size=n).astype(complex)
+    w, a = np.exp(-1j * 2.4e-3), np.exp(1j * 0.0)
+    assert np.array_equal(_czt(x, m, w, a), czt(x, m=m, w=w, a=a))
+
+
 def test_hermite_and_legendre_delta_e_rules_agree():
     times = np.linspace(0.0, 30.0, 301)
     noise = NoiseSpec(sigma_e=0.2)
@@ -309,6 +346,34 @@ def test_mc_deterministic_and_stderr_present():
     assert np.all(a.mc_std_errors[1:] > 0.0)
     c = disorder_average_mc(P, noise, "zero", times, 5000, seed=100)
     assert not np.array_equal(a.values, c.values)
+
+
+def _mc_per_time(noise, initial, times, n_samples, seed):
+    """The closed-form probability evaluated at every (sample, time) pair."""
+    j1, j2, de = sample_noise(np.random.default_rng(seed), noise, size=n_samples)
+    omega, amp_zero, amp_sup = oscillation_terms(P.j_prime, j1, j2, de)
+    values = np.empty(len(times))
+    errors = np.zeros(len(times))
+    for k, t in enumerate(times):
+        s2 = np.sin(0.5 * omega * t) ** 2
+        probs = 1.0 - amp_zero * s2 if initial == "zero" else 0.5 * (1.0 + amp_sup * s2)
+        values[k] = probs.mean()
+        if n_samples > 1:
+            errors[k] = probs.std(ddof=1) / math.sqrt(n_samples)
+    return values, errors
+
+
+@pytest.mark.parametrize("n_samples", [1, 2047, 2049, 5000])
+def test_mc_matches_per_time_reference(n_samples):
+    noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.1)
+    for n_times in (1, 2, 81, 130):
+        times = np.linspace(0.0, 60.0, n_times)
+        for initial in ("zero", "superposition"):
+            trace = disorder_average_mc(P, noise, initial, times, n_samples, seed=17)
+            values, errors = _mc_per_time(noise, initial, times, n_samples, 17)
+            np.testing.assert_allclose(trace.values, values, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(trace.mc_std_errors, errors, rtol=1e-10, atol=0)
+            assert trace.mc_std_errors[0] == 0.0
 
 
 def test_mc_single_sample_zero_noise_is_closed_form():
