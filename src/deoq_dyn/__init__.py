@@ -19,6 +19,7 @@ from .analysis import (
 )
 from .disorder import (
     NoiseSpec,
+    NumericalError,
     ProbabilityTrace,
     QuadratureSpec,
     adaptive_quadrature_spec,
@@ -62,6 +63,7 @@ __all__ = [
     "MaterialPoint",
     "MaterialPreset",
     "NoiseSpec",
+    "NumericalError",
     "PhysicalScale",
     "ProbabilityTrace",
     "QuadratureSpec",

@@ -4,7 +4,8 @@ Each run takes a JSON config and writes one output file (CSV for traces and
 tables, JSON for fit reports).  Every output embeds the fully resolved
 config that produced it (a trailing ``# config=...`` line in CSV, a
 ``config`` key in JSON), so any result can be reproduced bit-for-bit from
-the file alone.  Exit codes: 0 success, 2 invalid input, 3 I/O failure.
+the file alone.  Exit codes: 0 success, 2 invalid input, 3 I/O failure,
+4 internal numerical failure.
 
 Config blocks are read straight into the package's dataclasses by one
 reader, ``_read``, and the echo is built from those same objects, so the
@@ -25,6 +26,7 @@ import numpy as np
 from .analysis import PhysicalScale, extract_upper_envelope, fit_trace, quality_factor
 from .disorder import (
     NoiseSpec,
+    NumericalError,
     ProbabilityTrace,
     QuadratureSpec,
     disorder_average_mc,
@@ -483,6 +485,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"deoq-dyn: {exc}", file=sys.stderr)
         return 3
+    except NumericalError as exc:
+        print(f"deoq-dyn: internal numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

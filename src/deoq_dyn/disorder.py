@@ -6,9 +6,20 @@ carries a Gaussian of width sigma_ji truncated to j_i >= 0 around mean j0i.
 The observable is the ensemble average of the closed-form return
 probability.  Two independent routes compute it:
 
-* deterministic tensor quadrature (Gauss-Hermite or pdf-weighted
-  Gauss-Legendre in delta_e, pdf-weighted Gauss-Legendre per coupling), and
+* deterministic quadrature, and
 * a Monte Carlo estimator with per-point standard errors, used as an oracle.
+
+The probability depends on the couplings and the gradient only through the
+detuning d = j' - (j1 + j2)/2 + delta_e and the gap j1 - j2.  With all three
+widths nonzero and no explicit QuadratureSpec, the quadrature therefore
+integrates (j1 + j2)/2 and delta_e analytically and runs a 2D Gauss-Legendre
+rule over the gap and the detuning under a closed-form extended skew-normal
+weight (``_reduced_rule``).  An explicit QuadratureSpec, or noise that is
+already at most 2D (sigma_e = 0 or a zero sigma_j), keeps the tensor rule
+(Gauss-Hermite or pdf-weighted Gauss-Legendre in delta_e, pdf-weighted
+Gauss-Legendre per coupling), which also serves the tests as the reference
+for the reduction.  Both node producers hand (omega, coef, base) to one
+evaluator, ``_evaluate``.
 
 The direct quadrature sum and the Monte Carlo average use that the grid is
 uniform and starts at 0: writing t = (b R + r) dt with R = isqrt(n_times),
@@ -18,15 +29,16 @@ n_times of them.
 
 Because the integrand oscillates as cos(omega(x) t), the node count a
 dimension needs grows linearly with the phase span t_max * d(omega)/dx *
-range(x).  ``adaptive_quadrature_spec`` sizes node counts that way;
-fixed-size specs are kept for small problems and for reproducing the
-plain-rule behavior.
+range(x).  ``adaptive_quadrature_spec`` sizes the tensor node counts that
+way, and the 2D rule sizes its own alike; fixed-size specs are kept for
+small problems and for reproducing the plain-rule behavior.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -49,6 +61,20 @@ _DIRECT_LIMIT = 2 ** 25
 # dimension and 117.9 M in the tensor)
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
+
+# Gauss-Legendre nodes per radian of phase span (see adaptive_quadrature_spec)
+_NODES_PER_RADIAN = 0.35
+
+# Gauss-Legendre nodes per panel of the reduced 2D rule: at least 16, which
+# integrate a normal CDF across 6 standard deviations to 1e-15, and 8 more
+# than the panel's share of the phase span, since a short panel at 0.35 nodes
+# per radian sits on the resolution cliff (with 8, doubling the counts moves
+# no point by more than 1e-10 at t_max from 10 to 100; with 0, by 2e-6)
+_PANEL_MIN = 16
+_PANEL_MARGIN = 8
+
+# nodes per block of the reduced 2D average, to bound its memory
+_BLOCK_NODES = 2 ** 20
 
 # Monte Carlo samples per chunk; each chunk's moments merge into the total
 _MC_CHUNK = 2048
@@ -254,7 +280,7 @@ def sample_noise(rng, spec: NoiseSpec, size: Optional[int] = None):
 def adaptive_quadrature_spec(
     noise: NoiseSpec,
     t_max: float,
-    nodes_per_radian: float = 0.35,
+    nodes_per_radian: float = _NODES_PER_RADIAN,
     base: QuadratureSpec = QuadratureSpec(),
 ) -> QuadratureSpec:
     """Size quadrature node counts to the phase span of the integrand.
@@ -287,18 +313,22 @@ def adaptive_quadrature_spec(
     )
 
 
-def _check_node_counts(spec: NoiseSpec, q: QuadratureSpec) -> None:
+def _check_node_counts(widest: int, total: int) -> None:
     """Reject a node set too large to build, naming its sizes."""
-    n_de = q.n_hermite if spec.sigma_e > 0 else 1
-    n_j1 = q.n_legendre if spec.sigma_j1 > 0 else 1
-    n_j2 = q.n_legendre if spec.sigma_j2 > 0 else 1
-    widest, total = max(n_de, n_j1, n_j2), n_de * n_j1 * n_j2
     if widest > _MAX_DIM_NODES or total > _MAX_TENSOR_NODES:
         raise ValueError(
             f"quadrature needs {widest} nodes in one dimension and {total} in the "
             f"tensor, above the limits of {_MAX_DIM_NODES} and {_MAX_TENSOR_NODES}; "
             f"reduce the noise widths or the time window"
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _nodes_delta_e(sigma_e: float, q: QuadratureSpec, sign: float) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +339,7 @@ def _nodes_delta_e(sigma_e: float, q: QuadratureSpec, sign: float) -> tuple[np.n
         u, wu = roots_hermite(q.n_hermite)
         return sign * 2.0 * sigma_e * u, wu / math.sqrt(math.pi)
     std = math.sqrt(2.0) * sigma_e
-    x, wx = np.polynomial.legendre.leggauss(q.n_hermite)
+    x, wx = _leggauss(q.n_hermite)
     half = q.truncation_width * std
     nodes = half * x
     weights = half * wx * pdf_delta_e(nodes, sigma_e)
@@ -322,37 +352,39 @@ def _nodes_coupling(j0: float, sigma: float, q: QuadratureSpec) -> tuple[np.ndar
         return np.full(1, j0), np.ones(1)
     lo = max(0.0, j0 - q.truncation_width * sigma)
     hi = j0 + q.truncation_width * sigma
-    x, wx = np.polynomial.legendre.leggauss(q.n_legendre)
+    x, wx = _leggauss(q.n_legendre)
     nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     weights = 0.5 * (hi - lo) * wx * pdf_exchange(nodes, j0, sigma)
     return nodes, weights / weights.sum()
 
 
-def _tensor_average(
-    p: ExchangeParams,
-    spec: NoiseSpec,
-    initial: str,
-    times: np.ndarray,
-    q: QuadratureSpec,
-    sign: float,
-    evaluator: Optional[str],
-) -> tuple[np.ndarray, dict]:
-    """Evaluate the tensor-quadrature average of the chosen probability."""
-    x1, w1 = _nodes_coupling(spec.j01, spec.sigma_j1, q)
-    x2, w2 = _nodes_coupling(spec.j02, spec.sigma_j2, q)
-    xe, we = _nodes_delta_e(spec.sigma_e, q, sign)
-    n_nodes = len(x1) * len(x2) * len(xe)
+def _terms(p: ExchangeParams, initial: str, weights, j1, j2, delta_e) -> tuple[np.ndarray, np.ndarray, float]:
+    """(omega, coef, base) of P = base + sum_k coef_k cos(omega_k t) over weighted nodes.
+
+    The sin^2(omega t / 2) of the closed-form probabilities is rewritten as
+    (1 - cos(omega t)) / 2.
+    """
+    omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, j1, j2, delta_e)
+    if initial == "zero":
+        return omega, 0.5 * weights * amp_zero, float(weights.sum() - 0.5 * (weights * amp_zero).sum())
+    return omega, -0.25 * weights * amp_sup, float(0.5 * weights.sum() + 0.25 * (weights * amp_sup).sum())
+
+
+def _evaluate(chunks, n_nodes: int, om_max: float, times: np.ndarray,
+              evaluator: Optional[str]) -> tuple[np.ndarray, str]:
+    """Sum base + sum_k coef_k cos(omega_k t) over chunks of (omega, coef, base).
+
+    Every node producer feeds this one evaluator.  Up to _DIRECT_LIMIT
+    node-time products (or with evaluator="direct") the sum is direct;
+    above, the coefficients are deposited linearly on a frequency grid of
+    step _BIN_PHASE_STEP / t_max up to om_max, which must bound every
+    omega, and summed by a chirp-z transform.  Returns the values and the
+    evaluator used.
+    """
     n_times = len(times)
     if evaluator is None:
         evaluator = "binned" if (n_nodes * n_times > _DIRECT_LIMIT and n_times > 1) else "direct"
-
     if evaluator == "binned":
-        # bound the frequency support from the node extremes
-        d_lo = p.j_prime - 0.5 * (x1.max() + x2.max()) + xe.min()
-        d_hi = p.j_prime - 0.5 * (x1.min() + x2.min()) + xe.max()
-        d_max = max(abs(d_lo), abs(d_hi))
-        c_max = (math.sqrt(3.0) / 4.0) * max(abs(x1.max() - x2.min()), abs(x2.max() - x1.min()))
-        om_max = math.sqrt(d_max * d_max + 4.0 * c_max * c_max) * 1.01 + 1e-9
         n_bins = int(2 ** math.ceil(math.log2(max(4096.0, om_max * times[-1] / _BIN_PHASE_STEP))))
         d_om = om_max / n_bins
         mass = np.zeros(n_bins + 2)
@@ -360,21 +392,8 @@ def _tensor_average(
         offsets, anchors = _grid_blocks(times)
     base = 0.0
     osc = np.zeros(n_times)
-    # accumulate one j01-slab at a time to bound memory
-    grid2, grid_e = np.meshgrid(x2, xe, indexing="ij")
-    grid2 = grid2.ravel()
-    grid_e = grid_e.ravel()
-    w_slab = (w2[:, None] * we[None, :]).ravel()
-    for i in range(len(x1)):
-        omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, x1[i], grid2, grid_e)
-        weights = w1[i] * w_slab
-        if initial == "zero":
-            coef = 0.5 * weights * amp_zero
-            base += float(weights.sum() - 0.5 * (weights * amp_zero).sum())
-        else:
-            coef = -0.25 * weights * amp_sup
-            base += float(0.5 * weights.sum() + 0.25 * (weights * amp_sup).sum())
-        # P = base + sum_k coef_k cos(omega_k t) with sin^2 rewritten via cos
+    for omega, coef, chunk_base in chunks:
+        base += chunk_base
         if evaluator == "binned":
             pos = omega / d_om
             idx = np.floor(pos).astype(np.int64)
@@ -400,21 +419,217 @@ def _tensor_average(
             )
         else:
             osc = np.array([mass.sum() * math.cos(0.0)])
-    values = base + osc
+    return base + osc, evaluator
+
+
+def _tensor_average(
+    p: ExchangeParams,
+    spec: NoiseSpec,
+    initial: str,
+    times: np.ndarray,
+    q: QuadratureSpec,
+    sign: float,
+    evaluator: Optional[str],
+) -> tuple[np.ndarray, dict]:
+    """Tensor-quadrature average over (j1, j2, delta_e), one j1 slab at a time."""
+    x1, w1 = _nodes_coupling(spec.j01, spec.sigma_j1, q)
+    x2, w2 = _nodes_coupling(spec.j02, spec.sigma_j2, q)
+    xe, we = _nodes_delta_e(spec.sigma_e, q, sign)
+    n_nodes = len(x1) * len(x2) * len(xe)
+    # bound the frequency support from the node extremes
+    d_lo = p.j_prime - 0.5 * (x1.max() + x2.max()) + xe.min()
+    d_hi = p.j_prime - 0.5 * (x1.min() + x2.min()) + xe.max()
+    d_max = max(abs(d_lo), abs(d_hi))
+    c_max = (math.sqrt(3.0) / 4.0) * max(abs(x1.max() - x2.min()), abs(x2.max() - x1.min()))
+    om_max = math.sqrt(d_max * d_max + 4.0 * c_max * c_max) * 1.01 + 1e-9
+    grid2, grid_e = np.meshgrid(x2, xe, indexing="ij")
+    grid2 = grid2.ravel()
+    grid_e = grid_e.ravel()
+    w_slab = (w2[:, None] * we[None, :]).ravel()
+    slabs = (_terms(p, initial, w1[i] * w_slab, x1[i], grid2, grid_e) for i in range(len(x1)))
+    values, evaluator = _evaluate(slabs, n_nodes, om_max, times, evaluator)
     meta = {
+        "rule": "tensor",
         "n_delta_e": len(xe),
         "n_j1": len(x1),
         "n_j2": len(x2),
         "n_nodes": n_nodes,
         "delta_e_rule": q.delta_e_rule if spec.sigma_e > 0 else "collapsed",
         "evaluator": evaluator,
+        "quadrature_spec": q,
     }
     return values, meta
 
 
+def _gauss_panels(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on consecutive panels.
+
+    Panel k runs from edges[..., k] to edges[..., k + 1] and gets counts[k]
+    nodes; leading axes of ``edges`` hold independent sets of panels.
+    """
+    nodes, weights = [], []
+    for k, n in enumerate(counts):
+        if n:
+            x, wx = _leggauss(n)
+            lo, hi = edges[..., k, None], edges[..., k + 1, None]
+            half = 0.5 * (hi - lo)
+            nodes.append(half * x + (lo + half))
+            weights.append(half * wx)
+    return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
+
+
+def _panel_counts(lengths, n: int, span: float) -> list:
+    """Nodes per panel: n per span of length plus a margin, 0 for an empty panel."""
+    return [max(_PANEL_MIN, math.ceil(n * length / span) + _PANEL_MARGIN) if length > 0 else 0
+            for length in lengths]
+
+
+@dataclass(frozen=True)
+class _ReducedRule:
+    """The (gap, u) node set of the reduced average, per gap node.
+
+    gap = j1 - j2 and u = (j1 + j2)/2 - delta_e, so the detuning is
+    d = j' - u.  Each gap node carries up to three u panels, edges[i] with
+    counts[k] nodes in panel k; the weight of (gap, u) is w_gap times the
+    u panel weight times phi(u; mu, v_u) Phi((u - u_k) / tau).
+    """
+
+    n_gap: int
+    n_u: int
+    gap: np.ndarray
+    w_gap: np.ndarray
+    mu: np.ndarray
+    u_k: np.ndarray
+    edges: np.ndarray
+    counts: list
+    v_u: float
+    tau: float
+
+    @property
+    def n_nodes(self) -> int:
+        nonempty = np.diff(self.edges, axis=1) > 0
+        return int((nonempty * np.asarray(self.counts)).sum())
+
+    def block(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gap, u, weight) of the nodes of gap nodes ``rows``, unnormalized."""
+        u, w_u = _gauss_panels(self.edges[rows], self.counts)
+        mu = self.mu[rows, None]
+        weights = (
+            self.w_gap[rows, None] * w_u
+            * np.exp(-((u - mu) ** 2) / (2.0 * self.v_u))
+            * scipy.special.ndtr((u - self.u_k[rows, None]) / self.tau)
+        )
+        keep = w_u > 0.0  # drops the nodes of empty panels
+        gap = np.broadcast_to(self.gap[rows, None], u.shape)
+        return gap[keep], u[keep], weights[keep]
+
+
+def _reduced_rule(spec: NoiseSpec, t_max: float, scale: int = 1) -> _ReducedRule:
+    """Nodes of the exact 2D reduction of the (j1, j2, delta_e) average.
+
+    With s = (j1 + j2)/2, (s, gap) is jointly Gaussian before truncation:
+    gap ~ N(m, V), V = sigma_j1^2 + sigma_j2^2, and s | gap ~ N(mu, v) with
+    mu = (j01 + j02)/2 + kappa (gap - m), kappa = (sigma_j1^2 - sigma_j2^2)
+    / (2 V), v = sigma_j1^2 sigma_j2^2 / V.  Truncating j1, j2 >= 0 is
+    s >= |gap|/2, and integrating s against the field gradient (variance
+    v_e = 2 sigma_e^2) leaves the extended skew-normal weight (Azzalini 1985)
+    phi(gap; m, V) phi(u; mu, v + v_e) Phi((u - u_k) / tau) with
+    u_k = (|gap|/2 (v + v_e) - mu v_e) / v and tau = sqrt(v_e (v + v_e) / v).
+    Integrating u out again gives the gap mass phi(gap; m, V)
+    Phi((mu - |gap|/2) / sqrt(v)).
+
+    Gauss-Legendre panels cover gap in m +- w sqrt(V), split at the |gap|
+    kink at 0 and where the gap mass falls to 0 (mu = |gap|/2, sharp when
+    one coupling is much narrower than the other), and u in
+    mu +- w sqrt(v + v_e), cut below where Phi < Phi(-w) and split at u_k
+    and u_k + w tau, across which Phi rises from 1/2 to 1 (sharp as
+    sigma_e -> 0).  The counts n_gap, n_u follow the phase span as in
+    ``adaptive_quadrature_spec``, shared among panels by length (see
+    _PANEL_MARGIN); the u rule moves with slope kappa along gap, hence the
+    gap factor (1 + |kappa|).  ``scale`` multiplies both counts.  Needs
+    sigma_e, sigma_j1, sigma_j2 > 0.  With at most _MAX_DIM_NODES per
+    count the node set stays far below _MAX_TENSOR_NODES.
+    """
+    base = QuadratureSpec()
+    w, per_radian = base.truncation_width, _NODES_PER_RADIAN
+    var1, var2 = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2
+    v_gap = var1 + var2
+    kappa = (var1 - var2) / (2.0 * v_gap)
+    v = var1 * var2 / v_gap
+    v_e = 2.0 * spec.sigma_e ** 2
+    v_u = v + v_e
+    span_gap = 2.0 * w * math.sqrt(v_gap)
+    span_u = 2.0 * w * math.sqrt(v_u)
+    n_gap = scale * max(base.n_legendre, math.ceil(per_radian * t_max * span_gap * (1.0 + abs(kappa))))
+    n_u = scale * max(base.n_legendre, math.ceil(per_radian * t_max * span_u))
+    _check_node_counts(max(n_gap, n_u), n_gap * n_u)
+
+    # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to 0
+    # over widths sqrt(v) / (1/2 -+ kappa)
+    m = spec.j01 - spec.j02
+    reach = 0.5 * (spec.j01 + spec.j02) - kappa * m
+    g_hi, width_hi = reach / (0.5 - kappa), math.sqrt(v) / (0.5 - kappa)
+    g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
+    lo = max(m - 0.5 * span_gap, g_lo - w * width_lo)
+    hi = min(m + 0.5 * span_gap, g_hi + w * width_hi)
+    cuts = np.unique(np.clip(
+        [lo, g_lo, g_lo + w * width_lo, 0.0, g_hi - w * width_hi, g_hi, hi], lo, hi
+    ))
+    gap, w_gap = _gauss_panels(cuts, _panel_counts(np.diff(cuts), n_gap, span_gap))
+    w_gap = w_gap * np.exp(-((gap - m) ** 2) / (2.0 * v_gap))
+    mu = 0.5 * (spec.j01 + spec.j02) + kappa * (gap - m)
+    u_k = (0.5 * np.abs(gap) * v_u - mu * v_e) / v
+    tau = math.sqrt(v_e * v_u / v)
+    hi = mu + 0.5 * span_u
+    lo = np.minimum(np.maximum(mu - 0.5 * span_u, u_k - w * tau), hi)
+    edges = np.stack([lo, np.clip(u_k, lo, hi), np.clip(u_k + w * tau, lo, hi), hi], axis=1)
+    counts = _panel_counts(np.diff(edges, axis=1).max(axis=0), n_u, span_u)
+    return _ReducedRule(n_gap, n_u, gap, w_gap, mu, u_k, edges, counts, v_u, tau)
+
+
+def _reduced_average(
+    p: ExchangeParams,
+    spec: NoiseSpec,
+    initial: str,
+    times: np.ndarray,
+    scale: int,
+    evaluator: Optional[str],
+) -> tuple[np.ndarray, dict]:
+    """Average over the reduced (gap, u) rule, in blocks of gap nodes."""
+    rule = _reduced_rule(spec, float(times[-1]), scale)
+    gap_max = float(np.abs(rule.gap).max())
+    d_max = float(np.abs(p.j_prime - rule.edges[:, [0, -1]]).max())
+    om_max = math.sqrt(d_max * d_max + 0.75 * gap_max * gap_max) * 1.01 + 1e-9
+    mass = 0.0
+
+    def blocks():
+        # weights are normalized by their sum after the last block
+        nonlocal mass
+        step = max(1, _BLOCK_NODES // sum(rule.counts))
+        for s in range(0, len(rule.gap), step):
+            gap, u, weights = rule.block(slice(s, s + step))
+            mass += weights.sum()
+            yield _terms(p, initial, weights, 0.5 * gap, -0.5 * gap, -u)
+
+    n_nodes = rule.n_nodes
+    values, evaluator = _evaluate(blocks(), n_nodes, om_max, times, evaluator)
+    meta = {
+        "rule": "reduced-2d",
+        "n_gap": rule.n_gap,
+        "n_u": rule.n_u,
+        "n_nodes": n_nodes,
+        "evaluator": evaluator,
+    }
+    return values / mass, meta
+
+
+class NumericalError(RuntimeError):
+    """An average left its valid range: a fault of the method, not of the input."""
+
+
 def _clip_probabilities(values: np.ndarray) -> np.ndarray:
     if values.min() < -1e-6 or values.max() > 1.0 + 1e-6:
-        raise ValueError(
+        raise NumericalError(
             f"averaged probabilities left [0, 1] by more than 1e-6: "
             f"range [{values.min()!r}, {values.max()!r}]"
         )
@@ -431,18 +646,22 @@ def disorder_average_quadrature(
     _evaluator: Optional[str] = None,
     _delta_e_sign: float = 1.0,
 ) -> ProbabilityTrace:
-    """Disorder-averaged return probability by deterministic tensor quadrature.
+    """Disorder-averaged return probability by deterministic quadrature.
 
-    Gauss-Hermite in u = delta_e/(2 sigma_e) (or pdf-weighted Gauss-Legendre,
-    see QuadratureSpec.delta_e_rule) is tensored with pdf-weighted
-    Gauss-Legendre over [max(0, j0i - w sigma_ji), j0i + w sigma_ji] per
-    coupling, each dimension's weights renormalized by its numerically
-    integrated mass.  Zero-sigma dimensions collapse to a single node at the
-    mean.  q=None sizes node counts adaptively for the grid's t_max.
+    With q=None and all three noise widths > 0, the average runs on the
+    exact 2D reduction over the gap j1 - j2 and u = (j1 + j2)/2 - delta_e
+    (see ``_reduced_rule``), sized for the grid's t_max.  Otherwise it is a
+    tensor rule: Gauss-Hermite in u = delta_e/(2 sigma_e) (or pdf-weighted
+    Gauss-Legendre, see QuadratureSpec.delta_e_rule) tensored with
+    pdf-weighted Gauss-Legendre over [max(0, j0i - w sigma_ji),
+    j0i + w sigma_ji] per coupling, each dimension's weights renormalized by
+    its numerically integrated mass.  Zero-sigma dimensions collapse to a
+    single node at the mean, and q=None sizes the tensor adaptively.
 
     With check_convergence=True the average is recomputed with doubled node
-    counts; if any point moves by more than 1e-5 the trace metadata carries
-    quadrature_converged=False and a warning string.
+    counts (n_gap and n_u on the 2D route); if any point moves by more than
+    1e-5 the trace metadata carries quadrature_converged=False and a warning
+    string.
 
     Parameters
     ----------
@@ -451,28 +670,39 @@ def disorder_average_quadrature(
     initial : {"zero", "superposition"}
     times : uniform ascending grid starting at 0, in hbar/j0
     q : QuadratureSpec, optional
+    _evaluator : "direct" or "binned" forces the evaluator (tests)
+    _delta_e_sign : sign of the delta_e nodes of the tensor rule (tests); the
+        2D route integrates delta_e analytically and ignores it
 
     Returns
     -------
     ProbabilityTrace with method="quadrature".
+
+    Raises
+    ------
+    NumericalError if the average leaves [0, 1] by more than 1e-6.
     """
     times = np.asarray(times, dtype=float)
     _validate_times(times)
     if initial not in ("zero", "superposition"):
         raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
-    if q is None:
-        q = adaptive_quadrature_spec(spec, float(times[-1]))
-    _check_node_counts(spec, q)
-    values, meta = _tensor_average(p, spec, initial, times, q, _delta_e_sign, _evaluator)
-    meta["quadrature_spec"] = q
+    if q is None and spec.sigma_e > 0 and spec.sigma_j1 > 0 and spec.sigma_j2 > 0:
+        def average(scale):
+            return _reduced_average(p, spec, initial, times, scale, _evaluator)
+    else:
+        if q is None:
+            q = adaptive_quadrature_spec(spec, float(times[-1]))
+        n_de = q.n_hermite if spec.sigma_e > 0 else 1
+        n_j1 = q.n_legendre if spec.sigma_j1 > 0 else 1
+        n_j2 = q.n_legendre if spec.sigma_j2 > 0 else 1
+        _check_node_counts(max(n_de, n_j1, n_j2), n_de * n_j1 * n_j2)
+
+        def average(scale):
+            qs = replace(q, n_hermite=scale * q.n_hermite, n_legendre=scale * q.n_legendre)
+            return _tensor_average(p, spec, initial, times, qs, _delta_e_sign, _evaluator)
+    values, meta = average(1)
     if check_convergence:
-        doubled = QuadratureSpec(
-            n_hermite=2 * q.n_hermite,
-            n_legendre=2 * q.n_legendre,
-            truncation_width=q.truncation_width,
-            delta_e_rule=q.delta_e_rule,
-        )
-        values2, _ = _tensor_average(p, spec, initial, times, doubled, _delta_e_sign, _evaluator)
+        values2, _ = average(2)
         change = float(np.max(np.abs(values2 - values)))
         meta["doubling_max_change"] = change
         meta["quadrature_converged"] = change <= 1e-5

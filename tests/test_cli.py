@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from deoq_dyn import disorder
 from deoq_dyn.analysis import fit_trace
 from deoq_dyn.cli import MATERIALS_HEADER, SWEEP_HEADER, TRACE_HEADER, main
 from deoq_dyn.disorder import NoiseSpec, disorder_average_quadrature
@@ -335,6 +336,21 @@ def test_materials_rejects_oversized_quadrature(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "materials", cfg)
     assert code == 2
     assert "nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", [{}, {"sigma_e": 0.1, "sigma_j1": 0.1, "sigma_j2": 0.1}])
+def test_internal_numerical_failure_exits_4(tmp_path, monkeypatch, capsys, noise):
+    """An average outside [0, 1] is a fault of the method, not invalid input."""
+    def broken(chunks, n_nodes, om_max, times, evaluator):
+        at_zero = sum(base + coef.sum() for _, coef, base in chunks)  # the value at t = 0
+        return np.full(len(times), 1.1 * at_zero), "direct"
+
+    monkeypatch.setattr(disorder, "_evaluate", broken)
+    cfg = {"noise": noise, "times": {"t_max": 5.0, "n_points": 11}}
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_materials_rejects_bad_preset(tmp_path, capsys):

@@ -13,6 +13,7 @@ from deoq_dyn.disorder import (
     _czt,
     _nodes_coupling,
     _nodes_delta_e,
+    _reduced_rule,
     adaptive_quadrature_spec,
     disorder_average_mc,
     disorder_average_quadrature,
@@ -230,6 +231,101 @@ def test_adaptive_spec_floors_and_scaling():
     assert pure_charge.delta_e_rule == "hermite"
 
 
+# (sigma_e, sigma_j1, sigma_j2, j01, j02): the Phi kink as sigma_e -> 0 (the
+# Si preset sits at 0.003), asymmetric widths and their label swap, a
+# symmetric case, and a narrow coupling whose truncation is a sharp edge in
+# the gap
+REDUCED_CASES = [
+    (1e-4, 0.3, 0.3, 0.5, 1.5),
+    (0.003, 0.3, 0.3, 0.5, 1.5),
+    (0.2, 0.05, 0.15, 0.5, 1.5),
+    (0.2, 0.15, 0.05, 1.5, 0.5),
+    (0.3, 0.2, 0.2, 0.5, 1.5),
+    (0.05, 0.02, 0.4, 1.5, 0.5),
+]
+
+
+@pytest.mark.parametrize("case", REDUCED_CASES)
+def test_reduced_rule_matches_doubled_tensor_rule(case):
+    """The adaptive 2D route agrees with the 3D tensor rule at twice its
+    adaptive node counts."""
+    noise = NoiseSpec(*case)
+    times = np.linspace(0.0, 40.0, 161)
+    q = adaptive_quadrature_spec(noise, 40.0)
+    q2 = QuadratureSpec(n_hermite=2 * q.n_hermite, n_legendre=2 * q.n_legendre,
+                        delta_e_rule="legendre")
+    for initial in ("zero", "superposition"):
+        reduced = disorder_average_quadrature(P, noise, initial, times, _evaluator="direct")
+        tensor = disorder_average_quadrature(P, noise, initial, times, q=q2, _evaluator="direct")
+        assert reduced.metadata["rule"] == "reduced-2d"
+        assert tensor.metadata["rule"] == "tensor"
+        np.testing.assert_allclose(reduced.values, tensor.values, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("case", REDUCED_CASES + [(1.0, 0.5, 0.5, 0.5, 1.5)])
+def test_reduced_rule_doubling_moves_no_point_by_1e_7(case):
+    times = np.linspace(0.0, 100.0, 1001)
+    for initial in ("zero", "superposition"):
+        trace = disorder_average_quadrature(
+            P, NoiseSpec(*case), initial, times, check_convergence=True
+        )
+        assert trace.metadata["doubling_max_change"] <= 1e-7
+
+
+def _reduced_moments(noise):
+    gap, u, w = _reduced_rule(noise, 100.0).block(slice(None))
+    w = w / w.sum()
+    return {"u": w @ u, "uu": w @ (u * u), "ug": w @ (u * gap), "gg": w @ (gap * gap)}
+
+
+def test_reduced_rule_moments_without_truncation():
+    """Far from j = 0 the weight is Gaussian in (gap, u), cut at w = 6
+    standard deviations: u | gap symmetrically about mu(gap) and gap about m."""
+    noise = NoiseSpec(sigma_e=0.05, sigma_j1=0.1, sigma_j2=0.2, j01=3.0, j02=4.0)
+    w = QuadratureSpec().truncation_width
+    cut = 1.0 - 2.0 * w * math.exp(-w * w / 2) / math.sqrt(2 * math.pi) / math.erf(w / math.sqrt(2))
+    v_gap, kappa = 0.05, (0.01 - 0.04) / 0.1
+    v_u = 0.01 * 0.04 / v_gap + 2 * 0.05**2
+    m, mu = -1.0, 3.5
+    got = _reduced_moments(noise)
+    want = {
+        "u": mu,
+        "uu": mu * mu + (kappa * kappa * v_gap + v_u) * cut,
+        "ug": mu * m + kappa * v_gap * cut,
+        "gg": m * m + v_gap * cut,
+    }
+    for key in want:
+        assert got[key] == pytest.approx(want[key], abs=1e-12), key
+
+
+def _truncated_moments(j0, sigma):
+    """E[j], E[j^2] of a Gaussian(j0, sigma) truncated to j >= 0."""
+    alpha = -j0 / sigma
+    lam = math.exp(-alpha * alpha / 2) / math.sqrt(2 * math.pi) / (0.5 * math.erfc(alpha / math.sqrt(2)))
+    mean = j0 + sigma * lam
+    return mean, sigma * sigma * (1 + alpha * lam - lam * lam) + mean * mean
+
+
+@pytest.mark.parametrize("case", REDUCED_CASES)
+def test_reduced_rule_moments_with_truncation(case):
+    """Where j1, j2 >= 0 cuts the Gaussians, the node set still carries the
+    moments of u = (j1 + j2)/2 - delta_e and gap = j1 - j2, up to the cuts at
+    6 standard deviations (about 7e-8 of a variance): a kink or an edge in
+    the wrong place biases them."""
+    noise = NoiseSpec(*case)
+    m1, s1 = _truncated_moments(noise.j01, noise.sigma_j1)
+    m2, s2 = _truncated_moments(noise.j02, noise.sigma_j2)
+    got = _reduced_moments(noise)
+    want = {
+        "u": 0.5 * (m1 + m2),
+        "uu": 0.25 * (s1 + 2 * m1 * m2 + s2) + 2 * noise.sigma_e**2,
+        "ug": 0.5 * (s1 - s2),
+        "gg": s1 - 2 * m1 * m2 + s2,
+    }
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-7, abs=1e-9), key
+
+
 def test_binned_evaluator_matches_direct():
     times = np.linspace(0.0, 100.0, 1001)
     noise = NoiseSpec(sigma_e=0.3, sigma_j1=0.2, sigma_j2=0.2)
@@ -385,11 +481,22 @@ def test_mc_single_sample_zero_noise_is_closed_form():
 def test_trace_metadata_records_quadrature_setup():
     times = np.linspace(0.0, 50.0, 201)
     noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.1)
-    trace = disorder_average_quadrature(P, noise, "zero", times)
-    md = trace.metadata
+    q = adaptive_quadrature_spec(noise, 50.0)
+    md = disorder_average_quadrature(P, noise, "zero", times, q=q).metadata
+    assert md["rule"] == "tensor"
     assert md["evaluator"] in ("direct", "binned")
     assert md["n_nodes"] == md["n_delta_e"] * md["n_j1"] * md["n_j2"]
     assert md["delta_e_rule"] == "legendre"
+    assert md["quadrature_spec"] == q
+
+    md = disorder_average_quadrature(P, noise, "zero", times).metadata
+    rule = _reduced_rule(noise, 50.0)
+    assert md["rule"] == "reduced-2d"
+    assert md["evaluator"] == "direct"
+    assert md["n_gap"] == rule.n_gap == 41
+    assert md["n_u"] == rule.n_u == math.ceil(0.35 * 50.0 * 12.0 * math.sqrt(0.005 + 0.08))
+    assert md["n_nodes"] == rule.n_nodes == len(rule.block(slice(None))[0])
+    assert "n_delta_e" not in md and "quadrature_spec" not in md
 
 
 def test_quadrature_rejects_bad_inputs():
