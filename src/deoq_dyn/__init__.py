@@ -22,7 +22,6 @@ from .disorder import (
     NumericalError,
     ProbabilityTrace,
     QuadratureSpec,
-    adaptive_quadrature_spec,
     disorder_average_mc,
     disorder_average_quadrature,
     pdf_delta_e,
@@ -69,7 +68,6 @@ __all__ = [
     "QuadratureSpec",
     "SweepCell",
     "SweepGrid",
-    "adaptive_quadrature_spec",
     "build_full_hamiltonian",
     "build_logical_hamiltonian",
     "default_material_presets",

@@ -10,16 +10,15 @@ probability.  Two independent routes compute it:
 * a Monte Carlo estimator with per-point standard errors, used as an oracle.
 
 The probability depends on the couplings and the gradient only through the
-detuning d = j' - (j1 + j2)/2 + delta_e and the gap j1 - j2.  With all three
-widths nonzero and no explicit QuadratureSpec, the quadrature therefore
-integrates (j1 + j2)/2 and delta_e analytically and runs a 2D Gauss-Legendre
-rule over the gap and the detuning under a closed-form extended skew-normal
-weight (``_reduced_rule``).  An explicit QuadratureSpec, or noise that is
-already at most 2D (sigma_e = 0 or a zero sigma_j), keeps the tensor rule
-(Gauss-Hermite or pdf-weighted Gauss-Legendre in delta_e, pdf-weighted
-Gauss-Legendre per coupling), which also serves the tests as the reference
-for the reduction.  Both node producers hand (omega, coef, base) to one
-evaluator, ``_evaluate``.
+detuning d = j' - (j1 + j2)/2 + delta_e and the gap j1 - j2.  With no
+explicit QuadratureSpec, the quadrature therefore integrates (j1 + j2)/2 and
+delta_e analytically and runs a 2D Gauss-Legendre rule over the gap and the
+detuning under a closed-form extended skew-normal weight
+(``_reduced_rule``); zero widths are limits of that weight.  An explicit
+QuadratureSpec keeps the tensor rule (Gauss-Hermite or pdf-weighted
+Gauss-Legendre in delta_e, pdf-weighted Gauss-Legendre per coupling), which
+also serves the tests as the reference for the reduction.  Both node
+producers hand (omega, coef, base) to one evaluator, ``_evaluate``.
 
 The direct quadrature sum and the Monte Carlo average use that the grid is
 uniform and starts at 0: writing t = (b R + r) dt with R = isqrt(n_times),
@@ -29,9 +28,8 @@ n_times of them.
 
 Because the integrand oscillates as cos(omega(x) t), the node count a
 dimension needs grows linearly with the phase span t_max * d(omega)/dx *
-range(x).  ``adaptive_quadrature_spec`` sizes the tensor node counts that
-way, and the 2D rule sizes its own alike; fixed-size specs are kept for
-small problems and for reproducing the plain-rule behavior.
+range(x); the 2D rule sizes its counts that way.  Fixed-size specs are kept
+for small problems and for reproducing the plain-rule behavior.
 """
 
 from __future__ import annotations
@@ -56,13 +54,17 @@ _BIN_PHASE_STEP = 2.4e-3
 # this many node*time products
 _DIRECT_LIMIT = 2 ** 25
 
-# node-count ceilings of the tensor quadrature, about 4x what the default
-# sweep grid and material presets size (at most 1,188 nodes in one
-# dimension and 117.9 M in the tensor)
+# node-count ceilings: per dimension about 4x what the default sweep grid and
+# material presets size on the 2D rule (at most 1,225 nodes in one dimension
+# and 1.21 M in all), so that rule stays under 2.5e7 nodes; the total bounds
+# explicit tensor specs
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
 
-# Gauss-Legendre nodes per radian of phase span (see adaptive_quadrature_spec)
+# Gauss-Legendre nodes per radian of phase span t_max * range: the averaged
+# trace sums cos(omega(x) t) with |d(omega)/dx| <= 1 in j0 units, and
+# Gauss-Legendre resolves such oscillations once nodes exceed about 0.3 per
+# radian (measured cliff); 0.35 adds margin
 _NODES_PER_RADIAN = 0.35
 
 # Gauss-Legendre nodes per panel of the reduced 2D rule: at least 16, which
@@ -152,8 +154,8 @@ class ProbabilityTrace:
         _validate_times(times)
         if values.shape != times.shape:
             raise ValueError("values and times must have the same shape")
-        if values.min() < 0.0 or values.max() > 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
+        if not (np.all(np.isfinite(values)) and values.min() >= 0.0 and values.max() <= 1.0):
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
         if self.initial not in ("zero", "superposition"):
             raise ValueError(f"initial must be 'zero' or 'superposition', got {self.initial!r}")
         expected0 = 1.0 if self.initial == "zero" else 0.5
@@ -165,6 +167,8 @@ class ProbabilityTrace:
             errs = np.asarray(self.mc_std_errors, dtype=float)
             if errs.shape != times.shape:
                 raise ValueError("mc_std_errors must match the time grid")
+            if not (np.all(np.isfinite(errs)) and errs.min() >= 0.0):
+                raise ValueError("mc_std_errors must be finite and >= 0")
             object.__setattr__(self, "mc_std_errors", errs)
 
 
@@ -275,42 +279,6 @@ def sample_noise(rng, spec: NoiseSpec, size: Optional[int] = None):
     if size is None:
         return float(j1[0]), float(j2[0]), float(delta_e[0])
     return j1, j2, delta_e
-
-
-def adaptive_quadrature_spec(
-    noise: NoiseSpec,
-    t_max: float,
-    nodes_per_radian: float = _NODES_PER_RADIAN,
-    base: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureSpec:
-    """Size quadrature node counts to the phase span of the integrand.
-
-    The averaged trace sums cos(omega(x) t) whose gradient components are
-    bounded by 1 in j0 units, so the phase accumulated across a dimension of
-    range R is at most t_max * R.  Gauss-Legendre resolves such oscillations
-    once nodes exceed about 0.3 per radian (measured cliff); 0.35 adds
-    margin.  Gauss-Hermite would need O(phase^2) nodes, so a nonzero sigma_e
-    switches the delta_e rule to pdf-weighted Legendre.
-    """
-    if not (math.isfinite(t_max) and t_max >= 0):
-        raise ValueError(f"t_max must be finite and >= 0, got {t_max!r}")
-    w = base.truncation_width
-    n_de = base.n_hermite
-    rule = base.delta_e_rule
-    if noise.sigma_e > 0:
-        span = 2.0 * w * math.sqrt(2.0) * noise.sigma_e
-        n_de = max(base.n_hermite, math.ceil(nodes_per_radian * t_max * span))
-        rule = "legendre"
-    spans = []
-    for j0, sigma in ((noise.j01, noise.sigma_j1), (noise.j02, noise.sigma_j2)):
-        if sigma > 0:
-            spans.append((j0 + w * sigma) - max(0.0, j0 - w * sigma))
-    n_leg = base.n_legendre
-    if spans:
-        n_leg = max(base.n_legendre, math.ceil(nodes_per_radian * t_max * max(spans)))
-    return QuadratureSpec(
-        n_hermite=n_de, n_legendre=n_leg, truncation_width=w, delta_e_rule=rule
-    )
 
 
 def _check_node_counts(widest: int, total: int) -> None:
@@ -491,7 +459,8 @@ class _ReducedRule:
     gap = j1 - j2 and u = (j1 + j2)/2 - delta_e, so the detuning is
     d = j' - u.  Each gap node carries up to three u panels, edges[i] with
     counts[k] nodes in panel k; the weight of (gap, u) is w_gap times the
-    u panel weight times phi(u; mu, v_u) Phi((u - u_k) / tau).
+    u panel weight times phi(u; mu, v_u) Phi((u - u_k) / tau), with Phi = 1
+    when tau = 0.  v_u = 0 leaves the single node u = mu per gap node.
     """
 
     n_gap: int
@@ -507,18 +476,20 @@ class _ReducedRule:
 
     @property
     def n_nodes(self) -> int:
+        if self.v_u == 0.0:
+            return len(self.gap)
         nonempty = np.diff(self.edges, axis=1) > 0
         return int((nonempty * np.asarray(self.counts)).sum())
 
     def block(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gap, u, weight) of the nodes of gap nodes ``rows``, unnormalized."""
+        if self.v_u == 0.0:  # u = mu(gap)
+            return self.gap[rows], self.mu[rows], self.w_gap[rows]
         u, w_u = _gauss_panels(self.edges[rows], self.counts)
         mu = self.mu[rows, None]
-        weights = (
-            self.w_gap[rows, None] * w_u
-            * np.exp(-((u - mu) ** 2) / (2.0 * self.v_u))
-            * scipy.special.ndtr((u - self.u_k[rows, None]) / self.tau)
-        )
+        weights = self.w_gap[rows, None] * w_u * np.exp(-((u - mu) ** 2) / (2.0 * self.v_u))
+        if self.tau > 0.0:  # else no node lies below u_k, a hard edge or -inf
+            weights *= scipy.special.ndtr((u - self.u_k[rows, None]) / self.tau)
         keep = w_u > 0.0  # drops the nodes of empty panels
         gap = np.broadcast_to(self.gap[rows, None], u.shape)
         return gap[keep], u[keep], weights[keep]
@@ -543,43 +514,59 @@ def _reduced_rule(spec: NoiseSpec, t_max: float, scale: int = 1) -> _ReducedRule
     one coupling is much narrower than the other), and u in
     mu +- w sqrt(v + v_e), cut below where Phi < Phi(-w) and split at u_k
     and u_k + w tau, across which Phi rises from 1/2 to 1 (sharp as
-    sigma_e -> 0).  The counts n_gap, n_u follow the phase span as in
-    ``adaptive_quadrature_spec``, shared among panels by length (see
+    sigma_e -> 0).  Each count follows its phase span, t_max times the
+    range, at _NODES_PER_RADIAN, and is shared among panels by length (see
     _PANEL_MARGIN); the u rule moves with slope kappa along gap, hence the
-    gap factor (1 + |kappa|).  ``scale`` multiplies both counts.  Needs
-    sigma_e, sigma_j1, sigma_j2 > 0.  With at most _MAX_DIM_NODES per
-    count the node set stays far below _MAX_TENSOR_NODES.
+    gap factor (1 + |kappa|).  ``scale`` multiplies both counts.
+
+    Zero widths are the limits of these formulas.  sigma_e = 0 gives
+    tau = 0: Phi is a hard lower edge at u = |gap|/2 and the transition panel
+    is empty.  One zero sigma_j gives v = 0 and kappa = +-1/2: s is fixed by
+    gap, the gap mass has a hard edge on one side only and Phi is 1.  Both
+    sigma_j zero leave one gap node at m, and v + v_e = 0 one u node at
+    mu(gap) per gap node.  With at most _MAX_DIM_NODES per count the node
+    set stays far below _MAX_TENSOR_NODES.
     """
     base = QuadratureSpec()
     w, per_radian = base.truncation_width, _NODES_PER_RADIAN
     var1, var2 = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2
     v_gap = var1 + var2
-    kappa = (var1 - var2) / (2.0 * v_gap)
-    v = var1 * var2 / v_gap
+    kappa = (var1 - var2) / (2.0 * v_gap) if v_gap > 0 else 0.0
+    v = var1 * var2 / v_gap if v_gap > 0 else 0.0
     v_e = 2.0 * spec.sigma_e ** 2
     v_u = v + v_e
     span_gap = 2.0 * w * math.sqrt(v_gap)
     span_u = 2.0 * w * math.sqrt(v_u)
     n_gap = scale * max(base.n_legendre, math.ceil(per_radian * t_max * span_gap * (1.0 + abs(kappa))))
     n_u = scale * max(base.n_legendre, math.ceil(per_radian * t_max * span_u))
+    n_gap, n_u = (n_gap if v_gap > 0 else 1), (n_u if v_u > 0 else 1)
     _check_node_counts(max(n_gap, n_u), n_gap * n_u)
 
-    # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to 0
-    # over widths sqrt(v) / (1/2 -+ kappa)
     m = spec.j01 - spec.j02
-    reach = 0.5 * (spec.j01 + spec.j02) - kappa * m
-    g_hi, width_hi = reach / (0.5 - kappa), math.sqrt(v) / (0.5 - kappa)
-    g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
-    lo = max(m - 0.5 * span_gap, g_lo - w * width_lo)
-    hi = min(m + 0.5 * span_gap, g_hi + w * width_hi)
-    cuts = np.unique(np.clip(
-        [lo, g_lo, g_lo + w * width_lo, 0.0, g_hi - w * width_hi, g_hi, hi], lo, hi
-    ))
-    gap, w_gap = _gauss_panels(cuts, _panel_counts(np.diff(cuts), n_gap, span_gap))
-    w_gap = w_gap * np.exp(-((gap - m) ** 2) / (2.0 * v_gap))
+    if v_gap > 0:
+        # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to
+        # 0 over widths sqrt(v) / (1/2 -+ kappa); kappa = +-1/2 has no g_-+
+        reach = 0.5 * (spec.j01 + spec.j02) - kappa * m
+        g_hi, width_hi, g_lo, width_lo = math.inf, 0.0, -math.inf, 0.0
+        if kappa < 0.5:
+            g_hi, width_hi = reach / (0.5 - kappa), math.sqrt(v) / (0.5 - kappa)
+        if kappa > -0.5:
+            g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
+        lo = max(m - 0.5 * span_gap, g_lo - w * width_lo)
+        hi = min(m + 0.5 * span_gap, g_hi + w * width_hi)
+        cuts = np.unique(np.clip(
+            [lo, g_lo, g_lo + w * width_lo, 0.0, g_hi - w * width_hi, g_hi, hi], lo, hi
+        ))
+        gap, w_gap = _gauss_panels(cuts, _panel_counts(np.diff(cuts), n_gap, span_gap))
+        w_gap = w_gap * np.exp(-((gap - m) ** 2) / (2.0 * v_gap))
+    else:
+        gap, w_gap = np.full(1, m), np.ones(1)
     mu = 0.5 * (spec.j01 + spec.j02) + kappa * (gap - m)
-    u_k = (0.5 * np.abs(gap) * v_u - mu * v_e) / v
-    tau = math.sqrt(v_e * v_u / v)
+    if v > 0:
+        u_k = (0.5 * np.abs(gap) * v_u - mu * v_e) / v
+        tau = math.sqrt(v_e * v_u / v)
+    else:
+        u_k, tau = np.full_like(gap, -np.inf), 0.0
     hi = mu + 0.5 * span_u
     lo = np.minimum(np.maximum(mu - 0.5 * span_u, u_k - w * tau), hi)
     edges = np.stack([lo, np.clip(u_k, lo, hi), np.clip(u_k + w * tau, lo, hi), hi], axis=1)
@@ -605,7 +592,7 @@ def _reduced_average(
     def blocks():
         # weights are normalized by their sum after the last block
         nonlocal mass
-        step = max(1, _BLOCK_NODES // sum(rule.counts))
+        step = max(1, _BLOCK_NODES // max(1, sum(rule.counts)))
         for s in range(0, len(rule.gap), step):
             gap, u, weights = rule.block(slice(s, s + step))
             mass += weights.sum()
@@ -628,7 +615,7 @@ class NumericalError(RuntimeError):
 
 
 def _clip_probabilities(values: np.ndarray) -> np.ndarray:
-    if values.min() < -1e-6 or values.max() > 1.0 + 1e-6:
+    if not (values.min() >= -1e-6 and values.max() <= 1.0 + 1e-6):  # NaN fails too
         raise NumericalError(
             f"averaged probabilities left [0, 1] by more than 1e-6: "
             f"range [{values.min()!r}, {values.max()!r}]"
@@ -648,15 +635,15 @@ def disorder_average_quadrature(
 ) -> ProbabilityTrace:
     """Disorder-averaged return probability by deterministic quadrature.
 
-    With q=None and all three noise widths > 0, the average runs on the
-    exact 2D reduction over the gap j1 - j2 and u = (j1 + j2)/2 - delta_e
-    (see ``_reduced_rule``), sized for the grid's t_max.  Otherwise it is a
-    tensor rule: Gauss-Hermite in u = delta_e/(2 sigma_e) (or pdf-weighted
-    Gauss-Legendre, see QuadratureSpec.delta_e_rule) tensored with
-    pdf-weighted Gauss-Legendre over [max(0, j0i - w sigma_ji),
+    With q=None the average runs on the exact 2D reduction over the gap
+    j1 - j2 and u = (j1 + j2)/2 - delta_e (see ``_reduced_rule``), sized for
+    the grid's t_max, for every noise spec including zero widths.  An
+    explicit q gives a tensor rule: Gauss-Hermite in u = delta_e/(2 sigma_e)
+    (or pdf-weighted Gauss-Legendre, see QuadratureSpec.delta_e_rule)
+    tensored with pdf-weighted Gauss-Legendre over [max(0, j0i - w sigma_ji),
     j0i + w sigma_ji] per coupling, each dimension's weights renormalized by
     its numerically integrated mass.  Zero-sigma dimensions collapse to a
-    single node at the mean, and q=None sizes the tensor adaptively.
+    single node at the mean.
 
     With check_convergence=True the average is recomputed with doubled node
     counts (n_gap and n_u on the 2D route); if any point moves by more than
@@ -686,12 +673,10 @@ def disorder_average_quadrature(
     _validate_times(times)
     if initial not in ("zero", "superposition"):
         raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
-    if q is None and spec.sigma_e > 0 and spec.sigma_j1 > 0 and spec.sigma_j2 > 0:
+    if q is None:
         def average(scale):
             return _reduced_average(p, spec, initial, times, scale, _evaluator)
     else:
-        if q is None:
-            q = adaptive_quadrature_spec(spec, float(times[-1]))
         n_de = q.n_hermite if spec.sigma_e > 0 else 1
         n_j1 = q.n_legendre if spec.sigma_j1 > 0 else 1
         n_j2 = q.n_legendre if spec.sigma_j2 > 0 else 1

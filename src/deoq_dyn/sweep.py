@@ -179,9 +179,12 @@ def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is None:
         return 1
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {raw!r}")
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
     return n
 
 

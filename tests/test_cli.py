@@ -233,6 +233,22 @@ def test_fit_constant_file_reports_no_decay(tmp_path):
     assert fit["q"] == 1.0
 
 
+@pytest.mark.parametrize("rows", [slice(100, 101), slice(1, None)], ids=["one-nan", "nan-after-t0"])
+def test_fit_rejects_non_finite_trace_file(tmp_path, capsys, rows):
+    """A NaN in the p column is an invalid trace, not a fit input: one NaN
+    used to fit as "converged", NaN after t = 0 to end in a traceback."""
+    times = np.linspace(0.0, 50.0, 201)
+    values = 0.5 + 0.5 * np.exp(-times / 10.0) * np.cos(times)
+    values[rows] = np.nan
+    lines = [TRACE_HEADER] + [f"{t:.9g},,{v:.9g}," for t, v in zip(times, values)]
+    trace_path = tmp_path / "nan.csv"
+    trace_path.write_text("\n".join(lines) + "\n")
+
+    code, _ = run_cli(tmp_path, "fit", {"trace_file": str(trace_path)})
+    assert code == 2
+    assert "trace file: probabilities must be finite" in capsys.readouterr().err
+
+
 def test_fit_inline_simulate(tmp_path):
     cfg = {
         "simulate": {

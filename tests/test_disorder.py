@@ -1,20 +1,22 @@
 """Noise densities, sampling, and the two disorder-averaging routes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as integrate
 
+from deoq_dyn import disorder
 from deoq_dyn.disorder import (
     NoiseSpec,
+    NumericalError,
     ProbabilityTrace,
     QuadratureSpec,
     _czt,
     _nodes_coupling,
     _nodes_delta_e,
     _reduced_rule,
-    adaptive_quadrature_spec,
     disorder_average_mc,
     disorder_average_quadrature,
     pdf_delta_e,
@@ -141,9 +143,25 @@ def test_probability_trace_validation():
         ProbabilityTrace(times=times, values=good + 0.5, **kw)
     with pytest.raises(ValueError, match="t=0"):
         ProbabilityTrace(times=times, values=good * 0.9, **kw)
+    with pytest.raises(ValueError, match="finite"):
+        ProbabilityTrace(times=times, values=np.where(times == 5.0, np.nan, good), **kw)
+    for errors in (np.full(11, np.nan), np.full(11, np.inf), -np.ones(11)):
+        with pytest.raises(ValueError, match="mc_std_errors"):
+            ProbabilityTrace(times=times, values=good, mc_std_errors=errors, **kw)
     with pytest.raises(ValueError, match="initial"):
         ProbabilityTrace(times=times, values=good, initial="excited",
                          method="quadrature", params=P, noise=NoiseSpec())
+
+
+def test_non_finite_average_is_numerical_error(monkeypatch):
+    """A NaN out of the evaluator is a fault of the method, reported as such
+    rather than as an invalid trace."""
+    def nan_evaluator(chunks, n_nodes, om_max, times, evaluator):
+        return np.full(len(times), np.nan), "direct"
+
+    monkeypatch.setattr(disorder, "_evaluate", nan_evaluator)
+    with pytest.raises(NumericalError, match="nan"):
+        disorder_average_quadrature(P, NoiseSpec(), "zero", np.linspace(0.0, 1.0, 3))
 
 
 def test_quadrature_zero_noise_equals_closed_form():
@@ -215,26 +233,12 @@ def test_quadrature_convergence_check_flags_coarse_spec():
     assert "warning" in trace.metadata
 
 
-def test_adaptive_spec_floors_and_scaling():
-    base = QuadratureSpec()
-    small = adaptive_quadrature_spec(NoiseSpec(sigma_e=0.01, sigma_j1=0.01, sigma_j2=0.01), 10.0)
-    assert small.n_hermite == base.n_hermite
-    assert small.n_legendre == base.n_legendre
-    assert small.delta_e_rule == "legendre"
-    big = adaptive_quadrature_spec(NoiseSpec(sigma_e=0.5, sigma_j1=0.3, sigma_j2=0.3), 200.0)
-    assert big.n_hermite > 200
-    assert big.n_legendre > 200
-    # doubled window, at least roughly doubled nodes
-    bigger = adaptive_quadrature_spec(NoiseSpec(sigma_e=0.5, sigma_j1=0.3, sigma_j2=0.3), 400.0)
-    assert bigger.n_hermite >= 2 * big.n_hermite - 2
-    pure_charge = adaptive_quadrature_spec(NoiseSpec(sigma_j1=0.2, sigma_j2=0.2), 100.0)
-    assert pure_charge.delta_e_rule == "hermite"
-
-
 # (sigma_e, sigma_j1, sigma_j2, j01, j02): the Phi kink as sigma_e -> 0 (the
 # Si preset sits at 0.003), asymmetric widths and their label swap, a
 # symmetric case, and a narrow coupling whose truncation is a sharp edge in
-# the gap
+# the gap; then the zero-width limits: sigma_e = 0 (a hard edge in u, as for
+# 28Si), one zero sigma_j on either side (a hard edge on one side of the
+# gap), both sigma_j zero (one gap node) and no noise at all (one node)
 REDUCED_CASES = [
     (1e-4, 0.3, 0.3, 0.5, 1.5),
     (0.003, 0.3, 0.3, 0.5, 1.5),
@@ -242,18 +246,39 @@ REDUCED_CASES = [
     (0.2, 0.15, 0.05, 1.5, 0.5),
     (0.3, 0.2, 0.2, 0.5, 1.5),
     (0.05, 0.02, 0.4, 1.5, 0.5),
+    (0.0, 0.3, 0.3, 0.5, 1.5),
+    (0.0, 0.05, 0.15, 0.5, 1.5),
+    (0.0, 0.02, 0.4, 1.5, 0.5),
+    (0.0, 0.3, 0.0, 0.5, 1.5),
+    (0.0, 0.0, 0.3, 0.5, 1.5),
+    (0.2, 0.3, 0.0, 0.5, 1.5),
+    (0.2, 0.0, 0.3, 0.5, 1.5),
+    (0.2, 0.0, 0.0, 0.5, 1.5),
+    (0.0, 0.0, 0.0, 0.5, 1.5),
 ]
+
+
+def _doubled_tensor_spec(noise, t_max):
+    """The tensor rule at twice the counts that put 0.35 Gauss-Legendre
+    nodes on each radian of phase span t_max * range in every dimension
+    (21 delta_e and 41 coupling nodes at least): the reference for the 2D
+    route."""
+    w = QuadratureSpec().truncation_width
+    n_de = math.ceil(0.35 * t_max * 2 * w * math.sqrt(2) * noise.sigma_e)
+    spans = [(j0 + w * s) - max(0.0, j0 - w * s)
+             for j0, s in ((noise.j01, noise.sigma_j1), (noise.j02, noise.sigma_j2))]
+    n_j = math.ceil(0.35 * t_max * max(spans))
+    return QuadratureSpec(n_hermite=2 * max(21, n_de), n_legendre=2 * max(41, n_j),
+                          delta_e_rule="legendre")
 
 
 @pytest.mark.parametrize("case", REDUCED_CASES)
 def test_reduced_rule_matches_doubled_tensor_rule(case):
-    """The adaptive 2D route agrees with the 3D tensor rule at twice its
-    adaptive node counts."""
+    """The adaptive 2D route agrees with the 3D tensor rule at twice the
+    node counts its phase span needs."""
     noise = NoiseSpec(*case)
     times = np.linspace(0.0, 40.0, 161)
-    q = adaptive_quadrature_spec(noise, 40.0)
-    q2 = QuadratureSpec(n_hermite=2 * q.n_hermite, n_legendre=2 * q.n_legendre,
-                        delta_e_rule="legendre")
+    q2 = _doubled_tensor_spec(noise, 40.0)
     for initial in ("zero", "superposition"):
         reduced = disorder_average_quadrature(P, noise, initial, times, _evaluator="direct")
         tensor = disorder_average_quadrature(P, noise, initial, times, q=q2, _evaluator="direct")
@@ -300,6 +325,8 @@ def test_reduced_rule_moments_without_truncation():
 
 def _truncated_moments(j0, sigma):
     """E[j], E[j^2] of a Gaussian(j0, sigma) truncated to j >= 0."""
+    if sigma == 0.0:
+        return j0, j0 * j0
     alpha = -j0 / sigma
     lam = math.exp(-alpha * alpha / 2) / math.sqrt(2 * math.pi) / (0.5 * math.erfc(alpha / math.sqrt(2)))
     mean = j0 + sigma * lam
@@ -481,7 +508,7 @@ def test_mc_single_sample_zero_noise_is_closed_form():
 def test_trace_metadata_records_quadrature_setup():
     times = np.linspace(0.0, 50.0, 201)
     noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.1)
-    q = adaptive_quadrature_spec(noise, 50.0)
+    q = QuadratureSpec(n_hermite=60, n_legendre=41, delta_e_rule="legendre")
     md = disorder_average_quadrature(P, noise, "zero", times, q=q).metadata
     assert md["rule"] == "tensor"
     assert md["evaluator"] in ("direct", "binned")
@@ -497,6 +524,12 @@ def test_trace_metadata_records_quadrature_setup():
     assert md["n_u"] == rule.n_u == math.ceil(0.35 * 50.0 * 12.0 * math.sqrt(0.005 + 0.08))
     assert md["n_nodes"] == rule.n_nodes == len(rule.block(slice(None))[0])
     assert "n_delta_e" not in md and "quadrature_spec" not in md
+
+    # 28Si-like noise (sigma_e = 0) runs on the 2D rule too
+    silicon = replace(noise, sigma_e=0.0)
+    md = disorder_average_quadrature(P, silicon, "zero", times).metadata
+    assert md["rule"] == "reduced-2d"
+    assert md["n_nodes"] == _reduced_rule(silicon, 50.0).n_nodes
 
 
 def test_quadrature_rejects_bad_inputs():

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from deoq_dyn.disorder import (  # noqa: E402
     NoiseSpec,
     QuadratureSpec,
-    adaptive_quadrature_spec,
     disorder_average_quadrature,
 )
 from deoq_dyn.qubit import ExchangeParams  # noqa: E402
@@ -17,24 +16,50 @@ from deoq_dyn.qubit import ExchangeParams  # noqa: E402
 P = ExchangeParams()
 TIMES = np.linspace(0.0, 15.0, 61)
 
+# the tensor rule at more than twice the counts any drawn case needs at
+# 0.35 nodes per radian of phase span (45 in delta_e for sigma_e = 0.5, 41
+# per coupling)
+REFERENCE = QuadratureSpec(n_hermite=96, n_legendre=96, delta_e_rule="legendre")
+
+
+def width(lo, hi):
+    """An exact 0, the zero-width limit of the 2D rule, or a float width."""
+    return st.one_of(st.just(0.0), st.floats(lo, hi))
+
 
 @settings(max_examples=12, deadline=None, database=None, derandomize=True)
 @given(
-    sigma_e=st.floats(0.005, 0.5),
-    sigma_j1=st.floats(0.02, 0.4),
-    sigma_j2=st.floats(0.02, 0.4),
+    sigma_e=width(0.005, 0.5),
+    sigma_j1=width(0.02, 0.4),
+    sigma_j2=width(0.02, 0.4),
     j01=st.floats(0.0, 2.0),
     j02=st.floats(0.0, 2.0),
     initial=st.sampled_from(["zero", "superposition"]),
 )
 def test_reduced_rule_equals_tensor_rule(sigma_e, sigma_j1, sigma_j2, j01, j02, initial):
-    """The 2D route and the 3D tensor rule at twice its adaptive node
-    counts compute the same average."""
+    """The 2D route and a finer 3D tensor rule compute the same average."""
     noise = NoiseSpec(sigma_e, sigma_j1, sigma_j2, j01, j02)
-    q = adaptive_quadrature_spec(noise, TIMES[-1])
-    q2 = QuadratureSpec(n_hermite=2 * q.n_hermite, n_legendre=2 * q.n_legendre,
-                        delta_e_rule="legendre")
     reduced = disorder_average_quadrature(P, noise, initial, TIMES, _evaluator="direct")
-    tensor = disorder_average_quadrature(P, noise, initial, TIMES, q=q2, _evaluator="direct")
+    tensor = disorder_average_quadrature(P, noise, initial, TIMES, q=REFERENCE, _evaluator="direct")
     assert reduced.metadata["rule"] == "reduced-2d"
     np.testing.assert_allclose(reduced.values, tensor.values, rtol=0, atol=1e-7)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    sigma_e=width(0.005, 0.5),
+    sigma_j1=width(0.02, 0.4),
+    sigma_j2=width(0.02, 0.4),
+    j01=st.floats(0.0, 2.0),
+    j02=st.floats(0.0, 2.0),
+)
+def test_reduced_rule_label_swap_keeps_zero_state(sigma_e, sigma_j1, sigma_j2, j01, j02):
+    """The zero-state probability depends on the couplings through
+    (j1 - j2)^2 and j1 + j2 only, so swapping (j01, sigma_j1) with
+    (j02, sigma_j2) mirrors the gap and leaves the average unchanged; a zero
+    width maps kappa = 1/2 onto kappa = -1/2."""
+    a = NoiseSpec(sigma_e, sigma_j1, sigma_j2, j01, j02)
+    b = NoiseSpec(sigma_e, sigma_j2, sigma_j1, j02, j01)
+    ta = disorder_average_quadrature(P, a, "zero", TIMES, _evaluator="direct")
+    tb = disorder_average_quadrature(P, b, "zero", TIMES, _evaluator="direct")
+    np.testing.assert_allclose(ta.values, tb.values, rtol=0, atol=1e-12)

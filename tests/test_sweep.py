@@ -104,9 +104,10 @@ def test_sweep_parallel_matches_serial(monkeypatch):
 
 
 def test_sweep_rejects_bad_worker_count(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-    with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-        run_sweep(short_grid((0.2,), (0.1,)))
+    for raw in ("0", "abc"):
+        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            run_sweep(short_grid((0.2,), (0.1,)))
 
 
 def test_coherence_decreases_along_charge_noise_row():
