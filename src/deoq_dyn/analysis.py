@@ -175,8 +175,9 @@ def fit_envelope(
         raise ValueError(f"fixed_start must lie in [0, 1], got {fixed_start!r}")
     if t_max is None:
         t_max = float(te[-1])
-    if not (t_max > 0):
-        raise ValueError(f"t_max must be > 0, got {t_max!r}")
+    # the search reaches down to t2_star = 1e-9 t_max, whose log must exist
+    if not (1e-9 * t_max > 0):
+        raise ValueError(f"t_max must be > 0 with 1e-9 t_max > 0 in floating point, got {t_max!r}")
 
     p_inf0 = float(np.mean(ve[int(np.ceil(0.9 * len(ve))):])) if len(ve) >= 10 else float(ve[-1])
     p_start0 = float(ve[0]) if fixed_start is None else float(fixed_start)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Optional
@@ -167,10 +168,22 @@ def _json_value(x):
     return x
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it and ``os.replace``,
+    so a failed run leaves no partial file and any earlier file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_csv(path: str, lines: list, echo: dict) -> None:
     lines.append("# config=" + json.dumps(echo, sort_keys=True, separators=(",", ":")))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- simulate
@@ -319,8 +332,7 @@ def cmd_fit(cfg: dict, out_path: str, args=None) -> int:
     if fit.status == "insufficient-peaks":
         out["n_envelope_points"] = len(extract_upper_envelope(trace))
     report = {"schema_version": SCHEMA_VERSION, "config": echo, "fit": out}
-    with open(out_path, "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -18,7 +18,17 @@ detuning under a closed-form extended skew-normal weight
 QuadratureSpec keeps the tensor rule (Gauss-Hermite or pdf-weighted
 Gauss-Legendre in delta_e, pdf-weighted Gauss-Legendre per coupling), which
 also serves the tests as the reference for the reduction.  Both node
-producers hand (omega, coef, base) to one evaluator, ``_evaluate``.
+producers hand (omega, coef, base) to one evaluator, ``_evaluate``, with a
+band (om_lo, om_max) that ``_band`` derives from their detuning and gap
+ranges and that holds every node frequency.
+
+The evaluator sums either directly (exact up to rounding) or binned: a
+linear-interpolation type-1 NUFFT (Dutt & Rokhlin 1993) that deposits the
+coefficients on the bins of a frequency grid that the band occupies, sums
+them by a Bluestein chirp-z transform relative to the band's first bin and
+shifts the result back by that bin's frequency, with an error of at most
+(_BIN_PHASE_STEP^2 / 6) sum |coef|.  A cost model fitted to the two paths
+picks the cheaper one per average; a tie goes to the direct sum.
 
 The direct quadrature sum and the Monte Carlo average use that the grid is
 uniform and starts at 0: writing t = (b R + r) dt with R = isqrt(n_times),
@@ -47,12 +57,20 @@ from scipy.special import roots_hermite
 from .qubit import ExchangeParams, oscillation_terms
 
 # phase step per frequency bin of the binned evaluator; the linear-deposit
-# error is bounded by (step)^2/6 ~ 1e-6 of the deposited mass
+# error is bounded by (step)^2/6 ~ 1e-6 of the summed |coef|
 _BIN_PHASE_STEP = 2.4e-3
 
-# switch from direct node-times summation to the binned evaluator above
-# this many node*time products
-_DIRECT_LIMIT = 2 ** 25
+# evaluator cost model, in seconds, fitted on a 2-core x86-64 host (numpy
+# 2.4.6 on OpenBLAS) over the three benchmark workloads and the default sweep
+# and material grids: direct costs _COST_DIRECT per node-time product;
+# binned costs _COST_FFT per n_fft log2(n_fft) of its Bluestein transform
+# plus _COST_DEPOSIT per node
+_COST_DIRECT = 9.6e-10
+_COST_FFT = 2.7e-8
+_COST_DEPOSIT = 1.8e-7
+
+# node-time products per block of the direct sum, to bound its memory
+_DIRECT_BLOCK = 2 ** 22
 
 # node-count ceilings: per dimension about 4x what the default sweep grid and
 # material presets size on the 2D rule (at most 1,225 nodes in one dimension
@@ -80,6 +98,10 @@ _BLOCK_NODES = 2 ** 20
 
 # Monte Carlo samples per chunk; each chunk's moments merge into the total
 _MC_CHUNK = 2048
+
+
+class NumericalError(RuntimeError):
+    """An average left its valid range: a fault of the method, not of the input."""
 
 
 @dataclass(frozen=True)
@@ -210,10 +232,15 @@ def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     n = len(x)
     k = np.arange(max(m, n))
     wk2 = w ** (k**2 / 2.0)
-    nfft = next_fast_len(n + m - 1)
+    nfft = _bluestein_length(n, m)
     chirp = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
     y = ifft(chirp * fft(x * (a ** -k[:n] * wk2[:n]), nfft))
     return y[n - 1:n + m - 1] * wk2[:m]
+
+
+def _bluestein_length(n: int, m: int) -> int:
+    """FFT length of ``_czt`` on n inputs and m outputs."""
+    return next_fast_len(n + m - 1)
 
 
 def pdf_delta_e(delta_e, sigma_e: float):
@@ -338,40 +365,82 @@ def _terms(p: ExchangeParams, initial: str, weights, j1, j2, delta_e) -> tuple[n
     return omega, -0.25 * weights * amp_sup, float(0.5 * weights.sum() + 0.25 * (weights * amp_sup).sum())
 
 
-def _evaluate(chunks, n_nodes: int, om_max: float, times: np.ndarray,
+def _band(d_lo: float, d_hi: float, gap_lo: float, gap_hi: float) -> tuple[float, float]:
+    """(om_lo, om_max) bracketing omega over detunings and gaps in these ranges.
+
+    omega = sqrt(d^2 + 0.75 gap^2) grows with |d| and |gap|, so its extremes
+    over the box lie at the corners or, where a range straddles 0, on that
+    axis; the bracket is widened by 1% and 1e-9 on either side.
+    """
+    def nearest(lo, hi):  # smallest |x| over [lo, hi]
+        return 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+
+    d_min, g_min = nearest(d_lo, d_hi), nearest(gap_lo, gap_hi)
+    d_max, g_max = max(abs(d_lo), abs(d_hi)), max(abs(gap_lo), abs(gap_hi))
+    om_lo = math.sqrt(d_min * d_min + 0.75 * g_min * g_min) * 0.99 - 1e-9
+    om_max = math.sqrt(d_max * d_max + 0.75 * g_max * g_max) * 1.01 + 1e-9
+    return max(0.0, om_lo), om_max
+
+
+def _cheaper_evaluator(n_nodes: int, n_times: int, n_bins: int) -> str:
+    """The evaluator the cost model prices lower; a tie goes to the exact direct sum."""
+    n_fft = _bluestein_length(n_bins + 2, n_times)
+    direct = _COST_DIRECT * n_nodes * n_times
+    binned = _COST_FFT * n_fft * math.log2(n_fft) + _COST_DEPOSIT * n_nodes
+    return "direct" if direct <= binned else "binned"
+
+
+def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray,
               evaluator: Optional[str]) -> tuple[np.ndarray, str]:
     """Sum base + sum_k coef_k cos(omega_k t) over chunks of (omega, coef, base).
 
-    Every node producer feeds this one evaluator.  Up to _DIRECT_LIMIT
-    node-time products (or with evaluator="direct") the sum is direct;
-    above, the coefficients are deposited linearly on a frequency grid of
-    step _BIN_PHASE_STEP / t_max up to om_max, which must bound every
-    omega, and summed by a chirp-z transform.  Returns the values and the
-    evaluator used.
+    Every node producer feeds this one evaluator, with the band
+    (om_lo, om_max) that ``_band`` gives for its node ranges; a frequency
+    outside it is a fault of the producer and raises NumericalError.
+
+    The direct sum is exact up to rounding.  The binned evaluator is a
+    type-1 NUFFT with linear interpolation (Dutt & Rokhlin 1993): the
+    frequency grid i d_om from 0 to om_max has a power-of-two step count
+    with d_om t_max <= _BIN_PHASE_STEP, each coefficient is deposited
+    linearly on its two nearest grid frequencies, and only the n_bins of
+    them from i_lo = floor(om_lo / d_om) up are summed, by a chirp-z
+    transform whose output is shifted by exp(-i i_lo d_om t).  Its error is
+    at most (_BIN_PHASE_STEP^2 / 6) sum |coef_k|.  Unless ``evaluator``
+    forces one, the evaluator is the one ``_cheaper_evaluator`` prices
+    lower.  Returns the values and the evaluator used.
     """
+    om_lo, om_max = band
     n_times = len(times)
+    n_grid = int(2 ** math.ceil(math.log2(max(4096.0, om_max * times[-1] / _BIN_PHASE_STEP))))
+    d_om = om_max / n_grid
+    i_lo = int(om_lo / d_om)
+    n_bins = n_grid - i_lo
     if evaluator is None:
-        evaluator = "binned" if (n_nodes * n_times > _DIRECT_LIMIT and n_times > 1) else "direct"
+        evaluator = _cheaper_evaluator(n_nodes, n_times, n_bins)
     if evaluator == "binned":
-        n_bins = int(2 ** math.ceil(math.log2(max(4096.0, om_max * times[-1] / _BIN_PHASE_STEP))))
-        d_om = om_max / n_bins
         mass = np.zeros(n_bins + 2)
     else:
         offsets, anchors = _grid_blocks(times)
+        chunk = max(1, _DIRECT_BLOCK // n_times)
     base = 0.0
     osc = np.zeros(n_times)
     for omega, coef, chunk_base in chunks:
+        if omega.size and not (om_lo <= omega.min() and omega.max() <= om_max):
+            bad = omega[~((omega >= om_lo) & (omega <= om_max))][0]
+            raise NumericalError(
+                f"node frequency {bad!r} lies outside the band [{om_lo!r}, {om_max!r}]"
+            )
         base += chunk_base
         if evaluator == "binned":
             pos = omega / d_om
             idx = np.floor(pos).astype(np.int64)
             frac = pos - idx
+            idx -= i_lo
             mass += np.bincount(idx, coef * (1.0 - frac), minlength=n_bins + 2)
             mass += np.bincount(idx + 1, coef * frac, minlength=n_bins + 2)
         else:
             # cos(omega (anchor + offset)) by angle addition: two GEMMs
             # instead of a cos per node and time
-            chunk = max(1, _DIRECT_LIMIT // max(n_times, 1) // 8)
             for s in range(0, len(omega), chunk):
                 sl = slice(s, s + chunk)
                 at_anchor = np.outer(anchors, omega[sl])
@@ -382,9 +451,8 @@ def _evaluate(chunks, n_nodes: int, om_max: float, times: np.ndarray,
     if evaluator == "binned":
         if n_times > 1:
             dt = (times[-1] - times[0]) / (n_times - 1)
-            osc = np.real(
-                _czt(mass.astype(complex), n_times, np.exp(-1j * d_om * dt), np.exp(1j * d_om * times[0]))
-            )
+            spectrum = _czt(mass.astype(complex), n_times, np.exp(-1j * d_om * dt), np.exp(1j * d_om * times[0]))
+            osc = np.real(spectrum * np.exp(-1j * (i_lo * d_om) * times))
         else:
             osc = np.array([mass.sum() * math.cos(0.0)])
     return base + osc, evaluator
@@ -404,18 +472,18 @@ def _tensor_average(
     x2, w2 = _nodes_coupling(spec.j02, spec.sigma_j2, q)
     xe, we = _nodes_delta_e(spec.sigma_e, q, sign)
     n_nodes = len(x1) * len(x2) * len(xe)
-    # bound the frequency support from the node extremes
-    d_lo = p.j_prime - 0.5 * (x1.max() + x2.max()) + xe.min()
-    d_hi = p.j_prime - 0.5 * (x1.min() + x2.min()) + xe.max()
-    d_max = max(abs(d_lo), abs(d_hi))
-    c_max = (math.sqrt(3.0) / 4.0) * max(abs(x1.max() - x2.min()), abs(x2.max() - x1.min()))
-    om_max = math.sqrt(d_max * d_max + 4.0 * c_max * c_max) * 1.01 + 1e-9
+    band = _band(
+        p.j_prime - 0.5 * (x1.max() + x2.max()) + xe.min(),
+        p.j_prime - 0.5 * (x1.min() + x2.min()) + xe.max(),
+        x1.min() - x2.max(),
+        x1.max() - x2.min(),
+    )
     grid2, grid_e = np.meshgrid(x2, xe, indexing="ij")
     grid2 = grid2.ravel()
     grid_e = grid_e.ravel()
     w_slab = (w2[:, None] * we[None, :]).ravel()
     slabs = (_terms(p, initial, w1[i] * w_slab, x1[i], grid2, grid_e) for i in range(len(x1)))
-    values, evaluator = _evaluate(slabs, n_nodes, om_max, times, evaluator)
+    values, evaluator = _evaluate(slabs, n_nodes, band, times, evaluator)
     meta = {
         "rule": "tensor",
         "n_delta_e": len(xe),
@@ -584,9 +652,13 @@ def _reduced_average(
 ) -> tuple[np.ndarray, dict]:
     """Average over the reduced (gap, u) rule, in blocks of gap nodes."""
     rule = _reduced_rule(spec, float(times[-1]), scale)
-    gap_max = float(np.abs(rule.gap).max())
-    d_max = float(np.abs(p.j_prime - rule.edges[:, [0, -1]]).max())
-    om_max = math.sqrt(d_max * d_max + 0.75 * gap_max * gap_max) * 1.01 + 1e-9
+    # the detuning is d = j' - u
+    band = _band(
+        p.j_prime - float(rule.edges[:, -1].max()),
+        p.j_prime - float(rule.edges[:, 0].min()),
+        float(rule.gap.min()),
+        float(rule.gap.max()),
+    )
     mass = 0.0
 
     def blocks():
@@ -599,7 +671,7 @@ def _reduced_average(
             yield _terms(p, initial, weights, 0.5 * gap, -0.5 * gap, -u)
 
     n_nodes = rule.n_nodes
-    values, evaluator = _evaluate(blocks(), n_nodes, om_max, times, evaluator)
+    values, evaluator = _evaluate(blocks(), n_nodes, band, times, evaluator)
     meta = {
         "rule": "reduced-2d",
         "n_gap": rule.n_gap,
@@ -608,10 +680,6 @@ def _reduced_average(
         "evaluator": evaluator,
     }
     return values / mass, meta
-
-
-class NumericalError(RuntimeError):
-    """An average left its valid range: a fault of the method, not of the input."""
 
 
 def _clip_probabilities(values: np.ndarray) -> np.ndarray:

@@ -130,6 +130,9 @@ def test_fit_rejects_malformed_points():
         fit_envelope(np.array([[0.0, 1.0], [2.0, 0.9], [1.0, 0.8], [3.0, 0.7]]))
     with pytest.raises(ValueError, match=r"\(n, 2\)"):
         fit_envelope(np.zeros((4, 3)))
+    # 1e-9 t_max underflows to 0 and its log does not exist
+    with pytest.raises(ValueError, match="t_max"):
+        fit_envelope(np.column_stack([np.linspace(0.0, 1e-315, 4), [1.0, 0.9, 0.8, 0.7]]))
 
 
 def test_fit_idempotence():

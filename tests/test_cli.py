@@ -249,6 +249,20 @@ def test_fit_rejects_non_finite_trace_file(tmp_path, capsys, rows):
     assert "trace file: probabilities must be finite" in capsys.readouterr().err
 
 
+def test_fit_rejects_subnormal_t_max(tmp_path, capsys):
+    """A grid ending at 1e-315 leaves no room for the fit's t2_star bounds;
+    it used to end in a bare "math domain error"."""
+    k = np.arange(50)
+    values = 0.5 + 0.5 * np.exp(-k / 10.0) * np.cos(k)
+    lines = [TRACE_HEADER] + [f"{t:.9g},,{v:.9g}," for t, v in zip(np.linspace(0.0, 1e-315, 50), values)]
+    trace_path = tmp_path / "subnormal.csv"
+    trace_path.write_text("\n".join(lines) + "\n")
+
+    code, _ = run_cli(tmp_path, "fit", {"trace_file": str(trace_path)})
+    assert code == 2
+    assert "t_max" in capsys.readouterr().err
+
+
 def test_fit_inline_simulate(tmp_path):
     cfg = {
         "simulate": {
@@ -357,7 +371,7 @@ def test_materials_rejects_oversized_quadrature(tmp_path, capsys):
 @pytest.mark.parametrize("noise", [{}, {"sigma_e": 0.1, "sigma_j1": 0.1, "sigma_j2": 0.1}])
 def test_internal_numerical_failure_exits_4(tmp_path, monkeypatch, capsys, noise):
     """An average outside [0, 1] is a fault of the method, not invalid input."""
-    def broken(chunks, n_nodes, om_max, times, evaluator):
+    def broken(chunks, n_nodes, band, times, evaluator):
         at_zero = sum(base + coef.sum() for _, coef, base in chunks)  # the value at t = 0
         return np.full(len(times), 1.1 * at_zero), "direct"
 
@@ -367,6 +381,47 @@ def test_internal_numerical_failure_exits_4(tmp_path, monkeypatch, capsys, noise
     assert code == 4
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("quadrature", [None, {"n_hermite": 9, "n_legendre": 9}], ids=["2d", "tensor"])
+def test_frequency_outside_band_exits_4(tmp_path, monkeypatch, capsys, quadrature):
+    """A node frequency outside the band its producer declared is a fault of
+    the method: without the guard it indexed past the bins."""
+    monkeypatch.setattr(disorder, "_band", lambda *ranges: (0.0, 0.5))
+    cfg = {"noise": {"sigma_e": 0.1, "sigma_j1": 0.1, "sigma_j2": 0.1},
+           "times": {"t_max": 5.0, "n_points": 11}, "quadrature": quadrature}
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 4
+    assert "outside the band [0.0, 0.5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module, name, error, exit_code", [
+    (json, "dumps", ValueError, 2),
+    (os, "replace", OSError, 3),
+], ids=["serialize", "rename"])
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", {"times": {"t_max": 5.0, "n_points": 11}}),
+    ("fit", {"simulate": {"noise": {"sigma_e": 0.2}, "times": {"t_max": 20.0, "n_points": 81}}}),
+], ids=["csv", "json"])
+def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, command, cfg,
+                                           module, name, error, exit_code):
+    """Outputs are written to a temp file and renamed: a run that fails while
+    serializing or renaming leaves the earlier file as it was and no partial
+    file behind."""
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    config.write_text(json.dumps(cfg))
+    out.write_text("earlier output\n")
+
+    def fail(*args, **kwargs):
+        raise error(f"{name} failed")
+
+    monkeypatch.setattr(module, name, fail)
+    code = main([command, "--config", str(config), "--out", str(out)])
+    monkeypatch.undo()
+    assert code == exit_code
+    assert out.read_text() == "earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
 
 
 def test_materials_rejects_bad_preset(tmp_path, capsys):

@@ -29,6 +29,7 @@ from deoq_dyn.qubit import (
     return_probability_superposition,
     return_probability_zero,
 )
+from deoq_dyn.sweep import suggested_time_grid
 
 P = ExchangeParams()
 
@@ -156,7 +157,7 @@ def test_probability_trace_validation():
 def test_non_finite_average_is_numerical_error(monkeypatch):
     """A NaN out of the evaluator is a fault of the method, reported as such
     rather than as an invalid trace."""
-    def nan_evaluator(chunks, n_nodes, om_max, times, evaluator):
+    def nan_evaluator(chunks, n_nodes, band, times, evaluator):
         return np.full(len(times), np.nan), "direct"
 
     monkeypatch.setattr(disorder, "_evaluate", nan_evaluator)
@@ -353,15 +354,87 @@ def test_reduced_rule_moments_with_truncation(case):
         assert got[key] == pytest.approx(want[key], rel=1e-7, abs=1e-9), key
 
 
-def test_binned_evaluator_matches_direct():
-    times = np.linspace(0.0, 100.0, 1001)
-    noise = NoiseSpec(sigma_e=0.3, sigma_j1=0.2, sigma_j2=0.2)
+def _producer_input(noise, initial, times):
+    """The (chunks, n_nodes, band) the 2D node producer hands to _evaluate."""
+    seen = {}
+
+    def record(chunks, n_nodes, band, times, evaluator):
+        chunks = list(chunks)
+        seen["args"] = (chunks, n_nodes, band)
+        at_zero = sum(base + coef.sum() for _, coef, base in chunks)
+        return np.full(len(times), at_zero), "direct"
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disorder, "_evaluate", record)
+        disorder_average_quadrature(P, noise, initial, times)
+    return seen["args"]
+
+
+@pytest.mark.parametrize(
+    "noise, t_max, wide",
+    [
+        (NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 10.0, True),
+        (NoiseSpec(sigma_j1=0.003, sigma_j2=0.003), 400.0, False),  # 28Si-like
+    ],
+    ids=["wide", "narrow"],
+)
+def test_binned_evaluator_within_stated_bound(noise, t_max, wide):
+    """Linear deposit on bins of phase step s at t_max misses each
+    cos(omega t) by at most s^2/8, within the (s^2 / 6) sum |coef| the
+    evaluator states, on a band from 0 and on a band that starts well
+    above 0."""
+    times = np.linspace(0.0, t_max, 801)
     for initial in ("zero", "superposition"):
-        direct = disorder_average_quadrature(P, noise, initial, times, _evaluator="direct")
-        binned = disorder_average_quadrature(P, noise, initial, times, _evaluator="binned")
-        assert direct.metadata["evaluator"] == "direct"
-        assert binned.metadata["evaluator"] == "binned"
-        np.testing.assert_allclose(binned.values, direct.values, atol=5e-9)
+        chunks, n_nodes, band = _producer_input(noise, initial, times)
+        assert (band[0] == 0.0) == wide
+        bound = disorder._BIN_PHASE_STEP ** 2 / 6.0 * sum(np.abs(c).sum() for _, c, _ in chunks)
+        direct, used_direct = disorder._evaluate(chunks, n_nodes, band, times, "direct")
+        binned, used_binned = disorder._evaluate(chunks, n_nodes, band, times, "binned")
+        assert (used_direct, used_binned) == ("direct", "binned")
+        assert np.max(np.abs(binned - direct)) <= bound
+
+
+def test_binned_evaluator_bound_is_nearly_attained():
+    """One node midway between two bins where cos(omega t_max) = -1 is the
+    worst case of a linear deposit, (1 - cos(h / 2)) ~ h^2 / 8 at phase step
+    h = d_om t_max; on the 4096-bin grid of this band h = 0.73 of
+    _BIN_PHASE_STEP, so the error is 0.4 of the stated bound, and bins of
+    twice the width would break it."""
+    step = disorder._BIN_PHASE_STEP
+    t_max, om_max = 10.0, 3000 * step / 10.0  # below the 4096-bin floor
+    d_om = om_max / 4096
+    omega = np.array([(round(math.pi / (d_om * t_max) - 0.5) + 0.5) * d_om])
+    times = np.linspace(0.0, t_max, 2001)
+    chunks = [(omega, np.ones(1), 0.0)]
+    direct, _ = disorder._evaluate(chunks, 1, (0.0, om_max), times, "direct")
+    binned, _ = disorder._evaluate(chunks, 1, (0.0, om_max), times, "binned")
+    error = np.max(np.abs(binned - direct))
+    assert 0.3 * step**2 / 6.0 <= error <= step**2 / 6.0
+
+
+def test_frequency_outside_band_is_numerical_error():
+    """A node frequency outside the producer's band would be deposited past
+    the bins; both evaluators refuse it and name it and the band."""
+    times = np.linspace(0.0, 10.0, 21)
+    for omega in (0.1, 2.0, np.nan):
+        chunks = [(np.array([0.7, omega]), np.ones(2), 0.0)]
+        for evaluator in ("direct", "binned"):
+            with pytest.raises(NumericalError) as info:
+                disorder._evaluate(chunks, 2, (0.5, 1.25), times, evaluator)
+            message = str(info.value)
+            assert all(s in message for s in (repr(omega), "0.5", "1.25")), message
+
+
+def test_evaluator_choice_follows_cost():
+    """28Si at 3 neV (2,750 nodes x 20,001 times) sums directly, which is
+    about 2x faster than binning; sigma_e = 1, sigma_j = 0.5 at t_max 100
+    (331,614 nodes x 4,001 times) bins, about 6x faster than the direct sum."""
+    narrow = NoiseSpec(sigma_j1=0.003, sigma_j2=0.003)
+    trace = disorder_average_quadrature(P, narrow, "zero", suggested_time_grid(narrow, P))
+    assert trace.metadata["evaluator"] == "direct"
+    wide = NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5)
+    trace = disorder_average_quadrature(P, wide, "zero", np.linspace(0.0, 100.0, 4001))
+    assert trace.metadata["evaluator"] == "binned"
 
 
 def test_direct_evaluator_matches_cos_matrix():

@@ -6,6 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from deoq_dyn import disorder  # noqa: E402
 from deoq_dyn.disorder import (  # noqa: E402
     NoiseSpec,
     QuadratureSpec,
@@ -63,3 +64,44 @@ def test_reduced_rule_label_swap_keeps_zero_state(sigma_e, sigma_j1, sigma_j2, j
     ta = disorder_average_quadrature(P, a, "zero", TIMES, _evaluator="direct")
     tb = disorder_average_quadrature(P, b, "zero", TIMES, _evaluator="direct")
     np.testing.assert_allclose(ta.values, tb.values, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    sigma_e=width(0.005, 0.5),
+    sigma_j1=width(0.002, 0.4),
+    sigma_j2=width(0.002, 0.4),
+    j01=st.floats(0.0, 2.0),
+    j02=st.floats(0.0, 2.0),
+    j_prime=st.floats(0.0, 2.0),
+    t_max=st.floats(0.5, 200.0),
+    q=st.one_of(st.none(), st.builds(
+        QuadratureSpec,
+        n_hermite=st.integers(1, 40),
+        n_legendre=st.integers(1, 40),
+        truncation_width=st.floats(0.5, 8.0),
+        delta_e_rule=st.sampled_from(["hermite", "legendre"]),
+    )),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_band_brackets_every_node_frequency(sigma_e, sigma_j1, sigma_j2, j01, j02, j_prime, t_max, q, sign):
+    """The band a node producer derives from its detuning and gap ranges
+    holds the frequency of every node of the 2D rule (q=None) or of an
+    explicit tensor rule."""
+    noise = NoiseSpec(sigma_e, sigma_j1, sigma_j2, j01, j02)
+    params = ExchangeParams(j_prime=j_prime)
+    bands, omegas = [], []
+
+    def record(chunks, n_nodes, band, times, evaluator):
+        chunks = list(chunks)
+        bands.append(band)
+        omegas.extend(omega for omega, _, _ in chunks)
+        at_zero = sum(base + coef.sum() for _, coef, base in chunks)
+        return np.full(len(times), at_zero), "direct"
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disorder, "_evaluate", record)
+        disorder_average_quadrature(params, noise, "zero", np.linspace(0.0, t_max, 3), q=q,
+                                    _delta_e_sign=sign)
+    (om_lo, om_max), omega = bands[0], np.concatenate(omegas)
+    assert 0.0 <= om_lo <= omega.min() and omega.max() <= om_max
