@@ -231,6 +231,8 @@ def _simulate(cfg: dict, args) -> tuple[dict, ProbabilityTrace]:
         trace = disorder_average_quadrature(
             params, noise, initial, times.grid(), q=quad, check_convergence=check
         )
+        if "warning" in trace.metadata:
+            print(f"deoq-dyn: warning: {trace.metadata['warning']}", file=sys.stderr)
     return echo, trace
 
 

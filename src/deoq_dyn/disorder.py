@@ -223,19 +223,20 @@ def _grid_blocks(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(r) * dt, (np.arange(-(-n // r)) * r) * dt
 
 
-def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
-    """Chirp-z transform X_j = sum_k x_k a^-k w^(j k), j < m (Bluestein 1968).
+def _czt(x: np.ndarray, m: int, theta: float) -> np.ndarray:
+    """Chirp-z transform X_j = sum_k x_k exp(-i theta j k), j < m (Bluestein 1968).
 
-    Performs the operations of ``scipy.signal.czt`` in the same order, so
-    the results are bit-identical, without importing ``scipy.signal``.
+    The chirp exp(-i theta k^2 / 2) is taken from its real phase, so its
+    modulus is 1 to rounding at every length; a power of the complex
+    exp(-i theta) drifts from 1 in proportion to k^2.
     """
     n = len(x)
-    k = np.arange(max(m, n))
-    wk2 = w ** (k**2 / 2.0)
+    chirp = -0.5j * theta * np.arange(max(m, n)) ** 2
+    np.exp(chirp, out=chirp)  # in place: one complex array of max(m, n) at a time, not two
     nfft = _bluestein_length(n, m)
-    chirp = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    y = ifft(chirp * fft(x * (a ** -k[:n] * wk2[:n]), nfft))
-    return y[n - 1:n + m - 1] * wk2[:m]
+    kernel = fft(np.conj(np.hstack((chirp[n - 1:0:-1], chirp[:m]))), nfft)
+    y = ifft(kernel * fft(x * chirp[:n], nfft))
+    return y[n - 1:n + m - 1] * chirp[:m]
 
 
 def _bluestein_length(n: int, m: int) -> int:
@@ -451,7 +452,7 @@ def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray
     if evaluator == "binned":
         if n_times > 1:
             dt = (times[-1] - times[0]) / (n_times - 1)
-            spectrum = _czt(mass.astype(complex), n_times, np.exp(-1j * d_om * dt), np.exp(1j * d_om * times[0]))
+            spectrum = _czt(mass.astype(complex), n_times, d_om * dt)
             osc = np.real(spectrum * np.exp(-1j * (i_lo * d_om) * times))
         else:
             osc = np.array([mass.sum() * math.cos(0.0)])

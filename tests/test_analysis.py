@@ -84,6 +84,16 @@ def test_fit_recovers_synthetic_decay(t2_true, alpha_true):
     assert fit.sse < 1e-8
 
 
+def test_fit_without_point_at_time_zero():
+    """With no point at t = 0, e = exp(-(t/t2)^alpha) underflows to 0 at every
+    point for the grid's smallest t2; those columns must not make NaN."""
+    times = np.linspace(1.0, 100.0, 20)
+    points = np.column_stack([times, stretched(times, 0.3, 1.0, 20.0, 1.0)])
+    fit = fit_envelope(points)
+    assert fit.status == "converged"
+    assert fit.t2_star == pytest.approx(20.0, rel=1e-6)
+
+
 def test_fit_superposition_style_start():
     times = np.linspace(0.0, 40.0, 41)
     points = np.column_stack([times, stretched(times, 0.5, 0.933, 8.0, 1.2)])
@@ -133,6 +143,23 @@ def test_fit_rejects_malformed_points():
     # 1e-9 t_max underflows to 0 and its log does not exist
     with pytest.raises(ValueError, match="t_max"):
         fit_envelope(np.column_stack([np.linspace(0.0, 1e-315, 4), [1.0, 0.9, 0.8, 0.7]]))
+    with pytest.raises(ValueError, match="finite"):
+        fit_envelope(np.array([[0.0, 1.0], [1.0, 0.9], [2.0, math.nan], [3.0, 0.7]]))
+
+
+def test_fit_follows_narrow_valley_to_alpha_bound():
+    """Default-sweep cell sigma_e 0.1, sigma_j 0.5: the SSE valley curves down
+    to alpha = 4; a polish on the grid alone stalls near alpha 2.2 at SSE 1.2e-5."""
+    points = np.array([
+        [0.0, 1.0],
+        [2.45, 0.8371923885744277],
+        [5.2, 0.7050517510115419],
+        [7.375, 0.7053348494267322],
+    ])
+    fit = fit_envelope(points, fixed_start=1.0, t_max=200.0)
+    assert fit.alpha == 4.0
+    assert fit.sse <= 4.01e-8
+    assert fit.t2_star == pytest.approx(2.5877139, rel=1e-6)
 
 
 def test_fit_idempotence():

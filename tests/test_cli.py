@@ -55,6 +55,20 @@ def test_simulate_csv_shape_and_noiseless_values(tmp_path):
     assert echo["noise"]["j01"] == 0.5 and echo["noise"]["j02"] == 1.5
 
 
+def test_simulate_prints_convergence_warning(tmp_path, capsys):
+    cfg = {"noise": {"sigma_e": 0.6, "sigma_j1": 0.3, "sigma_j2": 0.3},
+           "times": {"t_max": 120.0, "n_points": 601},
+           "quadrature": {"n_hermite": 5, "n_legendre": 7}}
+    code, plain = run_cli(tmp_path, "simulate", cfg, name="plain")
+    assert code == 0 and capsys.readouterr().err == ""
+    code, checked = run_cli(tmp_path, "simulate", {**cfg, "check_convergence": True}, name="checked")
+    assert code == 0
+    assert "warning: doubling nodes moved a point" in capsys.readouterr().err
+    # stderr only: the files differ in the echoed flag and nowhere else
+    assert checked.read_text().splitlines()[:-1] == plain.read_text().splitlines()[:-1]
+    assert read_csv(checked)[2] == {**read_csv(plain)[2], "check_convergence": True}
+
+
 def test_simulate_seconds_column(tmp_path):
     cfg = {"times": {"t_max": 2.0, "n_points": 3}, "j0_ev": 1e-6}
     code, out = run_cli(tmp_path, "simulate", cfg)

@@ -458,12 +458,23 @@ def test_direct_evaluator_matches_cos_matrix():
 
 
 @pytest.mark.parametrize("n, m", [(4098, 401), (301, 1000)])
-def test_czt_is_bitwise_scipy_signal_czt(n, m):
-    from scipy.signal import czt
-
+def test_czt_matches_exact_dft(n, m):
     x = np.random.default_rng(n).normal(size=n).astype(complex)
-    w, a = np.exp(-1j * 2.4e-3), np.exp(1j * 0.0)
-    assert np.array_equal(_czt(x, m, w, a), czt(x, m=m, w=w, a=a))
+    theta = 2.4e-3
+    exact = np.exp(-1j * theta * np.outer(np.arange(m), np.arange(n))) @ x
+    err = np.max(np.abs(_czt(x, m, theta) - exact))
+    assert err <= 1e-12 * np.sum(np.abs(x))
+
+
+def test_czt_keeps_unit_modulus_at_large_size():
+    """An impulse at the last of 143,519 bins (28Si at 3 neV) maps to unit-modulus outputs.
+
+    A chirp raised from the complex exp(-i theta) drifts here by about 1e-7.
+    """
+    x = np.zeros(143_519, dtype=complex)
+    x[-1] = 1.0
+    y = _czt(x, 20_001, 1e-6)
+    assert np.max(np.abs(np.abs(y) - 1.0)) <= 1e-12
 
 
 def test_hermite_and_legendre_delta_e_rules_agree():

@@ -7,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deoq_dyn import disorder  # noqa: E402
+from deoq_dyn.analysis import fit_envelope  # noqa: E402
 from deoq_dyn.disorder import (  # noqa: E402
     NoiseSpec,
     QuadratureSpec,
@@ -105,3 +106,30 @@ def test_band_brackets_every_node_frequency(sigma_e, sigma_j1, sigma_j2, j01, j0
                                     _delta_e_sign=sign)
     (om_lo, om_max), omega = bands[0], np.concatenate(omegas)
     assert 0.0 <= om_lo <= omega.min() and omega.max() <= om_max
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    t2=st.floats(2.0, 60.0),
+    alpha=st.floats(0.6, 3.5),
+    p_inf=st.floats(0.0, 0.7),
+    wobble=st.floats(0.0, 0.02),
+    log_k=st.floats(-3.0, 3.0),
+    pinned=st.booleans(),
+)
+def test_fit_is_scale_covariant(t2, alpha, p_inf, wobble, log_k, pinned):
+    """Scaling the times and t_max by k scales T2* by k and leaves alpha alone.
+
+    The wobble moves the optimum off the generating parameters, so the two
+    fits must find the same minimum, not just the exact curve.
+    """
+    times = np.linspace(0.0, 100.0, 40)
+    values = p_inf + (1.0 - p_inf) * np.exp(-((times / t2) ** alpha))
+    values += wobble * np.cos(1.7 * np.arange(40))
+    fixed = 1.0 if pinned else None
+    k = 10.0 ** log_k
+    base = fit_envelope(np.column_stack([times, values]), fixed_start=fixed, t_max=100.0)
+    scaled = fit_envelope(np.column_stack([k * times, values]), fixed_start=fixed, t_max=k * 100.0)
+    assert scaled.status == base.status == "converged"
+    assert scaled.t2_star == pytest.approx(k * base.t2_star, rel=1e-6)
+    assert scaled.alpha == pytest.approx(base.alpha, abs=1e-6)
