@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .disorder import ProbabilityTrace
 
@@ -182,6 +181,78 @@ def _amplitudes(t: np.ndarray, v: np.ndarray, log_t2, alpha, fixed_start: Option
     return sse[best], p_inf[:, 0][best], p_start[:, 0][best]
 
 
+@dataclass(frozen=True)
+class Minimum:
+    """Best simplex vertex of a Nelder-Mead run and the objective calls it took."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun: Callable, x0, xatol: float, fatol: float, maxiter: int) -> Minimum:
+    """Nelder-Mead minimum of fun from x0 (Nelder & Mead 1965).
+
+    The arithmetic, vertex order and stopping rule are those of scipy's
+    ``minimize(method="Nelder-Mead")`` with its default simplex and no
+    bounds, so the result is the same to the bit.  The initial simplex
+    scales each coordinate by 1.05 in turn, or sets it to 0.00025 where it
+    is 0; reflection 1, expansion 2, contraction and shrink 1/2.  The run
+    stops once the vertices lie within xatol of the best one and their
+    values within fatol, or after maxiter - 1 steps.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x)
+
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice before its first step; argsort may move ties
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    for _ in range(1, maxiter):
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # contract outside, toward xr
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:  # contract inside, toward the worst vertex
+            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return Minimum(sim[0], float(np.min(fsim)), nfev)
+
+
 def fit_envelope(
     points,
     fixed_start: Optional[float] = None,
@@ -243,12 +314,8 @@ def fit_envelope(
         log_t2, alpha = np.clip(x, _BOX_LO, _BOX_HI)
         return [float(c[0]) for c in _amplitudes(u, v, np.array([log_t2]), alpha, fixed_start)]
 
-    res = minimize(
-        lambda x: profiled(x)[0],
-        [_LOG_T2_GRID[k], _ALPHA_GRID[i]],
-        method="Nelder-Mead",
-        options=dict(xatol=1e-10, fatol=1e-14, maxiter=4000),
-    )
+    res = minimize(lambda x: profiled(x)[0], [_LOG_T2_GRID[k], _ALPHA_GRID[i]],
+                   xatol=1e-10, fatol=1e-14, maxiter=4000)
     log_t2, alpha = np.clip(res.x, _BOX_LO, _BOX_HI)
     sse, p_inf, p_start = profiled(res.x)
     t2 = t_max * float(np.exp(log_t2))

@@ -50,9 +50,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.special
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.special import roots_hermite
 
 from .qubit import ExchangeParams, oscillation_terms
 
@@ -95,6 +92,9 @@ _PANEL_MARGIN = 8
 
 # nodes per block of the reduced 2D average, to bound its memory
 _BLOCK_NODES = 2 ** 20
+
+# arguments per chunk of _ndtr
+_NDTR_CHUNK = 2 ** 16
 
 # Monte Carlo samples per chunk; each chunk's moments merge into the total
 _MC_CHUNK = 2048
@@ -234,14 +234,28 @@ def _czt(x: np.ndarray, m: int, theta: float) -> np.ndarray:
     chirp = -0.5j * theta * np.arange(max(m, n)) ** 2
     np.exp(chirp, out=chirp)  # in place: one complex array of max(m, n) at a time, not two
     nfft = _bluestein_length(n, m)
-    kernel = fft(np.conj(np.hstack((chirp[n - 1:0:-1], chirp[:m]))), nfft)
-    y = ifft(kernel * fft(x * chirp[:n], nfft))
+    kernel = np.fft.fft(np.conj(np.hstack((chirp[n - 1:0:-1], chirp[:m]))), nfft)
+    y = np.fft.ifft(kernel * np.fft.fft(x * chirp[:n], nfft))
     return y[n - 1:n + m - 1] * chirp[:m]
 
 
 def _bluestein_length(n: int, m: int) -> int:
-    """FFT length of ``_czt`` on n inputs and m outputs."""
-    return next_fast_len(n + m - 1)
+    """FFT length of ``_czt`` on n inputs and m outputs.
+
+    The smallest 2^a 3^b 5^c 7^d 11^e >= n + m - 1, the lengths pocketfft
+    transforms fastest (``scipy.fft.next_fast_len`` for complex input).
+    """
+    target = n + m - 1
+    odd = [1]  # every 3^b 5^c 7^d 11^e below 2 target, a bound on the answer
+    for prime in (3, 5, 7, 11):
+        grown = []
+        for f in odd:
+            while f < 2 * target:
+                grown.append(f)
+                f *= prime
+        odd = grown
+    # each odd part times the least power of two that brings it to target
+    return min(f << (-(-target // f) - 1).bit_length() for f in odd)
 
 
 def pdf_delta_e(delta_e, sigma_e: float):
@@ -268,7 +282,7 @@ def pdf_exchange(j, j0i: float, sigma_ji: float):
     if not (math.isfinite(j0i) and j0i >= 0):
         raise ValueError(f"j0i must be >= 0, got {j0i!r}")
     x = np.asarray(j, dtype=float)
-    norm = 2.0 / (1.0 + scipy.special.erf(j0i / (sigma_ji * math.sqrt(2.0))))
+    norm = 2.0 / (1.0 + math.erf(j0i / (sigma_ji * math.sqrt(2.0))))
     gauss = np.exp(-((x - j0i) ** 2) / (2.0 * sigma_ji * sigma_ji)) / (sigma_ji * math.sqrt(2.0 * math.pi))
     out = np.where(x >= 0.0, norm * gauss, 0.0)
     return float(out) if np.ndim(j) == 0 else out
@@ -327,12 +341,48 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@functools.lru_cache(maxsize=64)
+def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite points and weights for the weight exp(-x^2), computed once per n.
+
+    The points are the eigenvalues of the Jacobi matrix, off-diagonal
+    sqrt(k/2) (Golub & Welsch 1969), refined by two Newton steps on the
+    Hermite function.  Both steps and the weights 1 / (n h_{n-1}^2) use the
+    ratios r_k = h_k / h_{k-1} of the orthonormal Hermite polynomials h_k,
+    with sqrt(pi) h_{n-1}^2 = prod_{k < n} r_k^2 summed in logs: h_k itself
+    overflows, as in numpy's ``hermgauss`` from n = 400.
+    """
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, n) / 2.0), 1), UPLO="U")
+    pos = 0.5 * (x - x[::-1])[(n + 1) // 2:]  # the positive points, symmetrized
+
+    def ratios(x):  # r_n and sum_{k < n} log|r_k|
+        r, log_h = math.sqrt(2.0) * x, np.zeros_like(x)
+        for k in range(1, n):
+            log_h += np.log(np.abs(r))
+            r = math.sqrt(2.0 / (k + 1)) * x - math.sqrt(k / (k + 1)) / r
+        return r, log_h
+
+    for _ in range(2):  # x -= psi_n / psi_n' of the Hermite function psi_n = h_n exp(-x^2 / 2)
+        r = ratios(pos)[0]
+        pos -= r / (math.sqrt(2.0 * n) - pos * r)
+    log_h2 = 2.0 * ratios(pos)[1]
+    if n % 2:  # the point 0, where r_1 = 0 but h_{n-1}(0)^2 sqrt(pi) = prod_j (2j - 1) / (2j)
+        j = np.arange(1, n // 2 + 1)
+        pos = np.concatenate(([0.0], pos))
+        log_h2 = np.concatenate(([np.log((2 * j - 1) / (2 * j)).sum()], log_h2))
+    w = np.exp(0.5 * math.log(math.pi) - math.log(n) - log_h2)
+    x = np.concatenate((-pos[::-1][:n // 2], pos))
+    w = np.concatenate((w[::-1][:n // 2], w))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _nodes_delta_e(sigma_e: float, q: QuadratureSpec, sign: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and unit-mass weights for the delta_e dimension."""
     if sigma_e == 0.0:
         return np.zeros(1), np.ones(1)
     if q.delta_e_rule == "hermite":
-        u, wu = roots_hermite(q.n_hermite)
+        u, wu = _hermgauss(q.n_hermite)
         return sign * 2.0 * sigma_e * u, wu / math.sqrt(math.pi)
     std = math.sqrt(2.0) * sigma_e
     x, wx = _leggauss(q.n_hermite)
@@ -521,6 +571,77 @@ def _panel_counts(lengths, n: int, span: float) -> list:
             for length in lengths]
 
 
+# Cody's rational approximations of erfc (Math. Comp. 1969): erf on
+# |y| <= 0.46875, erfc on (0.46875, 4] and on (4, inf), with coefficients
+# listed from the highest-degree term
+_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+          3.77485237685302021e2, 3.20937758913846947e3)
+_ERF_B = (1.0, 2.36012909523441209e1, 2.44024637934444173e2,
+          1.28261652607737228e3, 2.84423683343917062e3)
+_ERFC_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+           6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+           1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3)
+_ERFC_D = (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+           1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+           3.43936767414372164e3, 1.23033935480374942e3)
+_ERFC_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_Q = (1.0, 2.56852019228982242e0, 1.87295284992346725e0,
+           5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """Complementary error function of a 1D array by Cody's three ranges."""
+    y = np.abs(z)
+
+    def ratio(num, den, arg):  # num(arg) / den(arg), Horner in place
+        p, q = np.full_like(arg, num[0]), np.full_like(arg, den[0])
+        for a, b in zip(num[1:], den[1:]):
+            p *= arg
+            p += a
+            q *= arg
+            q += b
+        p /= q
+        return p
+
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    z_s = z[small]
+    out[small] = 1.0 - z_s * ratio(_ERF_A, _ERF_B, z_s * z_s)
+    tail = ~small
+    y_t = y[tail]
+    e_t = np.empty_like(y_t)
+    big = y_t > 4.0
+    e_t[~big] = ratio(_ERFC_C, _ERFC_D, y_t[~big])
+    y_b = y_t[big]
+    inv = 1.0 / (y_b * y_b)
+    e_t[big] = (1.0 / math.sqrt(math.pi) - inv * ratio(_ERFC_P, _ERFC_Q, inv)) / y_b
+    # exp(-y^2) as exp(-ysq^2) exp(-del), with ysq = y cut to 1/16 so ysq^2 is exact
+    ysq = np.trunc(y_t * 16.0) / 16.0
+    e_t *= np.exp(-ysq * ysq) * np.exp(-(y_t - ysq) * (y_t + ysq))
+    flip = z[tail] < 0.0  # erfc(-y) = 2 - erfc(y)
+    e_t[flip] = 2.0 - e_t[flip]
+    out[tail] = e_t
+    return out
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-x / sqrt(2)), elementwise.
+
+    Outside (-38.5, 8.5) the value rounds to exactly 0 or 1 and is set so,
+    without evaluating erfc.  The rest goes through ``_erfc`` in chunks of
+    _NDTR_CHUNK, whose temporaries stay in cache (twice as fast as one pass
+    over the 0.4 M arguments of a reduced-rule block).
+    """
+    out = (x > 0.0).astype(float)
+    x_flat, out_flat = x.ravel(), out.reshape(-1)
+    for s in range(0, x.size, _NDTR_CHUNK):
+        x_c = x_flat[s:s + _NDTR_CHUNK]
+        live = (x_c > -38.5) & (x_c < 8.5)
+        out_flat[s:s + _NDTR_CHUNK][live] = 0.5 * _erfc(-x_c[live] / math.sqrt(2.0))
+    return out
+
+
 @dataclass(frozen=True)
 class _ReducedRule:
     """The (gap, u) node set of the reduced average, per gap node.
@@ -558,7 +679,7 @@ class _ReducedRule:
         mu = self.mu[rows, None]
         weights = self.w_gap[rows, None] * w_u * np.exp(-((u - mu) ** 2) / (2.0 * self.v_u))
         if self.tau > 0.0:  # else no node lies below u_k, a hard edge or -inf
-            weights *= scipy.special.ndtr((u - self.u_k[rows, None]) / self.tau)
+            weights *= _ndtr((u - self.u_k[rows, None]) / self.tau)
         keep = w_u > 0.0  # drops the nodes of empty panels
         gap = np.broadcast_to(self.gap[rows, None], u.shape)
         return gap[keep], u[keep], weights[keep]

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from deoq_dyn import analysis
 from deoq_dyn.analysis import (
     HBAR_EV_S,
     EnvelopeFit,
@@ -12,6 +14,7 @@ from deoq_dyn.analysis import (
     extract_upper_envelope,
     fit_envelope,
     fit_trace,
+    minimize,
     quality_factor,
     to_physical_time,
 )
@@ -147,19 +150,54 @@ def test_fit_rejects_malformed_points():
         fit_envelope(np.array([[0.0, 1.0], [1.0, 0.9], [2.0, math.nan], [3.0, 0.7]]))
 
 
+NARROW_VALLEY = np.array([
+    [0.0, 1.0],
+    [2.45, 0.8371923885744277],
+    [5.2, 0.7050517510115419],
+    [7.375, 0.7053348494267322],
+])
+
+
 def test_fit_follows_narrow_valley_to_alpha_bound():
     """Default-sweep cell sigma_e 0.1, sigma_j 0.5: the SSE valley curves down
     to alpha = 4; a polish on the grid alone stalls near alpha 2.2 at SSE 1.2e-5."""
-    points = np.array([
-        [0.0, 1.0],
-        [2.45, 0.8371923885744277],
-        [5.2, 0.7050517510115419],
-        [7.375, 0.7053348494267322],
-    ])
-    fit = fit_envelope(points, fixed_start=1.0, t_max=200.0)
+    fit = fit_envelope(NARROW_VALLEY, fixed_start=1.0, t_max=200.0)
     assert fit.alpha == 4.0
     assert fit.sse <= 4.01e-8
     assert fit.t2_star == pytest.approx(2.5877139, rel=1e-6)
+
+
+def assert_same_as_scipy(fun, x0, **options):
+    ours = minimize(fun, x0, **options)
+    ref = scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+    assert np.array_equal(ours.x, ref.x)
+    assert ours.fun == ref.fun
+    assert ours.nfev == ref.nfev
+
+
+@pytest.mark.parametrize("x0, maxiter", [
+    ([-1.2, 1.0], 4000),
+    ([2.0, -0.5], 4000),
+    ([0.3, 0.7, 1.9], 4000),
+    ([0.0, 1.5], 4000),  # a zero coordinate starts the simplex at 0.00025
+    ([-1.2, 1.0], 25),  # cut off by maxiter
+])
+def test_nelder_mead_is_scipys_on_rosenbrock(x0, maxiter):
+    assert_same_as_scipy(scipy.optimize.rosen, x0, xatol=1e-10, fatol=1e-14, maxiter=maxiter)
+
+
+def test_nelder_mead_is_scipys_on_fit_objective(monkeypatch):
+    """The polish of the narrow-valley fit, replayed through scipy."""
+    calls = []
+
+    def spy(fun, x0, **options):
+        calls.append((fun, x0, options))
+        return minimize(fun, x0, **options)
+
+    monkeypatch.setattr(analysis, "minimize", spy)
+    fit_envelope(NARROW_VALLEY, fixed_start=1.0, t_max=200.0)
+    [(fun, x0, options)] = calls
+    assert_same_as_scipy(fun, x0, **options)
 
 
 def test_fit_idempotence():

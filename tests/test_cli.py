@@ -468,15 +468,43 @@ def test_output_matches_golden_file(tmp_path, name):
     assert out_path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_cli_import_skips_scipy_signal():
-    """Importing scipy.signal would add about a second to every CLI start."""
+def test_cli_commands_load_no_scipy(tmp_path):
+    """Every command runs on numpy alone; importing scipy would add most of a
+    second to each CLI start."""
+    noise = {"sigma_e": 0.2, "sigma_j1": 0.1, "sigma_j2": 0.1}
+    times = {"t_max": 20.0, "n_points": 201}
+    hermite = {"n_hermite": 21, "n_legendre": 5, "delta_e_rule": "hermite"}
+    trace = tmp_path / "simulate.out"
+    configs = {
+        "simulate": {"noise": noise, "times": times},
+        "simulate_hermite": {"noise": noise, "times": times, "quadrature": hermite},
+        "simulate_mc": {"noise": noise, "times": times, "n_samples": 200, "seed": 1},
+        "fit": {"trace_file": str(trace)},
+        "sweep": {"grid": {"sigma_e_values": [0.2], "sigma_j_values": [0.1]}, "times": times},
+        "materials": {"presets": [{"name": "Si", "sigma_e_floor_ev": 3e-9}],
+                      "sigma_j_values_ev": [2e-7], "j0_ev": 1e-6},
+    }
+    runs = []
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        runs.append([name.split("_")[0], "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / f"{name}.out")]
+                    + (["--method", "mc"] if name == "simulate_mc" else []))
+    script = (
+        "import json, sys\n"
+        "from deoq_dyn.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, f'scipy modules loaded: {loaded}'\n"
+    )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, deoq_dyn.cli; assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'"],
+        [sys.executable, "-c", script, json.dumps(runs)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / f"{name}.out").stat().st_size > 0 for name in configs)
 
 
 def test_console_script_entry_point(tmp_path):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.special
 from scipy.integrate import quad as integrate
 
 from deoq_dyn import disorder
@@ -13,7 +15,10 @@ from deoq_dyn.disorder import (
     NumericalError,
     ProbabilityTrace,
     QuadratureSpec,
+    _bluestein_length,
     _czt,
+    _hermgauss,
+    _ndtr,
     _nodes_coupling,
     _nodes_delta_e,
     _reduced_rule,
@@ -477,14 +482,48 @@ def test_czt_keeps_unit_modulus_at_large_size():
     assert np.max(np.abs(np.abs(y) - 1.0)) <= 1e-12
 
 
+def test_bluestein_length_is_scipys_next_fast_len():
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, as pocketfft picks it."""
+    rng = np.random.default_rng(9)
+    sizes = list(range(1, 20_001)) + [int(n) for n in rng.integers(1, 5_000_001, 2000)]
+    assert [n for n in sizes if _bluestein_length(n, 1) != scipy.fft.next_fast_len(n)] == []
+
+
+def test_ndtr_matches_erfc_on_dense_grid():
+    x = np.linspace(-40.0, 40.0, 400_001)
+    ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    got = _ndtr(x)
+    normal = ref > 1e-300
+    assert np.max(np.abs(got[normal] - ref[normal]) / ref[normal]) <= 1e-14
+    assert np.all(got[ref == 0.0] == 0.0)
+    assert np.any(ref == 0.0)
+    # below -10 scipy's ndtr itself drifts from math.erfc, by 3.5e-13 at -36.9
+    near = x >= -10.0
+    sp = scipy.special.ndtr(x[near])
+    assert np.max(np.abs(got[near] - sp) / sp) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 21, 81, 150, 151, 399, 400, 1000])
+def test_hermgauss_matches_scipy_roots_hermite(n):
+    x, w = _hermgauss(n)
+    x_ref, w_ref = scipy.special.roots_hermite(n)
+    assert np.all(np.abs(x - x_ref) <= 1e-12 * np.maximum(1.0, np.abs(x_ref)))
+    normal = w_ref > 1e-300
+    assert np.all(np.abs(w - w_ref)[normal] <= 1e-10 * w_ref[normal])
+    assert abs(w.sum() - math.sqrt(math.pi)) <= 1e-14
+
+
 def test_hermite_and_legendre_delta_e_rules_agree():
+    """Also at 401 Hermite nodes, past the n = 400 where numpy's hermgauss
+    overflows to nan."""
     times = np.linspace(0.0, 30.0, 301)
     noise = NoiseSpec(sigma_e=0.2)
-    qh = QuadratureSpec(n_hermite=81, n_legendre=1, delta_e_rule="hermite")
     ql = QuadratureSpec(n_hermite=81, n_legendre=1, delta_e_rule="legendre")
-    th = disorder_average_quadrature(P, noise, "zero", times, q=qh)
     tl = disorder_average_quadrature(P, noise, "zero", times, q=ql)
-    np.testing.assert_allclose(th.values, tl.values, atol=1e-6)
+    for n in (81, 401):
+        qh = QuadratureSpec(n_hermite=n, n_legendre=1, delta_e_rule="hermite")
+        th = disorder_average_quadrature(P, noise, "zero", times, q=qh)
+        np.testing.assert_allclose(th.values, tl.values, atol=1e-6)
 
 
 def test_magnetic_noise_decays_to_steady_state():

@@ -133,3 +133,14 @@ def test_fit_is_scale_covariant(t2, alpha, p_inf, wobble, log_k, pinned):
     assert scaled.status == base.status == "converged"
     assert scaled.t2_star == pytest.approx(k * base.t2_star, rel=1e-6)
     assert scaled.alpha == pytest.approx(base.alpha, abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=50))
+def test_ndtr_is_a_distribution_function(xs):
+    """Values in [0, 1], monotone in x, and Phi(x) + Phi(-x) = 1."""
+    x = np.sort(np.array(xs))
+    phi = disorder._ndtr(x)
+    assert np.all((phi >= 0.0) & (phi <= 1.0))
+    assert np.all(np.diff(phi) >= 0.0)
+    np.testing.assert_allclose(phi + disorder._ndtr(-x), 1.0, rtol=0, atol=1e-15)
