@@ -102,22 +102,17 @@ def quality_factor(j0_t2_star: float) -> float:
 
 
 def _envelope_points(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(t=0, v0) plus strict local maxima; plateaus contribute midpoints."""
-    pts = [(times[0], values[0])]
-    n = len(values)
-    i = 1
-    while i < n - 1:
-        if values[i] > values[i - 1]:
-            j = i
-            while j + 1 < n and values[j + 1] == values[j]:
-                j += 1
-            if j + 1 < n and values[j + 1] < values[j]:
-                mid = (i + j) // 2
-                pts.append((times[mid], values[mid]))
-            i = j + 1
-        else:
-            i += 1
-    return np.array(pts, dtype=float)
+    """(t=0, v0) plus strict local maxima; plateaus contribute midpoints.
+
+    Runs of equal values that are higher than the runs on both sides are
+    the maxima; a run from ``start`` to the next run's start gives the
+    point at (start + next_start - 1) // 2.
+    """
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    run = values[starts]
+    peak = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])) + 1
+    mid = np.r_[0, (starts[peak] + starts[peak + 1] - 1) // 2]
+    return np.column_stack((times[mid], values[mid]))
 
 
 def extract_upper_envelope(trace: ProbabilityTrace) -> np.ndarray:

@@ -73,7 +73,7 @@ class _Times:
         return np.linspace(0.0, self.t_max, self.n_points)
 
 
-_KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
+_KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
 
 
 def _typed(value, kind: type, name: str):
@@ -83,6 +83,11 @@ def _typed(value, kind: type, name: str):
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _numbers(values, name: str) -> list:
+    """A JSON list of numbers, each entry typed like a float field."""
+    return [_typed(v, float, f"{name} entry") for v in _typed(values, list, name)]
 
 
 def _get(cfg: dict, key: str, default):
@@ -352,6 +357,7 @@ def cmd_sweep(cfg: dict, out_path: str, args=None) -> int:
     params = _read(ExchangeParams, cfg.get("params", {}), "params")
     times = _read(_Times, cfg.get("times", {}), "times")
     quad = _quadrature(cfg)
+    grid_cfg = {key: _numbers(values, f"grid.{key}") for key, values in grid_cfg.items()}
     try:
         grid = SweepGrid(
             **grid_cfg, initial=_initial(cfg), params=params, times=times.grid(), quadrature=quad
@@ -417,9 +423,7 @@ def cmd_materials(cfg: dict, out_path: str, args=None) -> int:
     sj_values = cfg.get("sigma_j_values_ev")
     if sj_values is None:
         sj_values = default_material_sigma_j_ev()
-    elif (not isinstance(sj_values, list) or not sj_values
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0
-                   for v in sj_values)):
+    elif not sj_values or not all(v > 0 for v in _numbers(sj_values, "sigma_j_values_ev")):
         raise ConfigError("sigma_j_values_ev must be a non-empty list of positive numbers")
     sj_values = [float(v) for v in sj_values]
 

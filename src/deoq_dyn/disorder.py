@@ -10,17 +10,19 @@ probability.  Two independent routes compute it:
 * a Monte Carlo estimator with per-point standard errors, used as an oracle.
 
 The probability depends on the couplings and the gradient only through the
-detuning d = j' - (j1 + j2)/2 + delta_e and the gap j1 - j2.  With no
-explicit QuadratureSpec, the quadrature therefore integrates (j1 + j2)/2 and
-delta_e analytically and runs a 2D Gauss-Legendre rule over the gap and the
-detuning under a closed-form extended skew-normal weight
-(``_reduced_rule``); zero widths are limits of that weight.  An explicit
-QuadratureSpec keeps the tensor rule (Gauss-Hermite or pdf-weighted
+detuning d = j' - u, u = (j1 + j2)/2 - delta_e, and the gap j1 - j2.  Each
+quadrature rule is a node set (``_NodeSet``): blocks of (j1, j2, delta_e,
+weight) with the ranges of u and of the gap.  With no explicit
+QuadratureSpec, ``_reduced_nodes`` integrates (j1 + j2)/2 and delta_e
+analytically and runs a 2D Gauss-Legendre rule over the gap and u under a
+closed-form extended skew-normal weight (``_reduced_rule``); zero widths,
+and widths that round away, are limits of that weight.  An explicit
+QuadratureSpec gives ``_tensor_nodes`` (Gauss-Hermite or pdf-weighted
 Gauss-Legendre in delta_e, pdf-weighted Gauss-Legendre per coupling), which
-also serves the tests as the reference for the reduction.  Both node
-producers hand (omega, coef, base) to one evaluator, ``_evaluate``, with a
-band (om_lo, om_max) that ``_band`` derives from their detuning and gap
-ranges and that holds every node frequency.
+also serves the tests as the reference for the reduction.  ``_average``
+turns every node set into (omega, coef, base) blocks for one evaluator,
+``_evaluate``, with a band (om_lo, om_max) that ``_band`` derives from the
+set's ranges and that holds every node frequency.
 
 The evaluator sums either directly (exact up to rounding) or binned: a
 linear-interpolation type-1 NUFFT (Dutt & Rokhlin 1993) that deposits the
@@ -47,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -296,8 +298,7 @@ def sample_noise(rng, spec: NoiseSpec, size: Optional[int] = None):
     numpy Generator or a seed for ``numpy.random.default_rng``.  With
     ``size=None`` returns three floats, otherwise three arrays.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError(f"size must be >= 1, got {size!r}")
@@ -323,13 +324,18 @@ def sample_noise(rng, spec: NoiseSpec, size: Optional[int] = None):
     return j1, j2, delta_e
 
 
-def _check_node_counts(widest: int, total: int) -> None:
-    """Reject a node set too large to build, naming its sizes."""
+def _check_node_counts(*counts: float) -> None:
+    """Reject a node set too large to build, naming its sizes.
+
+    ``counts`` are the nodes per dimension; they may be floats, even inf,
+    so that a count is checked before ``math.ceil`` would overflow on it.
+    """
+    widest, total = max(counts), math.prod(max(n, 1) for n in counts)
     if widest > _MAX_DIM_NODES or total > _MAX_TENSOR_NODES:
         raise ValueError(
-            f"quadrature needs {widest} nodes in one dimension and {total} in the "
-            f"tensor, above the limits of {_MAX_DIM_NODES} and {_MAX_TENSOR_NODES}; "
-            f"reduce the noise widths or the time window"
+            f"quadrature needs {np.ceil(widest):.6g} nodes in one dimension and "
+            f"{np.ceil(total):.6g} in the tensor, above the limits of {_MAX_DIM_NODES} "
+            f"and {_MAX_TENSOR_NODES}; reduce the noise widths or the time window"
         )
 
 
@@ -377,19 +383,18 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _nodes_delta_e(sigma_e: float, q: QuadratureSpec, sign: float) -> tuple[np.ndarray, np.ndarray]:
+def _nodes_delta_e(sigma_e: float, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and unit-mass weights for the delta_e dimension."""
     if sigma_e == 0.0:
         return np.zeros(1), np.ones(1)
     if q.delta_e_rule == "hermite":
         u, wu = _hermgauss(q.n_hermite)
-        return sign * 2.0 * sigma_e * u, wu / math.sqrt(math.pi)
-    std = math.sqrt(2.0) * sigma_e
+        return 2.0 * sigma_e * u, wu / math.sqrt(math.pi)
     x, wx = _leggauss(q.n_hermite)
-    half = q.truncation_width * std
+    half = q.truncation_width * (math.sqrt(2.0) * sigma_e)
     nodes = half * x
     weights = half * wx * pdf_delta_e(nodes, sigma_e)
-    return sign * nodes, weights / weights.sum()
+    return nodes, weights / weights.sum()
 
 
 def _nodes_coupling(j0: float, sigma: float, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -434,20 +439,27 @@ def _band(d_lo: float, d_hi: float, gap_lo: float, gap_hi: float) -> tuple[float
 
 
 def _cheaper_evaluator(n_nodes: int, n_times: int, n_bins: int) -> str:
-    """The evaluator the cost model prices lower; a tie goes to the exact direct sum."""
-    n_fft = _bluestein_length(n_bins + 2, n_times)
+    """The evaluator the cost model prices lower; a tie goes to the exact direct sum.
+
+    Binning costs more than _COST_FFT n_bins, so once that alone reaches the
+    direct cost the transform is not sized (its search grows with n_bins).
+    """
     direct = _COST_DIRECT * n_nodes * n_times
-    binned = _COST_FFT * n_fft * math.log2(n_fft) + _COST_DEPOSIT * n_nodes
-    return "direct" if direct <= binned else "binned"
+    if _COST_FFT * n_bins < direct:
+        n_fft = _bluestein_length(n_bins + 2, n_times)
+        if _COST_FFT * n_fft * math.log2(n_fft) + _COST_DEPOSIT * n_nodes < direct:
+            return "binned"
+    return "direct"
 
 
 def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray,
               evaluator: Optional[str]) -> tuple[np.ndarray, str]:
     """Sum base + sum_k coef_k cos(omega_k t) over chunks of (omega, coef, base).
 
-    Every node producer feeds this one evaluator, with the band
-    (om_lo, om_max) that ``_band`` gives for its node ranges; a frequency
-    outside it is a fault of the producer and raises NumericalError.
+    ``_average`` feeds it every node set, with the band (om_lo, om_max)
+    that ``_band`` gives for the set's ranges; a frequency outside it is a
+    fault of the producer and raises NumericalError.  A phase om_max t_max
+    whose grid count would leave the float range raises ValueError.
 
     The direct sum is exact up to rounding.  The binned evaluator is a
     type-1 NUFFT with linear interpolation (Dutt & Rokhlin 1993): the
@@ -462,7 +474,10 @@ def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray
     """
     om_lo, om_max = band
     n_times = len(times)
-    n_grid = int(2 ** math.ceil(math.log2(max(4096.0, om_max * times[-1] / _BIN_PHASE_STEP))))
+    n_grid = max(4096.0, om_max * times[-1] / _BIN_PHASE_STEP)
+    if not n_grid < 2.0 ** 1023:  # checked before math.ceil, which fails on inf
+        raise ValueError(f"frequencies up to {om_max:.6g} over t_max {times[-1]:.6g} overflow the bin grid")
+    n_grid = 2 ** math.ceil(math.log2(n_grid))
     d_om = om_max / n_grid
     i_lo = int(om_lo / d_om)
     n_bins = n_grid - i_lo
@@ -509,43 +524,45 @@ def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray
     return base + osc, evaluator
 
 
-def _tensor_average(
-    p: ExchangeParams,
-    spec: NoiseSpec,
-    initial: str,
-    times: np.ndarray,
-    q: QuadratureSpec,
-    sign: float,
-    evaluator: Optional[str],
-) -> tuple[np.ndarray, dict]:
-    """Tensor-quadrature average over (j1, j2, delta_e), one j1 slab at a time."""
+@dataclass(frozen=True)
+class _NodeSet:
+    """A quadrature rule as weighted nodes, for ``_average``.
+
+    ``blocks`` yields (j1, j2, delta_e, weight) arrays and keeps no
+    reference to a block once yielded.  u = (j1 + j2)/2 - delta_e lies in
+    ``u_range`` and j1 - j2 in ``gap_range``.  ``normalize`` divides the
+    average by the summed weights, for a rule whose weights do not already
+    have unit mass.  ``meta`` describes the rule, its node count
+    ``meta["n_nodes"]`` included.
+    """
+
+    blocks: Iterator[tuple]
+    u_range: tuple[float, float]
+    gap_range: tuple[float, float]
+    normalize: bool
+    meta: dict
+
+
+def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, scale: int) -> _NodeSet:
+    """Tensor rule over (j1, j2, delta_e), one j1 slab per block, of unit mass.
+
+    ``scale`` multiplies the node counts of ``q``.
+    """
+    q = replace(q, n_hermite=scale * q.n_hermite, n_legendre=scale * q.n_legendre)
     x1, w1 = _nodes_coupling(spec.j01, spec.sigma_j1, q)
     x2, w2 = _nodes_coupling(spec.j02, spec.sigma_j2, q)
-    xe, we = _nodes_delta_e(spec.sigma_e, q, sign)
-    n_nodes = len(x1) * len(x2) * len(xe)
-    band = _band(
-        p.j_prime - 0.5 * (x1.max() + x2.max()) + xe.min(),
-        p.j_prime - 0.5 * (x1.min() + x2.min()) + xe.max(),
-        x1.min() - x2.max(),
-        x1.max() - x2.min(),
-    )
-    grid2, grid_e = np.meshgrid(x2, xe, indexing="ij")
-    grid2 = grid2.ravel()
-    grid_e = grid_e.ravel()
+    xe, we = _nodes_delta_e(spec.sigma_e, q)
+    grid2, grid_e = (g.ravel() for g in np.meshgrid(x2, xe, indexing="ij"))
     w_slab = (w2[:, None] * we[None, :]).ravel()
-    slabs = (_terms(p, initial, w1[i] * w_slab, x1[i], grid2, grid_e) for i in range(len(x1)))
-    values, evaluator = _evaluate(slabs, n_nodes, band, times, evaluator)
-    meta = {
-        "rule": "tensor",
-        "n_delta_e": len(xe),
-        "n_j1": len(x1),
-        "n_j2": len(x2),
-        "n_nodes": n_nodes,
-        "delta_e_rule": q.delta_e_rule if spec.sigma_e > 0 else "collapsed",
-        "evaluator": evaluator,
-        "quadrature_spec": q,
-    }
-    return values, meta
+    return _NodeSet(
+        blocks=((x1[i], grid2, grid_e, w1[i] * w_slab) for i in range(len(x1))),
+        u_range=(0.5 * (x1.min() + x2.min()) - xe.max(), 0.5 * (x1.max() + x2.max()) - xe.min()),
+        gap_range=(x1.min() - x2.max(), x1.max() - x2.min()),
+        normalize=False,
+        meta={"rule": "tensor", "n_delta_e": len(xe), "n_j1": len(x1), "n_j2": len(x2),
+              "n_nodes": len(x1) * len(x2) * len(xe), "quadrature_spec": q,
+              "delta_e_rule": q.delta_e_rule if spec.sigma_e > 0 else "collapsed"},
+    )
 
 
 def _gauss_panels(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -714,25 +731,33 @@ def _reduced_rule(spec: NoiseSpec, t_max: float, scale: int = 1) -> _ReducedRule
     is empty.  One zero sigma_j gives v = 0 and kappa = +-1/2: s is fixed by
     gap, the gap mass has a hard edge on one side only and Phi is 1.  Both
     sigma_j zero leave one gap node at m, and v + v_e = 0 one u node at
-    mu(gap) per gap node.  With at most _MAX_DIM_NODES per count the node
-    set stays far below _MAX_TENSOR_NODES.
+    mu(gap) per gap node.  A span that rounds away at its mean, so that its
+    panels have no length, takes the zero-width limit too: the gap span at m
+    zeroes both coupling variances, and a u span at every mu leaves one u
+    node per gap node.  With at most _MAX_DIM_NODES per count the node set
+    stays far below _MAX_TENSOR_NODES; counts are checked as floats, before
+    ``math.ceil`` could overflow on them.
     """
     base = QuadratureSpec()
     w, per_radian = base.truncation_width, _NODES_PER_RADIAN
-    var1, var2 = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2
+    try:
+        var1, var2, v_e = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2, 2.0 * spec.sigma_e ** 2
+    except OverflowError:  # a width above 1e154, which no node count resolves: the check raises
+        _check_node_counts(math.inf)
+    m = spec.j01 - spec.j02
+    if m - w * math.sqrt(var1 + var2) == m + w * math.sqrt(var1 + var2):  # rounds away at m
+        var1 = var2 = 0.0
     v_gap = var1 + var2
     kappa = (var1 - var2) / (2.0 * v_gap) if v_gap > 0 else 0.0
     v = var1 * var2 / v_gap if v_gap > 0 else 0.0
-    v_e = 2.0 * spec.sigma_e ** 2
     v_u = v + v_e
     span_gap = 2.0 * w * math.sqrt(v_gap)
     span_u = 2.0 * w * math.sqrt(v_u)
-    n_gap = scale * max(base.n_legendre, math.ceil(per_radian * t_max * span_gap * (1.0 + abs(kappa))))
-    n_u = scale * max(base.n_legendre, math.ceil(per_radian * t_max * span_u))
-    n_gap, n_u = (n_gap if v_gap > 0 else 1), (n_u if v_u > 0 else 1)
-    _check_node_counts(max(n_gap, n_u), n_gap * n_u)
+    x_gap, x_u = per_radian * t_max * span_gap * (1.0 + abs(kappa)), per_radian * t_max * span_u
+    _check_node_counts(scale * x_gap, scale * x_u)
+    n_gap = scale * max(base.n_legendre, math.ceil(x_gap)) if v_gap > 0 else 1
+    n_u = scale * max(base.n_legendre, math.ceil(x_u)) if v_u > 0 else 1
 
-    m = spec.j01 - spec.j02
     if v_gap > 0:
         # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to
         # 0 over widths sqrt(v) / (1/2 -+ kappa); kappa = +-1/2 has no g_-+
@@ -761,47 +786,49 @@ def _reduced_rule(spec: NoiseSpec, t_max: float, scale: int = 1) -> _ReducedRule
     lo = np.minimum(np.maximum(mu - 0.5 * span_u, u_k - w * tau), hi)
     edges = np.stack([lo, np.clip(u_k, lo, hi), np.clip(u_k + w * tau, lo, hi), hi], axis=1)
     counts = _panel_counts(np.diff(edges, axis=1).max(axis=0), n_u, span_u)
+    if not any(counts):  # the u span rounds away at every mu: its zero-width limit
+        v_u, n_u = 0.0, 1
     return _ReducedRule(n_gap, n_u, gap, w_gap, mu, u_k, edges, counts, v_u, tau)
 
 
-def _reduced_average(
-    p: ExchangeParams,
-    spec: NoiseSpec,
-    initial: str,
-    times: np.ndarray,
-    scale: int,
-    evaluator: Optional[str],
-) -> tuple[np.ndarray, dict]:
-    """Average over the reduced (gap, u) rule, in blocks of gap nodes."""
-    rule = _reduced_rule(spec, float(times[-1]), scale)
-    # the detuning is d = j' - u
-    band = _band(
-        p.j_prime - float(rule.edges[:, -1].max()),
-        p.j_prime - float(rule.edges[:, 0].min()),
-        float(rule.gap.min()),
-        float(rule.gap.max()),
+def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int) -> _NodeSet:
+    """The 2D rule in blocks of gap nodes; its weights are normalized by their sum."""
+    rule = _reduced_rule(spec, t_max, scale)
+    step = max(1, _BLOCK_NODES // max(1, sum(rule.counts)))
+    return _NodeSet(
+        blocks=(_gap_block(*rule.block(slice(s, s + step))) for s in range(0, len(rule.gap), step)),
+        u_range=(float(rule.edges[:, 0].min()), float(rule.edges[:, -1].max())),
+        gap_range=(float(rule.gap.min()), float(rule.gap.max())),
+        normalize=True,
+        meta={"rule": "reduced-2d", "n_gap": rule.n_gap, "n_u": rule.n_u, "n_nodes": rule.n_nodes},
     )
+
+
+def _gap_block(gap, u, weights) -> tuple:
+    """(j1, j2, delta_e, weight) of (gap, u) nodes.
+
+    j1 = gap/2, j2 = -gap/2 and delta_e = -u give j1 - j2 = gap and
+    (j1 + j2)/2 - delta_e = u, the only combinations the probability sees.
+    """
+    return 0.5 * gap, -0.5 * gap, -u, weights
+
+
+def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray,
+             evaluator: Optional[str]) -> tuple[np.ndarray, dict]:
+    """Average P over a node set: each block's terms go to ``_evaluate``."""
     mass = 0.0
 
-    def blocks():
-        # weights are normalized by their sum after the last block
+    def chunks():
         nonlocal mass
-        step = max(1, _BLOCK_NODES // max(1, sum(rule.counts)))
-        for s in range(0, len(rule.gap), step):
-            gap, u, weights = rule.block(slice(s, s + step))
-            mass += weights.sum()
-            yield _terms(p, initial, weights, 0.5 * gap, -0.5 * gap, -u)
+        for block in nodes.blocks:
+            mass += block[3].sum()
+            # rebinding drops the node arrays before the evaluator sums the terms
+            block = _terms(p, initial, block[3], *block[:3])
+            yield block
 
-    n_nodes = rule.n_nodes
-    values, evaluator = _evaluate(blocks(), n_nodes, band, times, evaluator)
-    meta = {
-        "rule": "reduced-2d",
-        "n_gap": rule.n_gap,
-        "n_u": rule.n_u,
-        "n_nodes": n_nodes,
-        "evaluator": evaluator,
-    }
-    return values / mass, meta
+    band = _band(p.j_prime - nodes.u_range[1], p.j_prime - nodes.u_range[0], *nodes.gap_range)
+    values, evaluator = _evaluate(chunks(), nodes.meta["n_nodes"], band, times, evaluator)
+    return (values / mass if nodes.normalize else values), {**nodes.meta, "evaluator": evaluator}
 
 
 def _clip_probabilities(values: np.ndarray) -> np.ndarray:
@@ -813,16 +840,9 @@ def _clip_probabilities(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def disorder_average_quadrature(
-    p: ExchangeParams,
-    spec: NoiseSpec,
-    initial: str,
-    times,
-    q: Optional[QuadratureSpec] = None,
-    check_convergence: bool = False,
-    _evaluator: Optional[str] = None,
-    _delta_e_sign: float = 1.0,
-) -> ProbabilityTrace:
+def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str, times,
+                                q: Optional[QuadratureSpec] = None, check_convergence: bool = False,
+                                _evaluator: Optional[str] = None) -> ProbabilityTrace:
     """Disorder-averaged return probability by deterministic quadrature.
 
     With q=None the average runs on the exact 2D reduction over the gap
@@ -848,8 +868,6 @@ def disorder_average_quadrature(
     times : uniform ascending grid starting at 0, in hbar/j0
     q : QuadratureSpec, optional
     _evaluator : "direct" or "binned" forces the evaluator (tests)
-    _delta_e_sign : sign of the delta_e nodes of the tensor rule (tests); the
-        2D route integrates delta_e analytically and ignores it
 
     Returns
     -------
@@ -864,34 +882,22 @@ def disorder_average_quadrature(
     if initial not in ("zero", "superposition"):
         raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
     if q is None:
-        def average(scale):
-            return _reduced_average(p, spec, initial, times, scale, _evaluator)
+        nodes = functools.partial(_reduced_nodes, spec, float(times[-1]))
     else:
-        n_de = q.n_hermite if spec.sigma_e > 0 else 1
-        n_j1 = q.n_legendre if spec.sigma_j1 > 0 else 1
-        n_j2 = q.n_legendre if spec.sigma_j2 > 0 else 1
-        _check_node_counts(max(n_de, n_j1, n_j2), n_de * n_j1 * n_j2)
-
-        def average(scale):
-            qs = replace(q, n_hermite=scale * q.n_hermite, n_legendre=scale * q.n_legendre)
-            return _tensor_average(p, spec, initial, times, qs, _delta_e_sign, _evaluator)
-    values, meta = average(1)
+        _check_node_counts(q.n_hermite if spec.sigma_e > 0 else 1,
+                           q.n_legendre if spec.sigma_j1 > 0 else 1,
+                           q.n_legendre if spec.sigma_j2 > 0 else 1)
+        nodes = functools.partial(_tensor_nodes, spec, q)
+    values, meta = _average(nodes(1), p, initial, times, _evaluator)
     if check_convergence:
-        values2, _ = average(2)
+        values2, _ = _average(nodes(2), p, initial, times, _evaluator)
         change = float(np.max(np.abs(values2 - values)))
         meta["doubling_max_change"] = change
         meta["quadrature_converged"] = change <= 1e-5
         if change > 1e-5:
             meta["warning"] = f"doubling nodes moved a point by {change:.3e} (> 1e-5)"
-    return ProbabilityTrace(
-        times=times,
-        values=_clip_probabilities(values),
-        initial=initial,
-        method="quadrature",
-        params=p,
-        noise=spec,
-        metadata=meta,
-    )
+    return ProbabilityTrace(times=times, values=_clip_probabilities(values), initial=initial,
+                            method="quadrature", params=p, noise=spec, metadata=meta)
 
 
 def disorder_average_mc(

@@ -119,7 +119,7 @@ class MaterialPoint:
     fit_status: str
 
 
-def suggested_time_grid(noise: NoiseSpec, params: ExchangeParams = ExchangeParams()) -> np.ndarray:
+def suggested_time_grid(noise: NoiseSpec) -> np.ndarray:
     """Time window matched to the expected dephasing rate of a noise spec.
 
     The oscillation frequency responds to (j1, j2, delta_e) with gradient
@@ -236,7 +236,7 @@ def material_comparison(
                 j01=params.j1,
                 j02=params.j2,
             )
-            times = suggested_time_grid(noise, params)
+            times = suggested_time_grid(noise)
             for initial in initials:
                 trace = disorder_average_quadrature(params, noise, initial, times)
                 t2, _, alpha, status = score(trace)

@@ -143,6 +143,11 @@ def test_invalid_noise_exits_2_and_names_field(tmp_path, capsys):
         ("sweep", {"j0_ev": None}, "j0_ev"),
         ("materials", {"j0_ev": None}, "j0_ev"),
         ("fit", {"simulate": {"noise": {"sigma_j1": None}}}, "noise.sigma_j1"),
+        ("sweep", {"grid": {"sigma_e_values": ["0.2"], "sigma_j_values": [0.1]}}, "grid.sigma_e_values"),
+        ("sweep", {"grid": {"sigma_e_values": [0.2], "sigma_j_values": [True]}}, "grid.sigma_j_values"),
+        ("sweep", {"grid": {"sigma_e_values": [None], "sigma_j_values": [0.1]}}, "grid.sigma_e_values"),
+        ("sweep", {"grid": {"sigma_e_values": "0.2", "sigma_j_values": [0.1]}}, "grid.sigma_e_values"),
+        ("materials", {"sigma_j_values_ev": ["3e-9"]}, "sigma_j_values_ev"),
     ],
 )
 def test_null_number_exits_2_and_names_field(tmp_path, capsys, command, cfg, field):
@@ -380,6 +385,29 @@ def test_materials_rejects_oversized_quadrature(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "materials", cfg)
     assert code == 2
     assert "nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", {"noise": {"sigma_e": 1e-30}}),
+    ("simulate", {"noise": {"sigma_j1": 1e-30, "sigma_j2": 1e-30}}),
+    ("materials", {"presets": [{"name": "a", "sigma_e_floor_ev": 1e-8}],
+                   "sigma_j_values_ev": [1e-30], "both_initial_conditions": False}),
+], ids=["sigma_e", "sigma_j", "materials"])
+def test_sub_resolution_widths_run(tmp_path, command, cfg):
+    """Widths whose spans round away at their means run as zero widths
+    instead of failing to build a node."""
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 0 and out.exists()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"noise": {"sigma_e": 1e200}}, "quadrature needs inf nodes"),
+    ({"params": {"j_prime": 1e308}}, "overflow the bin grid"),
+], ids=["sigma_e", "j_prime"])
+def test_huge_finite_inputs_exit_2(tmp_path, capsys, cfg, message):
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 2 and not out.exists()
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("noise", [{}, {"sigma_e": 0.1, "sigma_j1": 0.1, "sigma_j2": 0.1}])

@@ -192,21 +192,27 @@ def test_quadrature_initial_values():
     assert ts.values.min() >= 0.0 and ts.values.max() <= 1.0
 
 
-def test_quadrature_delta_e_sign_symmetry():
+def test_quadrature_delta_e_sign_symmetry(monkeypatch):
     """The field gradient enters through an even density, so flipping the
-    sign convention of its insertion cannot move the average."""
+    sign of its tensor-rule nodes cannot move the average."""
     times = np.linspace(0.0, 80.0, 401)
     noise = NoiseSpec(sigma_e=0.4, sigma_j1=0.1, sigma_j2=0.1)
+    nodes_delta_e, flips = disorder._nodes_delta_e, []
+
+    def flipped(sigma_e, q):
+        x, w = nodes_delta_e(sigma_e, q)
+        flips.append(len(x))
+        return -x, w
+
     for rule in ("hermite", "legendre"):
         q = QuadratureSpec(n_hermite=61, n_legendre=41, delta_e_rule=rule)
         for initial in ("zero", "superposition"):
-            plus = disorder_average_quadrature(
-                P, noise, initial, times, q=q, _delta_e_sign=1.0
-            )
-            minus = disorder_average_quadrature(
-                P, noise, initial, times, q=q, _delta_e_sign=-1.0
-            )
+            plus = disorder_average_quadrature(P, noise, initial, times, q=q)
+            with monkeypatch.context() as mp:
+                mp.setattr(disorder, "_nodes_delta_e", flipped)
+                minus = disorder_average_quadrature(P, noise, initial, times, q=q)
             np.testing.assert_allclose(plus.values, minus.values, atol=1e-12)
+    assert flips == [61] * 4
 
 
 def test_quadrature_exchange_label_symmetry_zero_init():
@@ -435,11 +441,68 @@ def test_evaluator_choice_follows_cost():
     about 2x faster than binning; sigma_e = 1, sigma_j = 0.5 at t_max 100
     (331,614 nodes x 4,001 times) bins, about 6x faster than the direct sum."""
     narrow = NoiseSpec(sigma_j1=0.003, sigma_j2=0.003)
-    trace = disorder_average_quadrature(P, narrow, "zero", suggested_time_grid(narrow, P))
+    trace = disorder_average_quadrature(P, narrow, "zero", suggested_time_grid(narrow))
     assert trace.metadata["evaluator"] == "direct"
     wide = NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5)
     trace = disorder_average_quadrature(P, wide, "zero", np.linspace(0.0, 100.0, 4001))
     assert trace.metadata["evaluator"] == "binned"
+
+
+def test_cheaper_evaluator_prices_a_huge_band_without_sizing_it(monkeypatch):
+    """Binning costs more than _COST_FFT n_bins, so 1e300 bins are priced
+    direct before the transform is sized (a search that grows with n_bins);
+    on ordinary shapes the shortcut changes no choice."""
+    def full_model(n_nodes, n_times, n_bins):
+        n_fft = _bluestein_length(n_bins + 2, n_times)
+        direct = disorder._COST_DIRECT * n_nodes * n_times
+        binned = disorder._COST_FFT * n_fft * math.log2(n_fft) + disorder._COST_DEPOSIT * n_nodes
+        return "direct" if direct <= binned else "binned"
+
+    shapes = [(n, t, b) for n in (1, 10 ** 3, 10 ** 5, 10 ** 7)
+              for t in (11, 4001, 20001) for b in (10, 10 ** 4, 10 ** 6, 10 ** 8)]
+    assert [disorder._cheaper_evaluator(*s) for s in shapes] == [full_model(*s) for s in shapes]
+
+    def unsized(n, m):
+        raise AssertionError("the transform was sized")
+
+    monkeypatch.setattr(disorder, "_bluestein_length", unsized)
+    assert disorder._cheaper_evaluator(1, 11, 10 ** 300) == "direct"
+
+
+@pytest.mark.parametrize("tiny, zero", [
+    (NoiseSpec(sigma_e=1e-30), NoiseSpec()),
+    (NoiseSpec(sigma_j1=1e-30, sigma_j2=1e-30), NoiseSpec()),
+    (NoiseSpec(sigma_e=0.01, sigma_j1=1e-24, sigma_j2=1e-24), NoiseSpec(sigma_e=0.01)),
+    (NoiseSpec(sigma_j1=0.1, sigma_j2=1e-30), NoiseSpec(sigma_j1=0.1)),
+], ids=["sigma_e", "both-sigma_j", "sigma_j-beside-sigma_e", "one-sigma_j"])
+def test_sub_resolution_width_is_its_zero_width_limit(tiny, zero):
+    """A width whose span rounds away at its mean averages as a zero width
+    (the 2D rule's panels had no length left and it built no nodes)."""
+    times = np.linspace(0.0, 100.0, 401)
+    for initial in ("zero", "superposition"):
+        a = disorder_average_quadrature(P, tiny, initial, times)
+        b = disorder_average_quadrature(P, zero, initial, times)
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("noise, t_max", [
+    (NoiseSpec(sigma_e=1e200), 10.0),
+    (NoiseSpec(sigma_j1=1e200, sigma_j2=0.1), 10.0),
+    (NoiseSpec(sigma_e=1.0), 1e307),
+], ids=["sigma_e", "sigma_j1", "t_max"])
+def test_unresolvable_spans_exceed_the_node_caps(noise, t_max):
+    """Squares and counts past the float range are checked against the caps
+    as floats, not raised as OverflowError."""
+    with pytest.raises(ValueError, match="quadrature needs inf nodes|quadrature needs .*e\\+307"):
+        disorder_average_quadrature(P, noise, "zero", np.linspace(0.0, t_max, 11))
+
+
+def test_unrepresentable_phase_is_invalid_input():
+    """j' = 1e308 puts the node frequencies past the float range; the bin
+    grid is not sized from an infinite count."""
+    with pytest.raises(ValueError, match="overflow the bin grid"):
+        disorder_average_quadrature(ExchangeParams(j_prime=1e308), NoiseSpec(), "zero",
+                                    np.linspace(0.0, 10.0, 11))
 
 
 def test_direct_evaluator_matches_cos_matrix():
@@ -449,7 +512,7 @@ def test_direct_evaluator_matches_cos_matrix():
     q = QuadratureSpec(n_hermite=31, n_legendre=17, delta_e_rule="legendre")
     x1, w1 = _nodes_coupling(noise.j01, noise.sigma_j1, q)
     x2, w2 = _nodes_coupling(noise.j02, noise.sigma_j2, q)
-    xe, we = _nodes_delta_e(noise.sigma_e, q, 1.0)
+    xe, we = _nodes_delta_e(noise.sigma_e, q)
     j1, j2, de = (g.ravel() for g in np.meshgrid(x1, x2, xe, indexing="ij"))
     w = (w1[:, None, None] * w2[None, :, None] * we[None, None, :]).ravel()
     omega, amp_zero, amp_sup = oscillation_terms(P.j_prime, j1, j2, de)

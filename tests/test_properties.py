@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deoq_dyn import disorder  # noqa: E402
-from deoq_dyn.analysis import fit_envelope  # noqa: E402
+from deoq_dyn.analysis import _envelope_points, fit_envelope  # noqa: E402
 from deoq_dyn.disorder import (  # noqa: E402
     NoiseSpec,
     QuadratureSpec,
@@ -100,10 +100,16 @@ def test_band_brackets_every_node_frequency(sigma_e, sigma_j1, sigma_j2, j01, j0
         at_zero = sum(base + coef.sum() for _, coef, base in chunks)
         return np.full(len(times), at_zero), "direct"
 
+    nodes_delta_e = disorder._nodes_delta_e
+
+    def signed(sigma_e, q):
+        x, w = nodes_delta_e(sigma_e, q)
+        return sign * x, w
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(disorder, "_evaluate", record)
-        disorder_average_quadrature(params, noise, "zero", np.linspace(0.0, t_max, 3), q=q,
-                                    _delta_e_sign=sign)
+        mp.setattr(disorder, "_nodes_delta_e", signed)
+        disorder_average_quadrature(params, noise, "zero", np.linspace(0.0, t_max, 3), q=q)
     (om_lo, om_max), omega = bands[0], np.concatenate(omegas)
     assert 0.0 <= om_lo <= omega.min() and omega.max() <= om_max
 
@@ -144,3 +150,38 @@ def test_ndtr_is_a_distribution_function(xs):
     assert np.all((phi >= 0.0) & (phi <= 1.0))
     assert np.all(np.diff(phi) >= 0.0)
     np.testing.assert_allclose(phi + disorder._ndtr(-x), 1.0, rtol=0, atol=1e-15)
+
+
+def envelope_points_loop(times, values):
+    """The envelope rule as a scan: each rise starts a run of equal values,
+    and a run that falls afterwards gives its midpoint."""
+    pts = [(times[0], values[0])]
+    n = len(values)
+    i = 1
+    while i < n - 1:
+        if values[i] > values[i - 1]:
+            j = i
+            while j + 1 < n and values[j + 1] == values[j]:
+                j += 1
+            if j + 1 < n and values[j + 1] < values[j]:
+                mid = (i + j) // 2
+                pts.append((times[mid], values[mid]))
+            i = j + 1
+        else:
+            i += 1
+    return np.array(pts, dtype=float)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    values=st.one_of(
+        st.lists(st.integers(0, 3), min_size=1, max_size=60),  # plateaus and ties
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60),
+    ),
+    negate=st.booleans(),
+)
+def test_envelope_points_match_the_scan(values, negate):
+    """The run-length envelope rule picks the points of the scan it replaced."""
+    v = np.array(values, dtype=float) * (-1.0 if negate else 1.0)
+    t = np.linspace(0.0, 3.0, len(v))
+    np.testing.assert_array_equal(_envelope_points(t, v), envelope_points_loop(t, v))
