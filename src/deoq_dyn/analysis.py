@@ -7,7 +7,8 @@ envelope is collected from the trace's strict local maxima and fitted with
 
 by bounded least squares.  The amplitudes p_infinity and p_start enter
 linearly and are solved in closed form for each (t2_star, alpha), so the fit
-searches those two only: a fixed grid, then one Nelder-Mead polish, with no
+searches those two only: a fixed grid scored from per-column sums, then
+Levenberg-Marquardt steps on the variable-projection residual, with no
 restarts and no start guesses.  T2* comes out in hbar/j0 units;
 ``PhysicalScale`` converts to seconds and ``quality_factor`` maps the
 dimensionless product j0*T2* to Q = exp(-1/(j0 T2*)).
@@ -132,42 +133,44 @@ def extract_upper_envelope(trace: ProbabilityTrace) -> np.ndarray:
     return _envelope_points(trace.times, trace.values)
 
 
-def _amplitudes(t: np.ndarray, v: np.ndarray, log_t2, alpha, fixed_start: Optional[float]):
-    """Best (sse, p_inf, p_start) at each (log t2, alpha) column, in closed form.
+def _ratio(num, den):
+    """num / den where den > 0, and 0 where the points leave an amplitude undetermined."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
-    t and v are the point times and values as (n, 1) columns, t in the unit
-    of t2.  With t2 and alpha fixed, F = p_inf + (p_start - p_inf) e with
-    e = exp(-(t/t2)^alpha) is linear in the amplitudes (variable projection,
-    Golub & Pereyra 1973).  Under 0 <= p_inf <= p_start <= 1 the optimum is
-    the unconstrained least-squares line if it is feasible, and otherwise the
-    best of the edges p_inf = 0, p_start = 1 and p_inf = p_start.  The line
-    is clipped into the constraints, which leaves it unchanged when feasible
-    and no better than the edges when not, so the best of the four is the
-    optimum.  A fixed start leaves only p_inf, clipped to [0, fixed_start].
-    An amplitude the points do not determine (e equal at every point) is 0.
+
+def _amplitudes(e: np.ndarray, v: np.ndarray, fixed_start: Optional[float]):
+    """Best (sse, p_inf, p_start) for each column of e, in closed form.
+
+    e holds exp(-(t/t2)^alpha) at the points, one column per (t2, alpha),
+    and v the point values as an (n, 1) column.  With t2 and alpha fixed,
+    F = p_inf + (p_start - p_inf) e is linear in the amplitudes (variable
+    projection, Golub & Pereyra 1973).  Under 0 <= p_inf <= p_start <= 1 the
+    optimum is the unconstrained least-squares line if it is feasible, and
+    otherwise the best of the edges p_inf = 0, p_start = 1 and
+    p_inf = p_start.  The line is clipped into the constraints, which leaves
+    it unchanged when feasible and no better than the edges when not, so the
+    best of the four is the optimum.  A fixed start leaves only p_inf,
+    clipped to [0, fixed_start].  An amplitude the points do not determine
+    (e equal at every point) is 0.
     """
-    e = np.exp(-((t / np.exp(log_t2)) ** alpha))
-
-    def ratio(num, den):
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
     def pinned(start):  # p_start = start, p_inf clipped to [0, start]
         a = 1.0 - e
-        p_inf = np.clip(ratio(np.sum(a * (v - start * e), 0), np.sum(a * a, 0)), 0.0, start)
+        p_inf = np.clip(_ratio(np.sum(a * (v - start * e), 0), np.sum(a * a, 0)), 0.0, start)
         return p_inf, np.full_like(p_inf, start)
 
     if fixed_start is not None:
         candidates = [pinned(fixed_start)]
     else:
         ec = e - e.mean(0)
-        slope = ratio(np.sum(ec * (v - v.mean()), 0), np.sum(ec * ec, 0))
+        slope = _ratio(np.sum(ec * (v - v.mean()), 0), np.sum(ec * ec, 0))
         line = v.mean() - slope * e.mean(0)
         top = np.clip(line + slope, 0.0, 1.0)
         level = np.full_like(top, np.clip(v.mean(), 0.0, 1.0))
         candidates = [
             (np.minimum(np.clip(line, 0.0, 1.0), top), top),
             pinned(1.0),
-            (np.zeros_like(top), np.clip(ratio(np.sum(e * v, 0), np.sum(e * e, 0)), 0.0, 1.0)),
+            (np.zeros_like(top), np.clip(_ratio(np.sum(e * v, 0), np.sum(e * e, 0)), 0.0, 1.0)),
             (level, level),
         ]
     p_inf, p_start = (np.array(c)[:, None] for c in zip(*candidates))
@@ -176,76 +179,132 @@ def _amplitudes(t: np.ndarray, v: np.ndarray, log_t2, alpha, fixed_start: Option
     return sse[best], p_inf[:, 0][best], p_start[:, 0][best]
 
 
+def _grid_sse(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> np.ndarray:
+    """Profiled SSE at every (alpha, log t2) point of the start grid, from sums.
+
+    u and v are the point times (in units of t_max) and values.  Each alpha
+    row builds e = exp(-(u/t2)^alpha) once, as the one n x 121 array alive,
+    and keeps its column sums S1 = sum e, S2 = sum e^2 and Sew = sum e w,
+    with w = v - mean(v).  The four candidates of ``_amplitudes`` are closed
+    forms in these sums, and candidate (p_inf, p_start) has the SSE
+    n a^2 + 2 a b S1 + b^2 S2 - 2 b Sew + sum w^2, with a = p_inf - mean(v)
+    and b = p_start - p_inf.  The sums cancel where e is nearly constant, so
+    only the grid's argmin depends on them; the polish and every reported
+    number use ``_amplitudes`` on residual arrays.
+    """
+    n, v_mean = len(v), float(np.mean(v))
+    w = v - v_mean
+    s1, s2, sew = (np.empty((len(_ALPHA_GRID), len(_LOG_T2_GRID))) for _ in range(3))
+    for i, alpha in enumerate(_ALPHA_GRID):
+        e = np.multiply.outer(-(u ** alpha), np.exp(-alpha * _LOG_T2_GRID))  # -(u / t2)^alpha
+        np.exp(e, out=e)
+        # einsum, not a BLAS product: with OpenBLAS that touched 2.5 MiB of
+        # library pages and buffers and raised a sweep's peak RSS as much
+        s1[i], sew[i], s2[i] = e.sum(0), np.einsum("i,ij->j", w, e), np.einsum("ij,ij->j", e, e)
+    sev = sew + v_mean * s1
+
+    def pinned(start):  # p_start = start, p_inf clipped to [0, start]
+        return np.clip(_ratio(n * v_mean - sev - start * (s1 - s2), n - 2.0 * s1 + s2), 0.0, start), start
+
+    def sse(p_inf, p_start):
+        a, b = p_inf - v_mean, p_start - p_inf
+        return n * a * a + 2.0 * a * b * s1 + b * b * s2 - 2.0 * b * sew + float(w @ w)
+
+    if fixed_start is not None:
+        return sse(*pinned(fixed_start))
+    slope = _ratio(sew, s2 - s1 * s1 / n)
+    line = v_mean - slope * s1 / n
+    top = np.clip(line + slope, 0.0, 1.0)
+    level = min(max(v_mean, 0.0), 1.0)
+    return np.minimum.reduce([
+        sse(np.minimum(np.clip(line, 0.0, 1.0), top), top),
+        sse(*pinned(1.0)),
+        sse(0.0, np.clip(_ratio(sev, s2), 0.0, 1.0)),
+        np.broadcast_to(sse(level, level), s1.shape),
+    ])
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares x of a x ~ b for an a of few columns, 0 for a column in
+    the span of the ones before it.
+
+    Gram-Schmidt run twice per column gives a = q r (Giraud et al. 2005),
+    then x solves r x = q^T b.  ``np.linalg.lstsq`` would touch LAPACK's
+    SVD code, about 1 MiB more peak RSS for a CLI run.
+    """
+    k = a.shape[1]
+    q, r = np.zeros(a.shape), np.zeros((k, k))
+    for j in range(k):
+        col = a[:, j]
+        for _ in range(2):
+            c = q.T @ col
+            col = col - q @ c
+            r[:, j] += c
+        norm = math.sqrt(col @ col)
+        if norm > 1e-13 * math.sqrt(a[:, j] @ a[:, j]):
+            q[:, j], r[j, j] = col / norm, norm
+    x = q.T @ b
+    for j in reversed(range(k)):
+        x[j] = (x[j] - r[j, j + 1:] @ x[j + 1:]) / r[j, j] if r[j, j] > 0 else 0.0
+    return x
+
+
 @dataclass(frozen=True)
 class Minimum:
-    """Best simplex vertex of a Nelder-Mead run and the objective calls it took."""
+    """Where a polish stopped, its sum of squares, and the residual calls it took."""
 
     x: np.ndarray
     fun: float
     nfev: int
 
 
-def minimize(fun: Callable, x0, xatol: float, fatol: float, maxiter: int) -> Minimum:
-    """Nelder-Mead minimum of fun from x0 (Nelder & Mead 1965).
+def minimize(residual: Callable, x0, lo: np.ndarray, hi: np.ndarray) -> Minimum:
+    """Levenberg-Marquardt minimum of |r(x)|^2 in the box [lo, hi], from x0.
 
-    The arithmetic, vertex order and stopping rule are those of scipy's
-    ``minimize(method="Nelder-Mead")`` with its default simplex and no
-    bounds, so the result is the same to the bit.  The initial simplex
-    scales each coordinate by 1.05 in turn, or sets it to 0.00025 where it
-    is 0; reflection 1, expansion 2, contraction and shrink 1/2.  The run
-    stops once the vertices lie within xatol of the best one and their
-    values within fatol, or after maxiter - 1 steps.
+    ``residual(x)`` returns the residual vector r and a Jacobian of it,
+    (n, k).  Each trial step d minimizes |r + J d|^2 + lam |D d|^2, with D
+    the largest column norms of J seen so far (More 1978), by ``_lstsq``.
+    A coordinate on a bound whose descent direction leaves the
+    box is held there; one that the step takes out of the box stops on its
+    bound, and the others are solved again.  A step that lowers |r|^2 is
+    taken and lam rescaled by its gain ratio (Nielsen 1999); otherwise lam
+    grows by 2, 4, 8, ...  The run stops once a step is under 1e-12 of
+    max |x|, when no coordinate can move, or after 200 residual calls.
     """
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x)
-
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    for _ in range(2):  # scipy sorts twice before its first step; argsort may move ties
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    for _ in range(1, maxiter):
-        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r, jac = residual(x)
+    fun, nfev, lam, grow = float(r @ r), 1, 1e-3, 2.0
+    scale = np.zeros_like(x)
+    while nfev < 200:
+        grad = jac.T @ r
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+        step = np.zeros_like(x)
+        while np.any(free & (scale > 0)):
+            # a coordinate the step takes out of the box stops on its bound,
+            # and the others are solved again with it held there
+            damped = np.vstack([jac[:, free], np.diag(math.sqrt(lam) * scale[free])])
+            rhs = np.r_[r + jac[:, ~free] @ step[~free], np.zeros(np.count_nonzero(free))]
+            step[free] = -_lstsq(damped, rhs)
+            out = free & ((x + step < lo) | (x + step > hi))
+            if not np.any(out):
+                break
+            step[out] = np.clip(x + step, lo, hi)[out] - x[out]
+            free &= ~out
+        if np.max(np.abs(step)) <= 1e-12 * np.max(np.abs(x)):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        shrink = False
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:  # contract outside, toward xr
-            xc = 1.5 * xbar - 0.5 * sim[-1]
-            fxc = f(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:  # contract inside, toward the worst vertex
-            xcc = 0.5 * xbar + 0.5 * sim[-1]
-            fxcc = f(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                fsim[j] = f(sim[j])
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return Minimum(sim[0], float(np.min(fsim)), nfev)
+        trial = np.clip(x + step, lo, hi)
+        predicted = fun - float(np.sum((r + jac @ step) ** 2))
+        r_trial, jac_trial = residual(trial)
+        nfev += 1
+        fun_trial = float(r_trial @ r_trial)
+        if fun_trial < fun:
+            gain = (fun - fun_trial) / predicted if predicted > 0 else 1.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            x, r, jac, fun, grow = trial, r_trial, jac_trial, fun_trial, 2.0
+        else:
+            lam, grow = lam * grow, grow * 2.0
+    return Minimum(x, fun, nfev)
 
 
 def fit_envelope(
@@ -260,11 +319,14 @@ def fit_envelope(
     under 0 <= p_infinity <= p_start <= 1, t2_star in [1e-9, 10] t_max and
     alpha in [0.5, 4].  For fixed (t2_star, alpha) the amplitudes have a
     closed form (``_amplitudes``), so the search runs over
-    (log(t2_star / t_max), alpha) only: the profiled SSE on a 121 x 36 grid
-    spanning the whole box, then one Nelder-Mead polish from the grid's best
-    point, with the parameters clipped to the box inside the objective.
-    The result is deterministic, and scaling the times and t_max scales
-    t2_star alike.
+    (log(t2_star / t_max), alpha) only.  The profiled SSE on a 121 x 36 grid
+    spanning the whole box (``_grid_sse``, from column sums) picks the
+    start.  From there ``minimize`` takes box-projected Levenberg-Marquardt
+    steps on the residual of the best amplitudes, with Kaufman's Jacobian:
+    the derivative of F with the amplitudes held fixed, less its projection
+    on the amplitudes that are free of their constraints (Kaufman 1975;
+    Golub & Pereyra 2003).  The result is deterministic, and scaling the
+    times and t_max scales t2_star alike.
 
     Parameters
     ----------
@@ -301,18 +363,32 @@ def fit_envelope(
         raise ValueError(f"t_max must be finite with 1e-9 t_max > 0 in floating point, got {t_max!r}")
 
     # in units of t_max the search is the same for every time scale
-    u, v = te[:, None] / t_max, ve[:, None]
-    grid = np.array([_amplitudes(u, v, _LOG_T2_GRID, a, fixed_start)[0] for a in _ALPHA_GRID])
+    u, v = te / t_max, ve
+    grid = _grid_sse(u, v, fixed_start)
     i, k = np.unravel_index(np.argmin(grid), grid.shape)
+    log_u = np.log(u, out=np.zeros_like(u), where=u > 0)
 
-    def profiled(x):  # [sse, p_inf, p_start] at x clipped into the box
-        log_t2, alpha = np.clip(x, _BOX_LO, _BOX_HI)
-        return [float(c[0]) for c in _amplitudes(u, v, np.array([log_t2]), alpha, fixed_start)]
+    def profiled(log_t2, alpha):  # sse, p_inf, p_start, e and (u / t2)^alpha at one point
+        z = (u / np.exp(log_t2)) ** alpha
+        e = np.exp(-z)
+        sse, p_inf, p_start = (float(c[0]) for c in _amplitudes(e[:, None], v[:, None], fixed_start))
+        return sse, p_inf, p_start, e, z
 
-    res = minimize(lambda x: profiled(x)[0], [_LOG_T2_GRID[k], _ALPHA_GRID[i]],
-                   xatol=1e-10, fatol=1e-14, maxiter=4000)
-    log_t2, alpha = np.clip(res.x, _BOX_LO, _BOX_HI)
-    sse, p_inf, p_start = profiled(res.x)
+    def residual(x):  # F - v and its Kaufman Jacobian in (log t2, alpha)
+        _, p_inf, p_start, e, z = profiled(*x)
+        # dF/dx with the amplitudes held, less its projection on the
+        # amplitudes not held at a bound (p_inf = 0, p_start = 1 or fixed)
+        de = (p_start - p_inf) * e[:, None] * np.column_stack([x[1] * z, -z * (log_u - x[0])])
+        free = ([] if p_inf == 0.0 else [1.0 - e]) + (
+            [] if fixed_start is not None or p_start == 1.0 else [e])
+        if free:
+            basis = np.column_stack(free)
+            de -= basis @ _lstsq(basis, de)
+        return p_inf + (p_start - p_inf) * e - v, de
+
+    res = minimize(residual, [_LOG_T2_GRID[k], _ALPHA_GRID[i]], _BOX_LO, _BOX_HI)
+    log_t2, alpha = res.x
+    sse, p_inf, p_start, _, _ = profiled(log_t2, alpha)
     t2 = t_max * float(np.exp(log_t2))
     if (p_start - p_inf) < _NO_DECAY_AMPLITUDE or t2 > 5.0 * t_max:
         return EnvelopeFit(p_inf, p_start, math.inf, float(alpha), sse, "no-decay")

@@ -59,6 +59,11 @@ from .qubit import ExchangeParams, oscillation_terms
 # error is bounded by (step)^2/6 ~ 1e-6 of the summed |coef|
 _BIN_PHASE_STEP = 2.4e-3
 
+# largest phase omega t: a double rounds a phase phi to within 2^-52 phi, so
+# past 1e-6 * 2^52 (4.5e9 rad) the phase error alone reaches the 1e-6
+# tolerance of _clip_probabilities
+_MAX_PHASE = 1e-6 * 2.0 ** 52
+
 # evaluator cost model, in seconds, fitted on a 2-core x86-64 host (numpy
 # 2.4.6 on OpenBLAS) over the three benchmark workloads and the default sweep
 # and material grids: direct costs _COST_DIRECT per node-time product;
@@ -421,13 +426,26 @@ def _terms(p: ExchangeParams, initial: str, weights, j1, j2, delta_e) -> tuple[n
     return omega, -0.25 * weights * amp_sup, float(0.5 * weights.sum() + 0.25 * (weights * amp_sup).sum())
 
 
+def _check_phase(om_max: float, t_max: float) -> None:
+    """Reject phases om_max t_max whose rounding alone exceeds 1e-6 rad."""
+    if not om_max * t_max <= _MAX_PHASE:  # NaN fails too
+        raise ValueError(
+            f"phases up to {om_max * t_max:.6g} rad (frequency {om_max:.6g} over t_max "
+            f"{t_max:.6g}) exceed the bound om_max t_max <= 1e-6 * 2^52 = {_MAX_PHASE:.6g} rad, "
+            f"past which rounding moves a phase by more than 1e-6 rad; shorten the time window"
+        )
+
+
 def _band(d_lo: float, d_hi: float, gap_lo: float, gap_hi: float) -> tuple[float, float]:
     """(om_lo, om_max) bracketing omega over detunings and gaps in these ranges.
 
     omega = sqrt(d^2 + 0.75 gap^2) grows with |d| and |gap|, so its extremes
     over the box lie at the corners or, where a range straddles 0, on that
-    axis; the bracket is widened by 1% and 1e-9 on either side.
+    axis; the bracket is widened by 1% and 1e-9 on either side.  The bounds
+    are taken as Python floats, whose squares overflow to inf silently.
     """
+    d_lo, d_hi, gap_lo, gap_hi = float(d_lo), float(d_hi), float(gap_lo), float(gap_hi)
+
     def nearest(lo, hi):  # smallest |x| over [lo, hi]
         return 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
 
@@ -459,7 +477,8 @@ def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray
     ``_average`` feeds it every node set, with the band (om_lo, om_max)
     that ``_band`` gives for the set's ranges; a frequency outside it is a
     fault of the producer and raises NumericalError.  A phase om_max t_max
-    whose grid count would leave the float range raises ValueError.
+    whose grid count would leave the float range, or whose rounding would
+    exceed 1e-6 rad (``_check_phase``), raises ValueError.
 
     The direct sum is exact up to rounding.  The binned evaluator is a
     type-1 NUFFT with linear interpolation (Dutt & Rokhlin 1993): the
@@ -477,6 +496,7 @@ def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray
     n_grid = max(4096.0, om_max * times[-1] / _BIN_PHASE_STEP)
     if not n_grid < 2.0 ** 1023:  # checked before math.ceil, which fails on inf
         raise ValueError(f"frequencies up to {om_max:.6g} over t_max {times[-1]:.6g} overflow the bin grid")
+    _check_phase(om_max, float(times[-1]))
     n_grid = 2 ** math.ceil(math.log2(n_grid))
     d_om = om_max / n_grid
     i_lo = int(om_lo / d_om)
@@ -933,6 +953,7 @@ def disorder_average_mc(
     rng = np.random.default_rng(seed)
     j1, j2, delta_e = sample_noise(rng, spec, size=n_samples)
     omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, j1, j2, delta_e)
+    _check_phase(float(omega.max()), float(times[-1]))
     if initial == "zero":
         p0, amp = 1.0, -amp_zero
     else:

@@ -1,10 +1,11 @@
 """Envelope extraction and stretched-exponential fitting."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from deoq_dyn import analysis
 from deoq_dyn.analysis import (
@@ -14,7 +15,6 @@ from deoq_dyn.analysis import (
     extract_upper_envelope,
     fit_envelope,
     fit_trace,
-    minimize,
     quality_factor,
     to_physical_time,
 )
@@ -167,37 +167,33 @@ def test_fit_follows_narrow_valley_to_alpha_bound():
     assert fit.t2_star == pytest.approx(2.5877139, rel=1e-6)
 
 
-def assert_same_as_scipy(fun, x0, **options):
-    ours = minimize(fun, x0, **options)
-    ref = scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
-    assert np.array_equal(ours.x, ref.x)
-    assert ours.fun == ref.fun
-    assert ours.nfev == ref.nfev
+FIT_REGRESSION = json.loads((Path(__file__).parent / "fit_regression.json").read_text())["fits"]
 
 
-@pytest.mark.parametrize("x0, maxiter", [
-    ([-1.2, 1.0], 4000),
-    ([2.0, -0.5], 4000),
-    ([0.3, 0.7, 1.9], 4000),
-    ([0.0, 1.5], 4000),  # a zero coordinate starts the simplex at 0.00025
-    ([-1.2, 1.0], 25),  # cut off by maxiter
-])
-def test_nelder_mead_is_scipys_on_rosenbrock(x0, maxiter):
-    assert_same_as_scipy(scipy.optimize.rosen, x0, xatol=1e-10, fatol=1e-14, maxiter=maxiter)
+@pytest.mark.parametrize("case", FIT_REGRESSION, ids=[c["name"] for c in FIT_REGRESSION])
+def test_fit_matches_recorded_optimum(case):
+    """The benchmark's 21 fits (seed 1) and the narrow valley, each against
+    the status, T2* and SSE recorded when the polish was Nelder-Mead.
 
-
-def test_nelder_mead_is_scipys_on_fit_objective(monkeypatch):
-    """The polish of the narrow-valley fit, replayed through scipy."""
-    calls = []
-
-    def spy(fun, x0, **options):
-        calls.append((fun, x0, options))
-        return minimize(fun, x0, **options)
-
-    monkeypatch.setattr(analysis, "minimize", spy)
-    fit_envelope(NARROW_VALLEY, fixed_start=1.0, t_max=200.0)
-    [(fun, x0, options)] = calls
-    assert_same_as_scipy(fun, x0, **options)
+    On fits whose residuals are about 1e-5 of the values, rounding alone
+    moves the computed SSE by parts in 1e12 from one point to the next, and
+    the recorded SSE is the least of the many evaluations Nelder-Mead made.
+    So the SSE may exceed it by a first-order bound on the rounding of its
+    evaluation, 4 eps sum |r_i| (|v_i| + 1) <= 4 eps |r| |(|v| + 1)|, with
+    |r|^2 the recorded SSE.  A T2* further than 1e-8 from the
+    recorded one is accepted only with a lower SSE: there the recorded
+    polish stopped short of the optimum (sweep-heavy/3 stopped at
+    alpha = 3.99999814, short of the bound alpha = 4).
+    """
+    points = np.array(case["points"])
+    fit = fit_envelope(points, fixed_start=case["fixed_start"], t_max=case["t_max"])
+    assert fit.status == case["status"]
+    rounding = 4 * np.finfo(float).eps * math.sqrt(case["sse"] * np.sum((np.abs(points[:, 1]) + 1) ** 2))
+    assert fit.sse <= case["sse"] * (1 + 1e-12) + rounding
+    if case["t2_star"] is None:
+        assert fit.t2_star == math.inf
+    elif fit.sse >= case["sse"]:
+        assert fit.t2_star == pytest.approx(case["t2_star"], rel=1e-8)
 
 
 def test_fit_idempotence():

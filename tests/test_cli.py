@@ -410,6 +410,16 @@ def test_huge_finite_inputs_exit_2(tmp_path, capsys, cfg, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+def test_phase_past_double_precision_exits_2(tmp_path, capsys, method):
+    """At t_max 1e300 a double keeps no digit of the phase: both methods
+    exit 2 naming the bound instead of writing cos of rounding noise."""
+    cfg = {"method": method, "times": {"t_max": 1e300, "n_points": 5}, "n_samples": 10, "seed": 1}
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 2 and not out.exists()
+    assert "om_max t_max <= 1e-6 * 2^52" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("noise", [{}, {"sigma_e": 0.1, "sigma_j1": 0.1, "sigma_j2": 0.1}])
 def test_internal_numerical_failure_exits_4(tmp_path, monkeypatch, capsys, noise):
     """An average outside [0, 1] is a fault of the method, not invalid input."""

@@ -505,6 +505,30 @@ def test_unrepresentable_phase_is_invalid_input():
                                     np.linspace(0.0, 10.0, 11))
 
 
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+def test_phase_bound_separates_resolvable_windows(method):
+    """Phases up to 1e-6 * 2^52 rad (4.5e9) run; omega ~ 1 over t_max 1e10
+    is past the bound, where rounding alone moves a phase by over 1e-6 rad."""
+    def average(t_max):
+        times = np.linspace(0.0, t_max, 5)
+        if method == "mc":
+            return disorder_average_mc(P, NoiseSpec(), "zero", times, 10, 1)
+        return disorder_average_quadrature(P, NoiseSpec(), "zero", times)
+
+    assert average(1e9).values[0] == 1.0
+    with pytest.raises(ValueError, match=r"om_max t_max <= 1e-6 \* 2\^52"):
+        average(1e10)
+
+
+def test_band_of_huge_widths_raises_no_overflow_warning():
+    """sigma_e 1e200 on an explicit tensor rule: the band squares its bounds
+    as Python floats, so the run exits on the band alone, with no numpy
+    overflow warning (which the test configuration turns into an error)."""
+    with pytest.raises(ValueError, match="frequencies up to inf"):
+        disorder_average_quadrature(P, NoiseSpec(sigma_e=1e200), "zero", np.linspace(0.0, 10.0, 11),
+                                    q=QuadratureSpec())
+
+
 def test_direct_evaluator_matches_cos_matrix():
     """The blocked two-GEMM direct sum equals coef @ cos(outer(omega, t))."""
     times = np.linspace(0.0, 80.0, 203)  # 15 blocks of 14, the last one ragged

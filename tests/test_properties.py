@@ -185,3 +185,34 @@ def test_envelope_points_match_the_scan(values, negate):
     v = np.array(values, dtype=float) * (-1.0 if negate else 1.0)
     t = np.linspace(0.0, 3.0, len(v))
     np.testing.assert_array_equal(_envelope_points(t, v), envelope_points_loop(t, v))
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    sigma_e=width(0.005, 2.0),
+    sigma_j1=width(0.01, 1.0),
+    sigma_j2=width(0.01, 1.0),
+    j01=st.floats(0.0, 2.0),
+    j02=st.floats(0.0, 2.0),
+    initial=st.sampled_from(["zero", "superposition"]),
+)
+def test_averaged_trace_stays_in_unit_interval(sigma_e, sigma_j1, sigma_j2, j01, j02, initial):
+    """Before clipping, the average over any drawn noise stays within the
+    1e-6 of [0, 1] that the clip forgives, so no spec raises NumericalError,
+    and the trace it returns lies in [0, 1]."""
+    raw = []
+    clip = disorder._clip_probabilities
+
+    def spy(values):
+        raw.append(values.copy())
+        return clip(values)
+
+    disorder._clip_probabilities = spy
+    try:
+        trace = disorder_average_quadrature(P, NoiseSpec(sigma_e, sigma_j1, sigma_j2, j01, j02),
+                                            initial, np.linspace(0.0, 60.0, 241))
+    finally:
+        disorder._clip_probabilities = clip
+    [values] = raw
+    assert -1e-6 <= values.min() and values.max() <= 1.0 + 1e-6
+    assert 0.0 <= trace.values.min() and trace.values.max() <= 1.0
