@@ -426,7 +426,8 @@ def fit_trace(trace: ProbabilityTrace) -> EnvelopeFit:
     env = extract_upper_envelope(trace)
     if len(env) >= 2 and env[0, 1] < env[1, 1]:
         env = env[1:]
-    tail_mean = float(np.mean(values[int(np.ceil(0.9 * len(values))):]))
+    # the last tenth of the samples, and at least the last one
+    tail_mean = float(np.mean(values[min(int(np.ceil(0.9 * len(values))), len(values) - 1):]))
     amp0 = max(abs(values[0] - tail_mean), float(values.max() - values.min()))
 
     def informative(pts):

@@ -7,9 +7,15 @@ config that produced it (a trailing ``# config=...`` line in CSV, a
 the file alone.  Exit codes: 0 success, 2 invalid input, 3 I/O failure,
 4 internal numerical failure.
 
-Config blocks are read straight into the package's dataclasses by one
-reader, ``_read``, and the echo is built from those same objects, so the
-config that runs a command and the config it writes cannot drift apart.
+Config model: each command has one frozen dataclass, ``SimulateConfig``,
+``FitConfig``, ``SweepConfig`` or ``MaterialsConfig``, whose fields are the
+command's keys with their defaults; its nested blocks are the package's own
+dataclasses.  One reader, ``_read``, builds it from the JSON object by the
+field annotations, the command runs from the object it read, and the echo
+is ``asdict`` of that object with None entries left out, so the config that
+runs a command and the config it writes cannot drift apart.  ``--method``,
+``--seed`` and ``--samples`` override the keys of the simulate config that
+runs (the top-level one, or ``fit``'s inline ``simulate`` block).
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass
-from typing import Optional
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,6 +42,8 @@ from .disorder import (
 from .qubit import ExchangeParams
 from .sweep import (
     DEFAULT_J0_EV,
+    DEFAULT_SIGMA_E_VALUES,
+    DEFAULT_SIGMA_J_VALUES,
     MaterialPreset,
     SweepGrid,
     default_material_presets,
@@ -49,11 +57,72 @@ TRACE_HEADER = "t,t_seconds,p,p_stderr"
 SWEEP_HEADER = "sigma_e,sigma_j,j0_t2_star,t2_star_seconds,q,alpha,status"
 MATERIALS_HEADER = "material,sigma_j_ev,initial_condition,t2_star_seconds"
 
-_DEFAULT_N_SAMPLES = 100000
+_Initial = Literal["zero", "superposition"]
 
 
 class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 2)."""
+
+
+_KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if it is a JSON value of ``kind`` (ints widen to float); null never is."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _value(value, kind, name: str):
+    """``value`` read as the annotation ``kind``."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X]; _read has already dropped a null
+        return _value(value, args[0], name)
+    if origin is Literal:
+        if value not in args:
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, args))}, got {value!r}")
+        return value
+    if origin is list:
+        return [_value(v, args[0], f"{name}[{k}]") for k, v in enumerate(_typed(value, list, name))]
+    return _read(kind, value, name) if is_dataclass(kind) else _typed(value, kind, name)
+
+
+def _read(cls, d, context: str):
+    """Build the dataclass ``cls`` from the JSON object ``d``.
+
+    Keys must be field names, and each value must fit its field's
+    annotation: a nested dataclass reads from an object, ``list[X]`` from a
+    list of X, ``Literal[...]`` from one of its values, and ``Optional[X]``
+    also from null, which stands for the field's default.  Missing keys take
+    the defaults and the dataclass validates the values.  A class with a
+    ``resolved`` method gets the object back to fill defaults that depend
+    on other keys.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    kinds = get_type_hints(cls)
+    for key in d:
+        if key not in kinds:
+            raise ConfigError(f"unknown key {key!r} in {context}")
+    values = {k: _value(v, kinds[k], f"{context}.{k}") for k, v in d.items()
+              if v is not None or type(None) not in get_args(kinds[k])}
+    missing = [f.name for f in fields(cls)
+               if f.name not in values and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{context} needs {', '.join(missing)}")
+    try:
+        obj = cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+    return obj.resolved(d) if hasattr(obj, "resolved") else obj
+
+
+def _echo(cfg) -> dict:
+    """The config that ran: ``asdict`` of it, None entries left out."""
+    return asdict(cfg, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
 @dataclass(frozen=True)
@@ -73,87 +142,101 @@ class _Times:
         return np.linspace(0.0, self.t_max, self.n_points)
 
 
-_KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
+@dataclass(frozen=True)
+class SimulateConfig:
+    """The ``simulate`` config.
 
-
-def _typed(value, kind: type, name: str):
-    """``value`` if it is a JSON value of ``kind`` (ints widen to float); null never is."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _numbers(values, name: str) -> list:
-    """A JSON list of numbers, each entry typed like a float field."""
-    return [_typed(v, float, f"{name} entry") for v in _typed(values, list, name)]
-
-
-def _get(cfg: dict, key: str, default):
-    """Top-level ``key``, typed like ``default``, or ``default`` when absent."""
-    return _typed(cfg[key], type(default), f"config.{key}") if key in cfg else default
-
-
-def _require_keys(d, allowed, context: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {context}")
-
-
-def _read(cls, d, context: str, **defaults):
-    """Build dataclass ``cls`` from the JSON object ``d``.
-
-    Keys must be field names; each value must have the type of the field's
-    default.  Missing keys take ``defaults``, then the field defaults, and
-    the dataclass itself validates the values.
+    ``seed`` and ``n_samples`` are Monte Carlo keys: a quadrature run takes
+    them unread and drops them.  ``j0_ev``, when given, fills the t_seconds
+    column.
     """
-    kinds = {f.name: type(f.default) for f in fields(cls)}
-    _require_keys(d, kinds, context)
-    values = {**defaults, **{k: _typed(v, kinds[k], f"{context}.{k}") for k, v in d.items()}}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+
+    command: Optional[Literal["simulate"]] = "simulate"
+    method: Literal["quadrature", "mc"] = "quadrature"
+    params: ExchangeParams = ExchangeParams()
+    noise: NoiseSpec = NoiseSpec()
+    initial: _Initial = "zero"
+    times: _Times = _Times()
+    check_convergence: bool = False
+    quadrature: Optional[QuadratureSpec] = None
+    seed: int = 0
+    n_samples: int = 100000
+    j0_ev: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.method == "quadrature":
+            object.__setattr__(self, "seed", None)
+            object.__setattr__(self, "n_samples", None)
+        elif self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples!r}")
+        if self.j0_ev is not None:
+            PhysicalScale(self.j0_ev)  # validates it
+
+    def resolved(self, d: dict) -> SimulateConfig:
+        """Noise means the config ``d`` leaves out are the couplings params.j1, params.j2."""
+        given = d.get("noise", {})
+        means = {k: getattr(self.params, j) for k, j in (("j01", "j1"), ("j02", "j2")) if k not in given}
+        return replace(self, noise=replace(self.noise, **means))
 
 
-def _quadrature(cfg: dict) -> Optional[QuadratureSpec]:
-    """The optional ``quadrature`` block; absent or null sizes nodes adaptively."""
-    d = cfg.get("quadrature")
-    return None if d is None else _read(QuadratureSpec, d, "quadrature")
+@dataclass(frozen=True)
+class FitConfig:
+    """The ``fit`` config: exactly one of ``trace_file`` and an inline ``simulate``.
+
+    ``initial`` (trace files only) and ``j0_ev`` default to those of the
+    simulate config, for a trace file the one embedded in it.
+    """
+
+    command: Optional[Literal["fit"]] = "fit"
+    trace_file: Optional[str] = None
+    simulate: Optional[SimulateConfig] = None
+    initial: Optional[_Initial] = None
+    j0_ev: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if (self.trace_file is None) == (self.simulate is None):
+            raise ValueError("provide exactly one of trace_file or simulate")
+        if self.simulate is not None and self.initial is not None:
+            raise ValueError("initial belongs inside simulate")
 
 
-def _initial(cfg: dict, default: str = "zero") -> str:
-    initial = cfg.get("initial", default)
-    if initial not in ("zero", "superposition"):
-        raise ConfigError(f"initial must be 'zero' or 'superposition', got {initial!r}")
-    return initial
+@dataclass(frozen=True)
+class _Grid:
+    """The sweep's ``grid`` block."""
+
+    sigma_e_values: list[float] = DEFAULT_SIGMA_E_VALUES
+    sigma_j_values: list[float] = DEFAULT_SIGMA_J_VALUES
 
 
-def _j0_ev(cfg: dict, default: Optional[float], nullable: bool = False) -> Optional[float]:
-    """Top-level ``j0_ev`` in eV; where ``nullable``, null or no value at all means none."""
-    j0_ev = cfg.get("j0_ev", default)
-    if j0_ev is None and nullable:
-        return None
-    j0_ev = _typed(j0_ev, float, "config.j0_ev")
-    if not (math.isfinite(j0_ev) and j0_ev > 0):
-        raise ConfigError(f"j0_ev must be finite and > 0, got {j0_ev!r}")
-    return j0_ev
+@dataclass(frozen=True)
+class SweepConfig:
+    """The ``sweep`` config."""
+
+    command: Optional[Literal["sweep"]] = "sweep"
+    grid: _Grid = _Grid()
+    params: ExchangeParams = ExchangeParams()
+    initial: _Initial = "zero"
+    times: _Times = _Times()
+    quadrature: Optional[QuadratureSpec] = None
+    j0_ev: float = DEFAULT_J0_EV
 
 
-def _check_config(cfg: dict, allowed: tuple, command: str) -> None:
-    """Top-level keys must be ``allowed``; a declared command must be ``command``."""
-    _require_keys(cfg, allowed, "config")
-    declared = cfg.get("command")
-    if declared is not None and declared != command:
-        raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
+@dataclass(frozen=True)
+class MaterialsConfig:
+    """The ``materials`` config; null presets or widths mean the defaults."""
 
+    command: Optional[Literal["materials"]] = "materials"
+    presets: Optional[list[MaterialPreset]] = default_material_presets()
+    sigma_j_values_ev: Optional[list[float]] = tuple(map(float, default_material_sigma_j_ev()))
+    j0_ev: float = DEFAULT_J0_EV
+    both_initial_conditions: bool = True
+    params: ExchangeParams = ExchangeParams()
 
-def _echo(**entries) -> dict:
-    """Resolved config: dataclasses become their fields, None entries are left out."""
-    return {k: asdict(v) if is_dataclass(v) else v for k, v in entries.items() if v is not None}
+    def __post_init__(self) -> None:
+        if not self.presets:
+            raise ValueError("presets must be a non-empty list")
+        if not (self.sigma_j_values_ev and all(v > 0 for v in self.sigma_j_values_ev)):
+            raise ValueError("sigma_j_values_ev must be a non-empty list of positive numbers")
 
 
 def _fmt(x) -> str:
@@ -168,9 +251,8 @@ def _fmt(x) -> str:
 
 
 def _json_value(x):
-    if x is None or not math.isfinite(x):
-        return None
-    return x
+    """``x`` for JSON, a non-finite float as null."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -186,95 +268,63 @@ def _write_atomic(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _write_csv(path: str, lines: list, echo: dict) -> None:
-    lines.append("# config=" + json.dumps(echo, sort_keys=True, separators=(",", ":")))
+def _write_csv(path: str, lines: list, cfg) -> None:
+    lines.append("# config=" + json.dumps(_echo(cfg), sort_keys=True, separators=(",", ":")))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- simulate
 
 
-_SIMULATE_KEYS = (
-    "command", "params", "noise", "initial", "times", "quadrature",
-    "method", "seed", "n_samples", "j0_ev", "check_convergence",
-)
-
-
-def _simulate(cfg: dict, args) -> tuple[dict, ProbabilityTrace]:
-    """Validate a simulate config, run it, and return (echo, trace)."""
-    _check_config(cfg, _SIMULATE_KEYS, "simulate")
-    method = cfg.get("method", "quadrature")
-    if args is not None and args.method is not None:
-        method = args.method
-    if method not in ("quadrature", "mc"):
-        raise ConfigError(f"method must be 'quadrature' or 'mc', got {method!r}")
-    params = _read(ExchangeParams, cfg.get("params", {}), "params")
-    noise = _read(NoiseSpec, cfg.get("noise", {}), "noise", j01=params.j1, j02=params.j2)
-    quad = _quadrature(cfg)
-    times = _read(_Times, cfg.get("times", {}), "times")
-    check = _get(cfg, "check_convergence", False)
-    initial = _initial(cfg)
-    seed = n_samples = None
-    if method == "mc":
-        seed = _get(cfg, "seed", 0)
-        if args is not None and args.seed is not None:
-            seed = args.seed
-        n_samples = _get(cfg, "n_samples", _DEFAULT_N_SAMPLES)
-        if args is not None and args.samples is not None:
-            n_samples = args.samples
-        if n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {n_samples!r}")
-    j0_ev = _j0_ev(cfg, None, nullable=True)
-    echo = _echo(
-        command="simulate", method=method, params=params, noise=noise, initial=initial,
-        times=times, check_convergence=check, quadrature=quad, seed=seed,
-        n_samples=n_samples, j0_ev=j0_ev,
+def _simulate(cfg: SimulateConfig) -> ProbabilityTrace:
+    """Run a simulate config's average; a convergence warning goes to stderr."""
+    times = cfg.times.grid()
+    if cfg.method == "mc":
+        return disorder_average_mc(cfg.params, cfg.noise, cfg.initial, times, cfg.n_samples, cfg.seed)
+    trace = disorder_average_quadrature(
+        cfg.params, cfg.noise, cfg.initial, times, q=cfg.quadrature,
+        check_convergence=cfg.check_convergence,
     )
-    if method == "mc":
-        trace = disorder_average_mc(params, noise, initial, times.grid(), n_samples, seed)
-    else:
-        trace = disorder_average_quadrature(
-            params, noise, initial, times.grid(), q=quad, check_convergence=check
-        )
-        if "warning" in trace.metadata:
-            print(f"deoq-dyn: warning: {trace.metadata['warning']}", file=sys.stderr)
-    return echo, trace
+    if "warning" in trace.metadata:
+        print(f"deoq-dyn: warning: {trace.metadata['warning']}", file=sys.stderr)
+    return trace
 
 
-def cmd_simulate(cfg: dict, out_path: str, args=None) -> int:
+def cmd_simulate(cfg: dict, out_path: str) -> int:
     """Write a disorder-averaged trace as CSV."""
-    echo, trace = _simulate(cfg, args)
-    j0_ev = echo.get("j0_ev")
-    scale = PhysicalScale(j0_ev) if j0_ev is not None else None
+    cfg = _read(SimulateConfig, cfg, "config")
+    trace = _simulate(cfg)
+    scale = PhysicalScale(cfg.j0_ev) if cfg.j0_ev is not None else None
     errs = trace.mc_std_errors
     lines = [TRACE_HEADER]
     for k, t in enumerate(trace.times):
         t_s = _fmt(t * scale.time_unit_s) if scale is not None else ""
         err = _fmt(errs[k]) if errs is not None else ""
         lines.append(f"{_fmt(t)},{t_s},{_fmt(trace.values[k])},{err}")
-    _write_csv(out_path, lines, echo)
+    _write_csv(out_path, lines, cfg)
     return 0
 
 
 # --------------------------------------------------------------------- fit
 
 
-_FIT_KEYS = ("command", "trace_file", "simulate", "initial", "j0_ev")
-
-
 def _read_trace_csv(path: str):
+    """The rows (t, p, p_stderr or None) of a trace file and its embedded config."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != TRACE_HEADER:
         raise ConfigError(f"trace file must start with header {TRACE_HEADER!r}")
-    echo = None
+    config = {}
     rows = []
     for ln in lines[1:]:
         if not ln:
             continue
         if ln.startswith("#"):
             if ln.startswith("# config="):
-                echo = json.loads(ln[len("# config="):])
+                try:
+                    config = json.loads(ln[len("# config="):])
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"trace file config is not valid JSON: {exc}") from exc
             continue
         parts = ln.split(",")
         if len(parts) != 4:
@@ -288,57 +338,40 @@ def _read_trace_csv(path: str):
         rows.append((t, p, err))
     if not rows:
         raise ConfigError("trace file contains no data rows")
-    return rows, echo
+    return rows, config
 
 
-def cmd_fit(cfg: dict, out_path: str, args=None) -> int:
+def cmd_fit(cfg: dict, out_path: str) -> int:
     """Fit the upper envelope of a trace (from file or inline simulate)."""
-    _check_config(cfg, _FIT_KEYS, "fit")
-    has_file = "trace_file" in cfg
-    has_inline = "simulate" in cfg
-    if has_file == has_inline:
-        raise ConfigError("config must provide exactly one of trace_file or simulate")
-
-    if has_inline:
-        sim_echo, trace = _simulate(cfg["simulate"], args)
-        j0_ev = _j0_ev(cfg, sim_echo.get("j0_ev"), nullable=True)
-        echo = {"command": "fit", "simulate": sim_echo}
+    cfg = _read(FitConfig, cfg, "config")
+    if cfg.simulate is not None:
+        sim, trace = cfg.simulate, _simulate(cfg.simulate)
     else:
-        path = cfg["trace_file"]
-        if not isinstance(path, str):
-            raise ConfigError(f"trace_file must be a string path, got {path!r}")
-        rows, file_echo = _read_trace_csv(path)
-        times = np.array([r[0] for r in rows])
-        values = np.array([r[1] for r in rows])
+        rows, file_cfg = _read_trace_csv(cfg.trace_file)
+        sim = _read(SimulateConfig, file_cfg, "trace file config")
+        cfg = replace(cfg, initial=cfg.initial or sim.initial)
         errs = [r[2] for r in rows]
-        mc_errs = np.array(errs, dtype=float) if all(e is not None for e in errs) else None
-        file_echo = file_echo or {}
-        initial = _initial(cfg, file_echo.get("initial", "zero"))
-        j0_ev = _j0_ev(cfg, file_echo.get("j0_ev"), nullable=True)
-        params = _read(ExchangeParams, file_echo.get("params", {}), "params")
-        noise = _read(NoiseSpec, file_echo.get("noise", {}), "noise", j01=params.j1, j02=params.j2)
         try:
             trace = ProbabilityTrace(
-                times=times, values=values, initial=initial,
-                method=file_echo.get("method", "file"), params=params, noise=noise,
-                mc_std_errors=mc_errs,
+                times=np.array([r[0] for r in rows]), values=np.array([r[1] for r in rows]),
+                initial=cfg.initial, method="file", params=sim.params, noise=sim.noise,
+                mc_std_errors=np.array(errs, dtype=float) if None not in errs else None,
             )
         except ValueError as exc:
             raise ConfigError(f"trace file: {exc}") from exc
-        echo = {"command": "fit", "trace_file": path, "initial": initial}
-    if j0_ev is not None:
-        echo["j0_ev"] = j0_ev
+    if cfg.j0_ev is None:
+        cfg = replace(cfg, j0_ev=sim.j0_ev)
+    unit_s = PhysicalScale(cfg.j0_ev).time_unit_s if cfg.j0_ev is not None else None
 
     fit = fit_trace(trace)
-    out = {k: _json_value(getattr(fit, k)) for k in ("p_infinity", "p_start", "t2_star", "alpha", "sse")}
-    out["status"] = fit.status
+    out = {k: _json_value(v) for k, v in asdict(fit).items()}
     out["q"] = None if fit.status == "insufficient-peaks" else _json_value(quality_factor(fit.t2_star))
     out["t2_star_seconds"] = None
-    if j0_ev is not None and math.isfinite(fit.t2_star):
-        out["t2_star_seconds"] = _json_value(fit.t2_star * PhysicalScale(j0_ev).time_unit_s)
+    if unit_s is not None and math.isfinite(fit.t2_star):
+        out["t2_star_seconds"] = _json_value(fit.t2_star * unit_s)
     if fit.status == "insufficient-peaks":
         out["n_envelope_points"] = len(extract_upper_envelope(trace))
-    report = {"schema_version": SCHEMA_VERSION, "config": echo, "fit": out}
+    report = {"schema_version": SCHEMA_VERSION, "config": _echo(cfg), "fit": out}
     _write_atomic(out_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -346,32 +379,14 @@ def cmd_fit(cfg: dict, out_path: str, args=None) -> int:
 # ------------------------------------------------------------------- sweep
 
 
-_SWEEP_KEYS = ("command", "grid", "params", "initial", "times", "quadrature", "j0_ev")
-
-
-def cmd_sweep(cfg: dict, out_path: str, args=None) -> int:
+def cmd_sweep(cfg: dict, out_path: str) -> int:
     """Run a (sigma_e, sigma_j) grid and write the T2*/Q map as CSV."""
-    _check_config(cfg, _SWEEP_KEYS, "sweep")
-    grid_cfg = cfg.get("grid", {})
-    _require_keys(grid_cfg, ("sigma_e_values", "sigma_j_values"), "grid")
-    params = _read(ExchangeParams, cfg.get("params", {}), "params")
-    times = _read(_Times, cfg.get("times", {}), "times")
-    quad = _quadrature(cfg)
-    grid_cfg = {key: _numbers(values, f"grid.{key}") for key, values in grid_cfg.items()}
-    try:
-        grid = SweepGrid(
-            **grid_cfg, initial=_initial(cfg), params=params, times=times.grid(), quadrature=quad
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    j0_ev = _j0_ev(cfg, DEFAULT_J0_EV)
-    echo = _echo(
-        command="sweep",
-        grid={"sigma_e_values": list(grid.sigma_e_values),
-              "sigma_j_values": list(grid.sigma_j_values)},
-        params=params, initial=grid.initial, times=times, j0_ev=j0_ev, quadrature=quad,
+    cfg = _read(SweepConfig, cfg, "config")
+    grid = SweepGrid(
+        cfg.grid.sigma_e_values, cfg.grid.sigma_j_values, cfg.initial, cfg.params,
+        cfg.times.grid(), cfg.quadrature,
     )
-    unit_s = PhysicalScale(j0_ev).time_unit_s
+    unit_s = PhysicalScale(cfg.j0_ev).time_unit_s
     lines = [SWEEP_HEADER]
     for c in run_sweep(grid):
         # inf and nan (no decay, failed fit) carry through the product unchanged
@@ -379,70 +394,27 @@ def cmd_sweep(cfg: dict, out_path: str, args=None) -> int:
             f"{_fmt(c.sigma_e)},{_fmt(c.sigma_j)},{_fmt(c.j0_t2_star)},"
             f"{_fmt(c.j0_t2_star * unit_s)},{_fmt(c.q)},{_fmt(c.alpha)},{c.fit_status}"
         )
-    _write_csv(out_path, lines, echo)
+    _write_csv(out_path, lines, cfg)
     return 0
 
 
 # --------------------------------------------------------------- materials
 
 
-_MATERIALS_KEYS = (
-    "command", "presets", "sigma_j_values_ev", "j0_ev", "both_initial_conditions", "params",
-)
-
-
-def _presets(cfg: dict) -> tuple:
-    entries = cfg.get("presets")
-    if entries is None:
-        return default_material_presets()
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("presets must be a non-empty list")
-    presets = []
-    for entry in entries:
-        _require_keys(entry, ("name", "sigma_e_floor_ev"), "presets entry")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"preset name must be a non-empty string, got {name!r}")
-        if entry.get("sigma_e_floor_ev") is None:
-            raise ConfigError(f"preset {name!r} needs sigma_e_floor_ev")
-        floor = _typed(entry["sigma_e_floor_ev"], float, "presets entry.sigma_e_floor_ev")
-        try:
-            presets.append(MaterialPreset(name, floor))
-        except ValueError as exc:
-            raise ConfigError(f"preset {name!r}: {exc}") from exc
-    return tuple(presets)
-
-
-def cmd_materials(cfg: dict, out_path: str, args=None) -> int:
+def cmd_materials(cfg: dict, out_path: str) -> int:
     """Compare material presets across charge-noise widths; write CSV."""
-    _check_config(cfg, _MATERIALS_KEYS, "materials")
-    params = _read(ExchangeParams, cfg.get("params", {}), "params")
-    j0_ev = _j0_ev(cfg, DEFAULT_J0_EV)
-    both = _get(cfg, "both_initial_conditions", True)
-    presets = _presets(cfg)
-    sj_values = cfg.get("sigma_j_values_ev")
-    if sj_values is None:
-        sj_values = default_material_sigma_j_ev()
-    elif not sj_values or not all(v > 0 for v in _numbers(sj_values, "sigma_j_values_ev")):
-        raise ConfigError("sigma_j_values_ev must be a non-empty list of positive numbers")
-    sj_values = [float(v) for v in sj_values]
-
+    cfg = _read(MaterialsConfig, cfg, "config")
     rows = material_comparison(
-        presets=presets,
-        sigma_j_values_ev=sj_values,
-        j0_ev=j0_ev,
-        both_initial_conditions=both,
-        params=params,
-    )
-    echo = _echo(
-        command="materials",
-        presets=[{"name": p.name, "sigma_e_floor_ev": p.sigma_e_floor} for p in presets],
-        sigma_j_values_ev=sj_values, j0_ev=j0_ev, both_initial_conditions=both, params=params,
+        presets=cfg.presets,
+        sigma_j_values_ev=cfg.sigma_j_values_ev,
+        j0_ev=cfg.j0_ev,
+        both_initial_conditions=cfg.both_initial_conditions,
+        params=cfg.params,
     )
     lines = [MATERIALS_HEADER]
     for r in rows:
         lines.append(f"{r.material},{_fmt(r.sigma_j_ev)},{r.initial_condition},{_fmt(r.t2_star_seconds)}")
-    _write_csv(out_path, lines, echo)
+    _write_csv(out_path, lines, cfg)
     return 0
 
 
@@ -476,11 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command in ("sweep", "materials") and (
-        args.seed is not None or args.method is not None or args.samples is not None
-    ):
-        print(f"deoq-dyn {args.command}: --seed/--method/--samples do not apply", file=sys.stderr)
-        return 2
+    flags = {k: v for k, v in (("method", args.method), ("seed", args.seed), ("n_samples", args.samples))
+             if v is not None}
     try:
         with open(args.config) as fh:
             raw = fh.read()
@@ -495,8 +464,23 @@ def main(argv=None) -> int:
     if not isinstance(cfg, dict):
         print("deoq-dyn: config must be a JSON object", file=sys.stderr)
         return 2
+    if cfg.get("command") not in (None, args.command):
+        print(f"deoq-dyn: config declares command {cfg['command']!r} but {args.command!r} was invoked",
+              file=sys.stderr)
+        return 2
+    # the flags override keys of the simulate config that runs, and apply to no
+    # other; a quadrature run leaves its Monte Carlo keys unread
+    sim = cfg if args.command == "simulate" else cfg.get("simulate") if args.command == "fit" else None
+    if flags and not isinstance(sim, dict):
+        print(f"deoq-dyn {args.command}: --seed/--method/--samples do not apply", file=sys.stderr)
+        return 2
+    if isinstance(sim, dict):
+        sim.update(flags)
+        if sim.get("method", "quadrature") == "quadrature":
+            for key in ("seed", "n_samples"):
+                sim.pop(key, None)
     try:
-        return _COMMANDS[args.command](cfg, args.out, args)
+        return _COMMANDS[args.command](cfg, args.out)
     except ValueError as exc:
         print(f"deoq-dyn: {exc}", file=sys.stderr)
         return 2

@@ -99,11 +99,13 @@ class MaterialPreset:
     """A host material, reduced to its magnetic-noise floor in eV."""
 
     name: str
-    sigma_e_floor: float
+    sigma_e_floor_ev: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_e_floor) and self.sigma_e_floor >= 0):
-            raise ValueError(f"sigma_e_floor must be finite and >= 0, got {self.sigma_e_floor!r}")
+        if not self.name:
+            raise ValueError("preset name must be a non-empty string")
+        if not (math.isfinite(self.sigma_e_floor_ev) and self.sigma_e_floor_ev >= 0):
+            raise ValueError(f"sigma_e_floor_ev must be finite and >= 0, got {self.sigma_e_floor_ev!r}")
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ def material_comparison(
     initials = ("zero", "superposition") if both_initial_conditions else ("zero",)
     rows: list[MaterialPoint] = []
     for preset in presets:
-        sigma_e = preset.sigma_e_floor / j0_ev
+        sigma_e = preset.sigma_e_floor_ev / j0_ev
         for sj_ev in sigma_j_values_ev:
             sigma_j = float(sj_ev) / j0_ev
             noise = NoiseSpec(

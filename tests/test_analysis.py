@@ -320,3 +320,14 @@ def test_fit_trace_fast_decay_stays_bounded():
     fit = fit_trace(trace)
     assert fit.status == "converged"
     assert 0.5 < fit.t2_star < 10.0
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_fit_trace_of_few_samples_has_a_tail(n):
+    """The tail level averages the last tenth of the samples and at least the
+    last one: 3 and 5-9 samples used to average an empty slice, which warned
+    and handed nan points to the fit."""
+    times = np.linspace(0.0, 10.0, n)
+    fit = fit_trace(make_trace(times, 0.5 + 0.5 * np.exp(-times / 5.0) * np.cos(2.0 * times)))
+    assert fit.status in ("converged", "insufficient-peaks")
+    assert fit.status == "insufficient-peaks" or 0.0 <= fit.p_infinity <= fit.p_start <= 1.0

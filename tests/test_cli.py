@@ -304,6 +304,55 @@ def test_fit_requires_exactly_one_source(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "trace file config must be a JSON object"),
+    ("{", "trace file config is not valid JSON"),
+    ('{"noise": {"sigma_e": -1}}', "trace file config.noise: sigma_e must be finite"),
+], ids=["list", "json", "noise"])
+def test_fit_rejects_invalid_trace_config(tmp_path, capsys, line, message):
+    """The embedded config is read as a simulate config; a list there used to
+    end in an AttributeError traceback."""
+    trace_path = tmp_path / "bad.csv"
+    trace_path.write_text(f"{TRACE_HEADER}\n0,,1,\n1,,0.5,\n2,,0.8,\n# config={line}\n")
+    code, _ = run_cli(tmp_path, "fit", {"trace_file": str(trace_path)})
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fit_rejects_initial_beside_inline_simulate(tmp_path, capsys):
+    """A top-level initial was neither applied to the inline run nor echoed."""
+    cfg = {"simulate": {"times": {"t_max": 20.0, "n_points": 81}}, "initial": "superposition"}
+    code, out = run_cli(tmp_path, "fit", cfg)
+    assert code == 2 and not out.exists()
+    assert "initial belongs inside simulate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [("--seed", "3"), ("--method", "mc"), ("--samples", "50")])
+def test_fit_of_trace_file_rejects_simulate_flags(tmp_path, capsys, flag):
+    """The flags act on a simulate run; a fit of a trace file used to ignore them."""
+    code, trace_path = run_cli(tmp_path, "simulate", {"times": {"t_max": 20.0, "n_points": 81}}, name="trace")
+    assert code == 0
+    code, out = run_cli(tmp_path, "fit", {"trace_file": str(trace_path)}, extra=flag, name="fit")
+    assert code == 2 and not out.exists()
+    assert "--seed/--method/--samples do not apply" in capsys.readouterr().err
+
+
+def test_fit_of_trace_file_takes_initial_and_j0_ev_from_its_config(tmp_path):
+    """null j0_ev means absent: the trace file's own j0_ev fills the seconds,
+    and the echo, run again, writes the same report."""
+    sim = {"initial": "superposition", "noise": {"sigma_e": 0.2, "sigma_j1": 0.1, "sigma_j2": 0.1},
+           "times": {"t_max": 60.0, "n_points": 1201}, "j0_ev": 2e-6}
+    code, trace_path = run_cli(tmp_path, "simulate", sim, name="trace")
+    assert code == 0
+    code, first = run_cli(tmp_path, "fit", {"trace_file": str(trace_path), "j0_ev": None}, name="first")
+    assert code == 0
+    report = json.loads(first.read_text())
+    assert report["config"]["initial"] == "superposition" and report["config"]["j0_ev"] == 2e-6
+    assert report["fit"]["t2_star_seconds"] == pytest.approx(report["fit"]["t2_star"] * 3.2910597845e-10)
+    code, second = run_cli(tmp_path, "fit", report["config"], name="second")
+    assert code == 0 and second.read_bytes() == first.read_bytes()
+
+
 def test_sweep_single_noiseless_cell(tmp_path):
     cfg = {
         "grid": {"sigma_e_values": [0.0], "sigma_j_values": [0.0]},
@@ -474,6 +523,17 @@ def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, command, cfg,
     assert code == exit_code
     assert out.read_text() == "earlier output\n"
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
+
+
+@pytest.mark.parametrize("preset, message", [
+    ({"name": "x"}, "config.presets[0] needs sigma_e_floor_ev"),
+    ({"sigma_e_floor_ev": 0.0}, "config.presets[0] needs name"),
+    ({"name": "", "sigma_e_floor_ev": 0.0}, "preset name must be a non-empty string"),
+], ids=["floor", "name", "empty-name"])
+def test_materials_preset_needs_name_and_floor(tmp_path, capsys, preset, message):
+    code, _ = run_cli(tmp_path, "materials", {"presets": [preset], "sigma_j_values_ev": [1e-7]})
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_materials_rejects_bad_preset(tmp_path, capsys):

@@ -1,4 +1,6 @@
-"""Property tests over random noise (hypothesis)."""
+"""Property tests over random noise and CLI configs (hypothesis)."""
+
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deoq_dyn import disorder  # noqa: E402
 from deoq_dyn.analysis import _envelope_points, fit_envelope  # noqa: E402
+from deoq_dyn.cli import main  # noqa: E402
 from deoq_dyn.disorder import (  # noqa: E402
     NoiseSpec,
     QuadratureSpec,
@@ -216,3 +219,91 @@ def test_averaged_trace_stays_in_unit_interval(sigma_e, sigma_j1, sigma_j2, j01,
     [values] = raw
     assert -1e-6 <= values.min() and values.max() <= 1.0 + 1e-6
     assert 0.0 <= trace.values.min() and trace.values.max() <= 1.0
+
+
+# --------------------------------------------------------- CLI echo round trip
+
+
+def num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def block(required=None, **optional):
+    """A JSON object whose ``optional`` keys are each drawn or left out."""
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+def maybe_null(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+PARAMS = block(j_prime=num(0.0, 1.0), j1=num(0.2, 1.0), j2=num(1.0, 2.0), ez=num(5.0, 15.0))
+TIMES_BLOCK = block({"t_max": num(2.0, 30.0), "n_points": st.integers(11, 201)})
+QUADRATURE = maybe_null(block(
+    {"n_hermite": st.integers(3, 15), "n_legendre": st.integers(3, 15)},
+    truncation_width=num(3.0, 6.0), delta_e_rule=st.sampled_from(["hermite", "legendre"]),
+))
+INITIAL = st.sampled_from(["zero", "superposition"])
+J0_EV = num(1e-7, 1e-5)
+# n_samples is always given so that a Monte Carlo run stays small; a
+# quadrature run takes it and drops it
+SIMULATE = block(
+    {"times": TIMES_BLOCK, "n_samples": st.integers(1, 200)},
+    command=maybe_null(st.just("simulate")),
+    method=st.sampled_from(["quadrature", "mc"]),
+    params=PARAMS,
+    noise=block(sigma_e=width(0.005, 0.5), sigma_j1=width(0.005, 0.3), sigma_j2=width(0.005, 0.3),
+                j01=num(0.2, 1.0), j02=num(1.0, 2.0)),
+    initial=INITIAL,
+    check_convergence=st.booleans(),
+    quadrature=QUADRATURE,
+    seed=st.integers(0, 2**31),
+    j0_ev=maybe_null(J0_EV),
+)
+FLAGS = block(**{"--seed": st.integers(0, 99), "--method": st.sampled_from(["quadrature", "mc"]),
+                 "--samples": st.integers(1, 200)})
+FIT = block({"simulate": SIMULATE}, command=maybe_null(st.just("fit")), j0_ev=maybe_null(J0_EV))
+SWEEP = block(
+    {"grid": block({
+        "sigma_e_values": st.lists(width(0.005, 0.5), min_size=1, max_size=2, unique=True).map(sorted),
+        "sigma_j_values": st.lists(width(0.005, 0.3), min_size=1, max_size=1),
+    }), "times": TIMES_BLOCK},
+    command=maybe_null(st.just("sweep")), params=PARAMS, initial=INITIAL, quadrature=QUADRATURE,
+    j0_ev=J0_EV,
+)
+# presets and widths are always given: null or absent means the 120 default points
+MATERIALS = block(
+    {"presets": st.lists(block({"name": st.text("abcSiGa", min_size=1, max_size=4),
+                                 "sigma_e_floor_ev": num(0.0, 1e-7)}), min_size=1, max_size=1),
+     "sigma_j_values_ev": st.lists(num(1e-7, 5e-7), min_size=1, max_size=1)},
+    command=maybe_null(st.just("materials")), j0_ev=num(1e-6, 2e-6),
+    both_initial_conditions=st.booleans(), params=block(j1=num(0.3, 0.7), j2=num(1.2, 1.8)),
+)
+CASES = st.one_of(
+    st.tuples(st.just("simulate"), SIMULATE, FLAGS),
+    st.tuples(st.just("fit"), FIT, FLAGS),
+    st.tuples(st.just("sweep"), SWEEP, st.just({})),
+    st.tuples(st.just("materials"), MATERIALS, st.just({})),
+)
+
+
+def run_cli(work, command, cfg, flags, name):
+    cfg_path, out = work / f"{name}.json", work / f"{name}.out"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv + [str(v) for item in flags.items() for v in item]) == 0
+    return out
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(case=CASES)
+def test_cli_echo_reproduces_the_output(tmp_path_factory, case):
+    """Every output embeds the config that ran; running that config, with no
+    flags, writes the same bytes.  Drawn keys are present, absent or, where
+    null is allowed, null."""
+    command, cfg, flags = case
+    work = tmp_path_factory.mktemp(command)
+    first = run_cli(work, command, cfg, flags, "first")
+    text = first.read_text()
+    echo = json.loads(text)["config"] if command == "fit" else json.loads(text.rsplit("# config=", 1)[1])
+    assert run_cli(work, command, echo, {}, "second").read_bytes() == first.read_bytes()

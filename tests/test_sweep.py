@@ -133,7 +133,7 @@ def test_grid_validation():
 def test_material_defaults():
     presets = default_material_presets()
     assert [p.name for p in presets] == ["28Si", "Si", "GaAs"]
-    assert [p.sigma_e_floor for p in presets] == [0.0, 3e-9, 1e-7]
+    assert [p.sigma_e_floor_ev for p in presets] == [0.0, 3e-9, 1e-7]
     sj = default_material_sigma_j_ev()
     assert len(sj) == 20
     assert sj[0] == pytest.approx(0.003e-6, rel=1e-12)
