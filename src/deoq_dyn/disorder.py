@@ -24,19 +24,19 @@ turns every node set into (omega, coef, base) blocks for one evaluator,
 ``_evaluate``, with a band (om_lo, om_max) that ``_band`` derives from the
 set's ranges and that holds every node frequency.
 
-The evaluator sums either directly (exact up to rounding) or binned: a
-linear-interpolation type-1 NUFFT (Dutt & Rokhlin 1993) that deposits the
-coefficients on the bins of a frequency grid that the band occupies, sums
-them by a Bluestein chirp-z transform relative to the band's first bin and
-shifts the result back by that bin's frequency, with an error of at most
-(_BIN_PHASE_STEP^2 / 6) sum |coef|.  A cost model fitted to the two paths
-picks the cheaper one per average; a tie goes to the direct sum.
+The evaluator is a type-1 NUFFT by Gaussian gridding at oversampling 2
+(Dutt & Rokhlin 1993; Greengard & Lee 2004): each coefficient is spread in
+real arithmetic onto the 2 _SPREAD nearest bins of a frequency grid that
+covers the band, one chirp-z transform sums the bins at the grid times,
+and the result is shifted back by the first bin's frequency and divided by
+the Gaussian's transform.  Its error is at most _NUFFT_ERROR sum |coef|
+(2.1e-11 at 12 bins a side).  Every average takes this one path; there is
+no cost model and no second evaluator.
 
-The direct quadrature sum and the Monte Carlo average use that the grid is
-uniform and starts at 0: writing t = (b R + r) dt with R = isqrt(n_times),
-cos(omega t) and sin(omega t / 2) follow by angle addition from
-O(sqrt(n_times)) trigonometric evaluations per node or sample instead of
-n_times of them.
+The Monte Carlo average uses that the grid is uniform and starts at 0:
+writing t = (b R + r) dt with R = isqrt(n_times), sin(omega t / 2) follows
+by angle addition from O(sqrt(n_times)) trigonometric evaluations per
+sample instead of n_times of them.
 
 Because the integrand oscillates as cos(omega(x) t), the node count a
 dimension needs grows linearly with the phase span t_max * d(omega)/dx *
@@ -55,26 +55,34 @@ import numpy as np
 
 from .qubit import ExchangeParams, oscillation_terms
 
-# phase step per frequency bin of the binned evaluator; the linear-deposit
-# error is bounded by (step)^2/6 ~ 1e-6 of the summed |coef|
-_BIN_PHASE_STEP = 2.4e-3
-
 # largest phase omega t: a double rounds a phase phi to within 2^-52 phi, so
 # past 1e-6 * 2^52 (4.5e9 rad) the phase error alone reaches the 1e-6
 # tolerance of _clip_probabilities
 _MAX_PHASE = 1e-6 * 2.0 ** 52
 
-# evaluator cost model, in seconds, fitted on a 2-core x86-64 host (numpy
-# 2.4.6 on OpenBLAS) over the three benchmark workloads and the default sweep
-# and material grids: direct costs _COST_DIRECT per node-time product;
-# binned costs _COST_FFT per n_fft log2(n_fft) of its Bluestein transform
-# plus _COST_DEPOSIT per node
-_COST_DIRECT = 9.6e-10
-_COST_FFT = 2.7e-8
-_COST_DEPOSIT = 1.8e-7
+# margin of the band, relative to |j'| + max|u| + max|gap|: a node frequency
+# rounds away from the band's formula by a few 2^-52 of those operands
+_BAND_MARGIN = 1e-9
 
-# node-time products per block of the direct sum, to bound its memory
-_DIRECT_BLOCK = 2 ** 22
+# the evaluator's type-1 NUFFT spreads each coefficient onto its 2 m nearest
+# bins with the Gaussian exp(-a x^2) of x bins, a = pi / (sqrt(2) m); at
+# oversampling 2 its truncation and its aliasing both fall as exp(-a m^2)
+_SPREAD = 12
+_GAUSS_A = math.pi / (math.sqrt(2.0) * _SPREAD)
+
+# the evaluator's error bound per unit of sum |coef| (2.1e-11 at m = 12): the
+# aliased Gaussian, exp(-a m^2), plus the tails past the 2 m bins, at most
+# exp(-a m^2) (1 + exp(-a (2 m + 1))) / (1 - exp(-2 a m)) per node, divided
+# by the Gaussian's transform, at least sqrt(pi / a) exp(-a m^2 / 8) on the window
+_NUFFT_ERROR = math.exp(-_GAUSS_A * _SPREAD ** 2) * (
+    1.0 + math.sqrt(_GAUSS_A / math.pi) * math.exp(_GAUSS_A * _SPREAD ** 2 / 8.0)
+    * (1.0 + math.exp(-_GAUSS_A * (2 * _SPREAD + 1))) / (1.0 - math.exp(-2.0 * _GAUSS_A * _SPREAD))
+)
+
+# frequency bins of the evaluator: its chirp-z transform holds a few complex
+# arrays of twice this length; the default sweep grid and material presets
+# need at most 1,335
+_MAX_BINS = 2 ** 22
 
 # node-count ceilings: per dimension about 4x what the default sweep grid and
 # material presets size on the 2D rule (at most 1,225 nodes in one dimension
@@ -230,39 +238,23 @@ def _grid_blocks(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(r) * dt, (np.arange(-(-n // r)) * r) * dt
 
 
-def _czt(x: np.ndarray, m: int, theta: float) -> np.ndarray:
-    """Chirp-z transform X_j = sum_k x_k exp(-i theta j k), j < m (Bluestein 1968).
+def _czt(x: np.ndarray, m: int, period: int) -> np.ndarray:
+    """Chirp-z transform X_j = sum_k x_k exp(-2 pi i j k / period), j < m (Bluestein 1968).
 
-    The chirp exp(-i theta k^2 / 2) is taken from its real phase, so its
-    modulus is 1 to rounding at every length; a power of the complex
-    exp(-i theta) drifts from 1 in proportion to k^2.
+    The chirp exp(-i pi k^2 / period) is taken from its real phase, reduced
+    exactly as the integer k^2 mod 2 period, so it is rounded once, below
+    2 pi, at every length; the phase pi k^2 / period itself, or a power of
+    exp(-2 pi i / period), drifts in proportion to k^2.  The convolution runs
+    on the least power of two >= n + m - 1.
     """
     n = len(x)
-    chirp = -0.5j * theta * np.arange(max(m, n)) ** 2
+    k = np.arange(max(m, n))
+    chirp = (-1j * math.pi / period) * (k * k % (2 * period))
     np.exp(chirp, out=chirp)  # in place: one complex array of max(m, n) at a time, not two
-    nfft = _bluestein_length(n, m)
+    nfft = 1 << (n + m - 2).bit_length()
     kernel = np.fft.fft(np.conj(np.hstack((chirp[n - 1:0:-1], chirp[:m]))), nfft)
     y = np.fft.ifft(kernel * np.fft.fft(x * chirp[:n], nfft))
     return y[n - 1:n + m - 1] * chirp[:m]
-
-
-def _bluestein_length(n: int, m: int) -> int:
-    """FFT length of ``_czt`` on n inputs and m outputs.
-
-    The smallest 2^a 3^b 5^c 7^d 11^e >= n + m - 1, the lengths pocketfft
-    transforms fastest (``scipy.fft.next_fast_len`` for complex input).
-    """
-    target = n + m - 1
-    odd = [1]  # every 3^b 5^c 7^d 11^e below 2 target, a bound on the answer
-    for prime in (3, 5, 7, 11):
-        grown = []
-        for f in odd:
-            while f < 2 * target:
-                grown.append(f)
-                f *= prime
-        odd = grown
-    # each odd part times the least power of two that brings it to target
-    return min(f << (-(-target // f) - 1).bit_length() for f in odd)
 
 
 def pdf_delta_e(delta_e, sigma_e: float):
@@ -389,28 +381,36 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nodes_delta_e(sigma_e: float, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and unit-mass weights for the delta_e dimension."""
+    """Quadrature nodes and unit-mass weights for the delta_e dimension.
+
+    The Legendre rule weighs its nodes by the pdf in z = delta_e /
+    (sqrt(2) sigma_e), so no square of sigma_e is formed.
+    """
     if sigma_e == 0.0:
         return np.zeros(1), np.ones(1)
     if q.delta_e_rule == "hermite":
         u, wu = _hermgauss(q.n_hermite)
         return 2.0 * sigma_e * u, wu / math.sqrt(math.pi)
     x, wx = _leggauss(q.n_hermite)
-    half = q.truncation_width * (math.sqrt(2.0) * sigma_e)
-    nodes = half * x
-    weights = half * wx * pdf_delta_e(nodes, sigma_e)
-    return nodes, weights / weights.sum()
+    z = q.truncation_width * x
+    weights = wx * np.exp(-0.5 * z * z)
+    return q.truncation_width * (math.sqrt(2.0) * sigma_e) * x, weights / weights.sum()
 
 
 def _nodes_coupling(j0: float, sigma: float, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Pdf-weighted Gauss-Legendre nodes for one truncated coupling."""
+    """Pdf-weighted Gauss-Legendre nodes for one truncated coupling.
+
+    The weights use the pdf in z = (j - j0) / sigma, so no square of sigma
+    is formed and a span that rounds away at j0 leaves nodes at j0.
+    """
     if sigma == 0.0:
         return np.full(1, j0), np.ones(1)
     lo = max(0.0, j0 - q.truncation_width * sigma)
     hi = j0 + q.truncation_width * sigma
     x, wx = _leggauss(q.n_legendre)
     nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    weights = 0.5 * (hi - lo) * wx * pdf_exchange(nodes, j0, sigma)
+    z = (nodes - j0) / sigma
+    weights = wx * np.exp(-0.5 * z * z)
     return nodes, weights / weights.sum()
 
 
@@ -436,80 +436,73 @@ def _check_phase(om_max: float, t_max: float) -> None:
         )
 
 
-def _band(d_lo: float, d_hi: float, gap_lo: float, gap_hi: float) -> tuple[float, float]:
-    """(om_lo, om_max) bracketing omega over detunings and gaps in these ranges.
+def _band(j_prime: float, u_range: tuple, gap_range: tuple) -> tuple[float, float]:
+    """(om_lo, om_max) bracketing omega over u and gaps in these ranges.
 
-    omega = sqrt(d^2 + 0.75 gap^2) grows with |d| and |gap|, so its extremes
-    over the box lie at the corners or, where a range straddles 0, on that
-    axis; the bracket is widened by 1% and 1e-9 on either side.  The bounds
-    are taken as Python floats, whose squares overflow to inf silently.
+    omega = sqrt(d^2 + 0.75 gap^2) with detuning d = j' - u grows with |d|
+    and |gap|, so its extremes over the box lie at the corners or, where a
+    range straddles 0, on that axis.  The bracket is widened on either side
+    by _BAND_MARGIN (|j'| + max|u| + max|gap|), far more than the rounding
+    of a node's frequency.  The bounds are taken as Python floats, whose
+    squares overflow to inf silently.
     """
-    d_lo, d_hi, gap_lo, gap_hi = float(d_lo), float(d_hi), float(gap_lo), float(gap_hi)
+    j_prime, (u_lo, u_hi), (gap_lo, gap_hi) = float(j_prime), map(float, u_range), map(float, gap_range)
+    d_lo, d_hi = j_prime - u_hi, j_prime - u_lo
 
     def nearest(lo, hi):  # smallest |x| over [lo, hi]
         return 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
 
     d_min, g_min = nearest(d_lo, d_hi), nearest(gap_lo, gap_hi)
     d_max, g_max = max(abs(d_lo), abs(d_hi)), max(abs(gap_lo), abs(gap_hi))
-    om_lo = math.sqrt(d_min * d_min + 0.75 * g_min * g_min) * 0.99 - 1e-9
-    om_max = math.sqrt(d_max * d_max + 0.75 * g_max * g_max) * 1.01 + 1e-9
-    return max(0.0, om_lo), om_max
+    margin = _BAND_MARGIN * (abs(j_prime) + max(abs(u_lo), abs(u_hi)) + g_max)
+    om_lo = math.sqrt(d_min * d_min + 0.75 * g_min * g_min) - margin
+    return max(0.0, om_lo), math.sqrt(d_max * d_max + 0.75 * g_max * g_max) + margin
 
 
-def _cheaper_evaluator(n_nodes: int, n_times: int, n_bins: int) -> str:
-    """The evaluator the cost model prices lower; a tie goes to the exact direct sum.
-
-    Binning costs more than _COST_FFT n_bins, so once that alone reaches the
-    direct cost the transform is not sized (its search grows with n_bins).
-    """
-    direct = _COST_DIRECT * n_nodes * n_times
-    if _COST_FFT * n_bins < direct:
-        n_fft = _bluestein_length(n_bins + 2, n_times)
-        if _COST_FFT * n_fft * math.log2(n_fft) + _COST_DEPOSIT * n_nodes < direct:
-            return "binned"
-    return "direct"
-
-
-def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray,
-              evaluator: Optional[str]) -> tuple[np.ndarray, str]:
+def _evaluate(chunks, band: tuple[float, float], times: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Sum base + sum_k coef_k cos(omega_k t) over chunks of (omega, coef, base).
 
     ``_average`` feeds it every node set, with the band (om_lo, om_max)
     that ``_band`` gives for the set's ranges; a frequency outside it is a
     fault of the producer and raises NumericalError.  A phase om_max t_max
-    whose grid count would leave the float range, or whose rounding would
-    exceed 1e-6 rad (``_check_phase``), raises ValueError.
+    whose bin index would leave the float range, or whose rounding would
+    exceed 1e-6 rad (``_check_phase``), raises ValueError, and so does a band
+    that needs more than _MAX_BINS bins.
 
-    The direct sum is exact up to rounding.  The binned evaluator is a
-    type-1 NUFFT with linear interpolation (Dutt & Rokhlin 1993): the
-    frequency grid i d_om from 0 to om_max has a power-of-two step count
-    with d_om t_max <= _BIN_PHASE_STEP, each coefficient is deposited
-    linearly on its two nearest grid frequencies, and only the n_bins of
-    them from i_lo = floor(om_lo / d_om) up are summed, by a chirp-z
-    transform whose output is shifted by exp(-i i_lo d_om t).  Its error is
-    at most (_BIN_PHASE_STEP^2 / 6) sum |coef_k|.  Unless ``evaluator``
-    forces one, the evaluator is the one ``_cheaper_evaluator`` prices
-    lower.  Returns the values and the evaluator used.
+    The sum is a type-1 NUFFT by Gaussian gridding (Dutt & Rokhlin 1993;
+    Greengard & Lee 2004).  cos is even, so the window is [-T, T] with
+    T = t_max; the frequency grid has step h = pi / (2 T) (oversampling 2)
+    and starts _SPREAD - 1 bins below om_lo.  Each coefficient is convolved
+    with the Gaussian exp(-(omega - omega_k)^2 / (4 tau)), tau = m pi /
+    (8 sqrt(2) T^2), and spread on its 2 m nearest bins, m = _SPREAD, in real
+    arithmetic: with a = h^2 / (4 tau) and x the node's offset from its bin,
+    two exp per node, exp(-a x (x + 2 (m - 1))) and exp(2 a x), whose
+    products with powers of the second and the tabulated exp(-a l^2) give
+    the weights exp(-a (l - x)^2) of bins l = -m + 1 .. m.  One
+    chirp-z transform sums the bins at the n_times grid times; the result is
+    shifted back by the first bin's frequency and divided by the Gaussian's
+    transform sqrt(4 pi tau) / h exp(-tau t^2).  Its error is at most
+    _NUFFT_ERROR sum |coef_k| (2.1e-11 at m = 12), plus the rounding of the
+    phases that ``_check_phase`` bounds; at t = 0 the sum is exact.
+
+    Returns the values, the bin count and that error bound.
     """
     om_lo, om_max = band
-    n_times = len(times)
-    n_grid = max(4096.0, om_max * times[-1] / _BIN_PHASE_STEP)
-    if not n_grid < 2.0 ** 1023:  # checked before math.ceil, which fails on inf
-        raise ValueError(f"frequencies up to {om_max:.6g} over t_max {times[-1]:.6g} overflow the bin grid")
-    _check_phase(om_max, float(times[-1]))
-    n_grid = 2 ** math.ceil(math.log2(n_grid))
-    d_om = om_max / n_grid
-    i_lo = int(om_lo / d_om)
-    n_bins = n_grid - i_lo
-    if evaluator is None:
-        evaluator = _cheaper_evaluator(n_nodes, n_times, n_bins)
-    if evaluator == "binned":
-        mass = np.zeros(n_bins + 2)
-    else:
-        offsets, anchors = _grid_blocks(times)
-        chunk = max(1, _DIRECT_BLOCK // n_times)
-    base = 0.0
-    osc = np.zeros(n_times)
+    t_max = float(times[-1])
+    per_bin = 2.0 * t_max / math.pi  # 1 / h
+    if not om_max * per_bin < 2.0 ** 1023:  # NaN fails too
+        raise ValueError(f"frequencies up to {om_max:.6g} over t_max {t_max:.6g} overflow the bin grid")
+    _check_phase(om_max, t_max)
+    n_cells = math.floor((om_max - om_lo) * per_bin) + 1
+    n_bins = n_cells + 2 * _SPREAD - 1
+    if n_bins > _MAX_BINS:
+        raise ValueError(
+            f"the evaluator needs {n_bins} frequency bins (band [{om_lo:.6g}, {om_max:.6g}] over "
+            f"t_max {t_max:.6g}), above the limit of {_MAX_BINS}; reduce the noise widths or the time window"
+        )
+    bell = np.exp(-_GAUSS_A * np.arange(-_SPREAD + 1, _SPREAD + 1) ** 2)  # exp(-a l^2)
+    mass = np.zeros(n_bins)
+    base = at_zero = abs_sum = 0.0
     for omega, coef, chunk_base in chunks:
         if omega.size and not (om_lo <= omega.min() and omega.max() <= om_max):
             bad = omega[~((omega >= om_lo) & (omega <= om_max))][0]
@@ -517,31 +510,30 @@ def _evaluate(chunks, n_nodes: int, band: tuple[float, float], times: np.ndarray
                 f"node frequency {bad!r} lies outside the band [{om_lo!r}, {om_max!r}]"
             )
         base += chunk_base
-        if evaluator == "binned":
-            pos = omega / d_om
-            idx = np.floor(pos).astype(np.int64)
-            frac = pos - idx
-            idx -= i_lo
-            mass += np.bincount(idx, coef * (1.0 - frac), minlength=n_bins + 2)
-            mass += np.bincount(idx + 1, coef * frac, minlength=n_bins + 2)
-        else:
-            # cos(omega (anchor + offset)) by angle addition: two GEMMs
-            # instead of a cos per node and time
-            for s in range(0, len(omega), chunk):
-                sl = slice(s, s + chunk)
-                at_anchor = np.outer(anchors, omega[sl])
-                at_offset = np.outer(omega[sl], offsets)
-                block = (np.cos(at_anchor) * coef[sl]) @ np.cos(at_offset)
-                block -= (np.sin(at_anchor) * coef[sl]) @ np.sin(at_offset)
-                osc += block.ravel()[:n_times]
-    if evaluator == "binned":
-        if n_times > 1:
-            dt = (times[-1] - times[0]) / (n_times - 1)
-            spectrum = _czt(mass.astype(complex), n_times, d_om * dt)
-            osc = np.real(spectrum * np.exp(-1j * (i_lo * d_om) * times))
-        else:
-            osc = np.array([mass.sum() * math.cos(0.0)])
-    return base + osc, evaluator
+        at_zero += coef.sum()
+        abs_sum += np.abs(coef).sum()
+        x = omega - om_lo
+        x *= per_bin
+        cell = x.astype(np.intp)  # bins cell - m + 1 .. cell + m, stored from index cell
+        x -= cell  # the node's offset from bin cell, in [0, 1)
+        grow = np.exp(2.0 * _GAUSS_A * x)
+        x *= x + 2.0 * (_SPREAD - 1)
+        x *= -_GAUSS_A
+        weight = np.exp(x, out=x)
+        weight *= coef  # times grow^k exp(-a l^2): coef exp(-a (l - x)^2) at bin cell + l, l = k - m + 1
+        for k in range(2 * _SPREAD):
+            if k:
+                weight *= grow
+            mass[k:k + n_cells] += bell[k] * np.bincount(cell, weight, minlength=n_cells)
+    n_times = len(times)
+    steps = max(n_times - 1, 1)
+    t_frac = np.arange(n_times) / steps  # t / T on the grid
+    spectrum = _czt(mass, n_times, 4 * steps)  # phase step h dt = 2 pi / (4 steps)
+    shift = om_lo * times - (_SPREAD - 1) * 0.5 * math.pi * t_frac  # the first bin's phase
+    osc = spectrum.real * np.cos(shift) + spectrum.imag * np.sin(shift)
+    osc /= math.sqrt(math.pi / _GAUSS_A) * np.exp(-_GAUSS_A * _SPREAD ** 2 / 8.0 * t_frac ** 2)
+    osc[0] = at_zero  # cos(0) = 1
+    return base + osc, n_bins, float(_NUFFT_ERROR * abs_sum)
 
 
 @dataclass(frozen=True)
@@ -833,9 +825,12 @@ def _gap_block(gap, u, weights) -> tuple:
     return 0.5 * gap, -0.5 * gap, -u, weights
 
 
-def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray,
-             evaluator: Optional[str]) -> tuple[np.ndarray, dict]:
-    """Average P over a node set: each block's terms go to ``_evaluate``."""
+def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Average P over a node set: each block's terms go to ``_evaluate``.
+
+    The metadata adds the evaluator's bin count and its error bound, in
+    units of the averaged probability.
+    """
     mass = 0.0
 
     def chunks():
@@ -846,9 +841,11 @@ def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray
             block = _terms(p, initial, block[3], *block[:3])
             yield block
 
-    band = _band(p.j_prime - nodes.u_range[1], p.j_prime - nodes.u_range[0], *nodes.gap_range)
-    values, evaluator = _evaluate(chunks(), nodes.meta["n_nodes"], band, times, evaluator)
-    return (values / mass if nodes.normalize else values), {**nodes.meta, "evaluator": evaluator}
+    band = _band(p.j_prime, nodes.u_range, nodes.gap_range)
+    values, n_bins, bound = _evaluate(chunks(), band, times)
+    if nodes.normalize:
+        values, bound = values / mass, bound / mass
+    return values, {**nodes.meta, "evaluator": "binned", "n_bins": n_bins, "error_bound": bound}
 
 
 def _clip_probabilities(values: np.ndarray) -> np.ndarray:
@@ -861,8 +858,8 @@ def _clip_probabilities(values: np.ndarray) -> np.ndarray:
 
 
 def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str, times,
-                                q: Optional[QuadratureSpec] = None, check_convergence: bool = False,
-                                _evaluator: Optional[str] = None) -> ProbabilityTrace:
+                                q: Optional[QuadratureSpec] = None,
+                                check_convergence: bool = False) -> ProbabilityTrace:
     """Disorder-averaged return probability by deterministic quadrature.
 
     With q=None the average runs on the exact 2D reduction over the gap
@@ -887,7 +884,6 @@ def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str
     initial : {"zero", "superposition"}
     times : uniform ascending grid starting at 0, in hbar/j0
     q : QuadratureSpec, optional
-    _evaluator : "direct" or "binned" forces the evaluator (tests)
 
     Returns
     -------
@@ -908,9 +904,9 @@ def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str
                            q.n_legendre if spec.sigma_j1 > 0 else 1,
                            q.n_legendre if spec.sigma_j2 > 0 else 1)
         nodes = functools.partial(_tensor_nodes, spec, q)
-    values, meta = _average(nodes(1), p, initial, times, _evaluator)
+    values, meta = _average(nodes(1), p, initial, times)
     if check_convergence:
-        values2, _ = _average(nodes(2), p, initial, times, _evaluator)
+        values2, _ = _average(nodes(2), p, initial, times)
         change = float(np.max(np.abs(values2 - values)))
         meta["doubling_max_change"] = change
         meta["quadrature_converged"] = change <= 1e-5

@@ -472,9 +472,9 @@ def test_phase_past_double_precision_exits_2(tmp_path, capsys, method):
 @pytest.mark.parametrize("noise", [{}, {"sigma_e": 0.1, "sigma_j1": 0.1, "sigma_j2": 0.1}])
 def test_internal_numerical_failure_exits_4(tmp_path, monkeypatch, capsys, noise):
     """An average outside [0, 1] is a fault of the method, not invalid input."""
-    def broken(chunks, n_nodes, band, times, evaluator):
+    def broken(chunks, band, times):
         at_zero = sum(base + coef.sum() for _, coef, base in chunks)  # the value at t = 0
-        return np.full(len(times), 1.1 * at_zero), "direct"
+        return np.full(len(times), 1.1 * at_zero), 0, 0.0
 
     monkeypatch.setattr(disorder, "_evaluate", broken)
     cfg = {"noise": noise, "times": {"t_max": 5.0, "n_points": 11}}
@@ -495,6 +495,35 @@ def test_frequency_outside_band_exits_4(tmp_path, monkeypatch, capsys, quadratur
     assert code == 4
     assert "outside the band [0.0, 0.5]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bin_count_above_the_cap_exits_2(tmp_path, capsys):
+    """A band times window that needs more frequency bins than the evaluator
+    allows is invalid input, named with its bin count."""
+    cfg = {"noise": {"sigma_e": 10.0}, "times": {"t_max": 1e6, "n_points": 11},
+           "quadrature": {"n_hermite": 5, "n_legendre": 3}}
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 2 and not out.exists()
+    assert "frequency bins" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise, rule", [
+    ({"sigma_j1": 1e-170}, "hermite"),
+    ({"sigma_j1": 1e-170}, "legendre"),
+    ({"sigma_e": 1e-170}, "legendre"),
+], ids=["sigma_j1-hermite", "sigma_j1-legendre", "sigma_e-legendre"])
+def test_tensor_rule_of_underflowing_width_writes_zero_width_trace(tmp_path, noise, rule):
+    """A width whose square underflows runs on an explicit tensor rule and
+    writes the zero-width trace: the pdf weights never square the width
+    (they turned nan, exit 4)."""
+    times = {"t_max": 50.0, "n_points": 201}
+    quadrature = {"n_hermite": 3, "n_legendre": 3, "delta_e_rule": rule}
+    code, out = run_cli(tmp_path, "simulate", {"noise": noise, "times": times, "quadrature": quadrature})
+    assert code == 0
+    code, ref = run_cli(tmp_path, "simulate", {"times": times, "quadrature": quadrature}, name="zero")
+    assert code == 0
+    np.testing.assert_allclose([float(r[2]) for r in read_csv(out)[1]],
+                               [float(r[2]) for r in read_csv(ref)[1]], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("module, name, error, exit_code", [

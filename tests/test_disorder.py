@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.special
 from scipy.integrate import quad as integrate
 
@@ -15,7 +14,6 @@ from deoq_dyn.disorder import (
     NumericalError,
     ProbabilityTrace,
     QuadratureSpec,
-    _bluestein_length,
     _czt,
     _hermgauss,
     _ndtr,
@@ -162,8 +160,10 @@ def test_probability_trace_validation():
 def test_non_finite_average_is_numerical_error(monkeypatch):
     """A NaN out of the evaluator is a fault of the method, reported as such
     rather than as an invalid trace."""
-    def nan_evaluator(chunks, n_nodes, band, times, evaluator):
-        return np.full(len(times), np.nan), "direct"
+    def nan_evaluator(chunks, band, times):
+        for _ in chunks:  # the node set's mass is summed as its blocks are drawn
+            pass
+        return np.full(len(times), np.nan), 0, 0.0
 
     monkeypatch.setattr(disorder, "_evaluate", nan_evaluator)
     with pytest.raises(NumericalError, match="nan"):
@@ -292,8 +292,8 @@ def test_reduced_rule_matches_doubled_tensor_rule(case):
     times = np.linspace(0.0, 40.0, 161)
     q2 = _doubled_tensor_spec(noise, 40.0)
     for initial in ("zero", "superposition"):
-        reduced = disorder_average_quadrature(P, noise, initial, times, _evaluator="direct")
-        tensor = disorder_average_quadrature(P, noise, initial, times, q=q2, _evaluator="direct")
+        reduced = disorder_average_quadrature(P, noise, initial, times)
+        tensor = disorder_average_quadrature(P, noise, initial, times, q=q2)
         assert reduced.metadata["rule"] == "reduced-2d"
         assert tensor.metadata["rule"] == "tensor"
         np.testing.assert_allclose(reduced.values, tensor.values, rtol=0, atol=1e-7)
@@ -366,19 +366,24 @@ def test_reduced_rule_moments_with_truncation(case):
 
 
 def _producer_input(noise, initial, times):
-    """The (chunks, n_nodes, band) the 2D node producer hands to _evaluate."""
+    """The (chunks, band) the 2D node producer hands to _evaluate."""
     seen = {}
 
-    def record(chunks, n_nodes, band, times, evaluator):
+    def record(chunks, band, times):
         chunks = list(chunks)
-        seen["args"] = (chunks, n_nodes, band)
+        seen["args"] = (chunks, band)
         at_zero = sum(base + coef.sum() for _, coef, base in chunks)
-        return np.full(len(times), at_zero), "direct"
+        return np.full(len(times), at_zero), 0, 0.0
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(disorder, "_evaluate", record)
         disorder_average_quadrature(P, noise, initial, times)
     return seen["args"]
+
+
+def _exact_sum(chunks, times):
+    """base + sum_k coef_k cos(omega_k t) by the cos matrix, the evaluator's reference."""
+    return sum(base + coef @ np.cos(np.outer(omega, times)) for omega, coef, base in chunks)
 
 
 @pytest.mark.parametrize(
@@ -390,83 +395,65 @@ def _producer_input(noise, initial, times):
     ids=["wide", "narrow"],
 )
 def test_binned_evaluator_within_stated_bound(noise, t_max, wide):
-    """Linear deposit on bins of phase step s at t_max misses each
-    cos(omega t) by at most s^2/8, within the (s^2 / 6) sum |coef| the
-    evaluator states, on a band from 0 and on a band that starts well
-    above 0."""
+    """The Gaussian-gridding sum stays within the _NUFFT_ERROR sum |coef| it
+    states of the exact cos sum, on a band from 0 and on a narrow band well
+    above 0, and reports that bound and its bin count."""
     times = np.linspace(0.0, t_max, 801)
     for initial in ("zero", "superposition"):
-        chunks, n_nodes, band = _producer_input(noise, initial, times)
+        chunks, band = _producer_input(noise, initial, times)
         assert (band[0] == 0.0) == wide
-        bound = disorder._BIN_PHASE_STEP ** 2 / 6.0 * sum(np.abs(c).sum() for _, c, _ in chunks)
-        direct, used_direct = disorder._evaluate(chunks, n_nodes, band, times, "direct")
-        binned, used_binned = disorder._evaluate(chunks, n_nodes, band, times, "binned")
-        assert (used_direct, used_binned) == ("direct", "binned")
-        assert np.max(np.abs(binned - direct)) <= bound
+        bound = disorder._NUFFT_ERROR * sum(np.abs(c).sum() for _, c, _ in chunks)
+        values, n_bins, stated = disorder._evaluate(chunks, band, times)
+        assert stated == pytest.approx(bound, rel=1e-12)
+        assert n_bins == math.floor((band[1] - band[0]) * 2.0 * t_max / math.pi) + 2 * disorder._SPREAD
+        assert np.max(np.abs(values - _exact_sum(chunks, times))) <= bound
 
 
 def test_binned_evaluator_bound_is_nearly_attained():
-    """One node midway between two bins where cos(omega t_max) = -1 is the
-    worst case of a linear deposit, (1 - cos(h / 2)) ~ h^2 / 8 at phase step
-    h = d_om t_max; on the 4096-bin grid of this band h = 0.73 of
-    _BIN_PHASE_STEP, so the error is 0.4 of the stated bound, and bins of
-    twice the width would break it."""
-    step = disorder._BIN_PHASE_STEP
-    t_max, om_max = 10.0, 3000 * step / 10.0  # below the 4096-bin floor
-    d_om = om_max / 4096
-    omega = np.array([(round(math.pi / (d_om * t_max) - 0.5) + 0.5) * d_om])
+    """One node on a bin, where cos(omega t_max) = 1, misses by about 0.73 of
+    the stated bound at t_max: the Gaussian's tail on the bin m below it is
+    the largest term the 2 m bins leave out, and the deconvolution
+    amplifies it most at t_max."""
+    t_max = 10.0
+    h = math.pi / (2.0 * t_max)
+    omega = np.array([math.pi + 8 * h])  # omega t_max = 14 pi
     times = np.linspace(0.0, t_max, 2001)
     chunks = [(omega, np.ones(1), 0.0)]
-    direct, _ = disorder._evaluate(chunks, 1, (0.0, om_max), times, "direct")
-    binned, _ = disorder._evaluate(chunks, 1, (0.0, om_max), times, "binned")
-    error = np.max(np.abs(binned - direct))
-    assert 0.3 * step**2 / 6.0 <= error <= step**2 / 6.0
+    values, _, bound = disorder._evaluate(chunks, (math.pi, math.pi + 12 * h), times)
+    error = np.abs(values - _exact_sum(chunks, times))
+    assert bound == disorder._NUFFT_ERROR
+    assert 0.5 * bound <= error.max() <= bound
+    assert error.argmax() == len(times) - 1
 
 
 def test_frequency_outside_band_is_numerical_error():
-    """A node frequency outside the producer's band would be deposited past
-    the bins; both evaluators refuse it and name it and the band."""
+    """A node frequency outside the producer's band would be spread past
+    the bins; the evaluator refuses it and names it and the band."""
     times = np.linspace(0.0, 10.0, 21)
     for omega in (0.1, 2.0, np.nan):
         chunks = [(np.array([0.7, omega]), np.ones(2), 0.0)]
-        for evaluator in ("direct", "binned"):
-            with pytest.raises(NumericalError) as info:
-                disorder._evaluate(chunks, 2, (0.5, 1.25), times, evaluator)
-            message = str(info.value)
-            assert all(s in message for s in (repr(omega), "0.5", "1.25")), message
+        with pytest.raises(NumericalError) as info:
+            disorder._evaluate(chunks, (0.5, 1.25), times)
+        message = str(info.value)
+        assert all(s in message for s in (repr(omega), "0.5", "1.25")), message
 
 
-def test_evaluator_choice_follows_cost():
-    """28Si at 3 neV (2,750 nodes x 20,001 times) sums directly, which is
-    about 2x faster than binning; sigma_e = 1, sigma_j = 0.5 at t_max 100
-    (331,614 nodes x 4,001 times) bins, about 6x faster than the direct sum."""
-    narrow = NoiseSpec(sigma_j1=0.003, sigma_j2=0.003)
-    trace = disorder_average_quadrature(P, narrow, "zero", suggested_time_grid(narrow))
-    assert trace.metadata["evaluator"] == "direct"
-    wide = NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5)
-    trace = disorder_average_quadrature(P, wide, "zero", np.linspace(0.0, 100.0, 4001))
-    assert trace.metadata["evaluator"] == "binned"
+def test_zero_noise_band_needs_few_bins():
+    """The band's margin follows the rounding of the node frequencies, so a
+    zero-noise trace over t_max 1e9 sums 2 m + 3 bins (a margin of 1% gave
+    it 1.27e7)."""
+    trace = disorder_average_quadrature(P, NoiseSpec(), "zero", np.linspace(0.0, 1e9, 5))
+    assert trace.metadata["n_bins"] == 2 * disorder._SPREAD + 3
 
 
-def test_cheaper_evaluator_prices_a_huge_band_without_sizing_it(monkeypatch):
-    """Binning costs more than _COST_FFT n_bins, so 1e300 bins are priced
-    direct before the transform is sized (a search that grows with n_bins);
-    on ordinary shapes the shortcut changes no choice."""
-    def full_model(n_nodes, n_times, n_bins):
-        n_fft = _bluestein_length(n_bins + 2, n_times)
-        direct = disorder._COST_DIRECT * n_nodes * n_times
-        binned = disorder._COST_FFT * n_fft * math.log2(n_fft) + disorder._COST_DEPOSIT * n_nodes
-        return "direct" if direct <= binned else "binned"
-
-    shapes = [(n, t, b) for n in (1, 10 ** 3, 10 ** 5, 10 ** 7)
-              for t in (11, 4001, 20001) for b in (10, 10 ** 4, 10 ** 6, 10 ** 8)]
-    assert [disorder._cheaper_evaluator(*s) for s in shapes] == [full_model(*s) for s in shapes]
-
-    def unsized(n, m):
-        raise AssertionError("the transform was sized")
-
-    monkeypatch.setattr(disorder, "_bluestein_length", unsized)
-    assert disorder._cheaper_evaluator(1, 11, 10 ** 300) == "direct"
+def test_bin_count_above_the_cap_is_invalid_input():
+    """An explicit tensor rule over a wide band and a long window needs more
+    bins than the evaluator allows; it names the count before sizing any
+    array."""
+    times = np.linspace(0.0, 1e6, 11)
+    with pytest.raises(ValueError, match=r"needs \d+ frequency bins .* above the limit of 4194304"):
+        disorder_average_quadrature(P, NoiseSpec(sigma_e=10.0), "zero", times,
+                                    q=QuadratureSpec(n_hermite=5, n_legendre=3))
 
 
 @pytest.mark.parametrize("tiny, zero", [
@@ -482,6 +469,24 @@ def test_sub_resolution_width_is_its_zero_width_limit(tiny, zero):
     for initial in ("zero", "superposition"):
         a = disorder_average_quadrature(P, tiny, initial, times)
         b = disorder_average_quadrature(P, zero, initial, times)
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rule", ["hermite", "legendre"])
+@pytest.mark.parametrize("tiny, zero", [
+    (NoiseSpec(sigma_j1=1e-170), NoiseSpec()),
+    (NoiseSpec(sigma_e=1e-170), NoiseSpec()),
+    (NoiseSpec(sigma_e=0.1, sigma_j2=1e-300), NoiseSpec(sigma_e=0.1)),
+], ids=["sigma_j1", "sigma_e", "sigma_j2-beside-sigma_e"])
+def test_tensor_rule_of_underflowing_width_is_its_zero_width_limit(tiny, zero, rule):
+    """Widths whose squares underflow to 0 weigh their Gauss-Legendre nodes
+    by the pdf in z = (x - mean) / sigma, so the tensor rule takes the
+    zero-width limit instead of 0 / 0 weights."""
+    q = QuadratureSpec(n_hermite=3, n_legendre=3, delta_e_rule=rule)
+    times = np.linspace(0.0, 50.0, 201)
+    for initial in ("zero", "superposition"):
+        a = disorder_average_quadrature(P, tiny, initial, times, q=q)
+        b = disorder_average_quadrature(P, zero, initial, times, q=q)
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
 
@@ -529,9 +534,10 @@ def test_band_of_huge_widths_raises_no_overflow_warning():
                                     q=QuadratureSpec())
 
 
-def test_direct_evaluator_matches_cos_matrix():
-    """The blocked two-GEMM direct sum equals coef @ cos(outer(omega, t))."""
-    times = np.linspace(0.0, 80.0, 203)  # 15 blocks of 14, the last one ragged
+def test_evaluator_matches_cos_matrix():
+    """The tensor average equals base + coef @ cos(outer(omega, t)) within
+    the error bound its metadata states."""
+    times = np.linspace(0.0, 80.0, 203)
     noise = NoiseSpec(sigma_e=0.3, sigma_j1=0.2, sigma_j2=0.1)
     q = QuadratureSpec(n_hermite=31, n_legendre=17, delta_e_rule="legendre")
     x1, w1 = _nodes_coupling(noise.j01, noise.sigma_j1, q)
@@ -545,16 +551,18 @@ def test_direct_evaluator_matches_cos_matrix():
         ("zero", 0.5 * w * amp_zero, w.sum() - 0.5 * (w * amp_zero).sum()),
         ("superposition", -0.25 * w * amp_sup, 0.5 * w.sum() + 0.25 * (w * amp_sup).sum()),
     ):
-        trace = disorder_average_quadrature(P, noise, initial, times, q=q, _evaluator="direct")
-        np.testing.assert_allclose(trace.values, base + coef @ cos_matrix, rtol=0, atol=1e-13)
+        trace = disorder_average_quadrature(P, noise, initial, times, q=q)
+        bound = trace.metadata["error_bound"]
+        assert bound == pytest.approx(disorder._NUFFT_ERROR * np.abs(coef).sum(), rel=1e-12)
+        np.testing.assert_allclose(trace.values, base + coef @ cos_matrix, rtol=0, atol=bound)
 
 
 @pytest.mark.parametrize("n, m", [(4098, 401), (301, 1000)])
 def test_czt_matches_exact_dft(n, m):
     x = np.random.default_rng(n).normal(size=n).astype(complex)
-    theta = 2.4e-3
-    exact = np.exp(-1j * theta * np.outer(np.arange(m), np.arange(n))) @ x
-    err = np.max(np.abs(_czt(x, m, theta) - exact))
+    period = 2618  # 2 pi / period = 2.4e-3
+    exact = np.exp(-2j * np.pi * (np.outer(np.arange(m), np.arange(n)) % period) / period) @ x
+    err = np.max(np.abs(_czt(x, m, period) - exact))
     assert err <= 1e-12 * np.sum(np.abs(x))
 
 
@@ -565,15 +573,8 @@ def test_czt_keeps_unit_modulus_at_large_size():
     """
     x = np.zeros(143_519, dtype=complex)
     x[-1] = 1.0
-    y = _czt(x, 20_001, 1e-6)
+    y = _czt(x, 20_001, 6_283_185)  # 2 pi / period = 1e-6
     assert np.max(np.abs(np.abs(y) - 1.0)) <= 1e-12
-
-
-def test_bluestein_length_is_scipys_next_fast_len():
-    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, as pocketfft picks it."""
-    rng = np.random.default_rng(9)
-    sizes = list(range(1, 20_001)) + [int(n) for n in rng.integers(1, 5_000_001, 2000)]
-    assert [n for n in sizes if _bluestein_length(n, 1) != scipy.fft.next_fast_len(n)] == []
 
 
 def test_ndtr_matches_erfc_on_dense_grid():
@@ -721,7 +722,9 @@ def test_trace_metadata_records_quadrature_setup():
     q = QuadratureSpec(n_hermite=60, n_legendre=41, delta_e_rule="legendre")
     md = disorder_average_quadrature(P, noise, "zero", times, q=q).metadata
     assert md["rule"] == "tensor"
-    assert md["evaluator"] in ("direct", "binned")
+    assert md["evaluator"] == "binned"
+    assert 0.0 < md["error_bound"] <= disorder._NUFFT_ERROR
+    assert md["n_bins"] >= 2 * disorder._SPREAD
     assert md["n_nodes"] == md["n_delta_e"] * md["n_j1"] * md["n_j2"]
     assert md["delta_e_rule"] == "legendre"
     assert md["quadrature_spec"] == q
@@ -729,7 +732,8 @@ def test_trace_metadata_records_quadrature_setup():
     md = disorder_average_quadrature(P, noise, "zero", times).metadata
     rule = _reduced_rule(noise, 50.0)
     assert md["rule"] == "reduced-2d"
-    assert md["evaluator"] == "direct"
+    assert md["evaluator"] == "binned"
+    assert 0.0 < md["error_bound"] <= disorder._NUFFT_ERROR
     assert md["n_gap"] == rule.n_gap == 41
     assert md["n_u"] == rule.n_u == math.ceil(0.35 * 50.0 * 12.0 * math.sqrt(0.005 + 0.08))
     assert md["n_nodes"] == rule.n_nodes == len(rule.block(slice(None))[0])

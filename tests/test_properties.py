@@ -44,8 +44,8 @@ def width(lo, hi):
 def test_reduced_rule_equals_tensor_rule(sigma_e, sigma_j1, sigma_j2, j01, j02, initial):
     """The 2D route and a finer 3D tensor rule compute the same average."""
     noise = NoiseSpec(sigma_e, sigma_j1, sigma_j2, j01, j02)
-    reduced = disorder_average_quadrature(P, noise, initial, TIMES, _evaluator="direct")
-    tensor = disorder_average_quadrature(P, noise, initial, TIMES, q=REFERENCE, _evaluator="direct")
+    reduced = disorder_average_quadrature(P, noise, initial, TIMES)
+    tensor = disorder_average_quadrature(P, noise, initial, TIMES, q=REFERENCE)
     assert reduced.metadata["rule"] == "reduced-2d"
     np.testing.assert_allclose(reduced.values, tensor.values, rtol=0, atol=1e-7)
 
@@ -65,8 +65,8 @@ def test_reduced_rule_label_swap_keeps_zero_state(sigma_e, sigma_j1, sigma_j2, j
     width maps kappa = 1/2 onto kappa = -1/2."""
     a = NoiseSpec(sigma_e, sigma_j1, sigma_j2, j01, j02)
     b = NoiseSpec(sigma_e, sigma_j2, sigma_j1, j02, j01)
-    ta = disorder_average_quadrature(P, a, "zero", TIMES, _evaluator="direct")
-    tb = disorder_average_quadrature(P, b, "zero", TIMES, _evaluator="direct")
+    ta = disorder_average_quadrature(P, a, "zero", TIMES)
+    tb = disorder_average_quadrature(P, b, "zero", TIMES)
     np.testing.assert_allclose(ta.values, tb.values, rtol=0, atol=1e-12)
 
 
@@ -96,12 +96,12 @@ def test_band_brackets_every_node_frequency(sigma_e, sigma_j1, sigma_j2, j01, j0
     params = ExchangeParams(j_prime=j_prime)
     bands, omegas = [], []
 
-    def record(chunks, n_nodes, band, times, evaluator):
+    def record(chunks, band, times):
         chunks = list(chunks)
         bands.append(band)
         omegas.extend(omega for omega, _, _ in chunks)
         at_zero = sum(base + coef.sum() for _, coef, base in chunks)
-        return np.full(len(times), at_zero), "direct"
+        return np.full(len(times), at_zero), 0, 0.0
 
     nodes_delta_e = disorder._nodes_delta_e
 
