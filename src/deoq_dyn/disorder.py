@@ -15,11 +15,11 @@ quadrature rule is a node set (``_NodeSet``): blocks of (j1, j2, delta_e,
 weight) with the ranges of u and of the gap.  With no explicit
 QuadratureSpec, ``_reduced_nodes`` integrates (j1 + j2)/2 and delta_e
 analytically and runs a 2D Gauss-Legendre rule over the gap and u under a
-closed-form extended skew-normal weight (``_reduced_rule``); zero widths,
-and widths that round away, are limits of that weight.  An explicit
-QuadratureSpec gives ``_tensor_nodes`` (Gauss-Hermite or pdf-weighted
-Gauss-Legendre in delta_e, pdf-weighted Gauss-Legendre per coupling), which
-also serves the tests as the reference for the reduction.  ``_average``
+closed-form extended skew-normal weight; zero widths, and widths that round
+away, are limits of that weight.  An explicit QuadratureSpec gives
+``_tensor_nodes`` (Gauss-Hermite or pdf-weighted Gauss-Legendre in delta_e,
+pdf-weighted Gauss-Legendre per coupling), which also serves the tests as
+the reference for the reduction.  ``_average``
 turns every node set into (omega, coef, base) blocks for one evaluator,
 ``_evaluate``, with a band (om_lo, om_max) that ``_band`` derives from the
 set's ranges and that holds every node frequency.
@@ -541,11 +541,12 @@ class _NodeSet:
     """A quadrature rule as weighted nodes, for ``_average``.
 
     ``blocks`` yields (j1, j2, delta_e, weight) arrays and keeps no
-    reference to a block once yielded.  u = (j1 + j2)/2 - delta_e lies in
-    ``u_range`` and j1 - j2 in ``gap_range``.  ``normalize`` divides the
-    average by the summed weights, for a rule whose weights do not already
-    have unit mass.  ``meta`` describes the rule, its node count
-    ``meta["n_nodes"]`` included.
+    reference to a block's weight array once yielded, nor, in the 2D rule,
+    to its other arrays; the tensor rule shares its j2 and delta_e grids
+    across blocks.  u = (j1 + j2)/2 - delta_e lies in ``u_range`` and
+    j1 - j2 in ``gap_range``.  ``normalize`` divides the average by the
+    summed weights, for a rule whose weights do not already have unit mass.
+    ``meta`` describes the rule, its node count ``meta["n_nodes"]`` included.
     """
 
     blocks: Iterator[tuple]
@@ -555,19 +556,29 @@ class _NodeSet:
     meta: dict
 
 
-def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, scale: int) -> _NodeSet:
+def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, scale: int = 1) -> _NodeSet:
     """Tensor rule over (j1, j2, delta_e), one j1 slab per block, of unit mass.
 
-    ``scale`` multiplies the node counts of ``q``.
+    ``scale`` multiplies the node counts of ``q``, which are checked against
+    the limits once scaled.  The (j2, delta_e) grids, which every slab
+    shares, are built when the first block is drawn.
     """
     q = replace(q, n_hermite=scale * q.n_hermite, n_legendre=scale * q.n_legendre)
+    _check_node_counts(q.n_hermite if spec.sigma_e > 0 else 1,
+                       q.n_legendre if spec.sigma_j1 > 0 else 1,
+                       q.n_legendre if spec.sigma_j2 > 0 else 1)
     x1, w1 = _nodes_coupling(spec.j01, spec.sigma_j1, q)
     x2, w2 = _nodes_coupling(spec.j02, spec.sigma_j2, q)
     xe, we = _nodes_delta_e(spec.sigma_e, q)
-    grid2, grid_e = (g.ravel() for g in np.meshgrid(x2, xe, indexing="ij"))
-    w_slab = (w2[:, None] * we[None, :]).ravel()
+
+    def blocks():
+        grid2, grid_e = (g.ravel() for g in np.meshgrid(x2, xe, indexing="ij"))
+        w_slab = (w2[:, None] * we[None, :]).ravel()
+        for i in range(len(x1)):
+            yield x1[i], grid2, grid_e, w1[i] * w_slab
+
     return _NodeSet(
-        blocks=((x1[i], grid2, grid_e, w1[i] * w_slab) for i in range(len(x1))),
+        blocks=blocks(),
         u_range=(0.5 * (x1.min() + x2.min()) - xe.max(), 0.5 * (x1.max() + x2.max()) - xe.min()),
         gap_range=(x1.min() - x2.max(), x1.max() - x2.min()),
         normalize=False,
@@ -671,50 +682,7 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _ReducedRule:
-    """The (gap, u) node set of the reduced average, per gap node.
-
-    gap = j1 - j2 and u = (j1 + j2)/2 - delta_e, so the detuning is
-    d = j' - u.  Each gap node carries up to three u panels, edges[i] with
-    counts[k] nodes in panel k; the weight of (gap, u) is w_gap times the
-    u panel weight times phi(u; mu, v_u) Phi((u - u_k) / tau), with Phi = 1
-    when tau = 0.  v_u = 0 leaves the single node u = mu per gap node.
-    """
-
-    n_gap: int
-    n_u: int
-    gap: np.ndarray
-    w_gap: np.ndarray
-    mu: np.ndarray
-    u_k: np.ndarray
-    edges: np.ndarray
-    counts: list
-    v_u: float
-    tau: float
-
-    @property
-    def n_nodes(self) -> int:
-        if self.v_u == 0.0:
-            return len(self.gap)
-        nonempty = np.diff(self.edges, axis=1) > 0
-        return int((nonempty * np.asarray(self.counts)).sum())
-
-    def block(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gap, u, weight) of the nodes of gap nodes ``rows``, unnormalized."""
-        if self.v_u == 0.0:  # u = mu(gap)
-            return self.gap[rows], self.mu[rows], self.w_gap[rows]
-        u, w_u = _gauss_panels(self.edges[rows], self.counts)
-        mu = self.mu[rows, None]
-        weights = self.w_gap[rows, None] * w_u * np.exp(-((u - mu) ** 2) / (2.0 * self.v_u))
-        if self.tau > 0.0:  # else no node lies below u_k, a hard edge or -inf
-            weights *= _ndtr((u - self.u_k[rows, None]) / self.tau)
-        keep = w_u > 0.0  # drops the nodes of empty panels
-        gap = np.broadcast_to(self.gap[rows, None], u.shape)
-        return gap[keep], u[keep], weights[keep]
-
-
-def _reduced_rule(spec: NoiseSpec, t_max: float, scale: int = 1) -> _ReducedRule:
+def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
     """Nodes of the exact 2D reduction of the (j1, j2, delta_e) average.
 
     With s = (j1 + j2)/2, (s, gap) is jointly Gaussian before truncation:
@@ -736,7 +704,14 @@ def _reduced_rule(spec: NoiseSpec, t_max: float, scale: int = 1) -> _ReducedRule
     sigma_e -> 0).  Each count follows its phase span, t_max times the
     range, at _NODES_PER_RADIAN, and is shared among panels by length (see
     _PANEL_MARGIN); the u rule moves with slope kappa along gap, hence the
-    gap factor (1 + |kappa|).  ``scale`` multiplies both counts.
+    gap factor (1 + |kappa|).  ``scale`` multiplies both counts.  Each gap
+    node carries up to three u panels; the weight of (gap, u) is the gap
+    weight times the u panel weight times phi(u; mu, v + v_e)
+    Phi((u - u_k) / tau), with Phi = 1 when tau = 0, and the average is
+    normalized by the summed weights.  A block holds the nodes of a run of
+    gap nodes as j1 = gap/2, j2 = -gap/2 and delta_e = -u, which give
+    j1 - j2 = gap and (j1 + j2)/2 - delta_e = u, the only combinations the
+    probability sees.
 
     Zero widths are the limits of these formulas.  sigma_e = 0 gives
     tau = 0: Phi is a hard lower edge at u = |gap|/2 and the transition panel
@@ -800,29 +775,28 @@ def _reduced_rule(spec: NoiseSpec, t_max: float, scale: int = 1) -> _ReducedRule
     counts = _panel_counts(np.diff(edges, axis=1).max(axis=0), n_u, span_u)
     if not any(counts):  # the u span rounds away at every mu: its zero-width limit
         v_u, n_u = 0.0, 1
-    return _ReducedRule(n_gap, n_u, gap, w_gap, mu, u_k, edges, counts, v_u, tau)
 
+    def block(rows: slice) -> tuple:
+        """(j1, j2, delta_e, weight) of the nodes of gap nodes ``rows``, unnormalized."""
+        if v_u == 0.0:  # u = mu(gap)
+            return 0.5 * gap[rows], -0.5 * gap[rows], -mu[rows], w_gap[rows]
+        u, w_u = _gauss_panels(edges[rows], counts)
+        weights = w_gap[rows, None] * w_u * np.exp(-((u - mu[rows, None]) ** 2) / (2.0 * v_u))
+        if tau > 0.0:  # else no node lies below u_k, a hard edge or -inf
+            weights *= _ndtr((u - u_k[rows, None]) / tau)
+        keep = w_u > 0.0  # drops the nodes of empty panels
+        half_gap = np.broadcast_to(0.5 * gap[rows, None], u.shape)[keep]
+        return half_gap, -half_gap, -u[keep], weights[keep]
 
-def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int) -> _NodeSet:
-    """The 2D rule in blocks of gap nodes; its weights are normalized by their sum."""
-    rule = _reduced_rule(spec, t_max, scale)
-    step = max(1, _BLOCK_NODES // max(1, sum(rule.counts)))
+    n_nodes = len(gap) if v_u == 0.0 else int(((np.diff(edges, axis=1) > 0) * np.asarray(counts)).sum())
+    step = max(1, _BLOCK_NODES // max(1, sum(counts)))
     return _NodeSet(
-        blocks=(_gap_block(*rule.block(slice(s, s + step))) for s in range(0, len(rule.gap), step)),
-        u_range=(float(rule.edges[:, 0].min()), float(rule.edges[:, -1].max())),
-        gap_range=(float(rule.gap.min()), float(rule.gap.max())),
+        blocks=(block(slice(s, s + step)) for s in range(0, len(gap), step)),
+        u_range=(float(edges[:, 0].min()), float(edges[:, -1].max())),
+        gap_range=(float(gap.min()), float(gap.max())),
         normalize=True,
-        meta={"rule": "reduced-2d", "n_gap": rule.n_gap, "n_u": rule.n_u, "n_nodes": rule.n_nodes},
+        meta={"rule": "reduced-2d", "n_gap": n_gap, "n_u": n_u, "n_nodes": n_nodes},
     )
-
-
-def _gap_block(gap, u, weights) -> tuple:
-    """(j1, j2, delta_e, weight) of (gap, u) nodes.
-
-    j1 = gap/2, j2 = -gap/2 and delta_e = -u give j1 - j2 = gap and
-    (j1 + j2)/2 - delta_e = u, the only combinations the probability sees.
-    """
-    return 0.5 * gap, -0.5 * gap, -u, weights
 
 
 def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -863,7 +837,7 @@ def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str
     """Disorder-averaged return probability by deterministic quadrature.
 
     With q=None the average runs on the exact 2D reduction over the gap
-    j1 - j2 and u = (j1 + j2)/2 - delta_e (see ``_reduced_rule``), sized for
+    j1 - j2 and u = (j1 + j2)/2 - delta_e (see ``_reduced_nodes``), sized for
     the grid's t_max, for every noise spec including zero widths.  An
     explicit q gives a tensor rule: Gauss-Hermite in u = delta_e/(2 sigma_e)
     (or pdf-weighted Gauss-Legendre, see QuadratureSpec.delta_e_rule)
@@ -897,16 +871,12 @@ def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str
     _validate_times(times)
     if initial not in ("zero", "superposition"):
         raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
-    if q is None:
-        nodes = functools.partial(_reduced_nodes, spec, float(times[-1]))
-    else:
-        _check_node_counts(q.n_hermite if spec.sigma_e > 0 else 1,
-                           q.n_legendre if spec.sigma_j1 > 0 else 1,
-                           q.n_legendre if spec.sigma_j2 > 0 else 1)
-        nodes = functools.partial(_tensor_nodes, spec, q)
-    values, meta = _average(nodes(1), p, initial, times)
+    # every node set is built, and its counts checked, before the first average
+    node_sets = [_reduced_nodes(spec, float(times[-1]), scale) if q is None else _tensor_nodes(spec, q, scale)
+                 for scale in ((1, 2) if check_convergence else (1,))]
+    values, meta = _average(node_sets[0], p, initial, times)
     if check_convergence:
-        values2, _ = _average(nodes(2), p, initial, times)
+        values2, _ = _average(node_sets[1], p, initial, times)
         change = float(np.max(np.abs(values2 - values)))
         meta["doubling_max_change"] = change
         meta["quadrature_converged"] = change <= 1e-5

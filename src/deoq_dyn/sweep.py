@@ -10,8 +10,6 @@ coherence times across a charge-noise range in physical units.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,8 +18,6 @@ import numpy as np
 from .analysis import PhysicalScale, fit_trace, quality_factor, to_physical_time
 from .disorder import NoiseSpec, ProbabilityTrace, QuadratureSpec, disorder_average_quadrature
 from .qubit import ExchangeParams
-
-WORKERS_ENV_VAR = "DEOQ_DYN_WORKERS"
 
 DEFAULT_SIGMA_E_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_SIGMA_J_VALUES = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5)
@@ -177,32 +173,9 @@ def run_cell(sigma_e: float, sigma_j: float, config: SweepGrid) -> SweepCell:
     return SweepCell(float(sigma_e), float(sigma_j), t2, q, status, alpha)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return n
-
-
 def run_sweep(grid: SweepGrid) -> list[SweepCell]:
-    """All grid cells, row-major by sigma_e then sigma_j.
-
-    Cells are independent; DEOQ_DYN_WORKERS > 1 computes them on a thread
-    pool (the heavy numpy kernels run outside the interpreter lock), and the
-    output order is the declared row-major order either way.
-    """
-    pairs = [(se, sj) for se in grid.sigma_e_values for sj in grid.sigma_j_values]
-    workers = _worker_count()
-    if workers == 1:
-        return [run_cell(se, sj, grid) for se, sj in pairs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: run_cell(p[0], p[1], grid), pairs))
+    """All grid cells, row-major by sigma_e then sigma_j, computed one after another."""
+    return [run_cell(se, sj, grid) for se in grid.sigma_e_values for sj in grid.sigma_j_values]
 
 
 def material_comparison(

@@ -507,6 +507,19 @@ def test_bin_count_above_the_cap_exits_2(tmp_path, capsys):
     assert "frequency bins" in capsys.readouterr().err
 
 
+def test_convergence_check_past_the_node_limits_exits_2(tmp_path, monkeypatch, capsys):
+    """An explicit spec within the limits whose doubled counts are not is
+    rejected when check_convergence would double it, naming the doubled count."""
+    monkeypatch.setattr(disorder, "_MAX_DIM_NODES", 10)
+    cfg = {"noise": {"sigma_e": 0.2, "sigma_j1": 0.1, "sigma_j2": 0.1},
+           "times": {"t_max": 10.0, "n_points": 41},
+           "quadrature": {"n_hermite": 5, "n_legendre": 8}}
+    assert run_cli(tmp_path, "simulate", cfg, name="single")[0] == 0
+    code, out = run_cli(tmp_path, "simulate", {**cfg, "check_convergence": True})
+    assert code == 2 and not out.exists()
+    assert "16 nodes in one dimension" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("noise, rule", [
     ({"sigma_j1": 1e-170}, "hermite"),
     ({"sigma_j1": 1e-170}, "legendre"),

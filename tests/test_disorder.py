@@ -1,6 +1,8 @@
 """Noise densities, sampling, and the two disorder-averaging routes."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,8 @@ from deoq_dyn.disorder import (
     _ndtr,
     _nodes_coupling,
     _nodes_delta_e,
-    _reduced_rule,
+    _reduced_nodes,
+    _tensor_nodes,
     disorder_average_mc,
     disorder_average_quadrature,
     pdf_delta_e,
@@ -310,8 +313,8 @@ def test_reduced_rule_doubling_moves_no_point_by_1e_7(case):
 
 
 def _reduced_moments(noise):
-    gap, u, w = _reduced_rule(noise, 100.0).block(slice(None))
-    w = w / w.sum()
+    j1, _, delta_e, w = (np.concatenate(a) for a in zip(*_reduced_nodes(noise, 100.0).blocks))
+    gap, u, w = 2.0 * j1, -delta_e, w / w.sum()  # j1 = gap/2 and delta_e = -u, both exact
     return {"u": w @ u, "uu": w @ (u * u), "ug": w @ (u * gap), "gg": w @ (gap * gap)}
 
 
@@ -716,6 +719,11 @@ def test_mc_single_sample_zero_noise_is_closed_form():
     np.testing.assert_allclose(trace.values, return_probability_zero(P, 0.0, times), atol=1e-14)
 
 
+def _node_count(nodes):
+    """Nodes a node set's blocks hold, summed over the blocks."""
+    return sum(len(block[3]) for block in nodes.blocks)
+
+
 def test_trace_metadata_records_quadrature_setup():
     times = np.linspace(0.0, 50.0, 201)
     noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.1)
@@ -728,22 +736,55 @@ def test_trace_metadata_records_quadrature_setup():
     assert md["n_nodes"] == md["n_delta_e"] * md["n_j1"] * md["n_j2"]
     assert md["delta_e_rule"] == "legendre"
     assert md["quadrature_spec"] == q
+    assert md["n_nodes"] == _node_count(_tensor_nodes(noise, q))
 
     md = disorder_average_quadrature(P, noise, "zero", times).metadata
-    rule = _reduced_rule(noise, 50.0)
     assert md["rule"] == "reduced-2d"
     assert md["evaluator"] == "binned"
     assert 0.0 < md["error_bound"] <= disorder._NUFFT_ERROR
-    assert md["n_gap"] == rule.n_gap == 41
-    assert md["n_u"] == rule.n_u == math.ceil(0.35 * 50.0 * 12.0 * math.sqrt(0.005 + 0.08))
-    assert md["n_nodes"] == rule.n_nodes == len(rule.block(slice(None))[0])
+    assert md["n_gap"] == 41
+    assert md["n_u"] == math.ceil(0.35 * 50.0 * 12.0 * math.sqrt(0.005 + 0.08))
+    assert md["n_nodes"] == _node_count(_reduced_nodes(noise, 50.0))
     assert "n_delta_e" not in md and "quadrature_spec" not in md
 
     # 28Si-like noise (sigma_e = 0) runs on the 2D rule too
     silicon = replace(noise, sigma_e=0.0)
     md = disorder_average_quadrature(P, silicon, "zero", times).metadata
     assert md["rule"] == "reduced-2d"
-    assert md["n_nodes"] == _reduced_rule(silicon, 50.0).n_nodes
+    assert md["n_nodes"] == _node_count(_reduced_nodes(silicon, 50.0))
+
+
+@pytest.mark.parametrize("rule", ["reduced-2d", "tensor"])
+def test_node_set_drops_a_block_once_yielded(rule):
+    """A node set keeps no reference to a block's weight array once it has
+    yielded it, nor, in the 2D rule, to its other arrays (the tensor rule
+    shares its j2 and delta_e grids across blocks), so the evaluator's sums
+    run with one block's node arrays alive at a time."""
+    noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.3)
+    if rule == "tensor":
+        nodes = _tensor_nodes(noise, QuadratureSpec(n_hermite=8, n_legendre=8))
+    else:
+        nodes = _reduced_nodes(noise, 50.0)
+    block = next(nodes.blocks)
+    refs = [weakref.ref(a) for a in (block if rule == "reduced-2d" else block[3:])]
+    del block
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_convergence_check_rejects_doubled_tensor_counts_past_the_limits(monkeypatch):
+    """check_convergence doubles an explicit spec's counts; the doubled counts
+    are checked against the limits before either average runs."""
+    monkeypatch.setattr(disorder, "_MAX_DIM_NODES", 10)
+    noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.1)
+    q = QuadratureSpec(n_hermite=5, n_legendre=8)
+    times = np.linspace(0.0, 10.0, 41)
+    assert disorder_average_quadrature(P, noise, "zero", times, q=q).metadata["n_nodes"] == 320
+    calls = []
+    monkeypatch.setattr(disorder, "_average", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="needs 16 nodes in one dimension"):
+        disorder_average_quadrature(P, noise, "zero", times, q=q, check_convergence=True)
+    assert calls == []
 
 
 def test_quadrature_rejects_bad_inputs():

@@ -11,7 +11,6 @@ from deoq_dyn.qubit import ExchangeParams
 from deoq_dyn.sweep import (
     DEFAULT_SIGMA_E_VALUES,
     DEFAULT_SIGMA_J_VALUES,
-    WORKERS_ENV_VAR,
     MaterialPreset,
     SweepGrid,
     default_material_presets,
@@ -94,20 +93,6 @@ def test_sweep_row_major_order_and_determinism():
         (0.2, 0.0), (0.2, 0.1), (0.4, 0.0), (0.4, 0.1)
     ]
     assert run_sweep(grid) == cells
-
-
-def test_sweep_parallel_matches_serial(monkeypatch):
-    grid = short_grid((0.2, 0.4), (0.05, 0.1))
-    serial = run_sweep(grid)
-    monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-    assert run_sweep(grid) == serial
-
-
-def test_sweep_rejects_bad_worker_count(monkeypatch):
-    for raw in ("0", "abc"):
-        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            run_sweep(short_grid((0.2,), (0.1,)))
 
 
 def test_coherence_decreases_along_charge_noise_row():
