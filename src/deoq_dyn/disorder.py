@@ -4,10 +4,11 @@ The dot-to-dot field gradient delta_e carries a zero-mean Gaussian of
 standard deviation sqrt(2) sigma_e, and each inter-dot exchange coupling j_i
 carries a Gaussian of width sigma_ji truncated to j_i >= 0 around mean j0i.
 The observable is the ensemble average of the closed-form return
-probability.  Two independent routes compute it:
+probability.  Two node producers feed one evaluator:
 
 * deterministic quadrature, and
-* a Monte Carlo estimator with per-point standard errors, used as an oracle.
+* a Monte Carlo estimator with per-point standard errors, used as an oracle
+  for the quadrature's node sets.
 
 The probability depends on the couplings and the gradient only through the
 detuning d = j' - u, u = (j1 + j2)/2 - delta_e, and the gap j1 - j2.  Each
@@ -33,10 +34,12 @@ the Gaussian's transform.  Its error is at most _NUFFT_ERROR sum |coef|
 (2.1e-11 at 12 bins a side).  Every average takes this one path; there is
 no cost model and no second evaluator.
 
-The Monte Carlo average uses that the grid is uniform and starts at 0:
-writing t = (b R + r) dt with R = isqrt(n_times), sin(omega t / 2) follows
-by angle addition from O(sqrt(n_times)) trigonometric evaluations per
-sample instead of n_times of them.
+The Monte Carlo average hands its N samples to the same evaluator as nodes
+of weight 1/N: once for the mean and twice for the second moment, whose
+cos(2 omega t) part runs on the doubled band.  Its standard errors come
+from E[X^2] - E[X]^2 with a stated bound for the cancellation.  Monte Carlo
+thus checks the quadrature's node sets, not the evaluator, which the tests
+hold against the exact cos-matrix sum.
 
 Because the integrand oscillates as cos(omega(x) t), the node count a
 dimension needs grows linearly with the phase span t_max * d(omega)/dx *
@@ -110,9 +113,6 @@ _BLOCK_NODES = 2 ** 20
 
 # arguments per chunk of _ndtr
 _NDTR_CHUNK = 2 ** 16
-
-# Monte Carlo samples per chunk; each chunk's moments merge into the total
-_MC_CHUNK = 2048
 
 
 class NumericalError(RuntimeError):
@@ -224,18 +224,6 @@ def _validate_times(times: np.ndarray) -> None:
         # tolerance admits grids round-tripped through 9-digit CSV output
         if np.max(np.abs(steps - dt)) > 2e-8 * max(dt, abs(times[-1]), 1.0):
             raise ValueError("times must be uniformly spaced")
-
-
-def _grid_blocks(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets r dt (r < R) and block anchors b R dt of a validated grid.
-
-    Point k = b R + r of the grid lies at anchor b plus offset r, with
-    R = isqrt(n_times); the last block may run past the end of the grid.
-    """
-    n = len(times)
-    r = math.isqrt(n)
-    dt = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
-    return np.arange(r) * dt, (np.arange(-(-n // r)) * r) * dt
 
 
 def _czt(x: np.ndarray, m: int, period: int) -> np.ndarray:
@@ -459,15 +447,18 @@ def _band(j_prime: float, u_range: tuple, gap_range: tuple) -> tuple[float, floa
     return max(0.0, om_lo), math.sqrt(d_max * d_max + 0.75 * g_max * g_max) + margin
 
 
-def _evaluate(chunks, band: tuple[float, float], times: np.ndarray) -> tuple[np.ndarray, int, float]:
+def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
+              om_phase: Optional[float] = None) -> tuple[np.ndarray, int, float]:
     """Sum base + sum_k coef_k cos(omega_k t) over chunks of (omega, coef, base).
 
     ``_average`` feeds it every node set, with the band (om_lo, om_max)
-    that ``_band`` gives for the set's ranges; a frequency outside it is a
-    fault of the producer and raises NumericalError.  A phase om_max t_max
-    whose bin index would leave the float range, or whose rounding would
-    exceed 1e-6 rad (``_check_phase``), raises ValueError, and so does a band
-    that needs more than _MAX_BINS bins.
+    that ``_band`` gives for the set's ranges, and ``disorder_average_mc``
+    its samples; a frequency outside the band is a fault of the producer
+    and raises NumericalError.  A phase om_max t_max whose bin index would
+    leave the float range raises ValueError, and so does a phase
+    om_phase t_max (om_phase = om_max unless given) whose rounding would
+    exceed 1e-6 rad (``_check_phase``), and a band that needs more than
+    _MAX_BINS bins.
 
     The sum is a type-1 NUFFT by Gaussian gridding (Dutt & Rokhlin 1993;
     Greengard & Lee 2004).  cos is even, so the window is [-T, T] with
@@ -492,7 +483,7 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray) -> tuple[np.
     per_bin = 2.0 * t_max / math.pi  # 1 / h
     if not om_max * per_bin < 2.0 ** 1023:  # NaN fails too
         raise ValueError(f"frequencies up to {om_max:.6g} over t_max {t_max:.6g} overflow the bin grid")
-    _check_phase(om_max, t_max)
+    _check_phase(om_max if om_phase is None else om_phase, t_max)
     n_cells = math.floor((om_max - om_lo) * per_bin) + 1
     n_bins = n_cells + 2 * _SPREAD - 1
     if n_bins > _MAX_BINS:
@@ -897,17 +888,22 @@ def disorder_average_mc(
     """Monte Carlo disorder average with per-point standard errors.
 
     Samples (j1, j2, delta_e) once and averages the closed-form probability
-    p0 + amp sin^2(omega t / 2) over them; the standard error is the sample
-    standard deviation over sqrt(n_samples).  Bit-reproducible for a given
-    seed.
+    p0 + X, X = amp sin^2(omega t / 2), over them; the standard error is the
+    sample standard deviation over sqrt(n_samples).  Bit-reproducible for a
+    given seed.
 
-    Samples are taken in chunks.  Within a chunk, sin(omega t / 2) on each
-    block of R = isqrt(n_times) times follows by angle addition from the
-    block's anchor and a per-chunk table of offsets, so there are O(sqrt
-    (n_times)) sin/cos evaluations per sample.  Each block gives the chunk's
-    mean and centred sum of squares per time, and the chunks' moments merge
-    by the pairwise update of Chan, Golub & LeVeque (1979).  No moment is
-    formed as E[p^2] - E[p]^2, so the standard error at t = 0 is exactly 0.
+    The N samples are nodes of weight 1/N for ``_evaluate``.  E[X] is
+    mean(amp)/2 - sum_k amp_k / (2 N) cos(omega_k t), on the band
+    [min omega, max omega].  E[X^2] is the mean of amp^2 (3/8 - cos(omega t)/2
+    + cos(2 omega t)/8); its cos(omega t) part is summed on the same band and
+    its cos(2 omega t) part on [2 min omega, 2 max omega], whose phase is
+    checked on max omega t_max like the others.  The standard error is
+    sqrt(max(E[X^2] - E[X]^2, 0) / (N - 1)), and at t = 0, where the mean is
+    exactly p0, it is 0.  With b1 the mean's evaluator bound and b2 the
+    summed bounds of the two E[X^2] sums, a standard error is off by at most
+    sqrt(b2 + 2 |E[X]| b1 + b1^2) / sqrt(N - 1).  The metadata records the
+    mean's ``n_bins`` and ``error_bound`` (b1) and that standard-error bound
+    at the largest |E[X]| (``stderr_error_bound``).
     """
     times = np.asarray(times, dtype=float)
     _validate_times(times)
@@ -919,42 +915,19 @@ def disorder_average_mc(
     rng = np.random.default_rng(seed)
     j1, j2, delta_e = sample_noise(rng, spec, size=n_samples)
     omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, j1, j2, delta_e)
-    _check_phase(float(omega.max()), float(times[-1]))
-    if initial == "zero":
-        p0, amp = 1.0, -amp_zero
-    else:
-        p0, amp = 0.5, 0.5 * amp_sup
-    n_times = len(times)
-    offsets, anchors = _grid_blocks(times)
-    n_rows = len(offsets)
-    count = 0
-    mean = np.zeros(n_times)
-    m2 = np.zeros(n_times)
-    chunk_mean = np.empty(len(anchors) * n_rows)
-    chunk_m2 = np.empty(len(anchors) * n_rows)
-    for start in range(0, n_samples, _MC_CHUNK):
-        half = 0.5 * omega[start:start + _MC_CHUNK]
-        a = amp[start:start + _MC_CHUNK]
-        sin_off = np.sin(np.outer(offsets, half))
-        cos_off = np.cos(np.outer(offsets, half))
-        x = np.empty_like(sin_off)
-        for b, anchor in enumerate(anchors):
-            # x = amp sin^2(h (anchor + offset)), rows = offsets, columns = samples
-            np.multiply(cos_off, np.sin(half * anchor), out=x)
-            x += sin_off * np.cos(half * anchor)
-            np.square(x, out=x)
-            x *= a
-            rows = slice(b * n_rows, (b + 1) * n_rows)
-            chunk_mean[rows] = x.mean(axis=1)
-            x -= chunk_mean[rows, None]
-            chunk_m2[rows] = np.einsum("ij,ij->i", x, x)
-        n = len(half)
-        delta = chunk_mean[:n_times] - mean
-        total = count + n
-        mean += delta * (n / total)
-        m2 += chunk_m2[:n_times] + delta * delta * (count * n / total)
-        count = total
-    errors = np.sqrt(m2 / (n_samples - 1) / n_samples) if n_samples > 1 else np.zeros(n_times)
+    p0, amp = (1.0, -amp_zero) if initial == "zero" else (0.5, 0.5 * amp_sup)
+    band = (float(omega.min()), float(omega.max()))
+    sq = amp * amp
+    # the cos(2 omega t) sum needs the most bins: it goes first, so a band past the cap costs no sum
+    twice, _, b_twice = _evaluate([(2.0 * omega, sq / (8.0 * n_samples), 0.0)], (2.0 * band[0], 2.0 * band[1]),
+                                  times, om_phase=band[1])
+    mean, n_bins, b1 = _evaluate([(omega, amp / (-2.0 * n_samples), 0.5 * amp.mean())], band, times)
+    second, _, b_once = _evaluate([(omega, sq / (-2.0 * n_samples), 0.375 * sq.mean())], band, times)
+    mean[0] = 0.0  # sin(0) = 0: the mean at t = 0 is exactly p0
+    var = np.maximum(second + twice - mean * mean, 0.0)  # E[X^2] - E[X]^2
+    var[0] = 0.0
+    dof = n_samples - 1 or math.inf  # one sample has no spread: its errors are 0
+    stderr_bound = math.sqrt((b_once + b_twice + (2.0 * np.abs(mean).max() + b1) * b1) / dof)
     return ProbabilityTrace(
         times=times,
         values=_clip_probabilities(p0 + mean),
@@ -962,6 +935,7 @@ def disorder_average_mc(
         method="monte-carlo",
         params=p,
         noise=spec,
-        mc_std_errors=errors,
-        metadata={"n_samples": n_samples, "seed": seed},
+        mc_std_errors=np.sqrt(var / dof),
+        metadata={"n_samples": n_samples, "seed": seed, "n_bins": n_bins, "error_bound": b1,
+                  "stderr_error_bound": stderr_bound},
     )

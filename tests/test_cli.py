@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -505,6 +506,16 @@ def test_bin_count_above_the_cap_exits_2(tmp_path, capsys):
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == 2 and not out.exists()
     assert "frequency bins" in capsys.readouterr().err
+
+
+def test_mc_bin_count_above_the_cap_exits_2(tmp_path, capsys):
+    """Monte Carlo sums its samples on the same evaluator and shares its bin
+    cap: sigma_e 1 over t_max 1e6 spans about 7 j0 of frequency, 4.5 M bins."""
+    cfg = {"method": "mc", "noise": {"sigma_e": 1.0}, "times": {"t_max": 1e6, "n_points": 11},
+           "n_samples": 200, "seed": 1}
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 2 and not out.exists()
+    assert re.search(r"needs \d+ frequency bins .* above the limit of 4194304", capsys.readouterr().err)
 
 
 def test_convergence_check_past_the_node_limits_exits_2(tmp_path, monkeypatch, capsys):
