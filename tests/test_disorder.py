@@ -1,7 +1,9 @@
 """Noise densities, sampling, and the two disorder-averaging routes."""
 
+import functools
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -18,6 +20,7 @@ from deoq_dyn.disorder import (
     QuadratureSpec,
     _czt,
     _hermgauss,
+    _leggauss,
     _ndtr,
     _nodes_coupling,
     _nodes_delta_e,
@@ -603,14 +606,56 @@ def test_ndtr_matches_erfc_on_dense_grid():
     assert np.max(np.abs(got[near] - sp) / sp) <= 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 21, 81, 150, 151, 399, 400, 1000])
+@functools.cache
+def _built(rule, n):
+    """rule(n) and the tracemalloc peak of building it, built once for every test below."""
+    tracemalloc.start()
+    try:
+        x, w = getattr(rule, "__wrapped__", rule)(n)  # past the rule's own cache: really built here
+        return x, w, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 21, 81, 150, 151, 399, 400, 1000, 2000, 5000])
 def test_hermgauss_matches_scipy_roots_hermite(n):
-    x, w = _hermgauss(n)
+    x, w, _ = _built(_hermgauss, n)
     x_ref, w_ref = scipy.special.roots_hermite(n)
     assert np.all(np.abs(x - x_ref) <= 1e-12 * np.maximum(1.0, np.abs(x_ref)))
     normal = w_ref > 1e-300
     assert np.all(np.abs(w - w_ref)[normal] <= 1e-10 * w_ref[normal])
     assert abs(w.sum() - math.sqrt(math.pi)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 41, 1233, 5000])
+def test_leggauss_matches_scipy_roots_legendre(n):
+    x, w, _ = _built(_leggauss, n)
+    x_ref, _ = scipy.special.roots_legendre(n)
+    assert np.all(np.abs(x - x_ref) <= 1e-15)
+    assert np.all(w > 0.0) and abs(w.sum() - 2.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [41, 1233, 5000])
+def test_leggauss_integrates_cos_exactly(n):
+    """sum w cos(a x) = 2 sin(a) / a up to a = 0.9 n, to 1e-13.  Weights
+    taken as mass / (beta_n p_n' p_{n-1}) at the rounded nodes, as numpy's
+    leggauss takes them, miss it by 4.9e-13 at n = 5000."""
+    x, w, _ = _built(_leggauss, n)
+    a = np.linspace(0.0, 0.9 * n, 64)
+    assert np.max(np.abs(np.cos(np.outer(a, x)) @ w - 2.0 * np.sinc(a / np.pi))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [81, 1000, 5000])
+def test_hermgauss_integrates_cos_exactly(n):
+    x, w, _ = _built(_hermgauss, n)
+    a = np.linspace(0.0, 10.0, 64)
+    assert np.max(np.abs(np.cos(np.outer(a, x)) @ w - math.sqrt(math.pi) * np.exp(-a * a / 4.0))) <= 1e-14
+
+
+@pytest.mark.parametrize("rule", [_leggauss, _hermgauss])
+def test_gauss_rules_take_o_n_memory_at_the_cap(rule):
+    """A dense n x n Jacobi matrix at the 5,000-node cap alone takes 191 MiB."""
+    assert _built(rule, disorder._MAX_DIM_NODES)[2] < 8 * 2 ** 20
 
 
 def test_hermite_and_legendre_delta_e_rules_agree():
