@@ -338,7 +338,8 @@ def _gauss(n: int, beta: np.ndarray, mass: float, start: np.ndarray) -> tuple[np
     positive nodes, and, for odd n, from the exact node 0 (Hale & Townsend
     2013).  After the first step under 1e-12 |x| at every node, quadratic
     convergence leaves rounding error alone; one more pass gives the
-    weights, and the half rule is mirrored.
+    weights, and the half rule is mirrored.  Nodes that are not strictly
+    increasing, where two starts found one node, raise NumericalError.
 
     A weight is the Christoffel-Darboux sum mass / (beta_n (p_n' p_{n-1} -
     p_{n-1}' p_n)), which is mass / (beta_n p_n' p_{n-1}) at an exact node.
@@ -353,7 +354,7 @@ def _gauss(n: int, beta: np.ndarray, mass: float, start: np.ndarray) -> tuple[np
     b = [0.0, *beta]
     x = np.concatenate((start, np.zeros(n % 2)))
     converged = False
-    for _ in range(20):  # at most 6 passes from the asymptotic starts, up to the node cap
+    for _ in range(20):  # at most 6 passes at the 2,000 sizes checked up to the node cap
         p_prev, p, dp_prev, dp, exp2 = 0.0, 1.0, 0.0, 0.0, 0  # p_{k-1}, p_k and derivatives, times 2^-exp2
         for k in range(n):
             p_prev, p = p, (x * p - b[k] * p_prev) / b[k + 1]
@@ -364,33 +365,37 @@ def _gauss(n: int, beta: np.ndarray, mass: float, start: np.ndarray) -> tuple[np
                 exp2 += shift
         if converged:
             w = np.ldexp(mass / (b[n] * (dp * p_prev - dp_prev * p)), -2 * exp2)
-            return np.concatenate((-x[:n // 2], x[::-1])), np.concatenate((w[:n // 2], w[::-1]))
+            x, w = np.concatenate((-x[:n // 2], x[::-1])), np.concatenate((w[:n // 2], w[::-1]))
+            if not np.all(np.diff(x) > 0.0):  # two starts that found one node
+                break
+            x.flags.writeable = w.flags.writeable = False  # the cached rules are shared
+            return x, w
         step = p / dp
         x -= step
         converged = np.all(np.abs(step) <= 1e-12 * np.abs(x))
-    raise NumericalError(f"the {n}-point Gauss rule did not converge")
+    raise NumericalError(f"the {n}-point Gauss rule did not converge to {n} distinct nodes")
 
 
 # rules repeat across the traces of one command: the default materials run
 # asks for 462 Gauss-Legendre rules of 42 distinct sizes, the default sweep
-# for 346 of 89, and 64 cached rules miss no more often than an unbounded cache
+# for 346 of 89, and 64 cached rules miss no more often than an unbounded
+# cache; a sweep with a quadrature block asks for one Gauss-Hermite rule of
+# the same size per trace
 @functools.lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points and weights on [-1, 1], computed once per n.
 
     beta_k = k / sqrt(4 k^2 - 1), mass 2, and Tricomi's starts
-    (1 - 1/(8 n^2) + 1/(8 n^3)) cos(pi (4 k - 1) / (4 n + 2)).  The arrays
-    are shared by every caller, so they are read-only.
+    (1 - 1/(8 n^2) + 1/(8 n^3)) cos(pi (4 k - 1) / (4 n + 2)).
     """
     k, j = np.arange(1.0, n + 1), np.arange(1, n // 2 + 1)
     start = (1.0 - 1.0 / (8 * n ** 2) + 1.0 / (8 * n ** 3)) * np.cos(math.pi * (4 * j - 1) / (4 * n + 2))
-    x, w = _gauss(n, k / np.sqrt(4.0 * k * k - 1.0), 2.0, start)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return _gauss(n, k / np.sqrt(4.0 * k * k - 1.0), 2.0, start)
 
 
+@functools.lru_cache(maxsize=64)
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite points and weights for the weight exp(-x^2).
+    """Gauss-Hermite points and weights for the weight exp(-x^2), computed once per n.
 
     beta_k = sqrt(k / 2), mass sqrt(pi), and the WKB starts sqrt(2 n + 1)
     cos(theta_k), where theta - sin(theta) cos(theta) = 2 pi (k - 1/4) /
@@ -401,7 +406,7 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     c = 2.0 * math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (2 * n + 1)
     theta = np.cbrt(1.5 * c)
-    for _ in range(4):  # to rounding, for every n
+    for _ in range(4):  # to 1.5e-14 relative for every n up to the cap
         theta -= (theta - np.sin(theta) * np.cos(theta) - c) / (2.0 * np.sin(theta) ** 2)
     return _gauss(n, np.sqrt(np.arange(1.0, n + 1) / 2.0), math.sqrt(math.pi), math.sqrt(2 * n + 1) * np.cos(theta))
 
@@ -450,6 +455,12 @@ def _terms(p: ExchangeParams, initial: str, weights, j1, j2, delta_e) -> tuple[n
     if initial == "zero":
         return omega, 0.5 * weights * amp_zero, float(weights.sum() - 0.5 * (weights * amp_zero).sum())
     return omega, -0.25 * weights * amp_sup, float(0.5 * weights.sum() + 0.25 * (weights * amp_sup).sum())
+
+
+def _check_grid(om_max: float, t_max: float) -> None:
+    """Reject frequencies up to om_max whose bin index over t_max would leave the float range."""
+    if not om_max * (2.0 * t_max / math.pi) < 2.0 ** 1023:  # NaN fails too
+        raise ValueError(f"frequencies up to {om_max:.6g} over t_max {t_max:.6g} overflow the bin grid")
 
 
 def _check_phase(om_max: float, t_max: float) -> None:
@@ -519,8 +530,7 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
     om_lo, om_max = band
     t_max = float(times[-1])
     per_bin = 2.0 * t_max / math.pi  # 1 / h
-    if not om_max * per_bin < 2.0 ** 1023:  # NaN fails too
-        raise ValueError(f"frequencies up to {om_max:.6g} over t_max {t_max:.6g} overflow the bin grid")
+    _check_grid(om_max, t_max)
     _check_phase(om_max if om_phase is None else om_phase, t_max)
     n_cells = math.floor((om_max - om_lo) * per_bin) + 1
     n_bins = n_cells + 2 * _SPREAD - 1
@@ -952,9 +962,11 @@ def disorder_average_mc(
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     j1, j2, delta_e = sample_noise(rng, spec, size=n_samples)
-    # the phase is checked on the ranges of u and of the gap before any frequency is formed
+    # before any frequency is formed, the bound over the ranges of u and of the gap is checked
+    # on the bin grid, which a frequency whose square overflows leaves; the phase is checked
+    # on the sampled frequencies
     u_range, gap_range = [(v.min(), v.max()) for v in (0.5 * (j1 + j2) - delta_e, j1 - j2)]
-    _check_phase(_band(p.j_prime, u_range, gap_range)[1], float(times[-1]))
+    _check_grid(_band(p.j_prime, u_range, gap_range)[1], float(times[-1]))
     omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, j1, j2, delta_e)
     p0, amp = (1.0, -amp_zero) if initial == "zero" else (0.5, 0.5 * amp_sup)
     band = (float(omega.min()), float(omega.max()))

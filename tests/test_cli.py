@@ -470,17 +470,18 @@ def test_phase_past_double_precision_exits_2(tmp_path, capsys, method):
     assert "om_max t_max <= 1e-6 * 2^52" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
 @pytest.mark.parametrize("j_prime", [1e155, 1e308])
-def test_mc_phase_checked_before_any_frequency_exits_2(tmp_path, capsys, j_prime):
-    """Monte Carlo checks the phase bound on its samples' band before it
-    forms a frequency, whose square overflows here: one message on stderr,
-    and no numpy warning before it."""
-    cfg = {"method": "mc", "params": {"j_prime": j_prime}, "times": {"t_max": 10.0, "n_points": 5},
+def test_frequency_square_overflow_exits_2_before_any_warning(tmp_path, capsys, method, j_prime):
+    """Both methods check the band of their nodes or samples before they
+    form a frequency, whose square overflows here: the same one message on
+    stderr, and no numpy warning before it."""
+    cfg = {"method": method, "params": {"j_prime": j_prime}, "times": {"t_max": 10.0, "n_points": 5},
            "n_samples": 10, "seed": 1}
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("deoq-dyn:") and "om_max t_max <= 1e-6 * 2^52" in err[0]
+    assert err == ["deoq-dyn: frequencies up to inf over t_max 10 overflow the bin grid"]
 
 
 @pytest.mark.parametrize("noise", [{}, {"sigma_e": 0.1, "sigma_j1": 0.1, "sigma_j2": 0.1}])

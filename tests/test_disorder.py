@@ -658,6 +658,25 @@ def test_gauss_rules_take_o_n_memory_at_the_cap(rule):
     assert _built(rule, disorder._MAX_DIM_NODES)[2] < 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("rule, mass", [(_leggauss, 2.0), (_hermgauss, math.sqrt(math.pi))],
+                         ids=["legendre", "hermite"])
+def test_gauss_rules_have_n_distinct_nodes_at_every_size(rule, mass):
+    """Each asymptotic start leads Newton to a node of its own: every n up
+    to 200 and a spread up to the cap give n strictly increasing nodes,
+    non-negative weights summing to the weight's mass."""
+    for n in [*range(1, 201), 257, 401, 730, 1001, 2047, 3001, 4999]:
+        x, w = rule.__wrapped__(n)
+        assert len(x) == n and np.all(np.diff(x) > 0.0) and np.all(w >= 0.0)
+        assert abs(w.sum() - mass) <= 1e-14 * mass
+
+
+def test_gauss_rule_with_a_repeated_node_raises():
+    """Two starts that converge to one node leave a node unfound."""
+    k = np.arange(1.0, 5.0)
+    with pytest.raises(NumericalError, match="4 distinct nodes"):
+        disorder._gauss(4, k / np.sqrt(4.0 * k * k - 1.0), 2.0, np.array([0.87, 0.86]))
+
+
 def test_hermite_and_legendre_delta_e_rules_agree():
     """Also at 401 Hermite nodes, past the n = 400 where numpy's hermgauss
     overflows to nan."""
