@@ -93,7 +93,7 @@ _MAX_BINS = 2 ** 22
 
 # node-count ceilings: per dimension about 4x what the default sweep grid and
 # material presets size on the 2D rule (at most 1,225 nodes in one dimension
-# and 1.21 M in all), so that rule stays under 2.5e7 nodes; the total bounds
+# and 0.75 M in all), so that rule stays under 2.5e7 nodes; the total bounds
 # explicit tensor specs
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
@@ -111,6 +111,12 @@ _NODES_PER_RADIAN = 0.35
 # no point by more than 1e-10 at t_max from 10 to 100; with 0, by 2e-6)
 _PANEL_MIN = 16
 _PANEL_MARGIN = 8
+
+# a cut of the reduced 2D rule that only resolves a normal-CDF step (in u,
+# or where the gap mass falls to 0) is made where the step's width is below
+# this many node spacings span / n of the scale-1 rule; a wider step is
+# smooth on the nodes, and its cuts would give two panels nearly n nodes each
+_CDF_CUT_SPACINGS = 4.0
 
 # nodes per block of the reduced 2D average, to bound its memory
 _BLOCK_NODES = 2 ** 20
@@ -346,10 +352,14 @@ def _gauss(n: int, beta: np.ndarray, mass: float, start: np.ndarray) -> tuple[np
     The second term takes up the node's rounding, to which p_{n-1}, with a
     root close by near the ends, is sensitive: at n = 120 the largest
     relative weight error is 3e-13 this way, 2e-11 without the term and
-    1.1e-11 in numpy's ``leggauss``.  Every 32 steps each node's recurrence
-    is scaled by a power of 2, exactly, and the weights take the summed
-    exponents back by ``np.ldexp``: unscaled, the orthonormal Hermite p_n
-    overflows from about n = 730.  Memory is O(n), time O(n^2).
+    1.1e-11 in numpy's ``leggauss``.  Against a 50-digit recurrence the
+    Legendre weights' largest relative error, at the end nodes, is 1.8e-12
+    at n = 305, 1.2e-12 at n = 1,233 and 3.8e-10 at n = 5,000; the end
+    weights are about 1/n^2, so the absolute error stays below 2e-16.
+    Every 32 steps each node's recurrence is scaled by a power of 2,
+    exactly, and the weights take the summed exponents back by
+    ``np.ldexp``: unscaled, the orthonormal Hermite p_n overflows from
+    about n = 730.  Memory is O(n), time O(n^2).
     """
     b = [0.0, *beta]
     x = np.concatenate((start, np.zeros(n % 2)))
@@ -735,19 +745,23 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
     Integrating u out again gives the gap mass phi(gap; m, V)
     Phi((mu - |gap|/2) / sqrt(v)).
 
-    Gauss-Legendre panels cover gap in m +- w sqrt(V), split at the |gap|
-    kink at 0 and where the gap mass falls to 0 (mu = |gap|/2, sharp when
-    one coupling is much narrower than the other), and u in
-    mu +- w sqrt(v + v_e), cut below where Phi < Phi(-w) and split at u_k
-    and u_k + w tau, across which Phi rises from 1/2 to 1 (sharp as
-    sigma_e -> 0).  Each count follows its phase span, t_max times the
-    range, at _NODES_PER_RADIAN, and is shared among panels by length (see
-    _PANEL_MARGIN); the u rule moves with slope kappa along gap, hence the
-    gap factor (1 + |kappa|).  ``scale`` multiplies both counts.  Each gap
-    node carries up to three u panels; the weight of (gap, u) is the gap
-    weight times the u panel weight times phi(u; mu, v + v_e)
-    Phi((u - u_k) / tau), with Phi = 1 when tau = 0, and the average is
-    normalized by the summed weights.  A block holds the nodes of a run of
+    Gauss-Legendre panels cover gap in m +- w sqrt(V), cut where the gap
+    mass falls to 0, and u in mu +- w sqrt(v + v_e), cut below where
+    Phi < Phi(-w); the gap range is split at the |gap| kink at 0.  A
+    normal-CDF step is split only where it is sharp on the nodes, narrower
+    than _CDF_CUT_SPACINGS spacings span / n of the scale-1 rule, so that
+    the doubled rule refines the same panels: u at u_k and u_k + w tau,
+    across which Phi rises from 1/2 to 1 (sharp as sigma_e -> 0), and the
+    gap at g_lo, g_lo + w width_lo and at g_hi - w width_hi, g_hi, across
+    which the gap mass falls to 0 (sharp when one coupling is much narrower
+    than the other).  A zero-width edge is always split.  Each count
+    follows its phase span, t_max times the range, at _NODES_PER_RADIAN,
+    and is shared among panels by length (see _PANEL_MARGIN); the u rule
+    moves with slope kappa along gap, hence the gap factor (1 + |kappa|).
+    ``scale`` multiplies both counts.  Each gap node carries up to three
+    u panels; the weight of (gap, u) is the gap weight times the u panel
+    weight times phi(u; mu, v + v_e) Phi((u - u_k) / tau), with Phi = 1
+    when tau = 0, and the average is normalized by the summed weights.  A block holds the nodes of a run of
     gap nodes as j1 = gap/2, j2 = -gap/2 and delta_e = -u, which give
     j1 - j2 = gap and (j1 + j2)/2 - delta_e = u, the only combinations the
     probability sees.
@@ -760,9 +774,11 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
     mu(gap) per gap node.  A span that rounds away at its mean, so that its
     panels have no length, takes the zero-width limit too: the gap span at m
     zeroes both coupling variances, and a u span at every mu leaves one u
-    node per gap node.  With at most _MAX_DIM_NODES per count the node set
-    stays far below _MAX_TENSOR_NODES; counts are checked as floats, before
-    ``math.ceil`` could overflow on them.
+    node per gap node.  ``meta`` records the nodes per panel of the gap
+    rule and of the u rule (``gap_panels``, ``u_panels``; 0 for a u panel
+    empty on every gap node).  With at most _MAX_DIM_NODES per count the
+    node set stays far below _MAX_TENSOR_NODES; counts are checked as
+    floats, before ``math.ceil`` could overflow on them.
     """
     base = QuadratureSpec()
     w, per_radian = base.truncation_width, _NODES_PER_RADIAN
@@ -784,6 +800,9 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
     n_gap = scale * max(base.n_legendre, math.ceil(x_gap)) if v_gap > 0 else 1
     n_u = scale * max(base.n_legendre, math.ceil(x_u)) if v_u > 0 else 1
 
+    def sharp(width, span, n):  # a step narrower than _CDF_CUT_SPACINGS spacings of the scale-1 rule
+        return width < _CDF_CUT_SPACINGS * span * scale / n
+
     if v_gap > 0:
         # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to
         # 0 over widths sqrt(v) / (1/2 -+ kappa); kappa = +-1/2 has no g_-+
@@ -795,13 +814,17 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
             g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
         lo = max(m - 0.5 * span_gap, g_lo - w * width_lo)
         hi = min(m + 0.5 * span_gap, g_hi + w * width_hi)
-        cuts = np.unique(np.clip(
-            [lo, g_lo, g_lo + w * width_lo, 0.0, g_hi - w * width_hi, g_hi, hi], lo, hi
-        ))
-        gap, w_gap = _gauss_panels(cuts, _panel_counts(np.diff(cuts), n_gap, span_gap))
+        cuts = [lo, 0.0, hi]
+        if sharp(width_lo, span_gap, n_gap):
+            cuts += [g_lo, g_lo + w * width_lo]
+        if sharp(width_hi, span_gap, n_gap):
+            cuts += [g_hi - w * width_hi, g_hi]
+        cuts = np.unique(np.clip(cuts, lo, hi))
+        gap_counts = _panel_counts(np.diff(cuts), n_gap, span_gap)
+        gap, w_gap = _gauss_panels(cuts, gap_counts)
         w_gap = w_gap * np.exp(-((gap - m) ** 2) / (2.0 * v_gap))
     else:
-        gap, w_gap = np.full(1, m), np.ones(1)
+        gap, w_gap, gap_counts = np.full(1, m), np.ones(1), [1]
     mu = 0.5 * (spec.j01 + spec.j02) + kappa * (gap - m)
     if v > 0:
         u_k = (0.5 * np.abs(gap) * v_u - mu * v_e) / v
@@ -810,10 +833,11 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
         u_k, tau = np.full_like(gap, -np.inf), 0.0
     hi = mu + 0.5 * span_u
     lo = np.minimum(np.maximum(mu - 0.5 * span_u, u_k - w * tau), hi)
-    edges = np.stack([lo, np.clip(u_k, lo, hi), np.clip(u_k + w * tau, lo, hi), hi], axis=1)
+    step_cuts = [np.clip(u_k, lo, hi), np.clip(u_k + w * tau, lo, hi)] if sharp(tau, span_u, n_u) else []
+    edges = np.stack([lo, *step_cuts, hi], axis=1)
     counts = _panel_counts(np.diff(edges, axis=1).max(axis=0), n_u, span_u)
     if not any(counts):  # the u span rounds away at every mu: its zero-width limit
-        v_u, n_u = 0.0, 1
+        v_u, n_u, counts = 0.0, 1, [1]
 
     def block(rows: slice) -> tuple:
         """(j1, j2, delta_e, weight) of the nodes of gap nodes ``rows``, unnormalized."""
@@ -834,7 +858,8 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
         u_range=(float(edges[:, 0].min()), float(edges[:, -1].max())),
         gap_range=(float(gap.min()), float(gap.max())),
         normalize=True,
-        meta={"rule": "reduced-2d", "n_gap": n_gap, "n_u": n_u, "n_nodes": n_nodes},
+        meta={"rule": "reduced-2d", "n_gap": n_gap, "n_u": n_u, "n_nodes": n_nodes,
+              "gap_panels": gap_counts, "u_panels": counts},
     )
 
 
@@ -947,7 +972,9 @@ def disorder_average_mc(
     its cos(2 omega t) part on [2 min omega, 2 max omega], whose phase is
     checked on max omega t_max like the others.  The standard error is
     sqrt(max(E[X^2] - E[X]^2, 0) / (N - 1)), and at t = 0, where the mean is
-    exactly p0, it is 0.  With b1 the mean's evaluator bound and b2 the
+    exactly p0, it is 0, as it is at every time when all samples share
+    omega and amp (zero noise), where the difference would leave a
+    rounding residue.  With b1 the mean's evaluator bound and b2 the
     summed bounds of the two E[X^2] sums, a standard error is off by at most
     sqrt(b2 + 2 |E[X]| b1 + b1^2) / sqrt(N - 1).  The metadata records the
     mean's ``n_bins`` and ``error_bound`` (b1) and that standard-error bound
@@ -979,6 +1006,8 @@ def disorder_average_mc(
     mean[0] = 0.0  # sin(0) = 0: the mean at t = 0 is exactly p0
     var = np.maximum(second + twice - mean * mean, 0.0)  # E[X^2] - E[X]^2
     var[0] = 0.0
+    if omega.min() == omega.max() and amp.min() == amp.max():  # samples that do not spread
+        var[:] = 0.0
     dof = n_samples - 1 or math.inf  # one sample has no spread: its errors are 0
     stderr_bound = math.sqrt((b_once + b_twice + (2.0 * np.abs(mean).max() + b1) * b1) / dof)
     return ProbabilityTrace(

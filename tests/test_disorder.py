@@ -315,6 +315,28 @@ def test_reduced_rule_doubling_moves_no_point_by_1e_7(case):
         assert trace.metadata["doubling_max_change"] <= 1e-7
 
 
+def test_reduced_rule_skips_the_u_cuts_of_a_wide_cdf_step():
+    """On the default sweep's worst cell at t_max 100 the normal-CDF step in
+    u spans many node spacings: u is not cut there, each gap node carries
+    one u panel, and the rule holds at most 200,000 nodes (331,614 with the
+    cuts, when two panels of nearly n_u nodes each cover every gap node)."""
+    meta = _reduced_nodes(NoiseSpec(1.0, 0.5, 0.5), 100.0).meta
+    assert meta["n_nodes"] <= 200_000
+    assert len(meta["u_panels"]) == 1
+
+
+@pytest.mark.parametrize("t_max", [40.0, 100.0])
+@pytest.mark.parametrize("case", [c for c in REDUCED_CASES if c[0] <= 0.003 and c[1:3] == (0.3, 0.3)])
+def test_reduced_rule_keeps_the_u_cuts_of_a_sharp_cdf_step(case, t_max, monkeypatch):
+    """sigma_e = 1e-4 and 0.003 make the normal-CDF step in u narrow on the
+    nodes, and sigma_e = 0 a hard edge: u keeps its cuts there, the same
+    panels as the rule that cuts at every step."""
+    panels = _reduced_nodes(NoiseSpec(*case), t_max).meta["u_panels"]
+    assert len(panels) == 3
+    monkeypatch.setattr(disorder, "_CDF_CUT_SPACINGS", math.inf)
+    assert panels == _reduced_nodes(NoiseSpec(*case), t_max).meta["u_panels"]
+
+
 def _reduced_moments(noise):
     j1, _, delta_e, w = (np.concatenate(a) for a in zip(*_reduced_nodes(noise, 100.0).blocks))
     gap, u, w = 2.0 * j1, -delta_e, w / w.sum()  # j1 = gap/2 and delta_e = -u, both exact
@@ -825,6 +847,17 @@ def test_mc_single_sample_zero_noise_is_closed_form():
     np.testing.assert_allclose(trace.values, return_probability_zero(P, 0.0, times), atol=1e-14)
 
 
+def test_mc_zero_noise_has_zero_stderr():
+    """With no noise every sample has the same omega and amp: their spread
+    is exactly 0, where E[X^2] - E[X]^2 would leave a rounding residue
+    (up to 4e-8 at 1,000 samples), and the bound is still recorded."""
+    times = np.linspace(0.0, 20.0, 201)
+    for initial in ("zero", "superposition"):
+        trace = disorder_average_mc(P, NoiseSpec(), initial, times, 1000, seed=3)
+        assert np.all(trace.mc_std_errors == 0.0)
+        assert trace.metadata["stderr_error_bound"] > 0.0
+
+
 def _node_count(nodes):
     """Nodes a node set's blocks hold, summed over the blocks."""
     return sum(len(block[3]) for block in nodes.blocks)
@@ -852,12 +885,20 @@ def test_trace_metadata_records_quadrature_setup():
     assert md["n_u"] == math.ceil(0.35 * 50.0 * 12.0 * math.sqrt(0.005 + 0.08))
     assert md["n_nodes"] == _node_count(_reduced_nodes(noise, 50.0))
     assert "n_delta_e" not in md and "quadrature_spec" not in md
+    # one gap panel either side of the kink at 0, the gap mass's steps too
+    # wide to cut; one u panel, the normal-CDF step too wide to cut
+    half_gaps = np.unique(np.concatenate([b[0] for b in _reduced_nodes(noise, 50.0).blocks]))
+    assert len(md["gap_panels"]) == 2 and sum(md["gap_panels"]) == len(half_gaps)
+    assert min(md["gap_panels"]) >= disorder._PANEL_MIN
+    assert len(md["u_panels"]) == 1 and md["u_panels"][0] >= md["n_u"] + disorder._PANEL_MARGIN
 
-    # 28Si-like noise (sigma_e = 0) runs on the 2D rule too
+    # 28Si-like noise (sigma_e = 0) runs on the 2D rule too; its hard edge in
+    # u is cut, and the panels below it are empty on every gap node
     silicon = replace(noise, sigma_e=0.0)
     md = disorder_average_quadrature(P, silicon, "zero", times).metadata
     assert md["rule"] == "reduced-2d"
     assert md["n_nodes"] == _node_count(_reduced_nodes(silicon, 50.0))
+    assert md["u_panels"][:2] == [0, 0] and len(md["u_panels"]) == 3
 
 
 @pytest.mark.parametrize("rule", ["reduced-2d", "tensor"])

@@ -1,6 +1,7 @@
 """Property tests over random noise and CLI configs (hypothesis)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,78 @@ def test_reduced_rule_equals_tensor_rule(sigma_e, sigma_j1, sigma_j2, j01, j02, 
     tensor = disorder_average_quadrature(P, noise, initial, TIMES, q=REFERENCE)
     assert reduced.metadata["rule"] == "reduced-2d"
     np.testing.assert_allclose(reduced.values, tensor.values, rtol=0, atol=1e-7)
+
+
+def _scale1_count(span, t_max, factor=1.0):
+    """Nodes of the scale-1 2D rule over a span: 0.35 per radian of phase span, 41 at least."""
+    return max(41, math.ceil(0.35 * t_max * span * factor))
+
+
+def _near_threshold(axis, ratio, sigma, other, t_max):
+    """(sigma_e, sigma_j1, sigma_j2) whose normal-CDF step on ``axis`` is
+    about ``ratio`` times the cut threshold, 4 node spacings span / n of the
+    scale-1 rule, and that ratio as built.
+
+    In u the step's width tau = sqrt(v_e v_u / v) over span 12 sqrt(v_u)
+    gives the ratio sqrt(v_e / v) n_u / 48, at sigma_j1 = sigma and
+    sigma_j2 = other.  On the gap, a narrow coupling s_n beside a wide s_w
+    makes a step of width s_n sqrt(V) / s_w, V = s_n^2 + s_w^2, over span
+    12 sqrt(V): the ratio s_n n_gap / (48 s_w), on the high side of the gap
+    when j1 is the narrow coupling and on the low side when j2 is.  A few
+    fixed-point passes solve for sigma_e or s_n, on which n depends.
+    """
+    w = QuadratureSpec().truncation_width
+    if axis == "u":
+        v = (sigma * other) ** 2 / (sigma ** 2 + other ** 2)
+        sigma_e = 0.0
+        for _ in range(8):
+            n = _scale1_count(2 * w * math.sqrt(v + 2 * sigma_e ** 2), t_max)
+            sigma_e = ratio * 8 * w * math.sqrt(v / 2) / n
+        n = _scale1_count(2 * w * math.sqrt(v + 2 * sigma_e ** 2), t_max)
+        return (sigma_e, sigma, other), math.sqrt(2 * sigma_e ** 2 / v) * n / (8 * w)
+    narrow = other
+    for _ in range(8):
+        var = narrow ** 2 + other ** 2
+        n = _scale1_count(2 * w * math.sqrt(var), t_max, 1 + abs(narrow ** 2 - other ** 2) / (2 * var))
+        narrow = ratio * 8 * w * other / n
+    var = narrow ** 2 + other ** 2
+    n = _scale1_count(2 * w * math.sqrt(var), t_max, 1 + abs(narrow ** 2 - other ** 2) / (2 * var))
+    widths = (narrow, other) if axis == "gap-hi" else (other, narrow)
+    return (sigma, *widths), narrow * n / (8 * w * other)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    axis=st.sampled_from(["u", "gap-hi", "gap-lo"]),
+    ratio=st.floats(1 / 3, 3.0),
+    sigma=st.floats(0.02, 0.5),
+    other=st.floats(0.02, 0.5),
+    t_max=st.floats(1.0, 100.0),
+    c1=st.floats(0.0, 3.0),
+    c2=st.floats(0.0, 3.0),
+    initial=st.sampled_from(["zero", "superposition"]),
+)
+def test_cdf_cuts_only_where_sharp_move_no_trace(axis, ratio, sigma, other, t_max, c1, c2, initial):
+    """Where a normal-CDF step of the 2D rule (tau in u, or a gap mass edge)
+    is within a factor 3 of its cut threshold, the rule that cuts only sharp
+    steps and the rule that cuts at every step agree to 1e-10 plus the
+    doubling changes that check_convergence reports for the two.  The means
+    lie within 3 widths of 0, so the truncation puts the steps inside the
+    ranges.  The doubling changes are needed: a dropped cut leaves one
+    panel of n_u + _PANEL_MARGIN nodes where the cut made two, and that
+    panel can be off by 2.1e-9 (sigma_j1 = sigma_j2 = 0.5, means 0, t_max
+    20, tau at 4 spacings), as its doubling change shows, where the cut
+    panels, with their extra nodes, are off by 5e-13."""
+    widths, built = _near_threshold(axis, ratio, sigma, other, t_max)
+    hypothesis.assume(1 / 3 <= built <= 3.0)
+    noise = NoiseSpec(*widths, c1 * widths[1], c2 * widths[2])
+    times = np.linspace(0.0, t_max, 401)
+    decided = disorder_average_quadrature(P, noise, initial, times, check_convergence=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disorder, "_CDF_CUT_SPACINGS", math.inf)
+        always = disorder_average_quadrature(P, noise, initial, times, check_convergence=True)
+    reported = decided.metadata["doubling_max_change"] + always.metadata["doubling_max_change"]
+    assert np.max(np.abs(decided.values - always.values)) <= 1e-10 + reported
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
