@@ -93,7 +93,7 @@ _MAX_BINS = 2 ** 22
 
 # node-count ceilings: per dimension about 4x what the default sweep grid and
 # material presets size on the 2D rule (at most 1,225 nodes in one dimension
-# and 0.75 M in all), so that rule stays under 2.5e7 nodes; the total bounds
+# and 0.76 M in all), so that rule stays under 2.5e7 nodes; the total bounds
 # explicit tensor specs
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
@@ -107,8 +107,10 @@ _NODES_PER_RADIAN = 0.35
 # Gauss-Legendre nodes per panel of the reduced 2D rule: at least 16, which
 # integrate a normal CDF across 6 standard deviations to 1e-15, and 8 more
 # than the panel's share of the phase span, since a short panel at 0.35 nodes
-# per radian sits on the resolution cliff (with 8, doubling the counts moves
-# no point by more than 1e-10 at t_max from 10 to 100; with 0, by 2e-6)
+# per radian sits on the resolution cliff (with 8, doubling the counts moved
+# a point by at most 3.2e-11 over 200 random noise specs at t_max 1 to 100,
+# and a u panel left whole by the cut decision needs the margins of the
+# panels it stands for, see _reduced_nodes; with 0, by 2e-6)
 _PANEL_MIN = 16
 _PANEL_MARGIN = 8
 
@@ -758,13 +760,17 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
     follows its phase span, t_max times the range, at _NODES_PER_RADIAN,
     and is shared among panels by length (see _PANEL_MARGIN); the u rule
     moves with slope kappa along gap, hence the gap factor (1 + |kappa|).
-    ``scale`` multiplies both counts.  Each gap node carries up to three
-    u panels; the weight of (gap, u) is the gap weight times the u panel
-    weight times phi(u; mu, v + v_e) Phi((u - u_k) / tau), with Phi = 1
-    when tau = 0, and the average is normalized by the summed weights.  A block holds the nodes of a run of
-    gap nodes as j1 = gap/2, j2 = -gap/2 and delta_e = -u, which give
-    j1 - j2 = gap and (j1 + j2)/2 - delta_e = u, the only combinations the
-    probability sees.
+    Where u is not split, its one panel also takes the _PANEL_MARGIN of
+    each further panel the split would have made: with n_u + _PANEL_MARGIN
+    nodes, doubling the counts moved a point by 2.1e-9 at sigma_e 0.273,
+    sigma_j 0.5 / 0.5, means 0, t_max 20, and with the further margin by
+    6e-13.  ``scale`` multiplies both counts.  Each gap node carries up to
+    three u panels; the weight of (gap, u) is the gap weight times the u
+    panel weight times phi(u; mu, v + v_e) Phi((u - u_k) / tau), with
+    Phi = 1 when tau = 0, and the average is normalized by the summed
+    weights.  A block holds the nodes of a run of gap nodes as j1 = gap/2,
+    j2 = -gap/2 and delta_e = -u, which give j1 - j2 = gap and
+    (j1 + j2)/2 - delta_e = u, the only combinations the probability sees.
 
     Zero widths are the limits of these formulas.  sigma_e = 0 gives
     tau = 0: Phi is a hard lower edge at u = |gap|/2 and the transition panel
@@ -833,9 +839,12 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
         u_k, tau = np.full_like(gap, -np.inf), 0.0
     hi = mu + 0.5 * span_u
     lo = np.minimum(np.maximum(mu - 0.5 * span_u, u_k - w * tau), hi)
-    step_cuts = [np.clip(u_k, lo, hi), np.clip(u_k + w * tau, lo, hi)] if sharp(tau, span_u, n_u) else []
-    edges = np.stack([lo, *step_cuts, hi], axis=1)
+    edges = np.stack([lo, np.clip(u_k, lo, hi), np.clip(u_k + w * tau, lo, hi), hi], axis=1)
     counts = _panel_counts(np.diff(edges, axis=1).max(axis=0), n_u, span_u)
+    if not sharp(tau, span_u, n_u):  # one panel, with the margin of each panel the cuts would add
+        edges, pieces = edges[:, ::3], np.count_nonzero(counts)
+        counts = _panel_counts([np.max(edges[:, 1] - edges[:, 0])], n_u, span_u)
+        counts[0] += max(int(pieces) - 1, 0) * _PANEL_MARGIN
     if not any(counts):  # the u span rounds away at every mu: its zero-width limit
         v_u, n_u, counts = 0.0, 1, [1]
 
@@ -1006,7 +1015,7 @@ def disorder_average_mc(
     mean[0] = 0.0  # sin(0) = 0: the mean at t = 0 is exactly p0
     var = np.maximum(second + twice - mean * mean, 0.0)  # E[X^2] - E[X]^2
     var[0] = 0.0
-    if omega.min() == omega.max() and amp.min() == amp.max():  # samples that do not spread
+    if band[0] == band[1] and amp.min() == amp.max():  # samples that do not spread
         var[:] = 0.0
     dof = n_samples - 1 or math.inf  # one sample has no spread: its errors are 0
     stderr_bound = math.sqrt((b_once + b_twice + (2.0 * np.abs(mean).max() + b1) * b1) / dof)

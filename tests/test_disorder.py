@@ -315,14 +315,19 @@ def test_reduced_rule_doubling_moves_no_point_by_1e_7(case):
         assert trace.metadata["doubling_max_change"] <= 1e-7
 
 
-def test_reduced_rule_skips_the_u_cuts_of_a_wide_cdf_step():
+def test_reduced_rule_skips_the_u_cuts_of_a_wide_cdf_step(monkeypatch):
     """On the default sweep's worst cell at t_max 100 the normal-CDF step in
     u spans many node spacings: u is not cut there, each gap node carries
     one u panel, and the rule holds at most 200,000 nodes (331,614 with the
-    cuts, when two panels of nearly n_u nodes each cover every gap node)."""
+    cuts, when two panels of nearly n_u nodes each cover every gap node).
+    The one panel keeps the margin of each panel the cuts would make."""
     meta = _reduced_nodes(NoiseSpec(1.0, 0.5, 0.5), 100.0).meta
     assert meta["n_nodes"] <= 200_000
     assert len(meta["u_panels"]) == 1
+    monkeypatch.setattr(disorder, "_CDF_CUT_SPACINGS", math.inf)
+    cut = [n for n in _reduced_nodes(NoiseSpec(1.0, 0.5, 0.5), 100.0).meta["u_panels"] if n]
+    assert len(cut) == 2
+    assert meta["u_panels"][0] == meta["n_u"] + 2 * disorder._PANEL_MARGIN
 
 
 @pytest.mark.parametrize("t_max", [40.0, 100.0])
