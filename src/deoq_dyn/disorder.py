@@ -41,9 +41,13 @@ from E[X^2] - E[X]^2 with a stated bound for the cancellation.  Monte Carlo
 thus checks the quadrature's node sets, not the evaluator, which the tests
 hold against the exact cos-matrix sum.
 
-Both Gauss rules, Legendre and Hermite, come from one helper, ``_gauss``:
-Newton's method on the orthonormal three-term recurrence from asymptotic
-nodes, in O(n) memory and O(n^2) time.
+Both Gauss rules run Newton's method from asymptotic nodes in O(n) memory.
+The Gauss-Legendre rule, which every node set uses, steps in theta (x =
+cos theta) and evaluates P_n at all nodes at once: from Stieltjes'
+interior expansion, and next to the ends from P_n's exact cosine series,
+in O(n) vectorized work per pass.  The Gauss-Hermite rule, which only an
+explicit QuadratureSpec reaches, runs ``_gauss``, Newton on the
+orthonormal three-term recurrence, in O(n^2) time.
 
 Because the integrand oscillates as cos(omega(x) t), the node count a
 dimension needs grows linearly with the phase span t_max * d(omega)/dx *
@@ -125,6 +129,18 @@ _BLOCK_NODES = 2 ** 20
 
 # arguments per chunk of _ndtr
 _NDTR_CHUNK = 2 ** 16
+
+# Gauss-Legendre P_n(cos theta): Stieltjes' interior expansion cut at 30
+# terms matched the exact cosine series in dP/dtheta to 5e-15 from the 5th
+# node off x = 1 on, for n from 41 to 5,000 (3e-11 at the 4th, 0.2 at the
+# 2nd), so the series takes the 10 nodes next to x = 1, twice the 5 it must.
+# It takes every node of a rule of up to _LEG_SERIES_MAX points: its one
+# nodes x (n + 1) product per pass built a whole rule faster than the two
+# evaluators up to about 90 points (0.49 against 0.73 ms at n = 60, 1.05
+# against 0.93 ms at n = 100, on a 2-core x86 host)
+_LEG_TERMS = 30
+_LEG_END_NODES = 10
+_LEG_SERIES_MAX = 90
 
 
 class NumericalError(RuntimeError):
@@ -339,6 +355,7 @@ def _check_node_counts(*counts: float) -> None:
 def _gauss(n: int, beta: np.ndarray, mass: float, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending nodes and weights of the n-point Gauss rule of a symmetric weight of mass ``mass``.
 
+    The Gauss-Hermite rule's core: beta_k = sqrt(k / 2), mass sqrt(pi).
     The weight's orthonormal polynomials, scaled to p_0 = 1, obey
     beta_{k+1} p_{k+1} = x p_k - beta_k p_{k-1}, with beta = (beta_1, ..,
     beta_n).  Newton steps x -= p_n / p_n', p_n' from the differentiated
@@ -352,16 +369,11 @@ def _gauss(n: int, beta: np.ndarray, mass: float, start: np.ndarray) -> tuple[np
     A weight is the Christoffel-Darboux sum mass / (beta_n (p_n' p_{n-1} -
     p_{n-1}' p_n)), which is mass / (beta_n p_n' p_{n-1}) at an exact node.
     The second term takes up the node's rounding, to which p_{n-1}, with a
-    root close by near the ends, is sensitive: at n = 120 the largest
-    relative weight error is 3e-13 this way, 2e-11 without the term and
-    1.1e-11 in numpy's ``leggauss``.  Against a 50-digit recurrence the
-    Legendre weights' largest relative error, at the end nodes, is 1.8e-12
-    at n = 305, 1.2e-12 at n = 1,233 and 3.8e-10 at n = 5,000; the end
-    weights are about 1/n^2, so the absolute error stays below 2e-16.
-    Every 32 steps each node's recurrence is scaled by a power of 2,
-    exactly, and the weights take the summed exponents back by
-    ``np.ldexp``: unscaled, the orthonormal Hermite p_n overflows from
-    about n = 730.  Memory is O(n), time O(n^2).
+    root close by near the ends, is sensitive.  Every 32 steps each node's
+    recurrence is scaled by a power of 2, exactly, and the weights take the
+    summed exponents back by ``np.ldexp``: unscaled, the orthonormal
+    Hermite p_n overflows from about n = 730.  Memory is O(n), time O(n^2):
+    about 12 numpy calls per step on arrays of n / 2, n steps per pass.
     """
     b = [0.0, *beta]
     x = np.concatenate((start, np.zeros(n % 2)))
@@ -388,21 +400,109 @@ def _gauss(n: int, beta: np.ndarray, mass: float, start: np.ndarray) -> tuple[np
     raise NumericalError(f"the {n}-point Gauss rule did not converge to {n} distinct nodes")
 
 
+def _legendre_series(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(cos theta) and dP/dtheta from the exact cosine series.
+
+    P_n(cos t) = sum_m c_m cos((n - 2m) t), c_m = a_m a_{n-m}, a_m =
+    binom(2m, m) / 4^m.  The a_m come from a product of m rounded factors;
+    scaling the c_m to their exact sum P_n(1) = 1 takes up most of that
+    rounding (end weights at n = 5,000: 7.5e-15 relative error unscaled,
+    1.8e-15 scaled).
+    """
+    m = np.arange(1.0, n + 1)
+    a = np.cumprod(np.concatenate(([1.0], (m - 0.5) / m)))
+    c = a * a[::-1]
+    c /= c.sum()
+    k = n - 2.0 * np.arange(n + 1)
+    phase = np.outer(theta, k)
+    return np.cos(phase) @ c, -(np.sin(phase) @ (c * k))
+
+
+def _legendre_interior(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(cos theta) and dP/dtheta from Stieltjes' expansion, away from the ends.
+
+    P_n(cos t) = C_n sum_{m < _LEG_TERMS} h_m cos((n + m + 1/2) t - (m +
+    1/2) pi/2) / (2 sin t)^(m + 1/2), h_0 = 1, h_m = h_{m-1} (m - 1/2)^2 /
+    (m (n + m + 1/2)), C_n = (4/pi) prod_{k <= n} k / (k + 1/2) (Hale &
+    Townsend 2013).  C_n is the exponential of an exactly rounded sum of
+    logarithms: a plain product of the n factors puts the weight sums 2.4e-14
+    off at n = 3,001.
+    """
+    c_n = 4.0 / math.pi * math.exp(math.fsum(np.log1p(-0.5 / np.arange(1.5, n + 1))))
+    half = np.arange(_LEG_TERMS) + 0.5  # m + 1/2
+    h = np.cumprod(np.concatenate(([1.0], half[:-1] ** 2 / ((half[1:] - 0.5) * (n + half[1:])))))
+    amp = h * np.exp(-np.outer(np.log(2.0 * np.sin(theta)), half))
+    phase = np.outer(theta, n + half) - half * (0.5 * math.pi)
+    cos_part, sin_part = amp * np.cos(phase), amp * np.sin(phase)
+    return c_n * cos_part.sum(axis=1), -c_n * (sin_part @ (n + half) + (cos_part @ half) / np.tan(theta))
+
+
+def _legendre_rule(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Gauss-Legendre nodes and weights from starts ``theta`` of the n // 2 positive nodes.
+
+    With x = cos(theta), Newton steps theta -= P_n / (dP/dtheta) run on the
+    positive nodes in ascending theta; the odd-n node 0, at theta = pi/2,
+    stays exact.  The first _LEG_END_NODES of them, or all in a rule of up to
+    _LEG_SERIES_MAX points, take P_n from the cosine series, the rest from
+    the interior expansion, each in O(n) vectorized work per pass.  After
+    the first step under 1e-12 |x| at every node, quadratic convergence
+    leaves rounding error alone; one more pass gives the weights 2 /
+    (dP/dtheta)^2, and the half rule is mirrored.  Nodes that are not
+    strictly increasing, where two starts found one node, raise
+    NumericalError.
+
+    A weight taken in theta is insensitive to the node's rounding, which is
+    relative in theta.  Against a 50-digit recurrence the weights of the
+    end, near-end and middle nodes are within 2.1e-15 relative at n = 305,
+    1,233 and 5,000, save the end node at n = 5,000, 1.6e-12 off: Newton
+    stops there after a step of 6e-10 rad, under 1e-12 |x| in x, whose
+    square is not yet rounding level (the recurrence rule it replaced:
+    1.8e-12, 1.2e-12 and 3.8e-10 at the end nodes).
+    """
+    half = n // 2
+    theta = np.concatenate((theta, np.full(n % 2, 0.5 * math.pi)))
+    ends = len(theta) if n <= _LEG_SERIES_MAX else _LEG_END_NODES
+
+    def legendre(t):  # P_n(cos t) and dP/dt
+        p, dp = _legendre_series(n, t[:ends])
+        if ends < len(t):
+            p_in, dp_in = _legendre_interior(n, t[ends:])
+            p, dp = np.concatenate((p, p_in)), np.concatenate((dp, dp_in))
+        return p, dp
+
+    x, converged = np.cos(theta), False
+    for _ in range(20):  # at most 4 passes, the weights' one included, at every size up to the node cap
+        p, dp = legendre(theta)
+        if converged:
+            w = 2.0 / dp ** 2
+            x[half:] = 0.0  # the odd-n node 0
+            x, w = np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+            if not np.all(np.diff(x) > 0.0):  # two starts that found one node
+                break
+            x.flags.writeable = w.flags.writeable = False  # the cached rules are shared
+            return x, w
+        theta[:half] -= p[:half] / dp[:half]
+        x_prev, x = x, np.cos(theta)
+        converged = np.all(np.abs(x - x_prev) <= 1e-12 * np.abs(x))
+    raise NumericalError(f"the {n}-point Gauss rule did not converge to {n} distinct nodes")
+
+
 # rules repeat across the traces of one command: the default materials run
 # asks for 462 Gauss-Legendre rules of 42 distinct sizes, the default sweep
 # for 346 of 89, and 64 cached rules miss no more often than an unbounded
-# cache; a sweep with a quadrature block asks for one Gauss-Hermite rule of
-# the same size per trace
+# cache; a rule of 629 points, the largest of the sweep-heavy benchmark,
+# takes about 2 ms to build, 5,000 points about 15 ms; a sweep with a
+# quadrature block asks for one Gauss-Hermite rule of the same size per trace
 @functools.lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points and weights on [-1, 1], computed once per n.
 
-    beta_k = k / sqrt(4 k^2 - 1), mass 2, and Tricomi's starts
-    (1 - 1/(8 n^2) + 1/(8 n^3)) cos(pi (4 k - 1) / (4 n + 2)).
+    Newton in theta starts from Tricomi's nodes (1 - 1/(8 n^2) + 1/(8 n^3))
+    cos(pi (4 k - 1) / (4 n + 2)) (see _legendre_rule).
     """
-    k, j = np.arange(1.0, n + 1), np.arange(1, n // 2 + 1)
+    j = np.arange(1, n // 2 + 1)
     start = (1.0 - 1.0 / (8 * n ** 2) + 1.0 / (8 * n ** 3)) * np.cos(math.pi * (4 * j - 1) / (4 * n + 2))
-    return _gauss(n, k / np.sqrt(4.0 * k * k - 1.0), 2.0, start)
+    return _legendre_rule(n, np.arccos(start))
 
 
 @functools.lru_cache(maxsize=64)
@@ -657,8 +757,15 @@ def _gauss_panels(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_counts(lengths, n: int, span: float) -> list:
-    """Nodes per panel: n per span of length plus a margin, 0 for an empty panel."""
-    return [max(_PANEL_MIN, math.ceil(n * length / span) + _PANEL_MARGIN) if length > 0 else 0
+    """Nodes per panel: n per span of length plus a margin, 0 for an empty panel.
+
+    A share n length / span within 1e-12 of an integer, relative, counts as
+    that integer: a length is a difference of panel edges, which rounds at
+    the edges' magnitude, so a panel as long as the span can come out a few
+    ulps longer (up to 12 in the default materials run) and would take one
+    node more.
+    """
+    return [max(_PANEL_MIN, math.ceil(n * length / span * (1.0 - 1e-12)) + _PANEL_MARGIN) if length > 0 else 0
             for length in lengths]
 
 

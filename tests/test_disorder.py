@@ -330,6 +330,19 @@ def test_reduced_rule_skips_the_u_cuts_of_a_wide_cdf_step(monkeypatch):
     assert meta["u_panels"][0] == meta["n_u"] + 2 * disorder._PANEL_MARGIN
 
 
+def test_panel_counts_spend_no_node_on_rounding():
+    """At sigma (0.2, 0.1, 0.1), t_max 50 the one u panel is the span long,
+    but its edges round so that its share n_u length / span is
+    62.00000000000001: it counts as 62, and the panel takes n_u plus three
+    margins (its own and those of the two cuts not made), 86 nodes, not 87.
+    A share 1e-9 past an integer still takes the next one."""
+    meta = _reduced_nodes(NoiseSpec(0.2, 0.1, 0.1), 50.0).meta
+    assert meta["n_u"] == 62 and meta["u_panels"] == [62 + 3 * disorder._PANEL_MARGIN]
+    margin = disorder._PANEL_MARGIN
+    assert disorder._panel_counts([math.nextafter(1.0, 2.0), 1.0], 62, 1.0) == [62 + margin] * 2
+    assert disorder._panel_counts([0.5 + 1e-9], 62, 1.0) == [32 + margin]
+
+
 @pytest.mark.parametrize("t_max", [40.0, 100.0])
 @pytest.mark.parametrize("case", [c for c in REDUCED_CASES if c[0] <= 0.003 and c[1:3] == (0.3, 0.3)])
 def test_reduced_rule_keeps_the_u_cuts_of_a_sharp_cdf_step(case, t_max, monkeypatch):
@@ -691,7 +704,8 @@ def test_gauss_rules_have_n_distinct_nodes_at_every_size(rule, mass):
     """Each asymptotic start leads Newton to a node of its own: every n up
     to 200 and a spread up to the cap give n strictly increasing nodes,
     non-negative weights summing to the weight's mass."""
-    for n in [*range(1, 201), 257, 401, 730, 1001, 2047, 3001, 4999]:
+    switches = (2 * disorder._LEG_END_NODES, disorder._LEG_SERIES_MAX)  # of the Legendre evaluators
+    for n in [*range(1, 201), *(s + d for s in switches for d in (-1, 0, 1)), 257, 401, 730, 1001, 2047, 3001, 4999]:
         x, w = rule.__wrapped__(n)
         assert len(x) == n and np.all(np.diff(x) > 0.0) and np.all(w >= 0.0)
         assert abs(w.sum() - mass) <= 1e-14 * mass
@@ -702,6 +716,66 @@ def test_gauss_rule_with_a_repeated_node_raises():
     k = np.arange(1.0, 5.0)
     with pytest.raises(NumericalError, match="4 distinct nodes"):
         disorder._gauss(4, k / np.sqrt(4.0 * k * k - 1.0), 2.0, np.array([0.87, 0.86]))
+
+
+def test_legendre_split_evaluators_at_small_sizes(monkeypatch):
+    """With no all-series size, every rule takes the end nodes from the
+    cosine series and the rest from the interior expansion; the switch then
+    falls at n = 2 _LEG_END_NODES, and every n up to 200 still gives n
+    strictly increasing nodes whose weights sum to 2."""
+    monkeypatch.setattr(disorder, "_LEG_SERIES_MAX", 0)
+    for n in range(1, 201):
+        x, w = _leggauss.__wrapped__(n)
+        assert len(x) == n and np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        assert abs(w.sum() - 2.0) <= 2e-14
+
+
+@pytest.mark.parametrize("n", [91, 150, 305, 629, 1233, 3001, 5000])
+def test_legendre_interior_expansion_matches_cosine_series_at_the_switch(n):
+    """At the nodes 6 to 15 off x = 1, around the switch after node
+    _LEG_END_NODES, the two evaluators agree on P_n to 1e-15 |dP/dtheta|
+    (a node shift of 1e-15 rad) and on dP/dtheta to 1e-14 relative."""
+    x, _ = _leggauss(n)
+    k = disorder._LEG_END_NODES
+    theta = np.arccos(x[::-1][k - 5:k + 5])
+    p, dp = disorder._legendre_series(n, theta)
+    p_in, dp_in = disorder._legendre_interior(n, theta)
+    assert np.all(np.abs(p_in - p) <= 1e-15 * np.abs(dp))
+    assert np.all(np.abs(dp_in - dp) <= 1e-14 * np.abs(dp))
+
+
+# Gauss-Legendre weights by index, from a 50-digit recurrence (mpmath):
+# the nodes 1, 2, 10, 11 and 12 off x = 1 and a middle node (node 0 at odd n)
+LEGENDRE_WEIGHTS = {
+    305: {304: 7.9509892111578553976e-05, 303: 1.8507573440236924251e-04, 295: 1.0293273981191966807e-03,
+          294: 1.1344890976446278488e-03, 293: 1.2395308401965158793e-03, 152: 1.0283431901772910684e-02},
+    1233: {1232: 4.8771920778894787674e-06, 1231: 1.1353144084271621147e-05, 1223: 6.3238484635380775487e-05,
+           1222: 6.9722934018553797744e-05, 1221: 7.6206931950560305047e-05, 616: 2.5468929027107653651e-03},
+    5000: {4999: 2.967710852408797379e-07, 4998: 6.9082648257059715749e-07, 4990: 3.848352550509151679e-06,
+           4989: 4.2430494289520799685e-06, 4988: 4.6377446824048036133e-06, 2500: 6.2825567100981737788e-04},
+}
+
+
+@pytest.mark.parametrize("n", sorted(LEGENDRE_WEIGHTS))
+def test_leggauss_weights_match_a_50_digit_reference(n):
+    """Within 5e-15 relative, save the end node at n = 5,000: there Newton
+    stops after a step of 6e-10 rad, under 1e-12 |x| in x, and leaves 1.6e-12
+    (the recurrence rule it replaced: 3.8e-10)."""
+    w = _built(_leggauss, n)[1]
+    for i, ref in LEGENDRE_WEIGHTS[n].items():
+        bound = 2e-12 if (n, i) == (5000, 4999) else 5e-15
+        assert abs(w[i] - ref) <= bound * ref, (n, i)
+
+
+@pytest.mark.parametrize("n", [4, 401])
+def test_legendre_rule_with_a_repeated_node_raises(n):
+    """Two starts that converge to one node leave a node unfound, on the
+    all-series path (n = 4) and on the interior expansion (n = 401)."""
+    x, _ = _leggauss(n)
+    theta = np.arccos(x[::-1][:n // 2])
+    theta[-1] = theta[-2]
+    with pytest.raises(NumericalError, match=f"{n} distinct nodes"):
+        disorder._legendre_rule(n, theta)
 
 
 def test_hermite_and_legendre_delta_e_rules_agree():
