@@ -99,11 +99,14 @@ def _read(cls, d, context: str):
     also from null, which stands for the field's default.  Missing keys take
     the defaults and the dataclass validates the values.  A class with a
     ``resolved`` method gets the object back to fill defaults that depend
-    on other keys.
+    on other keys.  This module's classes resolve their annotations in its
+    own globals, not in ``sys.modules["__main__"]``, which is the tool's
+    module when a tool runs this one, as ``python -m cProfile -m
+    deoq_dyn.cli`` does.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    kinds = get_type_hints(cls)
+    kinds = get_type_hints(cls, globals() if cls.__module__ == __name__ else None)
     for key in d:
         if key not in kinds:
             raise ConfigError(f"unknown key {key!r} in {context}")

@@ -13,17 +13,18 @@ probability.  Two node producers feed one evaluator:
 The probability depends on the couplings and the gradient only through the
 detuning d = j' - u, u = (j1 + j2)/2 - delta_e, and the gap j1 - j2.  Each
 quadrature rule is a node set (``_NodeSet``): blocks of (j1, j2, delta_e,
-weight) with the ranges of u and of the gap.  With no explicit
-QuadratureSpec, ``_reduced_nodes`` integrates (j1 + j2)/2 and delta_e
-analytically and runs a 2D Gauss-Legendre rule over the gap and u under a
-closed-form extended skew-normal weight; zero widths, and widths that round
-away, are limits of that weight.  An explicit QuadratureSpec gives
-``_tensor_nodes`` (Gauss-Hermite or pdf-weighted Gauss-Legendre in delta_e,
-pdf-weighted Gauss-Legendre per coupling), which also serves the tests as
-the reference for the reduction.  ``_average``
-turns every node set into (omega, coef, base) blocks for one evaluator,
-``_evaluate``, with a band (om_lo, om_max) that ``_band`` derives from the
-set's ranges and that holds every node frequency.
+weight), at most _BLOCK_NODES nodes each, with the ranges of u and of the
+gap.  With no explicit QuadratureSpec, ``_reduced_nodes`` integrates
+(j1 + j2)/2 and delta_e analytically and runs a 2D Gauss-Legendre rule
+over the gap and u under a closed-form extended skew-normal weight; zero
+widths, and widths that round away, are limits of that weight.  An
+explicit QuadratureSpec gives ``_tensor_nodes``: Gauss-Hermite or the
+pdf-weighted Gauss-Legendre rule ``_pdf_legendre`` in delta_e, and
+``_pdf_legendre`` per coupling; it also serves the tests as the reference
+for the reduction.  ``_average`` turns every node set into (omega, coef,
+base) blocks for one evaluator, ``_evaluate``, with a band (om_lo,
+om_max) that ``_band`` derives from the set's ranges and that holds every
+node frequency, and divides the sum by the set's summed weights.
 
 The evaluator is a type-1 NUFFT by Gaussian gridding at oversampling 2
 (Dutt & Rokhlin 1993; Greengard & Lee 2004): each coefficient is spread in
@@ -41,13 +42,15 @@ from E[X^2] - E[X]^2 with a stated bound for the cancellation.  Monte Carlo
 thus checks the quadrature's node sets, not the evaluator, which the tests
 hold against the exact cos-matrix sum.
 
-Both Gauss rules run Newton's method from asymptotic nodes in O(n) memory.
-The Gauss-Legendre rule, which every node set uses, steps in theta (x =
-cos theta) and evaluates P_n at all nodes at once: from Stieltjes'
-interior expansion, and next to the ends from P_n's exact cosine series,
-in O(n) vectorized work per pass.  The Gauss-Hermite rule, which only an
-explicit QuadratureSpec reaches, runs ``_gauss``, Newton on the
-orthonormal three-term recurrence, in O(n^2) time.
+Both Gauss rules run one Newton driver, ``_newton_rule``, from
+asymptotic nodes in O(n) memory; each rule gives it the variable to step
+in and an evaluator of the step and the weight.  The Gauss-Legendre rule,
+which every node set uses, steps in theta (x = cos theta) and evaluates
+P_n at all nodes at once: from Stieltjes' interior expansion, and next to
+the ends from P_n's exact cosine series, in O(n) vectorized work per
+pass.  The Gauss-Hermite rule, which only an explicit QuadratureSpec
+reaches, steps in x on the orthonormal three-term recurrence, in O(n^2)
+time.
 
 Because the integrand oscillates as cos(omega(x) t), the node count a
 dimension needs grows linearly with the phase span t_max * d(omega)/dx *
@@ -124,11 +127,13 @@ _PANEL_MARGIN = 8
 # smooth on the nodes, and its cuts would give two panels nearly n nodes each
 _CDF_CUT_SPACINGS = 4.0
 
-# nodes per block of the reduced 2D average, to bound its memory
-_BLOCK_NODES = 2 ** 20
-
-# arguments per chunk of _ndtr
-_NDTR_CHUNK = 2 ** 16
+# nodes per block of every node set, to bound its memory: a block's
+# temporaries are a few arrays of this length, short enough for the 2D
+# rule's normal CDF to run in cache (one pass over 0.4 M arguments took
+# twice as long); a tensor average of 2,000 x 2,000 nodes with sigma_j1 = 0,
+# once one 4 M-node block, peaks at 40 MiB RSS, not 401 MiB (fresh
+# process, 2-core x86 host)
+_BLOCK_NODES = 2 ** 16
 
 # Gauss-Legendre P_n(cos theta): Stieltjes' interior expansion cut at 30
 # terms matched the exact cosine series in dP/dtheta to 5e-15 from the 5th
@@ -352,52 +357,61 @@ def _check_node_counts(*counts: float) -> None:
         )
 
 
-def _gauss(n: int, beta: np.ndarray, mass: float, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and weights of the n-point Gauss rule of a symmetric weight of mass ``mass``.
+def _newton_rule(n: int, t: np.ndarray, x_of, evaluate) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of an n-point Gauss rule of a symmetric weight, by Newton's method.
 
-    The Gauss-Hermite rule's core: beta_k = sqrt(k / 2), mass sqrt(pi).
-    The weight's orthonormal polynomials, scaled to p_0 = 1, obey
-    beta_{k+1} p_{k+1} = x p_k - beta_k p_{k-1}, with beta = (beta_1, ..,
-    beta_n).  Newton steps x -= p_n / p_n', p_n' from the differentiated
-    recurrence, run from ``start``, asymptotic approximations of the n // 2
-    positive nodes, and, for odd n, from the exact node 0 (Hale & Townsend
-    2013).  After the first step under 1e-12 |x| at every node, quadratic
-    convergence leaves rounding error alone; one more pass gives the
-    weights, and the half rule is mirrored.  Nodes that are not strictly
-    increasing, where two starts found one node, raise NumericalError.
-
-    A weight is the Christoffel-Darboux sum mass / (beta_n (p_n' p_{n-1} -
-    p_{n-1}' p_n)), which is mass / (beta_n p_n' p_{n-1}) at an exact node.
-    The second term takes up the node's rounding, to which p_{n-1}, with a
-    root close by near the ends, is sensitive.  Every 32 steps each node's
-    recurrence is scaled by a power of 2, exactly, and the weights take the
-    summed exponents back by ``np.ldexp``: unscaled, the orthonormal
-    Hermite p_n overflows from about n = 730.  Memory is O(n), time O(n^2):
-    about 12 numpy calls per step on arrays of n / 2, n steps per pass.
+    ``t`` holds the starts of the nodes x >= 0 in the variable Newton steps
+    in: the n // 2 positive nodes, then, for odd n, the node 0, which is
+    exact and never stepped.  ``x_of(t)`` gives the nodes, and
+    ``evaluate(t)`` the Newton step and the weight at every node.  After
+    the first step under 1e-12 |x| at every node, quadratic convergence
+    leaves rounding error alone; one more pass gives the weights, and the
+    half rule is mirrored.  Nodes that are not strictly increasing, where
+    two starts found one node, raise NumericalError, and so does a rule
+    that has not converged after 20 passes.  The arrays returned are read-only.
     """
-    b = [0.0, *beta]
-    x = np.concatenate((start, np.zeros(n % 2)))
-    converged = False
-    for _ in range(20):  # at most 6 passes at the 2,000 sizes checked up to the node cap
-        p_prev, p, dp_prev, dp, exp2 = 0.0, 1.0, 0.0, 0.0, 0  # p_{k-1}, p_k and derivatives, times 2^-exp2
-        for k in range(n):
-            p_prev, p = p, (x * p - b[k] * p_prev) / b[k + 1]
-            dp_prev, dp = dp, (p_prev + x * dp - b[k] * dp_prev) / b[k + 1]
-            if k % 32 == 31:  # a step grows them by (|x| + beta_k) / beta_{k+1} < 2^8 for |x| up to 100
-                shift = np.frexp(np.abs(p) + np.abs(p_prev))[1]
-                p, p_prev, dp, dp_prev = (np.ldexp(v, -shift) for v in (p, p_prev, dp, dp_prev))
-                exp2 += shift
+    half = n // 2
+    x, converged = x_of(t), False
+    for _ in range(20):  # with the weights' pass, at most 4 (Legendre) and 6 (Hermite) at the sizes checked
+        step, w = evaluate(t)
         if converged:
-            w = np.ldexp(mass / (b[n] * (dp * p_prev - dp_prev * p)), -2 * exp2)
-            x, w = np.concatenate((-x[:n // 2], x[::-1])), np.concatenate((w[:n // 2], w[::-1]))
+            x[half:] = 0.0  # the odd-n node 0
+            x, w = np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
             if not np.all(np.diff(x) > 0.0):  # two starts that found one node
                 break
             x.flags.writeable = w.flags.writeable = False  # the cached rules are shared
             return x, w
-        step = p / dp
-        x -= step
-        converged = np.all(np.abs(step) <= 1e-12 * np.abs(x))
+        t = np.concatenate((t[:half] - step[:half], t[half:]))
+        x_prev, x = x, x_of(t)
+        converged = np.all(np.abs(x - x_prev) <= 1e-12 * np.abs(x))
     raise NumericalError(f"the {n}-point Gauss rule did not converge to {n} distinct nodes")
+
+
+def _hermite(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton step p_n / p_n' in x and the Gauss-Hermite weight at nodes ``x``.
+
+    The orthonormal Hermite polynomials, scaled to p_0 = 1, obey
+    beta_{k+1} p_{k+1} = x p_k - beta_k p_{k-1}, beta_k = sqrt(k / 2), and
+    p_n' follows from the differentiated recurrence.  A weight is the
+    Christoffel-Darboux sum sqrt(pi) / (beta_n (p_n' p_{n-1} - p_{n-1}'
+    p_n)), which is sqrt(pi) / (beta_n p_n' p_{n-1}) at an exact node.  The
+    second term takes up the node's rounding, to which p_{n-1}, with a root
+    close by near the ends, is sensitive.  Every 32 steps each node's
+    recurrence is scaled by a power of 2, exactly, and the weights take the
+    summed exponents back by ``np.ldexp``: unscaled, p_n overflows from
+    about n = 730.  Memory is O(n), time O(n^2): about 12 numpy calls per
+    step on arrays of n / 2, n steps per call.
+    """
+    b = [0.0, *np.sqrt(np.arange(1.0, n + 1) / 2.0)]
+    p_prev, p, dp_prev, dp, exp2 = 0.0, 1.0, 0.0, 0.0, 0  # p_{k-1}, p_k and derivatives, times 2^-exp2
+    for k in range(n):
+        p_prev, p = p, (x * p - b[k] * p_prev) / b[k + 1]
+        dp_prev, dp = dp, (p_prev + x * dp - b[k] * dp_prev) / b[k + 1]
+        if k % 32 == 31:  # a step grows them by (|x| + beta_k) / beta_{k+1} < 2^8 for |x| up to 100
+            shift = np.frexp(np.abs(p) + np.abs(p_prev))[1]
+            p, p_prev, dp, dp_prev = (np.ldexp(v, -shift) for v in (p, p_prev, dp, dp_prev))
+            exp2 += shift
+    return p / dp, np.ldexp(math.sqrt(math.pi) / (b[n] * (dp * p_prev - dp_prev * p)), -2 * exp2)
 
 
 def _legendre_series(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,19 +451,36 @@ def _legendre_interior(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return c_n * cos_part.sum(axis=1), -c_n * (sin_part @ (n + half) + (cos_part @ half) / np.tan(theta))
 
 
-def _legendre_rule(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending Gauss-Legendre nodes and weights from starts ``theta`` of the n // 2 positive nodes.
+def _legendre(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton step P_n / (dP/dtheta) in theta and the Gauss-Legendre weight 2 / (dP/dtheta)^2.
 
-    With x = cos(theta), Newton steps theta -= P_n / (dP/dtheta) run on the
-    positive nodes in ascending theta; the odd-n node 0, at theta = pi/2,
-    stays exact.  The first _LEG_END_NODES of them, or all in a rule of up to
-    _LEG_SERIES_MAX points, take P_n from the cosine series, the rest from
-    the interior expansion, each in O(n) vectorized work per pass.  After
-    the first step under 1e-12 |x| at every node, quadratic convergence
-    leaves rounding error alone; one more pass gives the weights 2 /
-    (dP/dtheta)^2, and the half rule is mirrored.  Nodes that are not
-    strictly increasing, where two starts found one node, raise
-    NumericalError.
+    ``theta`` holds the nodes x = cos(theta) >= 0 in ascending theta.  The
+    first _LEG_END_NODES, or all in a rule of up to _LEG_SERIES_MAX points,
+    take P_n from the cosine series, the rest from the interior expansion.
+    """
+    ends = len(theta) if n <= _LEG_SERIES_MAX else _LEG_END_NODES
+    p, dp = _legendre_series(n, theta[:ends])
+    if ends < len(theta):
+        p_in, dp_in = _legendre_interior(n, theta[ends:])
+        p, dp = np.concatenate((p, p_in)), np.concatenate((dp, dp_in))
+    return p / dp, 2.0 / dp ** 2
+
+
+# rules repeat across the traces of one command: the default materials run
+# asks for 346 Gauss-Legendre rules of 40 distinct sizes, the default sweep
+# for 153 of 66, and 64 cached rules miss no more often than an unbounded
+# cache; a Gauss-Legendre miss costs about 2 ms at 629 points and 15 ms at
+# 5,000 (the default sweep's 66 sizes: 0.2 s), a Gauss-Hermite one, O(n^2),
+# 0.6 s at 5,000; a sweep with a quadrature block asks for one
+# Gauss-Hermite rule of the same size per trace
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights on [-1, 1], computed once per n.
+
+    ``_newton_rule`` steps in theta, x = cos(theta), on ``_legendre``'s
+    evaluators, O(n) vectorized work per pass, from Tricomi's nodes (1 -
+    1/(8 n^2) + 1/(8 n^3)) cos(pi (4 k - 1) / (4 n + 2)); the odd-n node 0
+    sits at theta = pi/2.
 
     A weight taken in theta is insensitive to the node's rounding, which is
     relative in theta.  Against a 50-digit recurrence the weights of the
@@ -459,102 +490,62 @@ def _legendre_rule(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     yet at rounding level in theta (the recurrence rule it replaced:
     1.8e-12, 1.2e-12 and 3.8e-10 at the end nodes).
     """
-    half = n // 2
-    theta = np.concatenate((theta, np.full(n % 2, 0.5 * math.pi)))
-    ends = len(theta) if n <= _LEG_SERIES_MAX else _LEG_END_NODES
-
-    def legendre(t):  # P_n(cos t) and dP/dt
-        p, dp = _legendre_series(n, t[:ends])
-        if ends < len(t):
-            p_in, dp_in = _legendre_interior(n, t[ends:])
-            p, dp = np.concatenate((p, p_in)), np.concatenate((dp, dp_in))
-        return p, dp
-
-    x, converged = np.cos(theta), False
-    for _ in range(20):  # at most 4 passes, the weights' one included, at every size up to the node cap
-        p, dp = legendre(theta)
-        if converged:
-            w = 2.0 / dp ** 2
-            x[half:] = 0.0  # the odd-n node 0
-            x, w = np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
-            if not np.all(np.diff(x) > 0.0):  # two starts that found one node
-                break
-            x.flags.writeable = w.flags.writeable = False  # the cached rules are shared
-            return x, w
-        theta[:half] -= p[:half] / dp[:half]
-        x_prev, x = x, np.cos(theta)
-        converged = np.all(np.abs(x - x_prev) <= 1e-12 * np.abs(x))
-    raise NumericalError(f"the {n}-point Gauss rule did not converge to {n} distinct nodes")
-
-
-# rules repeat across the traces of one command: the default materials run
-# asks for 346 Gauss-Legendre rules of 40 distinct sizes, the default sweep
-# for 153 of 66, and 64 cached rules miss no more often than an unbounded
-# cache; a miss costs about 2 ms at 629 points and 15 ms at 5,000 (the
-# default sweep's 66 sizes: 0.2 s); a sweep with a quadrature block asks
-# for one Gauss-Hermite rule of the same size per trace
-@functools.lru_cache(maxsize=64)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points and weights on [-1, 1], computed once per n.
-
-    Newton in theta starts from Tricomi's nodes (1 - 1/(8 n^2) + 1/(8 n^3))
-    cos(pi (4 k - 1) / (4 n + 2)) (see _legendre_rule).
-    """
     j = np.arange(1, n // 2 + 1)
     start = (1.0 - 1.0 / (8 * n ** 2) + 1.0 / (8 * n ** 3)) * np.cos(math.pi * (4 * j - 1) / (4 * n + 2))
-    return _legendre_rule(n, np.arccos(start))
+    theta = np.concatenate((np.arccos(start), np.full(n % 2, 0.5 * math.pi)))
+    return _newton_rule(n, theta, np.cos, functools.partial(_legendre, n))
 
 
 @functools.lru_cache(maxsize=64)
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite points and weights for the weight exp(-x^2), computed once per n.
 
-    beta_k = sqrt(k / 2), mass sqrt(pi), and the WKB starts sqrt(2 n + 1)
-    cos(theta_k), where theta - sin(theta) cos(theta) = 2 pi (k - 1/4) /
-    (2 n + 1) (Townsend, Trogdon & Olver 2016), solved by Newton from the
-    cube root of 3/2 times the right side, its small-theta limit.  The
-    weights of nodes past about 27 underflow to 0, as in scipy's
-    ``roots_hermite``.
+    ``_newton_rule`` steps in x itself, on ``_hermite``'s recurrence, from
+    the WKB starts sqrt(2 n + 1) cos(theta_k), where theta - sin(theta)
+    cos(theta) = 2 pi (k - 1/4) / (2 n + 1) (Townsend, Trogdon & Olver
+    2016), solved by Newton from the cube root of 3/2 times the right side,
+    its small-theta limit.  The weights of nodes past about 27 underflow to
+    0, as in scipy's ``roots_hermite``.
     """
     c = 2.0 * math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (2 * n + 1)
     theta = np.cbrt(1.5 * c)
     for _ in range(4):  # to 1.5e-14 relative for every n up to the cap
         theta -= (theta - np.sin(theta) * np.cos(theta) - c) / (2.0 * np.sin(theta) ** 2)
-    return _gauss(n, np.sqrt(np.arange(1.0, n + 1) / 2.0), math.sqrt(math.pi), math.sqrt(2 * n + 1) * np.cos(theta))
+    start = np.concatenate((math.sqrt(2 * n + 1) * np.cos(theta), np.zeros(n % 2)))
+    return _newton_rule(n, start, np.copy, functools.partial(_hermite, n))
+
+
+def _pdf_legendre(n: int, mean: float, sigma: float, lo: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes on [lo, mean + width sigma] and their unit-mass pdf weights.
+
+    The weights take the Gaussian pdf in z = (x - mean) / sigma, so no
+    square of sigma is formed, and a span that rounds away at the mean
+    leaves the nodes there.  sigma = 0 gives one node at the mean.
+    """
+    if sigma == 0.0:
+        return np.full(1, mean), np.ones(1)
+    hi = mean + width * sigma
+    x, wx = _leggauss(n)
+    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    z = (nodes - mean) / sigma
+    weights = wx * np.exp(-0.5 * z * z)
+    return nodes, weights / weights.sum()
 
 
 def _nodes_delta_e(sigma_e: float, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and unit-mass weights for the delta_e dimension.
 
-    The Legendre rule weighs its nodes by the pdf in z = delta_e /
-    (sqrt(2) sigma_e), so no square of sigma_e is formed.
+    Each rule wins somewhere.  On E[cos(a z)], z ~ N(0, 1), Gauss-Hermite
+    at 21 nodes is within 4e-16 up to a = 2.5 and 1.4e-8 off at a = 4,
+    where the pdf-weighted Legendre rule on +-w sqrt(2) sigma_e is 1.0e-4
+    and 1.1e-2 off; at 81 nodes and a = 16, Legendre is within 7e-10 and
+    Hermite 0.12 off.
     """
-    if sigma_e == 0.0:
-        return np.zeros(1), np.ones(1)
-    if q.delta_e_rule == "hermite":
+    if sigma_e > 0.0 and q.delta_e_rule == "hermite":
         u, wu = _hermgauss(q.n_hermite)
         return 2.0 * sigma_e * u, wu / math.sqrt(math.pi)
-    x, wx = _leggauss(q.n_hermite)
-    z = q.truncation_width * x
-    weights = wx * np.exp(-0.5 * z * z)
-    return q.truncation_width * (math.sqrt(2.0) * sigma_e) * x, weights / weights.sum()
-
-
-def _nodes_coupling(j0: float, sigma: float, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Pdf-weighted Gauss-Legendre nodes for one truncated coupling.
-
-    The weights use the pdf in z = (j - j0) / sigma, so no square of sigma
-    is formed and a span that rounds away at j0 leaves nodes at j0.
-    """
-    if sigma == 0.0:
-        return np.full(1, j0), np.ones(1)
-    lo = max(0.0, j0 - q.truncation_width * sigma)
-    hi = j0 + q.truncation_width * sigma
-    x, wx = _leggauss(q.n_legendre)
-    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    z = (nodes - j0) / sigma
-    weights = wx * np.exp(-0.5 * z * z)
-    return nodes, weights / weights.sum()
+    s = math.sqrt(2.0) * sigma_e
+    return _pdf_legendre(q.n_hermite, 0.0, s, -q.truncation_width * s, q.truncation_width)
 
 
 def _terms(p: ExchangeParams, initial: str, weights, j1, j2, delta_e) -> tuple[np.ndarray, np.ndarray, float]:
@@ -691,48 +682,55 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
 class _NodeSet:
     """A quadrature rule as weighted nodes, for ``_average``.
 
-    ``blocks`` yields (j1, j2, delta_e, weight) arrays and keeps no
-    reference to a block's weight array once yielded, nor, in the 2D rule,
-    to its other arrays; the tensor rule shares its j2 and delta_e grids
-    across blocks.  u = (j1 + j2)/2 - delta_e lies in ``u_range`` and
-    j1 - j2 in ``gap_range``.  ``normalize`` divides the average by the
-    summed weights, for a rule whose weights do not already have unit mass.
-    ``meta`` describes the rule, its node count ``meta["n_nodes"]`` included.
+    ``blocks`` yields (j1, j2, delta_e, weight) arrays of at most
+    _BLOCK_NODES nodes each (the node caps keep one 2D-rule gap row, and
+    one tensor j2 row, far below it) and keeps no reference to a block's
+    weight array once yielded, nor, in the 2D rule, to its other arrays;
+    the tensor rule shares a chunk's j2 and delta_e grids across its j1
+    nodes.  The weights need not have unit mass: ``_average`` divides by
+    their sum.  u = (j1 + j2)/2 - delta_e lies in ``u_range`` and j1 - j2
+    in ``gap_range``.  ``meta`` describes the rule, its node count
+    ``meta["n_nodes"]`` included.
     """
 
     blocks: Iterator[tuple]
     u_range: tuple[float, float]
     gap_range: tuple[float, float]
-    normalize: bool
     meta: dict
 
 
 def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, scale: int = 1) -> _NodeSet:
-    """Tensor rule over (j1, j2, delta_e), one j1 slab per block, of unit mass.
+    """Tensor rule over (j1, j2, delta_e).
 
+    Each coupling takes the pdf-weighted Gauss-Legendre rule on [max(0, j0i
+    - w sigma_ji), j0i + w sigma_ji], delta_e the rule of ``_nodes_delta_e``.
     ``scale`` multiplies the node counts of ``q``, which are checked against
-    the limits once scaled.  The (j2, delta_e) grids, which every slab
-    shares, are built when the first block is drawn.
+    the limits once scaled.  A block is one j1 node times a chunk of
+    _BLOCK_NODES // n_delta_e j2 rows (at least one); each chunk's (j2,
+    delta_e) grids are built when its first block is drawn and shared by
+    its j1 nodes.
     """
     q = replace(q, n_hermite=scale * q.n_hermite, n_legendre=scale * q.n_legendre)
     _check_node_counts(q.n_hermite if spec.sigma_e > 0 else 1,
                        q.n_legendre if spec.sigma_j1 > 0 else 1,
                        q.n_legendre if spec.sigma_j2 > 0 else 1)
-    x1, w1 = _nodes_coupling(spec.j01, spec.sigma_j1, q)
-    x2, w2 = _nodes_coupling(spec.j02, spec.sigma_j2, q)
+    w = q.truncation_width
+    x1, w1 = _pdf_legendre(q.n_legendre, spec.j01, spec.sigma_j1, max(0.0, spec.j01 - w * spec.sigma_j1), w)
+    x2, w2 = _pdf_legendre(q.n_legendre, spec.j02, spec.sigma_j2, max(0.0, spec.j02 - w * spec.sigma_j2), w)
     xe, we = _nodes_delta_e(spec.sigma_e, q)
+    rows = max(1, _BLOCK_NODES // len(xe))
 
     def blocks():
-        grid2, grid_e = (g.ravel() for g in np.meshgrid(x2, xe, indexing="ij"))
-        w_slab = (w2[:, None] * we[None, :]).ravel()
-        for i in range(len(x1)):
-            yield x1[i], grid2, grid_e, w1[i] * w_slab
+        for s in range(0, len(x2), rows):
+            grid2, grid_e = (g.ravel() for g in np.meshgrid(x2[s:s + rows], xe, indexing="ij"))
+            w_chunk = (w2[s:s + rows, None] * we[None, :]).ravel()
+            for i in range(len(x1)):
+                yield x1[i], grid2, grid_e, w1[i] * w_chunk
 
     return _NodeSet(
         blocks=blocks(),
         u_range=(0.5 * (x1.min() + x2.min()) - xe.max(), 0.5 * (x1.max() + x2.max()) - xe.min()),
         gap_range=(x1.min() - x2.max(), x1.max() - x2.min()),
-        normalize=False,
         meta={"rule": "tensor", "n_delta_e": len(xe), "n_j1": len(x1), "n_j2": len(x2),
               "n_nodes": len(x1) * len(x2) * len(xe), "quadrature_spec": q,
               "delta_e_rule": q.delta_e_rule if spec.sigma_e > 0 else "collapsed"},
@@ -827,16 +825,11 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF 0.5 erfc(-x / sqrt(2)), elementwise.
 
     Outside (-38.5, 8.5) the value rounds to exactly 0 or 1 and is set so,
-    without evaluating erfc.  The rest goes through ``_erfc`` in chunks of
-    _NDTR_CHUNK, whose temporaries stay in cache (twice as fast as one pass
-    over the 0.4 M arguments of a reduced-rule block).
+    without evaluating erfc; the rest goes through ``_erfc``.
     """
     out = (x > 0.0).astype(float)
-    x_flat, out_flat = x.ravel(), out.reshape(-1)
-    for s in range(0, x.size, _NDTR_CHUNK):
-        x_c = x_flat[s:s + _NDTR_CHUNK]
-        live = (x_c > -38.5) & (x_c < 8.5)
-        out_flat[s:s + _NDTR_CHUNK][live] = 0.5 * _erfc(-x_c[live] / math.sqrt(2.0))
+    live = (x > -38.5) & (x < 8.5)
+    out[live] = 0.5 * _erfc(-x[live] / math.sqrt(2.0))
     return out
 
 
@@ -874,7 +867,7 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
     6e-13.  ``scale`` multiplies both counts.  Each gap node carries up to
     three u panels; the weight of (gap, u) is the gap weight times the u
     panel weight times phi(u; mu, v + v_e) Phi((u - u_k) / tau), with
-    Phi = 1 when tau = 0, and the average is normalized by the summed
+    Phi = 1 when tau = 0, and ``_average`` normalizes by the summed
     weights.  A block holds the nodes of a run of gap nodes as j1 = gap/2,
     j2 = -gap/2 and delta_e = -u, which give j1 - j2 = gap and
     (j1 + j2)/2 - delta_e = u, the only combinations the probability sees.
@@ -973,7 +966,6 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
         blocks=(block(slice(s, s + step)) for s in range(0, len(gap), step)),
         u_range=(float(edges[:, 0].min()), float(edges[:, -1].max())),
         gap_range=(float(gap.min()), float(gap.max())),
-        normalize=True,
         meta={"rule": "reduced-2d", "n_gap": n_gap, "n_u": n_u, "n_nodes": n_nodes,
               "gap_panels": gap_counts, "u_panels": counts},
     )
@@ -982,8 +974,9 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
 def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray) -> tuple[np.ndarray, dict]:
     """Average P over a node set: each block's terms go to ``_evaluate``.
 
-    The metadata adds the evaluator's bin count and its error bound, in
-    units of the averaged probability.
+    The sum is divided by the summed weights.  The metadata adds the
+    evaluator's bin count and its error bound, in units of the averaged
+    probability.
     """
     mass = 0.0
 
@@ -997,8 +990,7 @@ def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray
 
     band = _band(p.j_prime, nodes.u_range, nodes.gap_range)
     values, n_bins, bound = _evaluate(chunks(), band, times)
-    if nodes.normalize:
-        values, bound = values / mass, bound / mass
+    values, bound = values / mass, bound / mass
     return values, {**nodes.meta, "evaluator": "binned", "n_bins": n_bins, "error_bound": bound}
 
 

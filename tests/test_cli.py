@@ -672,6 +672,27 @@ def test_cli_commands_load_no_scipy(tmp_path):
     assert all((tmp_path / f"{name}.out").stat().st_size > 0 for name in configs)
 
 
+def test_simulate_runs_under_the_standard_profiler(tmp_path):
+    """``python -m cProfile -m deoq_dyn.cli`` runs the CLI as ``__main__``
+    while ``sys.modules["__main__"]`` is the profiler's module; the run
+    exits 0 and writes the bytes of a plain run."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"noise": {"sigma_e": 0.1, "sigma_j1": 0.05},
+                                    "times": {"t_max": 5.0, "n_points": 11}}))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for profiler in ([], ["-m", "cProfile", "-o", str(tmp_path / "profile.out")]):
+        out_path = tmp_path / f"trace{len(outs)}.csv"
+        proc = subprocess.run(
+            [sys.executable, *profiler, "-m", "deoq_dyn.cli", "simulate",
+             "--config", str(cfg_path), "--out", str(out_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out_path.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_console_script_entry_point(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     out_path = tmp_path / "trace.csv"

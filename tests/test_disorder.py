@@ -22,8 +22,6 @@ from deoq_dyn.disorder import (
     _hermgauss,
     _leggauss,
     _ndtr,
-    _nodes_coupling,
-    _nodes_delta_e,
     _reduced_nodes,
     _tensor_nodes,
     disorder_average_mc,
@@ -595,21 +593,19 @@ def test_evaluator_matches_cos_matrix():
     times = np.linspace(0.0, 80.0, 203)
     noise = NoiseSpec(sigma_e=0.3, sigma_j1=0.2, sigma_j2=0.1)
     q = QuadratureSpec(n_hermite=31, n_legendre=17, delta_e_rule="legendre")
-    x1, w1 = _nodes_coupling(noise.j01, noise.sigma_j1, q)
-    x2, w2 = _nodes_coupling(noise.j02, noise.sigma_j2, q)
-    xe, we = _nodes_delta_e(noise.sigma_e, q)
-    j1, j2, de = (g.ravel() for g in np.meshgrid(x1, x2, xe, indexing="ij"))
-    w = (w1[:, None, None] * w2[None, :, None] * we[None, None, :]).ravel()
+    j1, j2, de, w = (np.concatenate(v) for v in zip(*(np.broadcast_arrays(*block)
+                                                      for block in _tensor_nodes(noise, q).blocks)))
     omega, amp_zero, amp_sup = oscillation_terms(P.j_prime, j1, j2, de)
     cos_matrix = np.cos(np.outer(omega, times))
+    mass = w.sum()
     for initial, coef, base in (
-        ("zero", 0.5 * w * amp_zero, w.sum() - 0.5 * (w * amp_zero).sum()),
-        ("superposition", -0.25 * w * amp_sup, 0.5 * w.sum() + 0.25 * (w * amp_sup).sum()),
+        ("zero", 0.5 * w * amp_zero, mass - 0.5 * (w * amp_zero).sum()),
+        ("superposition", -0.25 * w * amp_sup, 0.5 * mass + 0.25 * (w * amp_sup).sum()),
     ):
         trace = disorder_average_quadrature(P, noise, initial, times, q=q)
         bound = trace.metadata["error_bound"]
-        assert bound == pytest.approx(disorder._NUFFT_ERROR * np.abs(coef).sum(), rel=1e-12)
-        np.testing.assert_allclose(trace.values, base + coef @ cos_matrix, rtol=0, atol=bound)
+        assert bound == pytest.approx(disorder._NUFFT_ERROR * np.abs(coef).sum() / mass, rel=1e-12)
+        np.testing.assert_allclose(trace.values, (base + coef @ cos_matrix) / mass, rtol=0, atol=bound)
 
 
 @pytest.mark.parametrize("n, m", [(4098, 401), (301, 1000)])
@@ -711,13 +707,6 @@ def test_gauss_rules_have_n_distinct_nodes_at_every_size(rule, mass):
         assert abs(w.sum() - mass) <= 1e-14 * mass
 
 
-def test_gauss_rule_with_a_repeated_node_raises():
-    """Two starts that converge to one node leave a node unfound."""
-    k = np.arange(1.0, 5.0)
-    with pytest.raises(NumericalError, match="4 distinct nodes"):
-        disorder._gauss(4, k / np.sqrt(4.0 * k * k - 1.0), 2.0, np.array([0.87, 0.86]))
-
-
 def test_legendre_split_evaluators_at_small_sizes(monkeypatch):
     """With no all-series size, every rule takes the end nodes from the
     cosine series and the rest from the interior expansion; the switch then
@@ -767,15 +756,29 @@ def test_leggauss_weights_match_a_50_digit_reference(n):
         assert abs(w[i] - ref) <= bound * ref, (n, i)
 
 
-@pytest.mark.parametrize("n", [4, 401])
-def test_legendre_rule_with_a_repeated_node_raises(n):
-    """Two starts that converge to one node leave a node unfound, on the
-    all-series path (n = 4) and on the interior expansion (n = 401)."""
-    x, _ = _leggauss(n)
-    theta = np.arccos(x[::-1][:n // 2])
-    theta[-1] = theta[-2]
+# each family's rule, its Newton variable from x and back, and its evaluator
+NEWTON_FAMILIES = {
+    "legendre": (_leggauss, np.arccos, np.cos, disorder._legendre),
+    "hermite": (_hermgauss, np.copy, np.copy, disorder._hermite),
+}
+
+
+@pytest.mark.parametrize("family, n, starts", [
+    ("legendre", 4, [0.87, 0.86]), ("hermite", 4, [1.66, 1.64]),
+    *((family, n, None) for family in ("legendre", "hermite") for n in (4, 401)),
+], ids=["legendre-4-near", "hermite-4-near", "legendre-4", "legendre-401", "hermite-4", "hermite-401"])
+def test_newton_rule_with_a_repeated_node_raises(family, n, starts):
+    """Two starts that converge to one node leave a node unfound, for both
+    families: two starts near one node of the 4-point rule (x = 0.861 and
+    1.651), and a converged rule with one start copied to the next, for
+    Legendre on the all-series path (n = 4) and on the interior expansion
+    (n = 401)."""
+    rule, t_of, x_of, evaluate = NEWTON_FAMILIES[family]
+    if starts is None:
+        starts = rule(n)[0][::-1][:n - n // 2].copy()  # the nodes x >= 0, node 0 last
+        starts[n // 2 - 1] = starts[n // 2 - 2]
     with pytest.raises(NumericalError, match=f"{n} distinct nodes"):
-        disorder._legendre_rule(n, theta)
+        disorder._newton_rule(n, t_of(np.array(starts)), x_of, functools.partial(evaluate, n))
 
 
 def test_hermite_and_legendre_delta_e_rules_agree():
@@ -996,6 +999,24 @@ def test_node_set_drops_a_block_once_yielded(rule):
     del block
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("make, n_nodes", [
+    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 100.0), 197_506),
+    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 100.0, scale=2), None),
+    (lambda: _tensor_nodes(NoiseSpec(sigma_e=0.3, sigma_j2=0.2), QuadratureSpec(2000, 2000, delta_e_rule="legendre")),
+     4_000_000),
+], ids=["sweep-heavy-largest-cell", "sweep-heavy-largest-cell-doubled", "tensor-sigma-j1-0"])
+def test_node_set_blocks_hold_at_most_block_nodes(make, n_nodes):
+    """Every block of a node set, of the 2D rule or of the tensor rule, holds
+    at most _BLOCK_NODES nodes, and the blocks hold the node count of the
+    metadata: the largest cell of the sweep-heavy benchmark (sigma_e 1,
+    sigma_j 0.5, t_max 100) and a tensor rule whose j1 dimension collapses,
+    so that a j1 slab is the whole 4 M-node rule."""
+    nodes = make()
+    sizes = [np.size(block[3]) for block in nodes.blocks]
+    assert max(sizes) <= disorder._BLOCK_NODES
+    assert sum(sizes) == nodes.meta["n_nodes"] == (n_nodes or nodes.meta["n_nodes"])
 
 
 def test_convergence_check_rejects_doubled_tensor_counts_past_the_limits(monkeypatch):
