@@ -1003,7 +1003,7 @@ def test_node_set_drops_a_block_once_yielded(rule):
 
 @pytest.mark.parametrize("make, n_nodes", [
     (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 100.0), 197_506),
-    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 100.0, scale=2), None),
+    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 100.0, scale=2), 758_862),
     (lambda: _tensor_nodes(NoiseSpec(sigma_e=0.3, sigma_j2=0.2), QuadratureSpec(2000, 2000, delta_e_rule="legendre")),
      4_000_000),
 ], ids=["sweep-heavy-largest-cell", "sweep-heavy-largest-cell-doubled", "tensor-sigma-j1-0"])
@@ -1016,7 +1016,7 @@ def test_node_set_blocks_hold_at_most_block_nodes(make, n_nodes):
     nodes = make()
     sizes = [np.size(block[3]) for block in nodes.blocks]
     assert max(sizes) <= disorder._BLOCK_NODES
-    assert sum(sizes) == nodes.meta["n_nodes"] == (n_nodes or nodes.meta["n_nodes"])
+    assert sum(sizes) == nodes.meta["n_nodes"] == n_nodes
 
 
 def test_convergence_check_rejects_doubled_tensor_counts_past_the_limits(monkeypatch):
