@@ -12,19 +12,23 @@ probability.  Two node producers feed one evaluator:
 
 The probability depends on the couplings and the gradient only through the
 detuning d = j' - u, u = (j1 + j2)/2 - delta_e, and the gap j1 - j2.  Each
-quadrature rule is a node set (``_NodeSet``): blocks of (j1, j2, delta_e,
-weight), at most _BLOCK_NODES nodes each, with the ranges of u and of the
-gap.  With no explicit QuadratureSpec, ``_reduced_nodes`` integrates
-(j1 + j2)/2 and delta_e analytically and runs a 2D Gauss-Legendre rule
-over the gap and u under a closed-form extended skew-normal weight; zero
-widths, and widths that round away, are limits of that weight.  An
-explicit QuadratureSpec gives ``_tensor_nodes``: Gauss-Hermite or the
-pdf-weighted Gauss-Legendre rule ``_pdf_legendre`` in delta_e, and
-``_pdf_legendre`` per coupling; it also serves the tests as the reference
-for the reduction.  ``_average`` turns every node set into (omega, coef,
-base) blocks for one evaluator, ``_evaluate``, with a band (om_lo,
-om_max) that ``_band`` derives from the set's ranges and that holds every
-node frequency, and divides the sum by the set's summed weights.
+quadrature rule is a node set (``_NodeSet``): chunks of (omega, weight,
+weight amp_zero, weight amp_sup) spectral terms, and a band (om_lo,
+om_max), from ``_band``, that holds every omega.  With no explicit
+QuadratureSpec, ``_reduced_nodes`` integrates (j1 + j2)/2 and delta_e
+analytically, which leaves a closed-form extended skew-normal weight over
+the gap and u, and integrates that by the polar rule of ``polar``: in the
+plane of d and sqrt(0.75) gap, omega is the radius, so the rule hands the
+evaluator one term per radius node, its coefficient a sum over the angle
+in closed form.  Zero widths, and widths that round away, are limits of
+that weight; the two that are 1D (both sigma_j zero, and sigma_e = 0
+beside one zero sigma_j) take 1D rules.  An explicit QuadratureSpec gives
+``_tensor_nodes``: Gauss-Hermite or the pdf-weighted Gauss-Legendre rule
+``_pdf_legendre`` in delta_e, and ``_pdf_legendre`` per coupling; it also
+serves the tests as the reference for the reduction.  The tensor rule and
+the 1D rules form their terms with ``oscillation_terms``.  ``_average``
+turns each chunk into (omega, coef, base) for one evaluator,
+``_evaluate``, and divides the sum by the set's summed weights.
 
 The evaluator is a type-1 NUFFT by Gaussian gridding at oversampling 2
 (Dutt & Rokhlin 1993; Greengard & Lee 2004): each coefficient is spread in
@@ -54,8 +58,10 @@ time.
 
 Because the integrand oscillates as cos(omega(x) t), the node count a
 dimension needs grows linearly with the phase span t_max * d(omega)/dx *
-range(x); the 2D rule sizes its counts that way.  Fixed-size specs are kept
-for small problems and for reproducing the plain-rule behavior.
+range(x).  The 2D rule sizes each panel from that span and the weight's
+width there by a Bernstein-ellipse estimate (``polar._gauss_points``), so
+its count of terms grows like t_max.  Fixed-size specs are kept for small
+problems and for reproducing the plain-rule behavior.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -111,21 +117,9 @@ _MAX_TENSOR_NODES = 500_000_000
 # radian (measured cliff); 0.35 adds margin
 _NODES_PER_RADIAN = 0.35
 
-# Gauss-Legendre nodes per panel of the reduced 2D rule: at least 16, which
-# integrate a normal CDF across 6 standard deviations to 1e-15, and 8 more
-# than the panel's share of the phase span, since a short panel at 0.35 nodes
-# per radian sits on the resolution cliff (with 8, doubling the counts moved
-# a point by at most 3.2e-11 over 200 random noise specs at t_max 1 to 100,
-# and a u panel left whole by the cut decision needs the margins of the
-# panels it stands for, see _reduced_nodes; with 0, by 2e-6)
-_PANEL_MIN = 16
+# Gauss-Legendre nodes each arc of the 2D rule, and the 1D rule of zero-width
+# couplings, add to their share
 _PANEL_MARGIN = 8
-
-# a cut of the reduced 2D rule that only resolves a normal-CDF step (in u,
-# or where the gap mass falls to 0) is made where the step's width is below
-# this many node spacings span / n of the scale-1 rule; a wider step is
-# smooth on the nodes, and its cuts would give two panels nearly n nodes each
-_CDF_CUT_SPACINGS = 4.0
 
 # nodes per block of every node set, to bound its memory: a block's
 # temporaries are a few arrays of this length, short enough for the 2D
@@ -364,9 +358,9 @@ def _newton_rule(n: int, t: np.ndarray, x_of, evaluate) -> tuple[np.ndarray, np.
     in: the n // 2 positive nodes, then, for odd n, the node 0, which is
     exact and never stepped.  ``x_of(t)`` gives the nodes, and
     ``evaluate(t)`` the Newton step and the weight at every node.  After
-    the first step under 1e-12 |x| at every node, quadratic convergence
-    leaves rounding error alone; one more pass gives the weights, and the
-    half rule is mirrored.  Nodes that are not strictly increasing, where
+    the first step under 1e-12 |t| at every node, in the variable Newton
+    steps in, quadratic convergence leaves rounding error alone; one more
+    pass gives the weights, and the half rule is mirrored.  Nodes that are not strictly increasing, where
     two starts found one node, raise NumericalError, and so does a rule
     that has not converged after 20 passes.  The arrays returned are read-only.
     """
@@ -381,9 +375,9 @@ def _newton_rule(n: int, t: np.ndarray, x_of, evaluate) -> tuple[np.ndarray, np.
                 break
             x.flags.writeable = w.flags.writeable = False  # the cached rules are shared
             return x, w
-        t = np.concatenate((t[:half] - step[:half], t[half:]))
-        x_prev, x = x, x_of(t)
-        converged = np.all(np.abs(x - x_prev) <= 1e-12 * np.abs(x))
+        t_prev, t = t, np.concatenate((t[:half] - step[:half], t[half:]))
+        x = x_of(t)
+        converged = np.all(np.abs(t - t_prev) <= 1e-12 * np.abs(t))
     raise NumericalError(f"the {n}-point Gauss rule did not converge to {n} distinct nodes")
 
 
@@ -483,11 +477,11 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     sits at theta = pi/2.
 
     A weight taken in theta is insensitive to the node's rounding, which is
-    relative in theta.  Against a 50-digit recurrence the weights of the
-    end, near-end and middle nodes are within 2.1e-15 relative at n = 305,
-    1,233 and 5,000, save the end node at n = 5,000, 1.6e-12 off: Newton
-    stops there after a step of 6e-10 rad, under 1e-12 |x| in x but not
-    yet at rounding level in theta (the recurrence rule it replaced:
+    relative in theta, and Newton stops on a step under 1e-12 theta: a step
+    under 1e-12 |x| in x stopped at the end node of n = 5,000 after 6e-10
+    rad and left its weight 1.6e-12 off.  Against a 50-digit recurrence the
+    weights of the end, near-end and middle nodes are within 2.3e-15
+    relative at n = 305, 1,233 and 5,000 (the recurrence rule it replaced:
     1.8e-12, 1.2e-12 and 3.8e-10 at the end nodes).
     """
     j = np.arange(1, n // 2 + 1)
@@ -680,34 +674,41 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
 
 @dataclass(frozen=True)
 class _NodeSet:
-    """A quadrature rule as weighted nodes, for ``_average``.
+    """A quadrature rule as spectral terms, for ``_average``.
 
-    ``blocks`` yields (j1, j2, delta_e, weight) arrays of at most
-    _BLOCK_NODES nodes each (the node caps keep one 2D-rule gap row, and
-    one tensor j2 row, far below it) and keeps no reference to a block's
-    weight array once yielded, nor, in the 2D rule, to its other arrays;
-    the tensor rule shares a chunk's j2 and delta_e grids across its j1
-    nodes.  The weights need not have unit mass: ``_average`` divides by
-    their sum.  u = (j1 + j2)/2 - delta_e lies in ``u_range`` and j1 - j2
-    in ``gap_range``.  ``meta`` describes the rule, its node count
-    ``meta["n_nodes"]`` included.
+    ``chunks`` yields (omega, weight, weight amp_zero, weight amp_sup)
+    arrays: each term adds weight (1 - amp_zero sin^2(omega t / 2)) to the
+    zero-state sum and weight (1 + amp_sup sin^2(omega t / 2)) / 2 to the
+    superposition one.  A node set keeps no reference to a chunk once
+    yielded.  The weights need not have unit mass: ``_average`` divides by
+    their sum.  ``band`` (om_lo, om_max), from ``_band``, holds every
+    omega.  ``meta`` describes the rule, with its node count
+    ``meta["n_nodes"]``: the nodes at which the weight was evaluated.  The
+    2D rule's ``points()`` yields its nodes as (d, c, weight) blocks in the
+    plane of ``_reduced_nodes``, for inspection.
     """
 
-    blocks: Iterator[tuple]
-    u_range: tuple[float, float]
-    gap_range: tuple[float, float]
+    chunks: Iterator[tuple]
+    band: tuple[float, float]
     meta: dict
+    points: Optional[Callable[[], Iterator[tuple]]] = None
 
 
-def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, scale: int = 1) -> _NodeSet:
+def _node_terms(j_prime: float, j1, j2, delta_e, weight) -> tuple:
+    """The chunk of nodes (j1, j2, delta_e) of this weight, from ``oscillation_terms``."""
+    omega, amp_zero, amp_sup = oscillation_terms(j_prime, j1, j2, delta_e)
+    return omega, weight, weight * amp_zero, weight * amp_sup
+
+
+def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, scale: int = 1) -> _NodeSet:
     """Tensor rule over (j1, j2, delta_e).
 
     Each coupling takes the pdf-weighted Gauss-Legendre rule on [max(0, j0i
     - w sigma_ji), j0i + w sigma_ji], delta_e the rule of ``_nodes_delta_e``.
     ``scale`` multiplies the node counts of ``q``, which are checked against
-    the limits once scaled.  A block is one j1 node times a chunk of
-    _BLOCK_NODES // n_delta_e j2 rows (at least one); each chunk's (j2,
-    delta_e) grids are built when its first block is drawn and shared by
+    the limits once scaled.  A chunk is one j1 node times a run of
+    _BLOCK_NODES // n_delta_e j2 rows (at least one); each run's (j2,
+    delta_e) grids are built when its first chunk is drawn and shared by
     its j1 nodes.
     """
     q = replace(q, n_hermite=scale * q.n_hermite, n_legendre=scale * q.n_legendre)
@@ -720,51 +721,21 @@ def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, scale: int = 1) -> _NodeSe
     xe, we = _nodes_delta_e(spec.sigma_e, q)
     rows = max(1, _BLOCK_NODES // len(xe))
 
-    def blocks():
+    def chunks():
         for s in range(0, len(x2), rows):
             grid2, grid_e = (g.ravel() for g in np.meshgrid(x2[s:s + rows], xe, indexing="ij"))
             w_chunk = (w2[s:s + rows, None] * we[None, :]).ravel()
             for i in range(len(x1)):
-                yield x1[i], grid2, grid_e, w1[i] * w_chunk
+                yield _node_terms(j_prime, x1[i], grid2, grid_e, w1[i] * w_chunk)
 
     return _NodeSet(
-        blocks=blocks(),
-        u_range=(0.5 * (x1.min() + x2.min()) - xe.max(), 0.5 * (x1.max() + x2.max()) - xe.min()),
-        gap_range=(x1.min() - x2.max(), x1.max() - x2.min()),
+        chunks=chunks(),
+        band=_band(j_prime, (0.5 * (x1.min() + x2.min()) - xe.max(), 0.5 * (x1.max() + x2.max()) - xe.min()),
+                   (x1.min() - x2.max(), x1.max() - x2.min())),
         meta={"rule": "tensor", "n_delta_e": len(xe), "n_j1": len(x1), "n_j2": len(x2),
               "n_nodes": len(x1) * len(x2) * len(xe), "quadrature_spec": q,
               "delta_e_rule": q.delta_e_rule if spec.sigma_e > 0 else "collapsed"},
     )
-
-
-def _gauss_panels(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on consecutive panels.
-
-    Panel k runs from edges[..., k] to edges[..., k + 1] and gets counts[k]
-    nodes; leading axes of ``edges`` hold independent sets of panels.
-    """
-    nodes, weights = [], []
-    for k, n in enumerate(counts):
-        if n:
-            x, wx = _leggauss(n)
-            lo, hi = edges[..., k, None], edges[..., k + 1, None]
-            half = 0.5 * (hi - lo)
-            nodes.append(half * x + (lo + half))
-            weights.append(half * wx)
-    return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
-
-
-def _panel_counts(lengths, n: int, span: float) -> list:
-    """Nodes per panel: n per span of length plus a margin, 0 for an empty panel.
-
-    A share n length / span within 1e-12 of an integer, relative, counts as
-    that integer: a length is a difference of panel edges, which rounds at
-    the edges' magnitude, so a panel as long as the span can come out a few
-    ulps longer (up to 12 in the default materials run) and would take one
-    node more.
-    """
-    return [max(_PANEL_MIN, math.ceil(n * length / span * (1.0 - 1e-12)) + _PANEL_MARGIN) if length > 0 else 0
-            for length in lengths]
 
 
 # Cody's rational approximations of erfc (Math. Comp. 1969): erf on
@@ -833,7 +804,12 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
+# d = j' - u and c = sqrt(0.75) gap span the plane of the polar rule, where
+# omega = sqrt(d^2 + c^2) is the radius
+_C_PER_GAP = math.sqrt(0.75)
+
+
+def _reduced_nodes(spec: NoiseSpec, j_prime: float, t_max: float, scale: int = 1) -> _NodeSet:
     """Nodes of the exact 2D reduction of the (j1, j2, delta_e) average.
 
     With s = (j1 + j2)/2, (s, gap) is jointly Gaussian before truncation:
@@ -847,44 +823,28 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
     Integrating u out again gives the gap mass phi(gap; m, V)
     Phi((mu - |gap|/2) / sqrt(v)).
 
-    Gauss-Legendre panels cover gap in m +- w sqrt(V), cut where the gap
-    mass falls to 0, and u in mu +- w sqrt(v + v_e), cut below where
-    Phi < Phi(-w); the gap range is split at the |gap| kink at 0.  A
-    normal-CDF step is split only where it is sharp on the nodes, narrower
-    than _CDF_CUT_SPACINGS spacings span / n of the scale-1 rule, so that
-    the doubled rule refines the same panels: u at u_k and u_k + w tau,
-    across which Phi rises from 1/2 to 1 (sharp as sigma_e -> 0), and the
-    gap at g_lo, g_lo + w width_lo and at g_hi - w width_hi, g_hi, across
-    which the gap mass falls to 0 (sharp when one coupling is much narrower
-    than the other).  A zero-width edge is always split.  Each count
-    follows its phase span, t_max times the range, at _NODES_PER_RADIAN,
-    and is shared among panels by length (see _PANEL_MARGIN); the u rule
-    moves with slope kappa along gap, hence the gap factor (1 + |kappa|).
-    Where u is not split, its one panel also takes the _PANEL_MARGIN of
-    each further panel the split would have made: with n_u + _PANEL_MARGIN
-    nodes, doubling the counts moved a point by 2.1e-9 at sigma_e 0.273,
-    sigma_j 0.5 / 0.5, means 0, t_max 20, and with the further margin by
-    6e-13.  ``scale`` multiplies both counts.  Each gap node carries up to
-    three u panels; the weight of (gap, u) is the gap weight times the u
-    panel weight times phi(u; mu, v + v_e) Phi((u - u_k) / tau), with
-    Phi = 1 when tau = 0, and ``_average`` normalizes by the summed
-    weights.  A block holds the nodes of a run of gap nodes as j1 = gap/2,
-    j2 = -gap/2 and delta_e = -u, which give j1 - j2 = gap and
-    (j1 + j2)/2 - delta_e = u, the only combinations the probability sees.
-
-    Zero widths are the limits of these formulas.  sigma_e = 0 gives
-    tau = 0: Phi is a hard lower edge at u = |gap|/2 and the transition panel
-    is empty.  One zero sigma_j gives v = 0 and kappa = +-1/2: s is fixed by
-    gap, the gap mass has a hard edge on one side only and Phi is 1.  Both
-    sigma_j zero leave one gap node at m, and v + v_e = 0 one u node at
-    mu(gap) per gap node.  A span that rounds away at its mean, so that its
-    panels have no length, takes the zero-width limit too: the gap span at m
-    zeroes both coupling variances, and a u span at every mu leaves one u
-    node per gap node.  ``meta`` records the nodes per panel of the gap
-    rule and of the u rule (``gap_panels``, ``u_panels``; 0 for a u panel
-    empty on every gap node).  With at most _MAX_DIM_NODES per count the
-    node set stays far below _MAX_TENSOR_NODES; counts are checked as
-    floats, before ``math.ceil`` could overflow on them.
+    The truncation keeps gap in m +- w sqrt(V), cut where the gap mass falls
+    below Phi(-w), and u in mu +- w sqrt(v + v_e) above u_k - w tau.  Over
+    that region ``polar.polar_nodes`` integrates the weight in polar
+    coordinates about (u, gap) = (j', 0), where omega is the radius: each
+    radius node is one term (omega, weight, weight amp_zero, weight
+    amp_sup), its sums over the angle taken over the arcs of its circle in
+    the region; ``meta`` records the weight evaluations (``n_nodes``), the
+    terms (``n_r``) and the sides of gap = 0 whose normal-CDF step the arcs
+    cut out (``cut_steps``).  Zero widths are the limits of these formulas.
+    sigma_e = 0 gives tau = 0: Phi is a hard edge at u = |gap|/2.  One zero
+    sigma_j gives v = 0 and kappa = +-1/2: s is fixed by gap, the gap mass
+    has a hard edge on one side only and Phi is 1.  The two limits that are
+    1D take 1D rules whose terms come from ``oscillation_terms``: both
+    sigma_j zero leave one gap node at m and a pdf-weighted Gauss-Legendre
+    rule in u, of the n_u nodes its phase span needs plus _PANEL_MARGIN,
+    and v + v_e = 0 leaves u = mu(gap) on Gauss-Legendre panels in the gap,
+    split at 0.  A span that rounds away at its mean, so that it has no
+    length, takes the zero-width limit too: the gap span at m zeroes both
+    coupling variances, and the u span at (j01 + j02)/2 zeroes v + v_e.  The
+    counts are checked against _MAX_DIM_NODES as floats, before
+    ``math.ceil`` could overflow on them; ``scale`` multiplies every count
+    of a rule.
     """
     base = QuadratureSpec()
     w, per_radian = base.truncation_width, _NODES_PER_RADIAN
@@ -892,87 +852,68 @@ def _reduced_nodes(spec: NoiseSpec, t_max: float, scale: int = 1) -> _NodeSet:
         var1, var2, v_e = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2, 2.0 * spec.sigma_e ** 2
     except OverflowError:  # a width above 1e154, which no node count resolves: the check raises
         _check_node_counts(math.inf)
-    m = spec.j01 - spec.j02
+    m, mu0 = spec.j01 - spec.j02, 0.5 * (spec.j01 + spec.j02)
     if m - w * math.sqrt(var1 + var2) == m + w * math.sqrt(var1 + var2):  # rounds away at m
         var1 = var2 = 0.0
     v_gap = var1 + var2
     kappa = (var1 - var2) / (2.0 * v_gap) if v_gap > 0 else 0.0
     v = var1 * var2 / v_gap if v_gap > 0 else 0.0
     v_u = v + v_e
-    span_gap = 2.0 * w * math.sqrt(v_gap)
-    span_u = 2.0 * w * math.sqrt(v_u)
-    x_gap, x_u = per_radian * t_max * span_gap * (1.0 + abs(kappa)), per_radian * t_max * span_u
+    half_u = w * math.sqrt(v_u)
+    if mu0 - half_u == mu0 + half_u:  # rounds away at the mean
+        v_u = 0.0
+    x_gap = per_radian * t_max * 2.0 * w * math.sqrt(v_gap) * (1.0 + abs(kappa))
+    x_u = per_radian * t_max * 2.0 * half_u
     _check_node_counts(scale * x_gap, scale * x_u)
-    n_gap = scale * max(base.n_legendre, math.ceil(x_gap)) if v_gap > 0 else 1
-    n_u = scale * max(base.n_legendre, math.ceil(x_u)) if v_u > 0 else 1
+    if v_gap == 0.0:  # one gap node at m; u = mu0 - delta_e is Gaussian
+        lo, hi = mu0 - half_u, mu0 + half_u
+        if v_u == 0.0:
+            u, weight, lo, hi = np.full(1, mu0), np.ones(1), mu0, mu0
+        else:
+            x, wx = _leggauss(scale * max(base.n_legendre, math.ceil(x_u)) + _PANEL_MARGIN)
+            half = 0.5 * (hi - lo)
+            u = half * x + (lo + half)
+            weight = half * wx * np.exp(-((u - mu0) ** 2) / (2.0 * v_u))
+        return _NodeSet(chunks=(_node_terms(j_prime, 0.5 * m, -0.5 * m, -u, weight) for _ in (0,)),
+                        band=_band(j_prime, (lo, hi), (m, m)),
+                        meta={"rule": "reduced-2d", "n_nodes": len(u), "n_r": len(u)},
+                        points=lambda: iter([(j_prime - u, np.full_like(u, _C_PER_GAP * m), weight)]))
+    # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to 0
+    # over widths sqrt(v) / (1/2 -+ kappa); kappa = +-1/2 has no g_-+
+    reach = mu0 - kappa * m
+    g_hi, width_hi, g_lo, width_lo = math.inf, 0.0, -math.inf, 0.0
+    if kappa < 0.5:
+        g_hi, width_hi = reach / (0.5 - kappa), math.sqrt(v) / (0.5 - kappa)
+    if kappa > -0.5:
+        g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
+    gap_range = (max(m - w * math.sqrt(v_gap), g_lo - w * width_lo), min(m + w * math.sqrt(v_gap), g_hi + w * width_hi))
+    from . import polar  # which imports this module's helpers
 
-    def sharp(width, span, n):  # a step narrower than _CDF_CUT_SPACINGS spacings of the scale-1 rule
-        return width < _CDF_CUT_SPACINGS * span * scale / n
-
-    if v_gap > 0:
-        # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to
-        # 0 over widths sqrt(v) / (1/2 -+ kappa); kappa = +-1/2 has no g_-+
-        reach = 0.5 * (spec.j01 + spec.j02) - kappa * m
-        g_hi, width_hi, g_lo, width_lo = math.inf, 0.0, -math.inf, 0.0
-        if kappa < 0.5:
-            g_hi, width_hi = reach / (0.5 - kappa), math.sqrt(v) / (0.5 - kappa)
-        if kappa > -0.5:
-            g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
-        lo = max(m - 0.5 * span_gap, g_lo - w * width_lo)
-        hi = min(m + 0.5 * span_gap, g_hi + w * width_hi)
-        cuts = [lo, 0.0, hi]
-        if sharp(width_lo, span_gap, n_gap):
-            cuts += [g_lo, g_lo + w * width_lo]
-        if sharp(width_hi, span_gap, n_gap):
-            cuts += [g_hi - w * width_hi, g_hi]
-        cuts = np.unique(np.clip(cuts, lo, hi))
-        gap_counts = _panel_counts(np.diff(cuts), n_gap, span_gap)
-        gap, w_gap = _gauss_panels(cuts, gap_counts)
-        w_gap = w_gap * np.exp(-((gap - m) ** 2) / (2.0 * v_gap))
-    else:
-        gap, w_gap, gap_counts = np.full(1, m), np.ones(1), [1]
-    mu = 0.5 * (spec.j01 + spec.j02) + kappa * (gap - m)
-    if v > 0:
-        u_k = (0.5 * np.abs(gap) * v_u - mu * v_e) / v
-        tau = math.sqrt(v_e * v_u / v)
-    else:
-        u_k, tau = np.full_like(gap, -np.inf), 0.0
-    hi = mu + 0.5 * span_u
-    lo = np.minimum(np.maximum(mu - 0.5 * span_u, u_k - w * tau), hi)
-    edges = np.stack([lo, np.clip(u_k, lo, hi), np.clip(u_k + w * tau, lo, hi), hi], axis=1)
-    counts = _panel_counts(np.diff(edges, axis=1).max(axis=0), n_u, span_u)
-    if not sharp(tau, span_u, n_u):  # one panel, with the margin of each panel the cuts would add
-        edges, pieces = edges[:, ::3], np.count_nonzero(counts)
-        counts = _panel_counts([np.max(edges[:, 1] - edges[:, 0])], n_u, span_u)
-        counts[0] += max(int(pieces) - 1, 0) * _PANEL_MARGIN
-    if not any(counts):  # the u span rounds away at every mu: its zero-width limit
-        v_u, n_u, counts = 0.0, 1, [1]
-
-    def block(rows: slice) -> tuple:
-        """(j1, j2, delta_e, weight) of the nodes of gap nodes ``rows``, unnormalized."""
-        if v_u == 0.0:  # u = mu(gap)
-            return 0.5 * gap[rows], -0.5 * gap[rows], -mu[rows], w_gap[rows]
-        u, w_u = _gauss_panels(edges[rows], counts)
-        weights = w_gap[rows, None] * w_u * np.exp(-((u - mu[rows, None]) ** 2) / (2.0 * v_u))
-        if tau > 0.0:  # else no node lies below u_k, a hard edge or -inf
-            weights *= _ndtr((u - u_k[rows, None]) / tau)
-        keep = w_u > 0.0  # drops the nodes of empty panels
-        half_gap = np.broadcast_to(0.5 * gap[rows, None], u.shape)[keep]
-        return half_gap, -half_gap, -u[keep], weights[keep]
-
-    n_nodes = len(gap) if v_u == 0.0 else int(((np.diff(edges, axis=1) > 0) * np.asarray(counts)).sum())
-    step = max(1, _BLOCK_NODES // max(1, sum(counts)))
-    return _NodeSet(
-        blocks=(block(slice(s, s + step)) for s in range(0, len(gap), step)),
-        u_range=(float(edges[:, 0].min()), float(edges[:, -1].max())),
-        gap_range=(float(gap.min()), float(gap.max())),
-        meta={"rule": "reduced-2d", "n_gap": n_gap, "n_u": n_u, "n_nodes": n_nodes,
-              "gap_panels": gap_counts, "u_panels": counts},
-    )
+    if v_u == 0.0:  # u = mu(gap)
+        lo, hi = gap_range
+        gap, weight = polar.panel_rule([lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi], t_max, [math.sqrt(v_gap)] * 2, scale)
+        weight *= np.exp(-((gap - m) ** 2) / (2.0 * v_gap))
+        mu = mu0 + kappa * (gap - m)
+        return _NodeSet(chunks=(_node_terms(j_prime, 0.5 * gap, -0.5 * gap, -mu, weight) for _ in (0,)),
+                        band=_band(j_prime, (mu.min(), mu.max()), gap_range),
+                        meta={"rule": "reduced-2d", "n_nodes": len(gap), "n_r": len(gap)},
+                        points=lambda: iter([(j_prime - mu, _C_PER_GAP * gap, weight)]))
+    return polar.polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
 
 
-def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Average P over a node set: each block's terms go to ``_evaluate``.
+def _terms(initial: str, omega, weight, weight_zero, weight_sup) -> tuple[np.ndarray, np.ndarray, float]:
+    """(omega, coef, base) of P = base + sum_k coef_k cos(omega_k t) for one chunk.
+
+    The sin^2(omega t / 2) of the closed-form probabilities is rewritten as
+    (1 - cos(omega t)) / 2.
+    """
+    if initial == "zero":
+        return omega, 0.5 * weight_zero, float(weight.sum() - 0.5 * weight_zero.sum())
+    return omega, -0.25 * weight_sup, float(0.5 * weight.sum() + 0.25 * weight_sup.sum())
+
+
+def _average(nodes: _NodeSet, initial: str, times: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Average P over a node set: each chunk's terms go to ``_evaluate``.
 
     The sum is divided by the summed weights.  The metadata adds the
     evaluator's bin count and its error bound, in units of the averaged
@@ -982,14 +923,12 @@ def _average(nodes: _NodeSet, p: ExchangeParams, initial: str, times: np.ndarray
 
     def chunks():
         nonlocal mass
-        for block in nodes.blocks:
-            mass += block[3].sum()
-            # rebinding drops the node arrays before the evaluator sums the terms
-            block = _terms(p, initial, block[3], *block[:3])
-            yield block
+        for chunk in nodes.chunks:
+            mass += chunk[1].sum()
+            chunk = _terms(initial, *chunk)  # rebinding drops the weights before the evaluator sums the terms
+            yield chunk
 
-    band = _band(p.j_prime, nodes.u_range, nodes.gap_range)
-    values, n_bins, bound = _evaluate(chunks(), band, times)
+    values, n_bins, bound = _evaluate(chunks(), nodes.band, times)
     values, bound = values / mass, bound / mass
     return values, {**nodes.meta, "evaluator": "binned", "n_bins": n_bins, "error_bound": bound}
 
@@ -1019,7 +958,7 @@ def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str
     single node at the mean.
 
     With check_convergence=True the average is recomputed with doubled node
-    counts (n_gap and n_u on the 2D route); if any point moves by more than
+    counts (in r and in phi on the 2D route); if any point moves by more than
     1e-5 the trace metadata carries quadrature_converged=False and a warning
     string.
 
@@ -1044,11 +983,12 @@ def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str
     if initial not in ("zero", "superposition"):
         raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
     # every node set is built, and its counts checked, before the first average
-    node_sets = [_reduced_nodes(spec, float(times[-1]), scale) if q is None else _tensor_nodes(spec, q, scale)
+    node_sets = [_reduced_nodes(spec, p.j_prime, float(times[-1]), scale) if q is None
+                 else _tensor_nodes(spec, q, p.j_prime, scale)
                  for scale in ((1, 2) if check_convergence else (1,))]
-    values, meta = _average(node_sets[0], p, initial, times)
+    values, meta = _average(node_sets[0], initial, times)
     if check_convergence:
-        values2, _ = _average(node_sets[1], p, initial, times)
+        values2, _ = _average(node_sets[1], initial, times)
         change = float(np.max(np.abs(values2 - values)))
         meta["doubling_max_change"] = change
         meta["quadrature_converged"] = change <= 1e-5

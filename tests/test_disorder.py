@@ -12,7 +12,7 @@ import pytest
 import scipy.special
 from scipy.integrate import quad as integrate
 
-from deoq_dyn import disorder
+from deoq_dyn import disorder, polar
 from deoq_dyn.disorder import (
     NoiseSpec,
     NumericalError,
@@ -304,58 +304,88 @@ def test_reduced_rule_matches_doubled_tensor_rule(case):
 
 
 @pytest.mark.parametrize("case", REDUCED_CASES + [(1.0, 0.5, 0.5, 0.5, 1.5)])
-def test_reduced_rule_doubling_moves_no_point_by_1e_7(case):
+def test_reduced_rule_doubling_moves_no_point_by_1e_10(case):
     times = np.linspace(0.0, 100.0, 1001)
     for initial in ("zero", "superposition"):
         trace = disorder_average_quadrature(
             P, NoiseSpec(*case), initial, times, check_convergence=True
         )
-        assert trace.metadata["doubling_max_change"] <= 1e-7
+        assert trace.metadata["doubling_max_change"] <= 1e-10
 
 
-def test_reduced_rule_skips_the_u_cuts_of_a_wide_cdf_step(monkeypatch):
-    """On the default sweep's worst cell at t_max 100 the normal-CDF step in
-    u spans many node spacings: u is not cut there, each gap node carries
-    one u panel, and the rule holds at most 200,000 nodes (331,614 with the
-    cuts, when two panels of nearly n_u nodes each cover every gap node).
-    The one panel keeps the margin of each panel the cuts would make."""
-    meta = _reduced_nodes(NoiseSpec(1.0, 0.5, 0.5), 100.0).meta
-    assert meta["n_nodes"] <= 200_000
-    assert len(meta["u_panels"]) == 1
-    monkeypatch.setattr(disorder, "_CDF_CUT_SPACINGS", math.inf)
-    cut = [n for n in _reduced_nodes(NoiseSpec(1.0, 0.5, 0.5), 100.0).meta["u_panels"] if n]
-    assert len(cut) == 2
-    assert meta["u_panels"][0] == meta["n_u"] + 2 * disorder._PANEL_MARGIN
+def test_reduced_rule_skips_the_cut_of_a_wide_cdf_step(monkeypatch):
+    """On the default sweep's worst cell at t_max 100 the normal-CDF step is
+    about as wide as the Gaussian: it gets no band of its own, and the rule
+    makes at most 40,000 weight evaluations (56,470 with the band cut, which
+    moves no point by more than 1e-10)."""
+    noise, times = NoiseSpec(1.0, 0.5, 0.5), np.linspace(0.0, 100.0, 401)
+    meta = _reduced_nodes(noise, P.j_prime, 100.0).meta
+    assert meta["cut_steps"] == 0 and meta["n_nodes"] <= 40_000
+    decided = disorder_average_quadrature(P, noise, "superposition", times)
+    monkeypatch.setattr(polar, "_SHARP_STEP", math.inf)
+    assert _reduced_nodes(noise, P.j_prime, 100.0).meta["cut_steps"] == 2
+    cut = disorder_average_quadrature(P, noise, "superposition", times)
+    assert cut.metadata["n_nodes"] > 1.4 * meta["n_nodes"]
+    assert np.max(np.abs(cut.values - decided.values)) <= 1e-10
 
 
-def test_panel_counts_spend_no_node_on_rounding():
-    """At sigma (0.2, 0.1, 0.1), t_max 50 the one u panel is the span long,
-    but its edges round so that its share n_u length / span is
-    62.00000000000001: it counts as 62, and the panel takes n_u plus three
-    margins (its own and those of the two cuts not made), 86 nodes, not 87.
-    A share 1e-9 past an integer still takes the next one."""
-    meta = _reduced_nodes(NoiseSpec(0.2, 0.1, 0.1), 50.0).meta
-    assert meta["n_u"] == 62 and meta["u_panels"] == [62 + 3 * disorder._PANEL_MARGIN]
-    margin = disorder._PANEL_MARGIN
-    assert disorder._panel_counts([math.nextafter(1.0, 2.0), 1.0], 62, 1.0) == [62 + margin] * 2
-    assert disorder._panel_counts([0.5 + 1e-9], 62, 1.0) == [32 + margin]
+@pytest.mark.parametrize("phase, spread", [(0.0, 12.0), (20.0, 12.0), (81.0, 0.0), (81.0, 2.0), (300.0, 5.0),
+                                           (640.0, 0.0)])
+def test_gauss_points_meet_the_rule_tolerance(phase, spread):
+    """The count of ``_gauss_points`` integrates a Gaussian of that many
+    deviations times a cosine of that phase span over [-1, 1] within 1e-11,
+    and 4 points fewer miss by more than 1e-12: the estimate is tight."""
+    n = int(polar._gauss_points(np.array([phase]), np.array([spread]))[0])
+    sigma = 2.0 / spread if spread else math.inf
+
+    def f(x):
+        return np.exp(-0.5 * ((x - 0.2) / sigma) ** 2) * np.cos(0.5 * phase * x + 0.4)
+
+    x, w = _leggauss(3000)
+    exact = w @ f(x)
+    x, w = _leggauss(n)
+    assert abs(w @ f(x) - exact) <= polar._RULE_TOLERANCE
+    x, w = _leggauss(n - 4)
+    assert abs(w @ f(x) - exact) > 1e-12
 
 
 @pytest.mark.parametrize("t_max", [40.0, 100.0])
 @pytest.mark.parametrize("case", [c for c in REDUCED_CASES if c[0] <= 0.003 and c[1:3] == (0.3, 0.3)])
-def test_reduced_rule_keeps_the_u_cuts_of_a_sharp_cdf_step(case, t_max, monkeypatch):
-    """sigma_e = 1e-4 and 0.003 make the normal-CDF step in u narrow on the
-    nodes, and sigma_e = 0 a hard edge: u keeps its cuts there, the same
-    panels as the rule that cuts at every step."""
-    panels = _reduced_nodes(NoiseSpec(*case), t_max).meta["u_panels"]
-    assert len(panels) == 3
-    monkeypatch.setattr(disorder, "_CDF_CUT_SPACINGS", math.inf)
-    assert panels == _reduced_nodes(NoiseSpec(*case), t_max).meta["u_panels"]
+def test_reduced_rule_keeps_the_cut_of_a_sharp_cdf_step(case, t_max, monkeypatch):
+    """sigma_e = 1e-4 and 0.003 make the normal-CDF step narrow beside the
+    Gaussian: both sides of gap = 0 cut it out of the arcs, as a band of its
+    own; sigma_e = 0 makes it a hard edge, with nothing to cut.  The rule
+    that never cuts is off the cut rule by more than 1e-9."""
+    nodes = _reduced_nodes(NoiseSpec(*case), P.j_prime, t_max)
+    assert nodes.meta["cut_steps"] == (2 if case[0] > 0 else 0)
+    if case[0] > 0:
+        times = np.linspace(0.0, t_max, 401)
+        cut = disorder_average_quadrature(P, NoiseSpec(*case), "zero", times)
+        monkeypatch.setattr(polar, "_SHARP_STEP", 0.0)
+        uncut = disorder_average_quadrature(P, NoiseSpec(*case), "zero", times)
+        assert np.max(np.abs(uncut.values - cut.values)) > 1e-9
+
+
+def test_largest_sweep_heavy_cell_sums_few_terms(monkeypatch):
+    """The polar rule on the sweep-heavy benchmark's largest cell (sigma_e 1,
+    sigma_j 0.5, t_max 100, zero state) makes at most 65,536 weight
+    evaluations (the (gap, u) rule it replaced made 197,506 nodes) and hands
+    the evaluator at most 400 terms, none from ``oscillation_terms``."""
+    calls = []
+    terms = disorder.oscillation_terms
+    monkeypatch.setattr(disorder, "oscillation_terms", lambda *a: calls.append(a) or terms(*a))
+    trace = disorder_average_quadrature(P, NoiseSpec(1.0, 0.5, 0.5), "zero", np.linspace(0.0, 100.0, 4001))
+    assert trace.metadata["n_nodes"] <= 65_536
+    assert trace.metadata["n_r"] <= 400
+    chunks, _ = _producer_input(NoiseSpec(1.0, 0.5, 0.5), "zero", np.linspace(0.0, 100.0, 4001))
+    assert sum(len(omega) for omega, _, _ in chunks) == trace.metadata["n_r"]
+    assert calls == []
 
 
 def _reduced_moments(noise):
-    j1, _, delta_e, w = (np.concatenate(a) for a in zip(*_reduced_nodes(noise, 100.0).blocks))
-    gap, u, w = 2.0 * j1, -delta_e, w / w.sum()  # j1 = gap/2 and delta_e = -u, both exact
+    """Moments of the 2D rule's (r, phi) nodes, mapped back to (gap, u)."""
+    d, c, w = (np.concatenate(a) for a in zip(*_reduced_nodes(noise, P.j_prime, 100.0).points()))
+    gap, u, w = c / math.sqrt(0.75), P.j_prime - d, w / w.sum()
     return {"u": w @ u, "uu": w @ (u * u), "ug": w @ (u * gap), "gg": w @ (gap * gap)}
 
 
@@ -593,14 +623,12 @@ def test_evaluator_matches_cos_matrix():
     times = np.linspace(0.0, 80.0, 203)
     noise = NoiseSpec(sigma_e=0.3, sigma_j1=0.2, sigma_j2=0.1)
     q = QuadratureSpec(n_hermite=31, n_legendre=17, delta_e_rule="legendre")
-    j1, j2, de, w = (np.concatenate(v) for v in zip(*(np.broadcast_arrays(*block)
-                                                      for block in _tensor_nodes(noise, q).blocks)))
-    omega, amp_zero, amp_sup = oscillation_terms(P.j_prime, j1, j2, de)
+    omega, w, w_zero, w_sup = (np.concatenate(v) for v in zip(*_tensor_nodes(noise, q, P.j_prime).chunks))
     cos_matrix = np.cos(np.outer(omega, times))
     mass = w.sum()
     for initial, coef, base in (
-        ("zero", 0.5 * w * amp_zero, mass - 0.5 * (w * amp_zero).sum()),
-        ("superposition", -0.25 * w * amp_sup, 0.5 * mass + 0.25 * (w * amp_sup).sum()),
+        ("zero", 0.5 * w_zero, mass - 0.5 * w_zero.sum()),
+        ("superposition", -0.25 * w_sup, 0.5 * mass + 0.25 * w_sup.sum()),
     ):
         trace = disorder_average_quadrature(P, noise, initial, times, q=q)
         bound = trace.metadata["error_bound"]
@@ -747,13 +775,32 @@ LEGENDRE_WEIGHTS = {
 
 @pytest.mark.parametrize("n", sorted(LEGENDRE_WEIGHTS))
 def test_leggauss_weights_match_a_50_digit_reference(n):
-    """Within 5e-15 relative, save the end node at n = 5,000: there Newton
-    stops after a step of 6e-10 rad, under 1e-12 |x| in x, and leaves 1.6e-12
-    (the recurrence rule it replaced: 3.8e-10)."""
+    """Within 5e-15 relative, the end node at n = 5,000 included: Newton
+    stops on a step under 1e-12 theta, where a step under 1e-12 |x| left it
+    1.6e-12 off (the recurrence rule before it: 3.8e-10)."""
     w = _built(_leggauss, n)[1]
     for i, ref in LEGENDRE_WEIGHTS[n].items():
-        bound = 2e-12 if (n, i) == (5000, 4999) else 5e-15
-        assert abs(w[i] - ref) <= bound * ref, (n, i)
+        assert abs(w[i] - ref) <= 5e-15 * ref, (n, i)
+
+
+@pytest.mark.parametrize("n", [1001, 5000])
+def test_leggauss_end_nodes_match_mpmath(n):
+    """The two nodes next to x = 1, and their weights, against Newton's
+    method on the three-term recurrence in 50-digit mpmath arithmetic: within
+    1e-14 relative."""
+    mpmath = pytest.importorskip("mpmath")
+    x, w, _ = _built(_leggauss, n)
+    with mpmath.workdps(50):
+        for i in (n - 1, n - 2):
+            node = mpmath.mpf(float(x[i]))
+            for _ in range(3):
+                p_prev, p = mpmath.mpf(1), node
+                for k in range(1, n):
+                    p_prev, p = p, ((2 * k + 1) * node * p - k * p_prev) / (k + 1)
+                dp = n * (node * p - p_prev) / (node * node - 1)
+                node -= p / dp
+            weight = 2 / ((1 - node * node) * dp * dp)
+            assert abs(x[i] - node) <= 1e-14 * node and abs(w[i] - weight) <= 1e-14 * weight, (n, i)
 
 
 # each family's rule, its Newton variable from x and back, and its evaluator
@@ -941,8 +988,10 @@ def test_mc_zero_noise_has_zero_stderr():
 
 
 def _node_count(nodes):
-    """Nodes a node set's blocks hold, summed over the blocks."""
-    return sum(len(block[3]) for block in nodes.blocks)
+    """Nodes a node set holds: the tensor rule's terms, or the 2D rule's points."""
+    if nodes.points is None:
+        return sum(len(chunk[1]) for chunk in nodes.chunks)
+    return sum(len(block[2]) for block in nodes.points())
 
 
 def test_trace_metadata_records_quadrature_setup():
@@ -957,64 +1006,60 @@ def test_trace_metadata_records_quadrature_setup():
     assert md["n_nodes"] == md["n_delta_e"] * md["n_j1"] * md["n_j2"]
     assert md["delta_e_rule"] == "legendre"
     assert md["quadrature_spec"] == q
-    assert md["n_nodes"] == _node_count(_tensor_nodes(noise, q))
+    assert md["n_nodes"] == _node_count(_tensor_nodes(noise, q, P.j_prime))
 
+    # the 2D rule counts its weight evaluations, and the terms it hands the
+    # evaluator, one per r node; its normal-CDF step is too wide to cut
     md = disorder_average_quadrature(P, noise, "zero", times).metadata
     assert md["rule"] == "reduced-2d"
     assert md["evaluator"] == "binned"
     assert 0.0 < md["error_bound"] <= disorder._NUFFT_ERROR
-    assert md["n_gap"] == 41
-    assert md["n_u"] == math.ceil(0.35 * 50.0 * 12.0 * math.sqrt(0.005 + 0.08))
-    assert md["n_nodes"] == _node_count(_reduced_nodes(noise, 50.0))
+    nodes = _reduced_nodes(noise, P.j_prime, 50.0)
+    assert md["n_nodes"] == _node_count(nodes) and md["cut_steps"] == 0
+    assert md["n_r"] == len(next(nodes.chunks)[0]) < md["n_nodes"]
     assert "n_delta_e" not in md and "quadrature_spec" not in md
-    # one gap panel either side of the kink at 0, the gap mass's steps too
-    # wide to cut; one u panel, the normal-CDF step too wide to cut
-    half_gaps = np.unique(np.concatenate([b[0] for b in _reduced_nodes(noise, 50.0).blocks]))
-    assert len(md["gap_panels"]) == 2 and sum(md["gap_panels"]) == len(half_gaps)
-    assert min(md["gap_panels"]) >= disorder._PANEL_MIN
-    assert len(md["u_panels"]) == 1 and md["u_panels"][0] >= md["n_u"] + disorder._PANEL_MARGIN
 
     # 28Si-like noise (sigma_e = 0) runs on the 2D rule too; its hard edge in
-    # u is cut, and the panels below it are empty on every gap node
+    # u is a line of the region, with no band to cut
     silicon = replace(noise, sigma_e=0.0)
     md = disorder_average_quadrature(P, silicon, "zero", times).metadata
-    assert md["rule"] == "reduced-2d"
-    assert md["n_nodes"] == _node_count(_reduced_nodes(silicon, 50.0))
-    assert md["u_panels"][:2] == [0, 0] and len(md["u_panels"]) == 3
+    assert md["rule"] == "reduced-2d" and md["cut_steps"] == 0
+    assert md["n_nodes"] == _node_count(_reduced_nodes(silicon, P.j_prime, 50.0))
 
 
 @pytest.mark.parametrize("rule", ["reduced-2d", "tensor"])
-def test_node_set_drops_a_block_once_yielded(rule):
-    """A node set keeps no reference to a block's weight array once it has
-    yielded it, nor, in the 2D rule, to its other arrays (the tensor rule
-    shares its j2 and delta_e grids across blocks), so the evaluator's sums
-    run with one block's node arrays alive at a time."""
+def test_node_set_drops_a_chunk_once_yielded(rule):
+    """A node set keeps no reference to a chunk's arrays once it has yielded
+    it, so the evaluator's sums run with one chunk's arrays alive at a
+    time."""
     noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.3)
     if rule == "tensor":
-        nodes = _tensor_nodes(noise, QuadratureSpec(n_hermite=8, n_legendre=8))
+        nodes = _tensor_nodes(noise, QuadratureSpec(n_hermite=8, n_legendre=8), P.j_prime)
     else:
-        nodes = _reduced_nodes(noise, 50.0)
-    block = next(nodes.blocks)
-    refs = [weakref.ref(a) for a in (block if rule == "reduced-2d" else block[3:])]
-    del block
+        nodes = _reduced_nodes(noise, P.j_prime, 50.0)
+    chunk = next(nodes.chunks)
+    refs = [weakref.ref(a) for a in chunk[1:]] + ([weakref.ref(chunk[0])] if rule == "tensor" else [])
+    del chunk
     gc.collect()
     assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("make, n_nodes", [
-    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 100.0), 197_506),
-    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 100.0, scale=2), 758_862),
-    (lambda: _tensor_nodes(NoiseSpec(sigma_e=0.3, sigma_j2=0.2), QuadratureSpec(2000, 2000, delta_e_rule="legendre")),
-     4_000_000),
+    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0), 38_140),
+    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0, scale=2), 152_636),
+    (lambda: _tensor_nodes(NoiseSpec(sigma_e=0.3, sigma_j2=0.2), QuadratureSpec(2000, 2000, delta_e_rule="legendre"),
+                           P.j_prime), 4_000_000),
 ], ids=["sweep-heavy-largest-cell", "sweep-heavy-largest-cell-doubled", "tensor-sigma-j1-0"])
 def test_node_set_blocks_hold_at_most_block_nodes(make, n_nodes):
-    """Every block of a node set, of the 2D rule or of the tensor rule, holds
-    at most _BLOCK_NODES nodes, and the blocks hold the node count of the
-    metadata: the largest cell of the sweep-heavy benchmark (sigma_e 1,
-    sigma_j 0.5, t_max 100) and a tensor rule whose j1 dimension collapses,
-    so that a j1 slab is the whole 4 M-node rule."""
+    """Every block of a node set, the 2D rule's weight evaluations or the
+    tensor rule's chunks, holds at most _BLOCK_NODES nodes, and the blocks
+    hold the node count of the metadata: the largest cell of the
+    sweep-heavy benchmark (sigma_e 1, sigma_j 0.5, t_max 100) and a tensor
+    rule whose j1 dimension collapses, so that a j1 slab is the whole 4
+    M-node rule."""
     nodes = make()
-    sizes = [np.size(block[3]) for block in nodes.blocks]
+    blocks = nodes.points() if nodes.points else nodes.chunks
+    sizes = [np.size(block[2] if nodes.points else block[1]) for block in blocks]
     assert max(sizes) <= disorder._BLOCK_NODES
     assert sum(sizes) == nodes.meta["n_nodes"] == n_nodes
 

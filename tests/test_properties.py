@@ -102,19 +102,17 @@ def _near_threshold(axis, ratio, sigma, other, t_max):
 )
 def test_cdf_cuts_only_where_sharp_move_no_trace(axis, ratio, sigma, other, t_max, c1, c2, initial):
     """Where a normal-CDF step of the 2D rule (tau in u, or a gap mass edge)
-    is within a factor 3 of its cut threshold, the rule that cuts only sharp
-    steps and the rule that cuts at every step agree to 1e-10.  The means
-    lie within 3 widths of 0, so the truncation puts the steps inside the
+    is within a factor 3 of the threshold the (gap, u) rule cut it at, the
+    2D rule agrees with itself at 3x the node counts to 1e-10.  The means lie
+    within 3 widths of 0, so the truncation puts the steps inside the
     ranges."""
     widths, built = _near_threshold(axis, ratio, sigma, other, t_max)
     hypothesis.assume(1 / 3 <= built <= 3.0)
     noise = NoiseSpec(*widths, c1 * widths[1], c2 * widths[2])
     times = np.linspace(0.0, t_max, 401)
-    decided = disorder_average_quadrature(P, noise, initial, times)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(disorder, "_CDF_CUT_SPACINGS", math.inf)
-        always = disorder_average_quadrature(P, noise, initial, times)
-    assert np.max(np.abs(decided.values - always.values)) <= 1e-10
+    values = [disorder._average(disorder._reduced_nodes(noise, P.j_prime, t_max, scale), initial, times)[0]
+              for scale in (1, 3)]
+    assert np.max(np.abs(values[0] - values[1])) <= 1e-10
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
