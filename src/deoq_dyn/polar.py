@@ -157,7 +157,7 @@ def polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) 
     if abs(off) <= w * big:
         half = sigma * math.sqrt(w * w - (off / big) ** 2)
         zones.append((max(abs(across) - half, 0.0) if abs(across) > half else 0.0, abs(across) + half, sigma))
-    cuts, slope = [line(0.0, 1.0, 0.0)], {}
+    cuts, slope, steps = [line(0.0, 1.0, 0.0)], {}, []
     if v > 0:
         b = -(mu0 - kappa * m) * v_e / v
         for side in (1.0, -1.0):
@@ -168,6 +168,7 @@ def polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) 
                 cuts += [line(-1.0, -k / s3, b + shift - j_prime, side, hard=True) for shift in (0.0, w * tau)]
             if width > 0.0:  # around the foot of its line and its corner at c = 0
                 foot = line(-1.0, -k / s3, b - j_prime, side)
+                steps += [foot[:4] + (width,)] if width >= _SHARP_STEP * sigma else []
                 near = abs(foot[2]) if side * foot[2] * foot[1] >= 0.0 else abs(j_prime - b)
                 zones += [(near - w * width, near + w * width, width),
                           (abs(j_prime - b) - w * (tau + width), abs(j_prime - b) + w * (tau + width), width)]
@@ -203,6 +204,35 @@ def polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) 
             edges.append(radii[k])
         if graded_at[k]:
             starts.append(edges[-1])
+    # the Gaussian sampled over +-w deviations: each point's radius, radial deviation and
+    # exponent
+    grid = np.linspace(-w, w, 25)
+    a, b_ = np.meshgrid(grid, grid)
+    disk = a * a + b_ * b_ <= w * w
+    pts = np.array([center[0] - nc * big * a[disk] + nd * sigma * b_[disk],
+                    center[1] + nd * big * a[disk] + nc * sigma * b_[disk]])
+    rho = np.hypot(*pts)
+    order = np.argsort(rho)
+    rho, pts, depth = rho[order], pts[:, order], 0.5 * (a[disk] ** 2 + b_[disk] ** 2)[order]
+    spread = np.sqrt((cov_dd * pts[0] ** 2 + 2.0 * cov_cd * pts[0] * pts[1] + cov_cc * pts[1] ** 2)
+                     / np.where(rho > 0.0, rho * rho, np.inf))
+    spread[rho == 0.0] = sigma  # the origin: every direction is radial
+    # along a hard line p n + s t the weight is a Gaussian in s of deviation dev = 1 / sqrt(t
+    # Lambda t) about s0, and a circle of radius r meets the line at the rate r / sqrt(r^2 -
+    # p^2); that matters at the radii l_lo .. l_hi where the line carries weight, a zone
+    hard_lines = []
+    for a_d_, a_c_, p, _, width in [x[:4] + (0.0,) for x in region + cuts[1:] if x[4]] + steps:
+        along, offset = (-a_c_, a_d_), (center[0] - p * a_d_, center[1] - p * a_c_)
+        dev = 1.0 / math.sqrt(form(along, along))
+        s0 = dev * dev * form(along, offset)
+        rest = (offset[0] - s0 * along[0], offset[1] - s0 * along[1])
+        ends = np.hypot(p, [s0 - w * dev, s0 + w * dev])
+        l_lo, dev = abs(p) if abs(s0) <= w * dev else ends.min(), min(dev, width or dev)
+        at = (rho >= l_lo) & (rho <= ends.max())
+        # a smooth step matters where it is narrower than the Gaussian there
+        if form(rest, rest) <= w * w and (not width or at.any() and dev < 0.5 * spread[at].min()):
+            hard_lines.append((abs(p), dev, l_lo, ends.max()))
+            zones.append((l_lo, ends.max(), math.inf))
     # above the foot p of a hard line F(r) grows like sqrt(r - p): the first panel, at most
     # _GRADED_SIGMAS sigma long and no longer than the gaps to the foot below and to the next
     # cut, is graded, and the panels after it double in length, each as far from p as it is
@@ -222,17 +252,6 @@ def polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) 
     # a panel's width: the least radial deviation of the Gaussian at its sampled points
     # there (or the nearest point's), and of the zones and hard lines it meets; its depth:
     # the least of the Gaussian's exponent at its points within half the grid's spacing
-    grid = np.linspace(-w, w, 25)
-    a, b_ = np.meshgrid(grid, grid)
-    disk = a * a + b_ * b_ <= w * w
-    pts = np.array([center[0] - nc * big * a[disk] + nd * sigma * b_[disk],
-                    center[1] + nd * big * a[disk] + nc * sigma * b_[disk]])
-    rho = np.hypot(*pts)
-    order = np.argsort(rho)
-    rho, pts, depth = rho[order], pts[:, order], 0.5 * (a[disk] ** 2 + b_[disk] ** 2)[order]
-    spread = np.sqrt((cov_dd * pts[0] ** 2 + 2.0 * cov_cd * pts[0] * pts[1] + cov_cc * pts[1] ** 2)
-                     / np.where(rho > 0.0, rho * rho, np.inf))
-    spread[rho == 0.0] = sigma  # the origin: every direction is radial
     first, last = np.searchsorted(rho, lo), np.searchsorted(rho, hi, side="right")
     nearest = np.clip(np.searchsorted(rho, mid), 1, len(rho) - 1)
     nearest -= mid - rho[nearest - 1] < rho[nearest] - mid
@@ -241,19 +260,9 @@ def polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) 
     depths = np.array([depth[i:j].min() if j > i else 0.5 * w * w for i, j in zip(first, last)])
     for z_lo, z_hi, width in zones:
         widths = np.where((z_lo < hi) & (z_hi > lo), np.minimum(widths, width), widths)
-    # along a hard line p n + s t the weight is a Gaussian in s of deviation dev = 1 / sqrt(t
-    # Lambda t) about s0, and a circle of radius r meets the line at the rate r / sqrt(r^2 -
-    # p^2); that matters at the radii where the line carries weight
-    for a_d_, a_c_, p, _, is_hard in region + cuts[1:]:
-        along, offset = (-a_c_, a_d_), (center[0] - p * a_d_, center[1] - p * a_c_)
-        dev = 1.0 / math.sqrt(form(along, along))
-        s0 = dev * dev * form(along, offset)
-        rest = (offset[0] - s0 * along[0], offset[1] - s0 * along[1])
-        if is_hard and form(rest, rest) <= w * w:
-            ends = np.hypot(p, [s0 - w * dev, s0 + w * dev])
-            near = (abs(p) if abs(s0) <= w * dev else ends.min()) < hi
-            on = near & (ends.max() > lo) & (abs(p) < mid)
-            widths = np.where(on, np.minimum(widths, dev * np.sqrt(np.maximum(1.0 - (p / mid) ** 2, 0.0))), widths)
+    for p, dev, l_lo, l_hi in hard_lines:
+        on = (l_lo < hi) & (l_hi > lo) & (p < mid)
+        widths = np.where(on, np.minimum(widths, dev * np.sqrt(np.maximum(1.0 - (p / mid) ** 2, 0.0))), widths)
     r, w_r = panel_rule(edges, t_max, widths, scale, set(np.searchsorted(edges, starts)), depths)
 
     # each circle's arcs in the region, between the angles where it crosses a line

@@ -351,19 +351,16 @@ def test_gauss_points_meet_the_rule_tolerance(phase, spread):
 
 @pytest.mark.parametrize("t_max", [40.0, 100.0])
 @pytest.mark.parametrize("case", [c for c in REDUCED_CASES if c[0] <= 0.003 and c[1:3] == (0.3, 0.3)])
-def test_reduced_rule_keeps_the_cut_of_a_sharp_cdf_step(case, t_max, monkeypatch):
+def test_reduced_rule_keeps_the_cut_of_a_sharp_cdf_step(case, t_max):
     """sigma_e = 1e-4 and 0.003 make the normal-CDF step narrow beside the
     Gaussian: both sides of gap = 0 cut it out of the arcs, as a band of its
-    own; sigma_e = 0 makes it a hard edge, with nothing to cut.  The rule
-    that never cuts is off the cut rule by more than 1e-9."""
+    own, and the doubled rule moves no point by more than 1e-10; sigma_e = 0
+    makes it a hard edge, with nothing to cut."""
     nodes = _reduced_nodes(NoiseSpec(*case), P.j_prime, t_max)
     assert nodes.meta["cut_steps"] == (2 if case[0] > 0 else 0)
-    if case[0] > 0:
-        times = np.linspace(0.0, t_max, 401)
-        cut = disorder_average_quadrature(P, NoiseSpec(*case), "zero", times)
-        monkeypatch.setattr(polar, "_SHARP_STEP", 0.0)
-        uncut = disorder_average_quadrature(P, NoiseSpec(*case), "zero", times)
-        assert np.max(np.abs(uncut.values - cut.values)) > 1e-9
+    times = np.linspace(0.0, t_max, 401)
+    trace = disorder_average_quadrature(P, NoiseSpec(*case), "superposition", times, check_convergence=True)
+    assert trace.metadata["doubling_max_change"] <= 1e-10
 
 
 def test_largest_sweep_heavy_cell_sums_few_terms(monkeypatch):
