@@ -105,9 +105,8 @@ _NUFFT_ERROR = math.exp(-_GAUSS_A * _SPREAD ** 2) * (
 _MAX_BINS = 2 ** 22
 
 # node-count ceilings: per dimension about 4x what the default sweep grid and
-# material presets size on the 2D rule (at most 1,225 nodes in one dimension
-# and 0.76 M in all), so that rule stays under 2.5e7 nodes; the total bounds
-# explicit tensor specs
+# material presets size on the 2D rule (at most 1,196 radius or u nodes); the
+# total bounds explicit tensor specs
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
 
@@ -121,12 +120,10 @@ _NODES_PER_RADIAN = 0.35
 # couplings, add to their share
 _PANEL_MARGIN = 8
 
-# nodes per block of every node set, to bound its memory: a block's
-# temporaries are a few arrays of this length, short enough for the 2D
-# rule's normal CDF to run in cache (one pass over 0.4 M arguments took
-# twice as long); a tensor average of 2,000 x 2,000 nodes with sigma_j1 = 0,
-# once one 4 M-node block, peaks at 40 MiB RSS, not 401 MiB (fresh
-# process, 2-core x86 host)
+# nodes per chunk of the tensor rule, to bound its memory: a chunk's
+# temporaries are a few arrays of this length; a tensor average of 2,000 x
+# 2,000 nodes with sigma_j1 = 0, once one 4 M-node block, peaks at 40 MiB
+# RSS, not 401 MiB (fresh process, 2-core x86 host)
 _BLOCK_NODES = 2 ** 16
 
 # Gauss-Legendre P_n(cos theta): Stieltjes' interior expansion cut at 30

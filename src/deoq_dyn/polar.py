@@ -50,8 +50,8 @@ _SHARP_STEP = 0.5
 
 # weight evaluations per block of the 2D rule: a block holds about 20 arrays of
 # its length at once, its angles, the weight's normal CDF and the sums' terms
-# (a 55,670-node block, Si at 0.5 ueV, peaked at 9.5 MiB traced), a quarter of
-# the node sets' _BLOCK_NODES
+# (a 55,670-node block, Si at 0.5 ueV, peaked at 9.5 MiB traced, 3.8 MiB in
+# blocks of this size), a quarter of the tensor rule's _BLOCK_NODES
 _POLAR_BLOCK = 2 ** 14
 
 # the r panel above the foot of a hard line of the 2D rule (an edge where the
