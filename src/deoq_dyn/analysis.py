@@ -138,45 +138,45 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _amplitudes(e: np.ndarray, v: np.ndarray, fixed_start: Optional[float]):
-    """Best (sse, p_inf, p_start) for each column of e, in closed form.
+def _amplitudes(e: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> tuple[float, float, float]:
+    """Best (sse, p_inf, p_start) at one (t2, alpha), in closed form.
 
-    e holds exp(-(t/t2)^alpha) at the points, one column per (t2, alpha),
-    and v the point values as an (n, 1) column.  With t2 and alpha fixed,
-    F = p_inf + (p_start - p_inf) e is linear in the amplitudes (variable
-    projection, Golub & Pereyra 1973).  Under 0 <= p_inf <= p_start <= 1 the
-    optimum is the unconstrained least-squares line if it is feasible, and
-    otherwise the best of the edges p_inf = 0, p_start = 1 and
-    p_inf = p_start.  The line is clipped into the constraints, which leaves
-    it unchanged when feasible and no better than the edges when not, so the
-    best of the four is the optimum.  A fixed start leaves only p_inf,
-    clipped to [0, fixed_start].  An amplitude the points do not determine
-    (e equal at every point) is 0.
+    e holds exp(-(t/t2)^alpha) at the points and v the point values.  With
+    t2 and alpha fixed, F = p_inf + (p_start - p_inf) e is linear in the
+    amplitudes (variable projection, Golub & Pereyra 1973).  Under
+    0 <= p_inf <= p_start <= 1 the optimum is the unconstrained
+    least-squares line if it is feasible, and otherwise the best of the
+    edges p_inf = 0, p_start = 1 and p_inf = p_start.  The line is clipped
+    into the constraints, which leaves it unchanged when feasible and no
+    better than the edges when not, so the best of the four is the optimum.
+    A fixed start leaves only p_inf, clipped to [0, fixed_start].  An
+    amplitude the points do not determine (e equal at every point) is 0.
     """
+
+    def ratio(num, den):
+        return num / den if den > 0 else 0.0
+
+    def clip(x, hi=1.0):
+        return min(max(x, 0.0), hi)
 
     def pinned(start):  # p_start = start, p_inf clipped to [0, start]
         a = 1.0 - e
-        p_inf = np.clip(_ratio(np.sum(a * (v - start * e), 0), np.sum(a * a, 0)), 0.0, start)
-        return p_inf, np.full_like(p_inf, start)
+        return clip(ratio(a @ (v - start * e), a @ a), start), start
 
     if fixed_start is not None:
         candidates = [pinned(fixed_start)]
     else:
-        ec = e - e.mean(0)
-        slope = _ratio(np.sum(ec * (v - v.mean()), 0), np.sum(ec * ec, 0))
-        line = v.mean() - slope * e.mean(0)
-        top = np.clip(line + slope, 0.0, 1.0)
-        level = np.full_like(top, np.clip(v.mean(), 0.0, 1.0))
-        candidates = [
-            (np.minimum(np.clip(line, 0.0, 1.0), top), top),
-            pinned(1.0),
-            (np.zeros_like(top), np.clip(_ratio(np.sum(e * v, 0), np.sum(e * e, 0)), 0.0, 1.0)),
-            (level, level),
-        ]
-    p_inf, p_start = (np.array(c)[:, None] for c in zip(*candidates))
+        e_mean, v_mean = e.sum() / len(e), v.sum() / len(v)
+        ec = e - e_mean
+        slope = ratio(ec @ (v - v_mean), ec @ ec)
+        line = v_mean - slope * e_mean
+        top = clip(line + slope)
+        level = clip(v_mean)
+        candidates = [(clip(line, top), top), pinned(1.0), (0.0, clip(ratio(e @ v, e @ e))), (level, level)]
+    p_inf, p_start = np.array(candidates).T[:, :, None]
     sse = np.sum((p_inf + (p_start - p_inf) * e - v) ** 2, axis=1)
-    best = (np.argmin(sse, axis=0), np.arange(e.shape[1]))
-    return sse[best], p_inf[:, 0][best], p_start[:, 0][best]
+    best = int(np.argmin(sse))
+    return float(sse[best]), float(p_inf[best, 0]), float(p_start[best, 0])
 
 
 def _grid_sse(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> np.ndarray:
@@ -191,16 +191,31 @@ def _grid_sse(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> np.
     and b = p_start - p_inf.  The sums cancel where e is nearly constant, so
     only the grid's argmin depends on them; the polish and every reported
     number use ``_amplitudes`` on residual arrays.
+
+    In the columns of small t2, (u/t2)^alpha exceeds 746 at the smallest
+    u > 0, and so at every u > 0: exp underflows to exactly 0 there, and e
+    is 1 at u = 0 and 0 elsewhere.  Those columns take their sums in closed
+    form (the count of points at u = 0 for S1 and S2, their summed w for
+    Sew), equal to what the exponentials would give, and only the rest
+    evaluate exp, where an argument that underflows costs several times a
+    normal one.
     """
     n, v_mean = len(v), float(np.mean(v))
     w = v - v_mean
+    n_zero = int(u[0] == 0.0)  # the times increase: only the first can be 0
+    u_min, w_zero = u[n_zero], w[:n_zero].sum()  # the smallest u > 0; w summed over u = 0
     s1, s2, sew = (np.empty((len(_ALPHA_GRID), len(_LOG_T2_GRID))) for _ in range(3))
     for i, alpha in enumerate(_ALPHA_GRID):
-        e = np.multiply.outer(-(u ** alpha), np.exp(-alpha * _LOG_T2_GRID))  # -(u / t2)^alpha
+        col = np.exp(-alpha * _LOG_T2_GRID)  # t2^-alpha, falling along the row
+        # the first column where exp(-(u_min/t2)^alpha) may not underflow
+        first = np.searchsorted(-(u_min ** alpha) * col, -746.0)
+        s1[i, :first] = s2[i, :first] = n_zero
+        sew[i, :first] = w_zero
+        e = np.multiply.outer(-(u ** alpha), col[first:])  # -(u / t2)^alpha
         np.exp(e, out=e)
         # einsum, not a BLAS product: with OpenBLAS that touched 2.5 MiB of
         # library pages and buffers and raised a sweep's peak RSS as much
-        s1[i], sew[i], s2[i] = e.sum(0), np.einsum("i,ij->j", w, e), np.einsum("ij,ij->j", e, e)
+        s1[i, first:], sew[i, first:], s2[i, first:] = e.sum(0), np.einsum("i,ij->j", w, e), np.einsum("ij,ij->j", e, e)
     sev = sew + v_mean * s1
 
     def pinned(start):  # p_start = start, p_inf clipped to [0, start]
@@ -224,29 +239,25 @@ def _grid_sse(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> np.
     ])
 
 
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares x of a x ~ b for an a of few columns, 0 for a column in
-    the span of the ones before it.
+def _project_out(cols: list, basis: list) -> list:
+    """Each of ``cols`` less its projection on the span of ``basis``.
 
-    Gram-Schmidt run twice per column gives a = q r (Giraud et al. 2005),
-    then x solves r x = q^T b.  ``np.linalg.lstsq`` would touch LAPACK's
-    SVD code, about 1 MiB more peak RSS for a CLI run.
+    Gram-Schmidt, run twice per basis column (Giraud et al. 2005), makes the
+    basis orthonormal; a column in the span of the ones before it, to 1e-13
+    of its norm, adds nothing.
     """
-    k = a.shape[1]
-    q, r = np.zeros(a.shape), np.zeros((k, k))
-    for j in range(k):
-        col = a[:, j]
+    q = []
+    for b in basis:
+        c = b
         for _ in range(2):
-            c = q.T @ col
-            col = col - q @ c
-            r[:, j] += c
-        norm = math.sqrt(col @ col)
-        if norm > 1e-13 * math.sqrt(a[:, j] @ a[:, j]):
-            q[:, j], r[j, j] = col / norm, norm
-    x = q.T @ b
-    for j in reversed(range(k)):
-        x[j] = (x[j] - r[j, j + 1:] @ x[j + 1:]) / r[j, j] if r[j, j] > 0 else 0.0
-    return x
+            for qi in q:
+                c = c - (qi @ c) * qi
+        norm = math.sqrt(c @ c)
+        if norm > 1e-13 * math.sqrt(b @ b):
+            q.append(c / norm)
+    for qi in q:
+        cols = [c - (qi @ c) * qi for c in cols]
+    return cols
 
 
 @dataclass(frozen=True)
@@ -258,53 +269,81 @@ class Minimum:
     nfev: int
 
 
-def minimize(residual: Callable, x0, lo: np.ndarray, hi: np.ndarray) -> Minimum:
-    """Levenberg-Marquardt minimum of |r(x)|^2 in the box [lo, hi], from x0.
+def minimize(residual: Callable, x0, lo, hi) -> Minimum:
+    """Levenberg-Marquardt minimum of |r(x)|^2 over two coordinates in the box [lo, hi], from x0.
 
-    ``residual(x)`` returns the residual vector r and a Jacobian of it,
-    (n, k).  Each trial step d minimizes |r + J d|^2 + lam |D d|^2, with D
-    the largest column norms of J seen so far (More 1978), by ``_lstsq``.
-    A coordinate on a bound whose descent direction leaves the
-    box is held there; one that the step takes out of the box stops on its
-    bound, and the others are solved again.  A step that lowers |r|^2 is
-    taken and lam rescaled by its gain ratio (Nielsen 1999); otherwise lam
-    grows by 2, 4, 8, ...  The run stops once a step is under 1e-12 of
-    max |x|, when no coordinate can move, or after 200 residual calls.
+    ``residual(x)`` returns the residual vector r and its two derivative
+    columns J = (j0, j1).  Each trial step d minimizes
+    |r + J d|^2 + lam |D d|^2, with D the largest column norms of J seen so
+    far (More 1978): it solves (J^T J + lam D^2) d = -J^T r.  J^T J and
+    J^T r are formed once per accepted point, with j1's part orthogonal to
+    j0, and the damped 2 x 2 system is solved in Python floats, so a
+    rejected step costs no array operation.  Eliminating d0 leaves the
+    pivot a11 + lam s1^2 - a01^2 / (a00 + lam s0^2) as a sum of
+    non-negative terms, the squared orthogonal part among them, so it does
+    not cancel where j0 and j1 are nearly parallel.  A coordinate on a
+    bound whose descent direction leaves the box is held there; one that
+    the step takes out of the box stops on its bound, and the other is
+    solved again.  A step that lowers |r|^2 is taken and lam rescaled by
+    its gain ratio (Nielsen 1999); otherwise lam grows by 2, 4, 8, ...  The
+    run stops once a step is under 1e-12 of max |x|, when no coordinate
+    can move, or after 200 residual calls.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    r, jac = residual(x)
+
+    def sums(r, jac):  # J^T J, J^T r, k = a01 / a00, and |p|^2 and p.r for p = j1 - k j0
+        j0, j1 = jac
+        a = [[float(j0 @ j0), float(j0 @ j1)], [0.0, float(j1 @ j1)]]
+        a[1][0] = a[0][1]
+        k = a[0][1] / a[0][0] if a[0][0] > 0 else 0.0
+        perp = j1 - k * j0
+        return a, [float(j0 @ r), float(j1 @ r)], k, float(perp @ perp), float(perp @ r)
+
+    lo, hi = [float(b) for b in lo], [float(b) for b in hi]
+    x = [min(max(float(c), b_lo), b_hi) for c, b_lo, b_hi in zip(x0, lo, hi)]
+    r, jac = residual(np.array(x))
     fun, nfev, lam, grow = float(r @ r), 1, 1e-3, 2.0
-    scale = np.zeros_like(x)
+    a, g, k, gram, h = sums(r, jac)
+    scale = [math.sqrt(a[0][0]), math.sqrt(a[1][1])]
     while nfev < 200:
-        grad = jac.T @ r
-        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
-        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
-        step = np.zeros_like(x)
-        while np.any(free & (scale > 0)):
+        free = [not ((x[i] <= lo[i] and g[i] > 0) or (x[i] >= hi[i] and g[i] < 0)) for i in (0, 1)]
+        step = [0.0, 0.0]
+        while True:
+            solve = [i for i in (0, 1) if free[i] and scale[i] > 0]
+            if len(solve) == 2:
+                d00 = a[0][0] + lam * scale[0] ** 2
+                c = a[0][1] / d00
+                pivot = gram + (k - c) ** 2 * a[0][0] + lam * (scale[0] * c) ** 2 + lam * scale[1] ** 2
+                step[1] = -(h + (k - c) * g[0]) / pivot  # g1 - c g0 = h + (k - c) g0
+                step[0] = -(g[0] + a[0][1] * step[1]) / d00
+            elif solve:
+                i = solve[0]
+                step[i] = -(g[i] + a[i][1 - i] * step[1 - i]) / (a[i][i] + lam * scale[i] ** 2)
             # a coordinate the step takes out of the box stops on its bound,
-            # and the others are solved again with it held there
-            damped = np.vstack([jac[:, free], np.diag(math.sqrt(lam) * scale[free])])
-            rhs = np.r_[r + jac[:, ~free] @ step[~free], np.zeros(np.count_nonzero(free))]
-            step[free] = -_lstsq(damped, rhs)
-            out = free & ((x + step < lo) | (x + step > hi))
-            if not np.any(out):
+            # and the other is solved again with it held there
+            out = [i for i in solve if not lo[i] <= x[i] + step[i] <= hi[i]]
+            if not out:
                 break
-            step[out] = np.clip(x + step, lo, hi)[out] - x[out]
-            free &= ~out
-        if np.max(np.abs(step)) <= 1e-12 * np.max(np.abs(x)):
+            for i in out:
+                step[i] = min(max(x[i] + step[i], lo[i]), hi[i]) - x[i]
+                free[i] = False
+        if max(abs(step[0]), abs(step[1])) <= 1e-12 * max(abs(x[0]), abs(x[1])):
             break
-        trial = np.clip(x + step, lo, hi)
-        predicted = fun - float(np.sum((r + jac @ step) ** 2))
-        r_trial, jac_trial = residual(trial)
+        trial = [min(max(x[i] + step[i], lo[i]), hi[i]) for i in (0, 1)]
+        # |r|^2 - |r + J d|^2
+        predicted = -(2.0 * (g[0] * step[0] + g[1] * step[1]) + a[0][0] * step[0] ** 2
+                      + 2.0 * a[0][1] * step[0] * step[1] + a[1][1] * step[1] ** 2)
+        r_trial, jac_trial = residual(np.array(trial))
         nfev += 1
         fun_trial = float(r_trial @ r_trial)
         if fun_trial < fun:
             gain = (fun - fun_trial) / predicted if predicted > 0 else 1.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            x, r, jac, fun, grow = trial, r_trial, jac_trial, fun_trial, 2.0
+            x, r, fun, grow = trial, r_trial, fun_trial, 2.0
+            a, g, k, gram, h = sums(r, jac_trial)
+            scale = [max(scale[i], math.sqrt(a[i][i])) for i in (0, 1)]
         else:
             lam, grow = lam * grow, grow * 2.0
-    return Minimum(x, fun, nfev)
+    return Minimum(np.array(x), fun, nfev)
 
 
 def fit_envelope(
@@ -371,20 +410,17 @@ def fit_envelope(
     def profiled(log_t2, alpha):  # sse, p_inf, p_start, e and (u / t2)^alpha at one point
         z = (u / np.exp(log_t2)) ** alpha
         e = np.exp(-z)
-        sse, p_inf, p_start = (float(c[0]) for c in _amplitudes(e[:, None], v[:, None], fixed_start))
-        return sse, p_inf, p_start, e, z
+        return (*_amplitudes(e, v, fixed_start), e, z)
 
-    def residual(x):  # F - v and its Kaufman Jacobian in (log t2, alpha)
-        _, p_inf, p_start, e, z = profiled(*x)
+    def residual(x):  # F - v and its Kaufman Jacobian, one column per coordinate (log t2, alpha)
+        log_t2, alpha = x
+        _, p_inf, p_start, e, z = profiled(log_t2, alpha)
         # dF/dx with the amplitudes held, less its projection on the
         # amplitudes not held at a bound (p_inf = 0, p_start = 1 or fixed)
-        de = (p_start - p_inf) * e[:, None] * np.column_stack([x[1] * z, -z * (log_u - x[0])])
+        de = (p_start - p_inf) * e * z
         free = ([] if p_inf == 0.0 else [1.0 - e]) + (
             [] if fixed_start is not None or p_start == 1.0 else [e])
-        if free:
-            basis = np.column_stack(free)
-            de -= basis @ _lstsq(basis, de)
-        return p_inf + (p_start - p_inf) * e - v, de
+        return p_inf + (p_start - p_inf) * e - v, _project_out([alpha * de, (log_t2 - log_u) * de], free)
 
     res = minimize(residual, [_LOG_T2_GRID[k], _ALPHA_GRID[i]], _BOX_LO, _BOX_HI)
     log_t2, alpha = res.x

@@ -243,14 +243,8 @@ class MaterialsConfig:
 
 
 def _fmt(x) -> str:
-    """9 significant digits; empty for missing values."""
-    if x is None:
-        return ""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.9g}"
+    """9 significant digits (nan, inf and -inf as such); empty for missing values."""
+    return "" if x is None else f"{x:.9g}"
 
 
 def _json_value(x):
@@ -297,13 +291,11 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
     """Write a disorder-averaged trace as CSV."""
     cfg = _read(SimulateConfig, cfg, "config")
     trace = _simulate(cfg)
-    scale = PhysicalScale(cfg.j0_ev) if cfg.j0_ev is not None else None
-    errs = trace.mc_std_errors
-    lines = [TRACE_HEADER]
-    for k, t in enumerate(trace.times):
-        t_s = _fmt(t * scale.time_unit_s) if scale is not None else ""
-        err = _fmt(errs[k]) if errs is not None else ""
-        lines.append(f"{_fmt(t)},{t_s},{_fmt(trace.values[k])},{err}")
+    t_s = trace.times * PhysicalScale(cfg.j0_ev).time_unit_s if cfg.j0_ev is not None else None
+    columns = (trace.times, t_s, trace.values, trace.mc_std_errors)
+    # one format per row; a missing column is an empty field
+    row = ",".join("" if c is None else "{:.9g}" for c in columns)
+    lines = [TRACE_HEADER] + [row.format(*r) for r in zip(*(c.tolist() for c in columns if c is not None))]
     _write_csv(out_path, lines, cfg)
     return 0
 

@@ -28,7 +28,9 @@ beside one zero sigma_j) take 1D rules.  An explicit QuadratureSpec gives
 serves the tests as the reference for the reduction.  The tensor rule and
 the 1D rules form their terms with ``oscillation_terms``.  ``_average``
 turns each chunk into (omega, coef, base) for one evaluator,
-``_evaluate``, and divides the sum by the set's summed weights.
+``_evaluate``, with one row of coefficients per initial state, so one
+node set and one pass serve both states, and divides the sums by the
+set's summed weights.
 
 The evaluator is a type-1 NUFFT by Gaussian gridding at oversampling 2
 (Dutt & Rokhlin 1993; Greengard & Lee 2004): each coefficient is spread in
@@ -40,11 +42,11 @@ the Gaussian's transform.  Its error is at most _NUFFT_ERROR sum |coef|
 no cost model and no second evaluator.
 
 The Monte Carlo average hands its N samples to the same evaluator as nodes
-of weight 1/N: once for the mean and twice for the second moment, whose
-cos(2 omega t) part runs on the doubled band.  Its standard errors come
-from E[X^2] - E[X]^2 with a stated bound for the cancellation.  Monte Carlo
-thus checks the quadrature's node sets, not the evaluator, which the tests
-hold against the exact cos-matrix sum.
+of weight 1/N: one pass sums the mean and the second moment's
+cos(omega t) part, another its cos(2 omega t) part on the doubled band.
+Its standard errors come from E[X^2] - E[X]^2 with a stated bound for the
+cancellation.  Monte Carlo thus checks the quadrature's node sets, not the
+evaluator, which the tests hold against the exact cos-matrix sum.
 
 Both Gauss rules run one Newton driver, ``_newton_rule``, from
 asymptotic nodes in O(n) memory; each rule gives it the variable to step
@@ -253,20 +255,27 @@ def _validate_times(times: np.ndarray) -> None:
 def _czt(x: np.ndarray, m: int, period: int) -> np.ndarray:
     """Chirp-z transform X_j = sum_k x_k exp(-2 pi i j k / period), j < m (Bluestein 1968).
 
-    The chirp exp(-i pi k^2 / period) is taken from its real phase, reduced
-    exactly as the integer k^2 mod 2 period, so it is rounded once, below
-    2 pi, at every length; the phase pi k^2 / period itself, or a power of
-    exp(-2 pi i / period), drifts in proportion to k^2.  The convolution runs
-    on the least power of two >= n + m - 1.
+    ``x`` is one row of n values or a (k, n) stack of rows; the result has
+    the same leading shape.  The chirp exp(-i pi k^2 / period) is taken from
+    its real phase, reduced exactly as the integer k^2 mod 2 period, so it
+    is rounded once, below 2 pi, at every length; the phase pi k^2 / period
+    itself, or a power of exp(-2 pi i / period), drifts in proportion to
+    k^2.  The convolution runs on the least power of two >= n + m - 1.  The
+    chirp and the kernel's FFT are built once and serve every row, and each
+    row is transformed on its own, so a row of a stack comes out bit for bit
+    as it would alone.
     """
-    n = len(x)
+    n = x.shape[-1]
     k = np.arange(max(m, n))
     chirp = (-1j * math.pi / period) * (k * k % (2 * period))
     np.exp(chirp, out=chirp)  # in place: one complex array of max(m, n) at a time, not two
     nfft = 1 << (n + m - 2).bit_length()
     kernel = np.fft.fft(np.conj(np.hstack((chirp[n - 1:0:-1], chirp[:m]))), nfft)
-    y = np.fft.ifft(kernel * np.fft.fft(x * chirp[:n], nfft))
-    return y[n - 1:n + m - 1] * chirp[:m]
+    out = np.empty(x.shape[:-1] + (m,), dtype=complex)
+    for row in np.ndindex(x.shape[:-1]):
+        y = np.fft.ifft(kernel * np.fft.fft(x[row] * chirp[:n], nfft))
+        out[row] = y[n - 1:n + m - 1] * chirp[:m]
+    return out
 
 
 def pdf_delta_e(delta_e, sigma_e: float):
@@ -539,18 +548,6 @@ def _nodes_delta_e(sigma_e: float, q: QuadratureSpec) -> tuple[np.ndarray, np.nd
     return _pdf_legendre(q.n_hermite, 0.0, s, -q.truncation_width * s, q.truncation_width)
 
 
-def _terms(p: ExchangeParams, initial: str, weights, j1, j2, delta_e) -> tuple[np.ndarray, np.ndarray, float]:
-    """(omega, coef, base) of P = base + sum_k coef_k cos(omega_k t) over weighted nodes.
-
-    The sin^2(omega t / 2) of the closed-form probabilities is rewritten as
-    (1 - cos(omega t)) / 2.
-    """
-    omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, j1, j2, delta_e)
-    if initial == "zero":
-        return omega, 0.5 * weights * amp_zero, float(weights.sum() - 0.5 * (weights * amp_zero).sum())
-    return omega, -0.25 * weights * amp_sup, float(0.5 * weights.sum() + 0.25 * (weights * amp_sup).sum())
-
-
 def _check_grid(om_max: float, t_max: float) -> None:
     """Reject frequencies up to om_max whose bin index over t_max would leave the float range."""
     if not om_max * (2.0 * t_max / math.pi) < 2.0 ** 1023:  # NaN fails too
@@ -591,17 +588,20 @@ def _band(j_prime: float, u_range: tuple, gap_range: tuple) -> tuple[float, floa
 
 
 def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
-              om_phase: Optional[float] = None) -> tuple[np.ndarray, int, float]:
-    """Sum base + sum_k coef_k cos(omega_k t) over chunks of (omega, coef, base).
+              om_phase: Optional[float] = None) -> tuple[np.ndarray, int, list]:
+    """Sum base_s + sum_k coef_sk cos(omega_k t) for each coefficient set s.
 
-    ``_average`` feeds it every node set, with the band (om_lo, om_max)
-    that ``_band`` gives for the set's ranges, and ``disorder_average_mc``
-    its samples; a frequency outside the band is a fault of the producer
-    and raises NumericalError.  A phase om_max t_max whose bin index would
-    leave the float range raises ValueError, and so does a phase
-    om_phase t_max (om_phase = om_max unless given) whose rounding would
-    exceed 1e-6 rad (``_check_phase``), and a band that needs more than
-    _MAX_BINS bins.
+    Each chunk is (omega, coef, base): one omega array, coef a (sets, n)
+    array with one row of coefficients per set and base one number per
+    set; every chunk carries the same number of sets.  ``_average`` feeds
+    it every node set, one set per initial state, with the band (om_lo,
+    om_max) that ``_band`` gives for the set's ranges, and
+    ``disorder_average_mc`` its samples; a frequency outside the band is a
+    fault of the producer and raises NumericalError.  A phase om_max t_max
+    whose bin index would leave the float range raises ValueError, and so
+    does a phase om_phase t_max (om_phase = om_max unless given) whose
+    rounding would exceed 1e-6 rad (``_check_phase``), and a band that
+    needs more than _MAX_BINS bins.
 
     The sum is a type-1 NUFFT by Gaussian gridding (Dutt & Rokhlin 1993;
     Greengard & Lee 2004).  cos is even, so the window is [-T, T] with
@@ -619,7 +619,10 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
     _NUFFT_ERROR sum |coef_k| (2.1e-11 at m = 12), plus the rounding of the
     phases that ``_check_phase`` bounds; at t = 0 the sum is exact.
 
-    Returns the values, the bin count and that error bound.
+    The sets share each node's cell, offset and growth factor and the
+    Gaussian's transform; each keeps its own bins, sums and bound, and
+    comes out bit for bit as it would alone.  Returns the values (one row
+    per set), the bin count and the error bound of each set.
     """
     om_lo, om_max = band
     t_max = float(times[-1])
@@ -634,17 +637,19 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
             f"t_max {t_max:.6g}), above the limit of {_MAX_BINS}; reduce the noise widths or the time window"
         )
     bell = np.exp(-_GAUSS_A * np.arange(-_SPREAD + 1, _SPREAD + 1) ** 2)  # exp(-a l^2)
-    mass = np.zeros(n_bins)
-    base = at_zero = abs_sum = 0.0
+    mass = base = at_zero = abs_sum = None
     for omega, coef, chunk_base in chunks:
         if omega.size and not (om_lo <= omega.min() and omega.max() <= om_max):
             bad = omega[~((omega >= om_lo) & (omega <= om_max))][0]
             raise NumericalError(
                 f"node frequency {bad!r} lies outside the band [{om_lo!r}, {om_max!r}]"
             )
+        sets = len(coef)
+        if mass is None:
+            mass, base, at_zero, abs_sum = np.zeros((sets, n_bins)), np.zeros(sets), np.zeros(sets), np.zeros(sets)
         base += chunk_base
-        at_zero += coef.sum()
-        abs_sum += np.abs(coef).sum()
+        at_zero += [c.sum() for c in coef]  # one row at a time: a row's sum is the sum of that set alone
+        abs_sum += [np.abs(c).sum() for c in coef]
         x = omega - om_lo
         x *= per_bin
         cell = x.astype(np.intp)  # bins cell - m + 1 .. cell + m, stored from index cell
@@ -652,12 +657,14 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
         grow = np.exp(2.0 * _GAUSS_A * x)
         x *= x + 2.0 * (_SPREAD - 1)
         x *= -_GAUSS_A
-        weight = np.exp(x, out=x)
-        weight *= coef  # times grow^k exp(-a l^2): coef exp(-a (l - x)^2) at bin cell + l, l = k - m + 1
-        for k in range(2 * _SPREAD):
+        weight = coef * np.exp(x, out=x)  # times grow^k exp(-a l^2): coef exp(-a (l - x)^2) at bin cell + l
+        if sets > 1:  # set s fills bins s n_cells ..: one bincount adds each bin in node order, as per set
+            cell = (cell + n_cells * np.arange(sets)[:, None]).ravel()
+        for k in range(2 * _SPREAD):  # l = k - m + 1
             if k:
                 weight *= grow
-            mass[k:k + n_cells] += bell[k] * np.bincount(cell, weight, minlength=n_cells)
+            spread = np.bincount(cell, weight.ravel(), minlength=sets * n_cells)
+            mass[:, k:k + n_cells] += bell[k] * spread.reshape(sets, n_cells)
     n_times = len(times)
     steps = max(n_times - 1, 1)
     t_frac = np.arange(n_times) / steps  # t / T on the grid
@@ -665,8 +672,8 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
     shift = om_lo * times - (_SPREAD - 1) * 0.5 * math.pi * t_frac  # the first bin's phase
     osc = spectrum.real * np.cos(shift) + spectrum.imag * np.sin(shift)
     osc /= math.sqrt(math.pi / _GAUSS_A) * np.exp(-_GAUSS_A * _SPREAD ** 2 / 8.0 * t_frac ** 2)
-    osc[0] = at_zero  # cos(0) = 1
-    return base + osc, n_bins, float(_NUFFT_ERROR * abs_sum)
+    osc[:, 0] = at_zero  # cos(0) = 1
+    return base[:, None] + osc, n_bins, [float(_NUFFT_ERROR * s) for s in abs_sum]
 
 
 @dataclass(frozen=True)
@@ -898,21 +905,29 @@ def _reduced_nodes(spec: NoiseSpec, j_prime: float, t_max: float, scale: int = 1
     return polar.polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
 
 
-def _terms(initial: str, omega, weight, weight_zero, weight_sup) -> tuple[np.ndarray, np.ndarray, float]:
+def _terms(initials: tuple, omega, weight, weight_zero, weight_sup) -> tuple[np.ndarray, np.ndarray, list]:
     """(omega, coef, base) of P = base + sum_k coef_k cos(omega_k t) for one chunk.
 
-    The sin^2(omega t / 2) of the closed-form probabilities is rewritten as
+    coef has one row, and base one entry, per initial state.  The
+    sin^2(omega t / 2) of the closed-form probabilities is rewritten as
     (1 - cos(omega t)) / 2.
     """
-    if initial == "zero":
-        return omega, 0.5 * weight_zero, float(weight.sum() - 0.5 * weight_zero.sum())
-    return omega, -0.25 * weight_sup, float(0.5 * weight.sum() + 0.25 * weight_sup.sum())
+    coef, base = np.empty((len(initials), len(omega))), []
+    for row, initial in zip(coef, initials):
+        if initial == "zero":
+            np.multiply(0.5, weight_zero, out=row)
+            base.append(float(weight.sum() - 0.5 * weight_zero.sum()))
+        else:
+            np.multiply(-0.25, weight_sup, out=row)
+            base.append(float(0.5 * weight.sum() + 0.25 * weight_sup.sum()))
+    return omega, coef, base
 
 
-def _average(nodes: _NodeSet, initial: str, times: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Average P over a node set: each chunk's terms go to ``_evaluate``.
+def _average(nodes: _NodeSet, initials: tuple, times: np.ndarray) -> list[tuple[np.ndarray, dict]]:
+    """Average P over a node set for each initial state, in one ``_evaluate`` pass.
 
-    The sum is divided by the summed weights.  The metadata adds the
+    Each chunk's terms carry one coefficient set per state.  Each sum is
+    divided by the summed weights.  Each state's metadata adds the
     evaluator's bin count and its error bound, in units of the averaged
     probability.
     """
@@ -922,12 +937,12 @@ def _average(nodes: _NodeSet, initial: str, times: np.ndarray) -> tuple[np.ndarr
         nonlocal mass
         for chunk in nodes.chunks:
             mass += chunk[1].sum()
-            chunk = _terms(initial, *chunk)  # rebinding drops the weights before the evaluator sums the terms
+            chunk = _terms(initials, *chunk)  # rebinding drops the weights before the evaluator sums the terms
             yield chunk
 
-    values, n_bins, bound = _evaluate(chunks(), nodes.band, times)
-    values, bound = values / mass, bound / mass
-    return values, {**nodes.meta, "evaluator": "binned", "n_bins": n_bins, "error_bound": bound}
+    values, n_bins, bounds = _evaluate(chunks(), nodes.band, times)
+    return [(v / mass, {**nodes.meta, "evaluator": "binned", "n_bins": n_bins, "error_bound": b / mass})
+            for v, b in zip(values, bounds)]
 
 
 def _clip_probabilities(values: np.ndarray) -> np.ndarray:
@@ -975,24 +990,38 @@ def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str
     ------
     NumericalError if the average leaves [0, 1] by more than 1e-6.
     """
+    return _quadrature_traces(p, spec, (initial,), times, q, check_convergence)[0]
+
+
+def _quadrature_traces(p: ExchangeParams, spec: NoiseSpec, initials: tuple, times,
+                       q: Optional[QuadratureSpec] = None,
+                       check_convergence: bool = False) -> list[ProbabilityTrace]:
+    """``disorder_average_quadrature`` for each of ``initials``, from one node set.
+
+    The node set is built once and one ``_evaluate`` pass sums every
+    state's terms; each trace equals, bit for bit, the one
+    ``disorder_average_quadrature`` gives for its state alone.
+    """
     times = np.asarray(times, dtype=float)
     _validate_times(times)
-    if initial not in ("zero", "superposition"):
-        raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
+    for initial in initials:
+        if initial not in ("zero", "superposition"):
+            raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
     # every node set is built, and its counts checked, before the first average
     node_sets = [_reduced_nodes(spec, p.j_prime, float(times[-1]), scale) if q is None
                  else _tensor_nodes(spec, q, p.j_prime, scale)
                  for scale in ((1, 2) if check_convergence else (1,))]
-    values, meta = _average(node_sets[0], initial, times)
+    averages = _average(node_sets[0], initials, times)
     if check_convergence:
-        values2, _ = _average(node_sets[1], initial, times)
-        change = float(np.max(np.abs(values2 - values)))
-        meta["doubling_max_change"] = change
-        meta["quadrature_converged"] = change <= 1e-5
-        if change > 1e-5:
-            meta["warning"] = f"doubling nodes moved a point by {change:.3e} (> 1e-5)"
-    return ProbabilityTrace(times=times, values=_clip_probabilities(values), initial=initial,
-                            method="quadrature", params=p, noise=spec, metadata=meta)
+        for (values, meta), (values2, _) in zip(averages, _average(node_sets[1], initials, times)):
+            change = float(np.max(np.abs(values2 - values)))
+            meta["doubling_max_change"] = change
+            meta["quadrature_converged"] = change <= 1e-5
+            if change > 1e-5:
+                meta["warning"] = f"doubling nodes moved a point by {change:.3e} (> 1e-5)"
+    return [ProbabilityTrace(times=times, values=_clip_probabilities(values), initial=initial,
+                             method="quadrature", params=p, noise=spec, metadata=meta)
+            for initial, (values, meta) in zip(initials, averages)]
 
 
 def disorder_average_mc(
@@ -1013,9 +1042,10 @@ def disorder_average_mc(
     The N samples are nodes of weight 1/N for ``_evaluate``.  E[X] is
     mean(amp)/2 - sum_k amp_k / (2 N) cos(omega_k t), on the band
     [min omega, max omega].  E[X^2] is the mean of amp^2 (3/8 - cos(omega t)/2
-    + cos(2 omega t)/8); its cos(omega t) part is summed on the same band and
-    its cos(2 omega t) part on [2 min omega, 2 max omega], whose phase is
-    checked on max omega t_max like the others.  The standard error is
+    + cos(2 omega t)/8); its cos(omega t) part is summed in the mean's pass,
+    as a second coefficient set, and its cos(2 omega t) part on
+    [2 min omega, 2 max omega], whose phase is checked on max omega t_max
+    like the others.  The standard error is
     sqrt(max(E[X^2] - E[X]^2, 0) / (N - 1)), and at t = 0, where the mean is
     exactly p0, it is 0, as it is at every time when all samples share
     omega and amp (zero noise), where the difference would leave a
@@ -1044,10 +1074,12 @@ def disorder_average_mc(
     band = (float(omega.min()), float(omega.max()))
     sq = amp * amp
     # the cos(2 omega t) sum needs the most bins: it goes first, so a band past the cap costs no sum
-    twice, _, b_twice = _evaluate([(2.0 * omega, sq / (8.0 * n_samples), 0.0)], (2.0 * band[0], 2.0 * band[1]),
-                                  times, om_phase=band[1])
-    mean, n_bins, b1 = _evaluate([(omega, amp / (-2.0 * n_samples), 0.5 * amp.mean())], band, times)
-    second, _, b_once = _evaluate([(omega, sq / (-2.0 * n_samples), 0.375 * sq.mean())], band, times)
+    (twice,), _, (b_twice,) = _evaluate([(2.0 * omega, sq[None] / (8.0 * n_samples), [0.0])],
+                                        (2.0 * band[0], 2.0 * band[1]), times, om_phase=band[1])
+    # the mean and the second moment's cos(omega t) part share omega and the band: one pass, two sets
+    coef = np.array([amp, sq]) / (-2.0 * n_samples)
+    (mean, second), n_bins, (b1, b_once) = _evaluate([(omega, coef, [0.5 * amp.mean(), 0.375 * sq.mean()])],
+                                                     band, times)
     mean[0] = 0.0  # sin(0) = 0: the mean at t = 0 is exactly p0
     var = np.maximum(second + twice - mean * mean, 0.0)  # E[X^2] - E[X]^2
     var[0] = 0.0

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import PhysicalScale, fit_trace, quality_factor, to_physical_time
-from .disorder import NoiseSpec, ProbabilityTrace, QuadratureSpec, disorder_average_quadrature
+from .disorder import NoiseSpec, ProbabilityTrace, QuadratureSpec, _quadrature_traces, disorder_average_quadrature
 from .qubit import ExchangeParams
 
 DEFAULT_SIGMA_E_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -190,7 +190,8 @@ def material_comparison(
     Noise widths arrive in eV and are reduced by j0_ev to simulation units;
     results convert back through the same scale.  Each point picks its own
     time window from the expected dephasing rate, so microsecond-scale decays
-    (28Si at small sigma_j) and nanosecond-scale ones resolve equally.
+    (28Si at small sigma_j) and nanosecond-scale ones resolve equally.  The
+    initial conditions of a point share one node set and one evaluator pass.
     Rows are ordered preset-major, then sigma_j, then initial condition.
     """
     if presets is None:
@@ -212,8 +213,7 @@ def material_comparison(
                 j02=params.j2,
             )
             times = suggested_time_grid(noise)
-            for initial in initials:
-                trace = disorder_average_quadrature(params, noise, initial, times)
+            for initial, trace in zip(initials, _quadrature_traces(params, noise, initials, times)):
                 t2, _, alpha, status = score(trace)
                 # nan (no fit) and inf (no decay) pass through the unit conversion
                 t2_seconds = to_physical_time(t2, scale)

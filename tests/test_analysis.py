@@ -196,6 +196,95 @@ def test_fit_matches_recorded_optimum(case):
         assert fit.t2_star == pytest.approx(case["t2_star"], rel=1e-8)
 
 
+def _grid_sse_untrimmed(u, v, fixed_start):
+    """The start grid's profiled SSE with exp evaluated at every grid point
+    and point: the reference for the columns ``_grid_sse`` takes in closed form."""
+    n, v_mean = len(v), float(np.mean(v))
+    w = v - v_mean
+    s1, s2, sew = (np.empty((len(analysis._ALPHA_GRID), len(analysis._LOG_T2_GRID))) for _ in range(3))
+    for i, alpha in enumerate(analysis._ALPHA_GRID):
+        e = np.multiply.outer(-(u ** alpha), np.exp(-alpha * analysis._LOG_T2_GRID))
+        np.exp(e, out=e)
+        s1[i], sew[i], s2[i] = e.sum(0), np.einsum("i,ij->j", w, e), np.einsum("ij,ij->j", e, e)
+    sev = sew + v_mean * s1
+    ratio = analysis._ratio
+
+    def pinned(start):
+        return np.clip(ratio(n * v_mean - sev - start * (s1 - s2), n - 2.0 * s1 + s2), 0.0, start), start
+
+    def sse(p_inf, p_start):
+        a, b = p_inf - v_mean, p_start - p_inf
+        return n * a * a + 2.0 * a * b * s1 + b * b * s2 - 2.0 * b * sew + float(w @ w)
+
+    if fixed_start is not None:
+        return sse(*pinned(fixed_start))
+    slope = ratio(sew, s2 - s1 * s1 / n)
+    line = v_mean - slope * s1 / n
+    top = np.clip(line + slope, 0.0, 1.0)
+    level = min(max(v_mean, 0.0), 1.0)
+    return np.minimum.reduce([
+        sse(np.minimum(np.clip(line, 0.0, 1.0), top), top),
+        sse(*pinned(1.0)),
+        sse(0.0, np.clip(ratio(sev, s2), 0.0, 1.0)),
+        np.broadcast_to(sse(level, level), s1.shape),
+    ])
+
+
+_LATE = np.r_[0.0, np.linspace(60.0, 100.0, 30)]  # the smallest t > 0 is 0.6 t_max
+
+GRID_CASES = [(np.array(c["points"]), c["fixed_start"], c["t_max"]) for c in FIT_REGRESSION] + [
+    (np.column_stack([np.linspace(1.0, 100.0, 20), stretched(np.linspace(1.0, 100.0, 20), 0.3, 1.0, 20.0, 1.0)]),
+     None, 100.0),  # no point at t = 0
+    (np.column_stack([_LATE, stretched(_LATE, 0.4, 0.95, 70.0, 2.0)]), None, 100.0),
+    (np.column_stack([_LATE, stretched(_LATE, 0.4, 1.0, 70.0, 2.0)]), 1.0, 100.0),
+]
+
+
+@pytest.mark.parametrize("points, fixed_start, t_max", GRID_CASES,
+                         ids=[c["name"] for c in FIT_REGRESSION] + ["no-zero", "late", "late-pinned"])
+def test_grid_sse_skips_only_columns_that_underflow(points, fixed_start, t_max):
+    """The start grid takes the columns where exp(-(u/t2)^alpha) underflows at
+    every u > 0 in closed form; the grid equals, bit for bit, the one with exp
+    evaluated everywhere."""
+    u, v = points[:, 0] / t_max, points[:, 1]
+    assert np.array_equal(analysis._grid_sse(u, v, fixed_start), _grid_sse_untrimmed(u, v, fixed_start))
+
+
+def test_late_points_underflow_in_most_grid_columns():
+    """The "late" grid cases reach the closed form in most columns:
+    (u/t2)^alpha > 746 at their smallest u > 0 on more than half the grid."""
+    u_min = _LATE[1] / 100.0
+    z = np.exp(-np.outer(analysis._ALPHA_GRID, analysis._LOG_T2_GRID)) * (u_min ** analysis._ALPHA_GRID)[:, None]
+    assert np.mean(z > 746.0) > 0.5
+
+
+def test_levenberg_marquardt_step_solves_the_damped_system():
+    """The first trial step solves (J^T J + lam D^2) d = -J^T r, lam = 1e-3
+    and D the column norms, on columns parallel to 1e-6; when it would take
+    the first coordinate past its bound, that coordinate stops there and
+    the second is solved again with it held."""
+    rng = np.random.default_rng(5)
+    j0 = rng.normal(size=30)
+    j1 = j0 + 1e-6 * rng.normal(size=30)
+    jac, b = np.column_stack([j0, j1]), rng.normal(size=30)
+    damped = jac.T @ jac + 1e-3 * np.diag(np.sum(jac * jac, axis=0))
+    free_step = np.linalg.solve(damped, jac.T @ b)
+    bound = 0.5 * free_step[0]  # halfway along the free step
+    for lo, hi, want in (
+        ([-1e6, -1e6], [1e6, 1e6], free_step),
+        ([min(bound, -1e6), -1e6], [max(bound, 1e6), 1e6], free_step),
+        ([min(bound, 0.0), -1e6], [max(bound, 0.0), 1e6], [bound, (j1 @ b - (j0 @ j1) * bound) / damped[1, 1]]),
+    ):
+        trials = []
+
+        def residual(x):
+            trials.append(np.array(x))
+            return jac @ x - b, (j0, j1)
+
+        analysis.minimize(residual, [0.0, 0.0], np.array(lo), np.array(hi))
+        np.testing.assert_allclose(trials[1] - trials[0], want, rtol=1e-9)
+
+
 def test_fit_idempotence():
     """Refitting a fitted curve's own samples returns the same parameters."""
     times = np.linspace(0.0, 120.0, 40)

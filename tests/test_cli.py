@@ -484,16 +484,29 @@ def test_frequency_square_overflow_exits_2_before_any_warning(tmp_path, capsys, 
     assert err == ["deoq-dyn: frequencies up to inf over t_max 10 overflow the bin grid"]
 
 
+def _broken_evaluator(chunks, band, times):
+    """1.1 times each coefficient set's value at t = 0, at every time."""
+    at_zero = sum(np.asarray(base) + coef.sum(axis=1) for _, coef, base in chunks)
+    return np.outer(1.1 * at_zero, np.ones(len(times))), 0, [0.0] * len(at_zero)
+
+
 @pytest.mark.parametrize("noise", [{}, {"sigma_e": 0.1, "sigma_j1": 0.1, "sigma_j2": 0.1}])
 def test_internal_numerical_failure_exits_4(tmp_path, monkeypatch, capsys, noise):
     """An average outside [0, 1] is a fault of the method, not invalid input."""
-    def broken(chunks, band, times):
-        at_zero = sum(base + coef.sum() for _, coef, base in chunks)  # the value at t = 0
-        return np.full(len(times), 1.1 * at_zero), 0, 0.0
-
-    monkeypatch.setattr(disorder, "_evaluate", broken)
+    monkeypatch.setattr(disorder, "_evaluate", _broken_evaluator)
     cfg = {"noise": noise, "times": {"t_max": 5.0, "n_points": 11}}
     code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_materials_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
+    """The pass that serves both initial states reports an average outside
+    [0, 1] as a fault of the method too."""
+    monkeypatch.setattr(disorder, "_evaluate", _broken_evaluator)
+    cfg = {"presets": [{"name": "Si", "sigma_e_floor_ev": 3e-9}], "sigma_j_values_ev": [4.43e-8]}
+    code, out = run_cli(tmp_path, "materials", cfg)
     assert code == 4
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()

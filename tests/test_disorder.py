@@ -165,13 +165,14 @@ def test_non_finite_average_is_numerical_error(monkeypatch):
     """A NaN out of the evaluator is a fault of the method, reported as such
     rather than as an invalid trace."""
     def nan_evaluator(chunks, band, times):
-        for _ in chunks:  # the node set's mass is summed as its blocks are drawn
-            pass
-        return np.full(len(times), np.nan), 0, 0.0
+        sets = [len(coef) for _, coef, _ in chunks][0]  # the node set's mass is summed as its blocks are drawn
+        return np.full((sets, len(times)), np.nan), 0, [0.0] * sets
 
     monkeypatch.setattr(disorder, "_evaluate", nan_evaluator)
     with pytest.raises(NumericalError, match="nan"):
         disorder_average_quadrature(P, NoiseSpec(), "zero", np.linspace(0.0, 1.0, 3))
+    with pytest.raises(NumericalError, match="nan"):  # both states in one pass
+        disorder._quadrature_traces(P, NoiseSpec(), ("zero", "superposition"), np.linspace(0.0, 1.0, 3))
 
 
 def test_quadrature_zero_noise_equals_closed_form():
@@ -194,6 +195,25 @@ def test_quadrature_initial_values():
     assert abs(ts.values[0] - 0.5) < 1e-9
     assert tz.values.min() >= 0.0 and tz.values.max() <= 1.0
     assert ts.values.min() >= 0.0 and ts.values.max() <= 1.0
+
+
+@pytest.mark.parametrize("noise, t_max, q, check", [
+    (NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), 100.0, None, False),  # wide 2D cell
+    (NoiseSpec(sigma_j1=0.003, sigma_j2=0.003), 400.0, None, False),  # 28Si: a hard edge at sigma_e = 0
+    (NoiseSpec(sigma_e=0.3), 60.0, None, False),  # both sigma_j zero: the 1D limit
+    (NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.3), 40.0, None, True),
+    (NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.1), 40.0, QuadratureSpec(9, 11), True),
+], ids=["wide", "28Si", "1d", "convergence", "tensor"])
+def test_two_state_pass_equals_each_state_alone(noise, t_max, q, check):
+    """One node set and one evaluator pass for both initial states give, bit
+    for bit, the traces and metadata of one average per state."""
+    times = np.linspace(0.0, t_max, 1601)
+    both = disorder._quadrature_traces(P, noise, ("zero", "superposition"), times, q, check)
+    for trace in both:
+        alone = disorder_average_quadrature(P, noise, trace.initial, times, q, check)
+        assert np.array_equal(trace.values, alone.values)
+        assert trace.metadata == alone.metadata
+    assert [t.initial for t in both] == ["zero", "superposition"]
 
 
 def test_quadrature_delta_e_sign_symmetry(monkeypatch):
@@ -374,7 +394,7 @@ def test_largest_sweep_heavy_cell_sums_few_terms(monkeypatch):
     trace = disorder_average_quadrature(P, NoiseSpec(1.0, 0.5, 0.5), "zero", np.linspace(0.0, 100.0, 4001))
     assert trace.metadata["n_nodes"] <= 65_536
     assert trace.metadata["n_r"] <= 400
-    chunks, _ = _producer_input(NoiseSpec(1.0, 0.5, 0.5), "zero", np.linspace(0.0, 100.0, 4001))
+    chunks, _ = _producer_input(NoiseSpec(1.0, 0.5, 0.5), ("zero",), np.linspace(0.0, 100.0, 4001))
     assert sum(len(omega) for omega, _, _ in chunks) == trace.metadata["n_r"]
     assert calls == []
 
@@ -436,25 +456,25 @@ def test_reduced_rule_moments_with_truncation(case):
         assert got[key] == pytest.approx(want[key], rel=1e-7, abs=1e-9), key
 
 
-def _producer_input(noise, initial, times):
-    """The (chunks, band) the 2D node producer hands to _evaluate."""
+def _producer_input(noise, initials, times):
+    """The (chunks, band) the 2D node producer hands to _evaluate, one coefficient set per initial state."""
     seen = {}
 
     def record(chunks, band, times):
         chunks = list(chunks)
         seen["args"] = (chunks, band)
-        at_zero = sum(base + coef.sum() for _, coef, base in chunks)
-        return np.full(len(times), at_zero), 0, 0.0
+        at_zero = sum(np.asarray(base) + coef.sum(axis=1) for _, coef, base in chunks)
+        return np.outer(at_zero, np.ones(len(times))), 0, [0.0] * len(at_zero)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(disorder, "_evaluate", record)
-        disorder_average_quadrature(P, noise, initial, times)
+        disorder._quadrature_traces(P, noise, initials, times)
     return seen["args"]
 
 
 def _exact_sum(chunks, times):
-    """base + sum_k coef_k cos(omega_k t) by the cos matrix, the evaluator's reference."""
-    return sum(base + coef @ np.cos(np.outer(omega, times)) for omega, coef, base in chunks)
+    """base + sum_k coef_k cos(omega_k t) for each coefficient set by the cos matrix, the evaluator's reference."""
+    return sum(np.asarray(base)[:, None] + coef @ np.cos(np.outer(omega, times)) for omega, coef, base in chunks)
 
 
 @pytest.mark.parametrize(
@@ -468,16 +488,16 @@ def _exact_sum(chunks, times):
 def test_binned_evaluator_within_stated_bound(noise, t_max, wide):
     """The Gaussian-gridding sum stays within the _NUFFT_ERROR sum |coef| it
     states of the exact cos sum, on a band from 0 and on a narrow band well
-    above 0, and reports that bound and its bin count."""
+    above 0, and reports that bound and its bin count, for each initial
+    state's coefficient set of one pass."""
     times = np.linspace(0.0, t_max, 801)
-    for initial in ("zero", "superposition"):
-        chunks, band = _producer_input(noise, initial, times)
-        assert (band[0] == 0.0) == wide
-        bound = disorder._NUFFT_ERROR * sum(np.abs(c).sum() for _, c, _ in chunks)
-        values, n_bins, stated = disorder._evaluate(chunks, band, times)
-        assert stated == pytest.approx(bound, rel=1e-12)
-        assert n_bins == math.floor((band[1] - band[0]) * 2.0 * t_max / math.pi) + 2 * disorder._SPREAD
-        assert np.max(np.abs(values - _exact_sum(chunks, times))) <= bound
+    chunks, band = _producer_input(noise, ("zero", "superposition"), times)
+    assert (band[0] == 0.0) == wide
+    bound = disorder._NUFFT_ERROR * sum(np.abs(c).sum(axis=1) for _, c, _ in chunks)
+    values, n_bins, stated = disorder._evaluate(chunks, band, times)
+    assert stated == pytest.approx(bound, rel=1e-12)
+    assert n_bins == math.floor((band[1] - band[0]) * 2.0 * t_max / math.pi) + 2 * disorder._SPREAD
+    assert np.all(np.max(np.abs(values - _exact_sum(chunks, times)), axis=1) <= bound)
 
 
 def test_binned_evaluator_bound_is_nearly_attained():
@@ -489,9 +509,9 @@ def test_binned_evaluator_bound_is_nearly_attained():
     h = math.pi / (2.0 * t_max)
     omega = np.array([math.pi + 8 * h])  # omega t_max = 14 pi
     times = np.linspace(0.0, t_max, 2001)
-    chunks = [(omega, np.ones(1), 0.0)]
-    values, _, bound = disorder._evaluate(chunks, (math.pi, math.pi + 12 * h), times)
-    error = np.abs(values - _exact_sum(chunks, times))
+    chunks = [(omega, np.ones((1, 1)), [0.0])]
+    (values,), _, (bound,) = disorder._evaluate(chunks, (math.pi, math.pi + 12 * h), times)
+    error = np.abs(values - _exact_sum(chunks, times)[0])
     assert bound == disorder._NUFFT_ERROR
     assert 0.5 * bound <= error.max() <= bound
     assert error.argmax() == len(times) - 1
@@ -502,7 +522,7 @@ def test_frequency_outside_band_is_numerical_error():
     the bins; the evaluator refuses it and names it and the band."""
     times = np.linspace(0.0, 10.0, 21)
     for omega in (0.1, 2.0, np.nan):
-        chunks = [(np.array([0.7, omega]), np.ones(2), 0.0)]
+        chunks = [(np.array([0.7, omega]), np.ones((1, 2)), [0.0])]
         with pytest.raises(NumericalError) as info:
             disorder._evaluate(chunks, (0.5, 1.25), times)
         message = str(info.value)
@@ -982,6 +1002,44 @@ def test_mc_zero_noise_has_zero_stderr():
         trace = disorder_average_mc(P, NoiseSpec(), initial, times, 1000, seed=3)
         assert np.all(trace.mc_std_errors == 0.0)
         assert trace.metadata["stderr_error_bound"] > 0.0
+
+
+def _mc_three_passes(noise, initial, times, n_samples, seed):
+    """(values, standard errors) of the Monte Carlo average with one evaluator
+    pass per sum: the cos(2 omega t) part of E[X^2], the mean, and the
+    cos(omega t) part of E[X^2], each a single coefficient set."""
+    j1, j2, delta_e = sample_noise(np.random.default_rng(seed), noise, size=n_samples)
+    omega, amp_zero, amp_sup = oscillation_terms(P.j_prime, j1, j2, delta_e)
+    p0, amp = (1.0, -amp_zero) if initial == "zero" else (0.5, 0.5 * amp_sup)
+    band = (float(omega.min()), float(omega.max()))
+    sq = amp * amp
+
+    def one(omega, coef, base, band, **kw):
+        (values,), _, _ = disorder._evaluate([(omega, coef[None], [base])], band, times, **kw)
+        return values
+
+    twice = one(2.0 * omega, sq / (8.0 * n_samples), 0.0, (2.0 * band[0], 2.0 * band[1]), om_phase=band[1])
+    mean = one(omega, amp / (-2.0 * n_samples), 0.5 * amp.mean(), band)
+    second = one(omega, sq / (-2.0 * n_samples), 0.375 * sq.mean(), band)
+    mean[0] = 0.0
+    var = np.maximum(second + twice - mean * mean, 0.0)
+    var[0] = 0.0
+    if band[0] == band[1] and amp.min() == amp.max():
+        var[:] = 0.0
+    return np.clip(p0 + mean, 0.0, 1.0), np.sqrt(var / (n_samples - 1 or math.inf))
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.1), NoiseSpec(sigma_e=0.5),
+                                   NoiseSpec()], ids=["2d", "sigma_e-only", "zero-noise"])
+def test_mc_shared_pass_equals_one_pass_per_sum(noise):
+    """The mean and E[X^2]'s cos(omega t) part share one evaluator pass; the
+    trace and its standard errors equal, bit for bit, one pass per sum."""
+    times = np.linspace(0.0, 200.0, 2001)
+    for initial in ("zero", "superposition"):
+        trace = disorder_average_mc(P, noise, initial, times, 3000, seed=8)
+        values, errors = _mc_three_passes(noise, initial, times, 3000, 8)
+        assert np.array_equal(trace.values, values)
+        assert np.array_equal(trace.mc_std_errors, errors)
 
 
 def _node_count(nodes):

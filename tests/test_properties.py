@@ -110,7 +110,7 @@ def test_cdf_cuts_only_where_sharp_move_no_trace(axis, ratio, sigma, other, t_ma
     hypothesis.assume(1 / 3 <= built <= 3.0)
     noise = NoiseSpec(*widths, c1 * widths[1], c2 * widths[2])
     times = np.linspace(0.0, t_max, 401)
-    values = [disorder._average(disorder._reduced_nodes(noise, P.j_prime, t_max, scale), initial, times)[0]
+    values = [disorder._average(disorder._reduced_nodes(noise, P.j_prime, t_max, scale), (initial,), times)[0][0]
               for scale in (1, 3)]
     assert np.max(np.abs(values[0] - values[1])) <= 1e-10
 
@@ -165,8 +165,8 @@ def test_band_brackets_every_node_frequency(sigma_e, sigma_j1, sigma_j2, j01, j0
         chunks = list(chunks)
         bands.append(band)
         omegas.extend(omega for omega, _, _ in chunks)
-        at_zero = sum(base + coef.sum() for _, coef, base in chunks)
-        return np.full(len(times), at_zero), 0, 0.0
+        at_zero = sum(np.asarray(base) + coef.sum(axis=1) for _, coef, base in chunks)
+        return np.outer(at_zero, np.ones(len(times))), 0, [0.0] * len(at_zero)
 
     nodes_delta_e = disorder._nodes_delta_e
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from deoq_dyn import disorder
 from deoq_dyn.analysis import PhysicalScale, fit_trace, quality_factor, to_physical_time
 from deoq_dyn.disorder import NoiseSpec, disorder_average_quadrature
 from deoq_dyn.qubit import ExchangeParams
@@ -169,6 +170,28 @@ def test_material_comparison_both_initials_ordering():
     rows = material_comparison(presets=presets, sigma_j_values_ev=(0.1e-6,))
     assert [r.initial_condition for r in rows] == ["zero", "superposition"]
     assert all(r.material == "clean" for r in rows)
+
+
+def test_material_points_build_one_node_set_and_one_pass(monkeypatch):
+    """Both initial states of a material point share its node set and one
+    evaluator pass: 2 presets x 2 widths build 4 node sets and make 4
+    evaluator calls, not 8 of each."""
+    counts = {"nodes": 0, "passes": 0}
+
+    def counted(name, key):
+        original = getattr(disorder, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(disorder, name, wrapper)
+
+    counted("_reduced_nodes", "nodes")
+    counted("_evaluate", "passes")
+    presets = (MaterialPreset("Si", 3e-9), MaterialPreset("GaAs", 1e-7))
+    rows = material_comparison(presets=presets, sigma_j_values_ev=(0.05e-6, 0.1e-6))
+    assert len(rows) == 8
+    assert counts == {"nodes": 4, "passes": 4}
 
 
 def test_material_zero_floor_matches_pure_charge_pipeline():
