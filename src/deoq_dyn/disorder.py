@@ -271,11 +271,13 @@ def _czt(x: np.ndarray, m: int, period: int) -> np.ndarray:
     np.exp(chirp, out=chirp)  # in place: one complex array of max(m, n) at a time, not two
     nfft = 1 << (n + m - 2).bit_length()
     kernel = np.fft.fft(np.conj(np.hstack((chirp[n - 1:0:-1], chirp[:m]))), nfft)
-    out = np.empty(x.shape[:-1] + (m,), dtype=complex)
-    for row in np.ndindex(x.shape[:-1]):
-        y = np.fft.ifft(kernel * np.fft.fft(x[row] * chirp[:n], nfft))
-        out[row] = y[n - 1:n + m - 1] * chirp[:m]
-    return out
+    rows = x.reshape(-1, n)
+    out = np.empty((len(rows), m), dtype=complex)
+    for row, row_out in zip(rows, out):
+        y = kernel * np.fft.fft(row * chirp[:n], nfft)
+        np.fft.ifft(y, out=y)
+        np.multiply(y[n - 1:n + m - 1], chirp[:m], out=row_out)
+    return out.reshape(x.shape[:-1] + (m,))
 
 
 def pdf_delta_e(delta_e, sigma_e: float):
@@ -657,14 +659,15 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
         grow = np.exp(2.0 * _GAUSS_A * x)
         x *= x + 2.0 * (_SPREAD - 1)
         x *= -_GAUSS_A
-        weight = coef * np.exp(x, out=x)  # times grow^k exp(-a l^2): coef exp(-a (l - x)^2) at bin cell + l
-        if sets > 1:  # set s fills bins s n_cells ..: one bincount adds each bin in node order, as per set
-            cell = (cell + n_cells * np.arange(sets)[:, None]).ravel()
-        for k in range(2 * _SPREAD):  # l = k - m + 1
-            if k:
-                weight *= grow
-            spread = np.bincount(cell, weight.ravel(), minlength=sets * n_cells)
-            mass[:, k:k + n_cells] += bell[k] * spread.reshape(sets, n_cells)
+        np.exp(x, out=x)
+        for s, c in enumerate(coef):
+            # times grow^k exp(-a l^2): c exp(-a (l - x)^2) at bin cell + l, l = k - m + 1; the
+            # last set takes x's memory
+            weight = x * c if s + 1 < sets else np.multiply(x, c, out=x)
+            for k in range(2 * _SPREAD):
+                if k:
+                    weight *= grow
+                mass[s, k:k + n_cells] += bell[k] * np.bincount(cell, weight, minlength=n_cells)
     n_times = len(times)
     steps = max(n_times - 1, 1)
     t_frac = np.arange(n_times) / steps  # t / T on the grid
@@ -1077,7 +1080,9 @@ def disorder_average_mc(
     (twice,), _, (b_twice,) = _evaluate([(2.0 * omega, sq[None] / (8.0 * n_samples), [0.0])],
                                         (2.0 * band[0], 2.0 * band[1]), times, om_phase=band[1])
     # the mean and the second moment's cos(omega t) part share omega and the band: one pass, two sets
-    coef = np.array([amp, sq]) / (-2.0 * n_samples)
+    coef = np.empty((2, n_samples))
+    np.divide(amp, -2.0 * n_samples, out=coef[0])
+    np.divide(sq, -2.0 * n_samples, out=coef[1])
     (mean, second), n_bins, (b1, b_once) = _evaluate([(omega, coef, [0.5 * amp.mean(), 0.375 * sq.mean()])],
                                                      band, times)
     mean[0] = 0.0  # sin(0) = 0: the mean at t = 0 is exactly p0
