@@ -183,8 +183,8 @@ def _grid_sse(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> np.
     """Profiled SSE at every (alpha, log t2) point of the start grid, from sums.
 
     u and v are the point times (in units of t_max) and values.  Each alpha
-    row builds e = exp(-(u/t2)^alpha) once, as the one n x 121 array alive,
-    and keeps its column sums S1 = sum e, S2 = sum e^2 and Sew = sum e w,
+    row builds e = exp(-(u/t2)^alpha) once, in one n x 121 buffer that
+    serves every row, and keeps its column sums S1 = sum e, S2 = sum e^2 and Sew = sum e w,
     with w = v - mean(v).  The four candidates of ``_amplitudes`` are closed
     forms in these sums, and candidate (p_inf, p_start) has the SSE
     n a^2 + 2 a b S1 + b^2 S2 - 2 b Sew + sum w^2, with a = p_inf - mean(v)
@@ -196,23 +196,29 @@ def _grid_sse(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> np.
     u > 0, and so at every u > 0: exp underflows to exactly 0 there, and e
     is 1 at u = 0 and 0 elsewhere.  Those columns take their sums in closed
     form (the count of points at u = 0 for S1 and S2, their summed w for
-    Sew), equal to what the exponentials would give, and only the rest
-    evaluate exp, where an argument that underflows costs several times a
-    normal one.
+    Sew), equal to what the exponentials would give.  The rest evaluate exp
+    only where its argument is above -746 and take exactly 0 below, where an
+    exp that underflows costs several times a normal one; the grid is bit
+    for bit the one with exp evaluated everywhere.
     """
     n, v_mean = len(v), float(np.mean(v))
     w = v - v_mean
     n_zero = int(u[0] == 0.0)  # the times increase: only the first can be 0
     u_min, w_zero = u[n_zero], w[:n_zero].sum()  # the smallest u > 0; w summed over u = 0
     s1, s2, sew = (np.empty((len(_ALPHA_GRID), len(_LOG_T2_GRID))) for _ in range(3))
+    flat, live = np.empty(n * len(_LOG_T2_GRID)), np.empty(n * len(_LOG_T2_GRID), dtype=bool)
     for i, alpha in enumerate(_ALPHA_GRID):
         col = np.exp(-alpha * _LOG_T2_GRID)  # t2^-alpha, falling along the row
         # the first column where exp(-(u_min/t2)^alpha) may not underflow
         first = np.searchsorted(-(u_min ** alpha) * col, -746.0)
         s1[i, :first] = s2[i, :first] = n_zero
         sew[i, :first] = w_zero
-        e = np.multiply.outer(-(u ** alpha), col[first:])  # -(u / t2)^alpha
-        np.exp(e, out=e)
+        shape = (n, len(col) - first)
+        size = shape[0] * shape[1]
+        e = np.multiply.outer(-(u ** alpha), col[first:], out=flat[:size].reshape(shape))  # -(u / t2)^alpha
+        # exp above -746; max(e, 0) turns the arguments left below into exact 0s
+        np.exp(e, out=e, where=np.greater(e, -746.0, out=live[:size].reshape(shape)))
+        np.maximum(e, 0.0, out=e)
         # einsum, not a BLAS product: with OpenBLAS that touched 2.5 MiB of
         # library pages and buffers and raised a sweep's peak RSS as much
         s1[i, first:], sew[i, first:], s2[i, first:] = e.sum(0), np.einsum("i,ij->j", w, e), np.einsum("ij,ij->j", e, e)

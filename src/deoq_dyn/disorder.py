@@ -260,24 +260,47 @@ def _czt(x: np.ndarray, m: int, period: int) -> np.ndarray:
     its real phase, reduced exactly as the integer k^2 mod 2 period, so it
     is rounded once, below 2 pi, at every length; the phase pi k^2 / period
     itself, or a power of exp(-2 pi i / period), drifts in proportion to
-    k^2.  The convolution runs on the least power of two >= n + m - 1.  The
-    chirp and the kernel's FFT are built once and serve every row, and each
-    row is transformed on its own, so a row of a stack comes out bit for bit
-    as it would alone.
+    k^2.  The convolution runs on the least 2^a 3^b 5^c >= n + m - 1
+    (``_smooth_length``), within 7% of it from 1,000 on, where a power of
+    two may be nearly twice it.  The chirp and the kernel's FFT are built
+    once and serve every row; each row is transformed on its own, in place
+    in one work array, so a row of a stack comes out bit for bit as it
+    would alone.  Apart from the result, three complex arrays are alive:
+    the chirp of max(m, n), the kernel and the work array.
     """
     n = x.shape[-1]
     k = np.arange(max(m, n))
     chirp = (-1j * math.pi / period) * (k * k % (2 * period))
     np.exp(chirp, out=chirp)  # in place: one complex array of max(m, n) at a time, not two
-    nfft = 1 << (n + m - 2).bit_length()
-    kernel = np.fft.fft(np.conj(np.hstack((chirp[n - 1:0:-1], chirp[:m]))), nfft)
+    nfft = _smooth_length(n + m - 1)
+    kernel = np.zeros(nfft, dtype=complex)  # conj chirp at offsets 1 - n .. m - 1, from index 0
+    np.conj(chirp[n - 1:0:-1], out=kernel[:n - 1])
+    np.conj(chirp[:m], out=kernel[n - 1:n + m - 1])
+    np.fft.fft(kernel, out=kernel)
     rows = x.reshape(-1, n)
     out = np.empty((len(rows), m), dtype=complex)
+    work = np.empty(nfft, dtype=complex)
     for row, row_out in zip(rows, out):
-        y = kernel * np.fft.fft(row * chirp[:n], nfft)
-        np.fft.ifft(y, out=y)
-        np.multiply(y[n - 1:n + m - 1], chirp[:m], out=row_out)
+        np.multiply(row, chirp[:n], out=work[:n])
+        work[n:] = 0.0
+        np.fft.fft(work, out=work)
+        work *= kernel
+        np.fft.ifft(work, out=work)
+        np.multiply(work[n - 1:n + m - 1], chirp[:m], out=row_out)
     return out.reshape(x.shape[:-1] + (m,))
+
+
+def _smooth_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, an FFT length that pocketfft serves in O(n log n)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())  # the least p35 2^a >= n
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def pdf_delta_e(delta_e, sigma_e: float):

@@ -49,10 +49,13 @@ _ETA_MAX = math.log(3.0 + 2.0 * math.sqrt(2.0))
 _SHARP_STEP = 0.5
 
 # weight evaluations per block of the 2D rule: a block holds about 20 arrays of
-# its length at once, its angles, the weight's normal CDF and the sums' terms
-# (a 55,670-node block, Si at 0.5 ueV, peaked at 9.5 MiB traced, 3.8 MiB in
-# blocks of this size), a quarter of the tensor rule's _BLOCK_NODES
-_POLAR_BLOCK = 2 ** 14
+# its length at once, its angles, the weight's normal CDF and the sums' terms.
+# Building and summing the sigma_e 1, sigma_j 0.5 rule at t_max 100 (38,140
+# evaluations) peaks at 7.2 MiB traced in one block, 3.4 MiB in blocks of
+# 2^14 and 1.0 MiB in blocks of this size, with no loss of speed; Si at 0.5
+# ueV (58,512) at 9.8, 3.8 and 2.0 MiB, the last its rule's set-up.  A
+# sixteenth of the tensor rule's _BLOCK_NODES
+_POLAR_BLOCK = 2 ** 12
 
 # the r panel above the foot of a hard line of the 2D rule (an edge where the
 # weight does not vanish, or a cut step) is graded over at most this many of

@@ -250,6 +250,23 @@ def test_grid_sse_skips_only_columns_that_underflow(points, fixed_start, t_max):
     assert np.array_equal(analysis._grid_sse(u, v, fixed_start), _grid_sse_untrimmed(u, v, fixed_start))
 
 
+@pytest.mark.parametrize("fixed_start", [None, 0.9])
+def test_grid_sse_skips_exp_only_where_it_is_zero(fixed_start):
+    """Inside the columns it evaluates, the start grid takes exp only above
+    -746, where it may be subnormal, and 0 below; the grid equals, bit for
+    bit, the one with exp evaluated everywhere.  The points include u = 0,
+    and some columns run through the subnormal band into exact zeros."""
+    u = np.r_[0.0, np.geomspace(1e-3, 1.0, 60)]
+    v = stretched(u, 0.1, 0.9, 0.05, 1.5)
+    # -(u / t2)^alpha, by alpha, point u > 0 and log t2
+    arg = -np.array([np.multiply.outer(u[1:] ** a, np.exp(-a * analysis._LOG_T2_GRID)) for a in analysis._ALPHA_GRID])
+    kept = arg[:, :1, :] > -746.0  # the columns _grid_sse evaluates: exp at the smallest u > 0 may not be 0
+    values = np.exp(arg)
+    assert np.any(kept & (values > 0.0) & (values < np.finfo(float).tiny))  # subnormal
+    assert np.any(kept & (arg <= -746.0))  # exact zeros inside evaluated columns
+    assert np.array_equal(analysis._grid_sse(u, v, fixed_start), _grid_sse_untrimmed(u, v, fixed_start))
+
+
 def test_late_points_underflow_in_most_grid_columns():
     """The "late" grid cases reach the closed form in most columns:
     (u/t2)^alpha > 746 at their smallest u > 0 on more than half the grid."""

@@ -350,6 +350,23 @@ def test_reduced_rule_skips_the_u_cuts_of_a_wide_cdf_step(monkeypatch):
     assert np.max(np.abs(cut.values - decided.values)) <= 1e-10
 
 
+def test_polar_blocks_bound_the_peak_memory_of_the_terms():
+    """Summing the 38,140 weight evaluations of the sigma_e 1, sigma_j 0.5
+    cell at t_max 100 into terms, block by block, peaks at about 1.0 MiB
+    traced; in blocks of 2^14 it was 3.3 MiB."""
+    noise = NoiseSpec(1.0, 0.5, 0.5)
+    list(_reduced_nodes(noise, P.j_prime, 100.0).chunks)  # the arcs' Gauss rules, cached
+    nodes = _reduced_nodes(noise, P.j_prime, 100.0)
+    tracemalloc.start()
+    try:
+        list(nodes.chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert nodes.meta["n_nodes"] > 4 * polar._POLAR_BLOCK
+
+
 def test_gauss_points_meet_the_rule_tolerance():
     """The count of ``_gauss_points`` integrates a Gaussian of that many
     deviations times a cosine of that phase span over [-1, 1] within 1e-11,
@@ -653,13 +670,49 @@ def test_evaluator_matches_cos_matrix():
         np.testing.assert_allclose(trace.values, (base + coef @ cos_matrix) / mass, rtol=0, atol=bound)
 
 
-@pytest.mark.parametrize("n, m", [(4098, 401), (301, 1000)])
+# padded to 4,500, 1,350, 2,160, 1, 2,400, 3,375 and 1,000: factors 3 and 5, n > m and n < m
+@pytest.mark.parametrize("n, m", [(4098, 401), (301, 1000), (105, 2001), (1, 1), (2000, 376), (3000, 376), (1000, 1)])
 def test_czt_matches_exact_dft(n, m):
     x = np.random.default_rng(n).normal(size=n).astype(complex)
     period = 2618  # 2 pi / period = 2.4e-3
     exact = np.exp(-2j * np.pi * (np.outer(np.arange(m), np.arange(n)) % period) / period) @ x
     err = np.max(np.abs(_czt(x, m, period) - exact))
     assert err <= 1e-12 * np.sum(np.abs(x))
+
+
+def test_smooth_length_is_the_least_2_3_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    lengths = [disorder._smooth_length(n) for n in range(1, 3001)]
+    assert all(smooth(k) and k >= n and not any(smooth(j) for j in range(n, k)) for n, k in enumerate(lengths, 1))
+    assert disorder._smooth_length(20_105) == 20_250  # a materials window: 105 bins, 20,001 times
+    assert [disorder._smooth_length(n) for n in (4498, 1300, 2105, 2375, 3375)] == [4500, 1350, 2160, 2400, 3375]
+
+
+def test_czt_stacked_rows_match_single_rows_bit_for_bit():
+    x = np.random.default_rng(7).normal(size=(3, 105))
+    stacked = _czt(x, 2001, 8000)
+    assert stacked.shape == (3, 2001)
+    for row, out in zip(x, stacked):
+        assert np.array_equal(_czt(row, 2001, 8000), out)
+
+
+def test_czt_peak_memory_on_a_materials_window():
+    """Two rows of 105 bins at 20,001 times: the result (0.61 MiB), the chirp,
+    the kernel and one work array of 20,250, about 1.7 MiB traced; with the
+    power-of-two padding of 32,768 and a new array per FFT it was 2.6 MiB."""
+    x = np.random.default_rng(3).normal(size=(2, 105))
+    tracemalloc.start()
+    try:
+        _czt(x, 20_001, 80_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_czt_keeps_unit_modulus_at_large_size():
