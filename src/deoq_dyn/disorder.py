@@ -15,18 +15,16 @@ detuning d = j' - u, u = (j1 + j2)/2 - delta_e, and the gap j1 - j2.  Each
 quadrature rule is a node set (``_NodeSet``): chunks of (omega, weight,
 weight amp_zero, weight amp_sup) spectral terms, and a band (om_lo,
 om_max), from ``_band``, that holds every omega.  With no explicit
-QuadratureSpec, ``_reduced_nodes`` integrates (j1 + j2)/2 and delta_e
-analytically, which leaves a closed-form extended skew-normal weight over
-the gap and u, and integrates that by the polar rule of ``polar``: in the
-plane of d and sqrt(0.75) gap, omega is the radius, so the rule hands the
-evaluator one term per radius node, its coefficient a sum over the angle
-in closed form.  Zero widths, and widths that round away, are limits of
-that weight; the two that are 1D (both sigma_j zero, and sigma_e = 0
-beside one zero sigma_j) take 1D rules.  An explicit QuadratureSpec gives
-``_tensor_nodes``: Gauss-Hermite or the pdf-weighted Gauss-Legendre rule
-``_pdf_legendre`` in delta_e, and ``_pdf_legendre`` per coupling; it also
-serves the tests as the reference for the reduction.  The tensor rule and
-the 1D rules form their terms with ``oscillation_terms``.  ``_average``
+QuadratureSpec, ``polar.reduced_nodes`` integrates (j1 + j2)/2 and delta_e
+analytically, which leaves a closed-form weight over the gap and u, and
+integrates that by a polar rule that hands the evaluator one term per
+radius node; the module ``polar`` owns that weight, its 1D limits and
+their sizing, and takes from this one only the shared node-set helpers.
+An explicit QuadratureSpec gives ``_tensor_nodes``: Gauss-Hermite or the
+pdf-weighted Gauss-Legendre rule ``_pdf_legendre`` in delta_e, and
+``_pdf_legendre`` per coupling; it also serves the tests as the reference
+for the reduction.  The tensor rule and the reduction's 1D limits form
+their terms with ``oscillation_terms``, through ``_node_terms``.  ``_average``
 turns each chunk into (omega, coef, base) for one evaluator,
 ``_evaluate``, with one row of coefficients per initial state, so one
 node set and one pass serve both states, and divides the sums by the
@@ -106,21 +104,11 @@ _NUFFT_ERROR = math.exp(-_GAUSS_A * _SPREAD ** 2) * (
 # need at most 1,335
 _MAX_BINS = 2 ** 22
 
-# node-count ceilings: per dimension about 4x what the default sweep grid and
-# material presets size on the 2D rule (at most 1,196 radius or u nodes); the
-# total bounds explicit tensor specs
+# node-count ceilings: per dimension about 5x what the default sweep grid and
+# material presets size on the 2D reduction (at most 906 radius or u nodes);
+# the total bounds explicit tensor specs
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
-
-# Gauss-Legendre nodes per radian of phase span t_max * range: the averaged
-# trace sums cos(omega(x) t) with |d(omega)/dx| <= 1 in j0 units, and
-# Gauss-Legendre resolves such oscillations once nodes exceed about 0.3 per
-# radian (measured cliff); 0.35 adds margin
-_NODES_PER_RADIAN = 0.35
-
-# Gauss-Legendre nodes each arc of the 2D rule, and the 1D rule of zero-width
-# couplings, add to their share
-_PANEL_MARGIN = 8
 
 # nodes per chunk of the tensor rule, to bound its memory: a chunk's
 # temporaries are a few arrays of this length; a tensor average of 2,000 x
@@ -714,8 +702,8 @@ class _NodeSet:
     their sum.  ``band`` (om_lo, om_max), from ``_band``, holds every
     omega.  ``meta`` describes the rule, with its node count
     ``meta["n_nodes"]``: the nodes at which the weight was evaluated.  The
-    2D rule's ``points()`` yields its nodes as (d, c, weight) blocks in the
-    plane of ``_reduced_nodes``, for inspection.
+    2D reduction's ``points()`` yields its nodes as (d, c, weight) blocks in
+    the plane of ``polar.reduced_nodes``, for inspection.
     """
 
     chunks: Iterator[tuple]
@@ -766,169 +754,6 @@ def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, scale: int
               "n_nodes": len(x1) * len(x2) * len(xe), "quadrature_spec": q,
               "delta_e_rule": q.delta_e_rule if spec.sigma_e > 0 else "collapsed"},
     )
-
-
-# Cody's rational approximations of erfc (Math. Comp. 1969): erf on
-# |y| <= 0.46875, erfc on (0.46875, 4] and on (4, inf), with coefficients
-# listed from the highest-degree term
-_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
-          3.77485237685302021e2, 3.20937758913846947e3)
-_ERF_B = (1.0, 2.36012909523441209e1, 2.44024637934444173e2,
-          1.28261652607737228e3, 2.84423683343917062e3)
-_ERFC_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
-           6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
-           1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3)
-_ERFC_D = (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
-           1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
-           3.43936767414372164e3, 1.23033935480374942e3)
-_ERFC_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
-_ERFC_Q = (1.0, 2.56852019228982242e0, 1.87295284992346725e0,
-           5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
-
-
-def _erfc(z: np.ndarray) -> np.ndarray:
-    """Complementary error function of a 1D array by Cody's three ranges."""
-    y = np.abs(z)
-
-    def ratio(num, den, arg):  # num(arg) / den(arg), Horner in place
-        p, q = np.full_like(arg, num[0]), np.full_like(arg, den[0])
-        for a, b in zip(num[1:], den[1:]):
-            p *= arg
-            p += a
-            q *= arg
-            q += b
-        p /= q
-        return p
-
-    out = np.empty_like(y)
-    small = y <= 0.46875
-    z_s = z[small]
-    out[small] = 1.0 - z_s * ratio(_ERF_A, _ERF_B, z_s * z_s)
-    tail = ~small
-    y_t = y[tail]
-    e_t = np.empty_like(y_t)
-    big = y_t > 4.0
-    e_t[~big] = ratio(_ERFC_C, _ERFC_D, y_t[~big])
-    y_b = y_t[big]
-    inv = 1.0 / (y_b * y_b)
-    e_t[big] = (1.0 / math.sqrt(math.pi) - inv * ratio(_ERFC_P, _ERFC_Q, inv)) / y_b
-    # exp(-y^2) as exp(-ysq^2) exp(-del), with ysq = y cut to 1/16 so ysq^2 is exact
-    ysq = np.trunc(y_t * 16.0) / 16.0
-    e_t *= np.exp(-ysq * ysq) * np.exp(-(y_t - ysq) * (y_t + ysq))
-    flip = z[tail] < 0.0  # erfc(-y) = 2 - erfc(y)
-    e_t[flip] = 2.0 - e_t[flip]
-    out[tail] = e_t
-    return out
-
-
-def _ndtr(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF 0.5 erfc(-x / sqrt(2)), elementwise.
-
-    Outside (-38.5, 8.5) the value rounds to exactly 0 or 1 and is set so,
-    without evaluating erfc; the rest goes through ``_erfc``.
-    """
-    out = (x > 0.0).astype(float)
-    live = (x > -38.5) & (x < 8.5)
-    out[live] = 0.5 * _erfc(-x[live] / math.sqrt(2.0))
-    return out
-
-
-# d = j' - u and c = sqrt(0.75) gap span the plane of the polar rule, where
-# omega = sqrt(d^2 + c^2) is the radius
-_C_PER_GAP = math.sqrt(0.75)
-
-
-def _reduced_nodes(spec: NoiseSpec, j_prime: float, t_max: float, scale: int = 1) -> _NodeSet:
-    """Nodes of the exact 2D reduction of the (j1, j2, delta_e) average.
-
-    With s = (j1 + j2)/2, (s, gap) is jointly Gaussian before truncation:
-    gap ~ N(m, V), V = sigma_j1^2 + sigma_j2^2, and s | gap ~ N(mu, v) with
-    mu = (j01 + j02)/2 + kappa (gap - m), kappa = (sigma_j1^2 - sigma_j2^2)
-    / (2 V), v = sigma_j1^2 sigma_j2^2 / V.  Truncating j1, j2 >= 0 is
-    s >= |gap|/2, and integrating s against the field gradient (variance
-    v_e = 2 sigma_e^2) leaves the extended skew-normal weight (Azzalini 1985)
-    phi(gap; m, V) phi(u; mu, v + v_e) Phi((u - u_k) / tau) with
-    u_k = (|gap|/2 (v + v_e) - mu v_e) / v and tau = sqrt(v_e (v + v_e) / v).
-    Integrating u out again gives the gap mass phi(gap; m, V)
-    Phi((mu - |gap|/2) / sqrt(v)).
-
-    The truncation keeps gap in m +- w sqrt(V), cut where the gap mass falls
-    below Phi(-w), and u in mu +- w sqrt(v + v_e) above u_k - w tau.  Over
-    that region ``polar.polar_nodes`` integrates the weight in polar
-    coordinates about (u, gap) = (j', 0), where omega is the radius: each
-    radius node is one term (omega, weight, weight amp_zero, weight
-    amp_sup), its sums over the angle taken over the arcs of its circle in
-    the region; ``meta`` records the weight evaluations (``n_nodes``), the
-    terms (``n_r``) and the sides of gap = 0 whose normal-CDF step the arcs
-    cut out (``cut_steps``).  Zero widths are the limits of these formulas.
-    sigma_e = 0 gives tau = 0: Phi is a hard edge at u = |gap|/2.  One zero
-    sigma_j gives v = 0 and kappa = +-1/2: s is fixed by gap, the gap mass
-    has a hard edge on one side only and Phi is 1.  The two limits that are
-    1D take 1D rules whose terms come from ``oscillation_terms``: both
-    sigma_j zero leave one gap node at m and a pdf-weighted Gauss-Legendre
-    rule in u, of the n_u nodes its phase span needs plus _PANEL_MARGIN,
-    and v + v_e = 0 leaves u = mu(gap) on Gauss-Legendre panels in the gap,
-    split at 0.  A span that rounds away at its mean, so that it has no
-    length, takes the zero-width limit too: the gap span at m zeroes both
-    coupling variances, and the u span at (j01 + j02)/2 zeroes v + v_e.  The
-    counts are checked against _MAX_DIM_NODES as floats, before
-    ``math.ceil`` could overflow on them; ``scale`` multiplies every count
-    of a rule.
-    """
-    base = QuadratureSpec()
-    w, per_radian = base.truncation_width, _NODES_PER_RADIAN
-    try:
-        var1, var2, v_e = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2, 2.0 * spec.sigma_e ** 2
-    except OverflowError:  # a width above 1e154, which no node count resolves: the check raises
-        _check_node_counts(math.inf)
-    m, mu0 = spec.j01 - spec.j02, 0.5 * (spec.j01 + spec.j02)
-    if m - w * math.sqrt(var1 + var2) == m + w * math.sqrt(var1 + var2):  # rounds away at m
-        var1 = var2 = 0.0
-    v_gap = var1 + var2
-    kappa = (var1 - var2) / (2.0 * v_gap) if v_gap > 0 else 0.0
-    v = var1 * var2 / v_gap if v_gap > 0 else 0.0
-    v_u = v + v_e
-    half_u = w * math.sqrt(v_u)
-    if mu0 - half_u == mu0 + half_u:  # rounds away at the mean
-        v_u = 0.0
-    x_gap = per_radian * t_max * 2.0 * w * math.sqrt(v_gap) * (1.0 + abs(kappa))
-    x_u = per_radian * t_max * 2.0 * half_u
-    _check_node_counts(scale * x_gap, scale * x_u)
-    if v_gap == 0.0:  # one gap node at m; u = mu0 - delta_e is Gaussian
-        lo, hi = mu0 - half_u, mu0 + half_u
-        if v_u == 0.0:
-            u, weight, lo, hi = np.full(1, mu0), np.ones(1), mu0, mu0
-        else:
-            x, wx = _leggauss(scale * max(base.n_legendre, math.ceil(x_u)) + _PANEL_MARGIN)
-            half = 0.5 * (hi - lo)
-            u = half * x + (lo + half)
-            weight = half * wx * np.exp(-((u - mu0) ** 2) / (2.0 * v_u))
-        return _NodeSet(chunks=(_node_terms(j_prime, 0.5 * m, -0.5 * m, -u, weight) for _ in (0,)),
-                        band=_band(j_prime, (lo, hi), (m, m)),
-                        meta={"rule": "reduced-2d", "n_nodes": len(u), "n_r": len(u)},
-                        points=lambda: iter([(j_prime - u, np.full_like(u, _C_PER_GAP * m), weight)]))
-    # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to 0
-    # over widths sqrt(v) / (1/2 -+ kappa); kappa = +-1/2 has no g_-+
-    reach = mu0 - kappa * m
-    g_hi, width_hi, g_lo, width_lo = math.inf, 0.0, -math.inf, 0.0
-    if kappa < 0.5:
-        g_hi, width_hi = reach / (0.5 - kappa), math.sqrt(v) / (0.5 - kappa)
-    if kappa > -0.5:
-        g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
-    gap_range = (max(m - w * math.sqrt(v_gap), g_lo - w * width_lo), min(m + w * math.sqrt(v_gap), g_hi + w * width_hi))
-    from . import polar  # which imports this module's helpers
-
-    if v_u == 0.0:  # u = mu(gap)
-        lo, hi = gap_range
-        gap, weight = polar.panel_rule([lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi], t_max, [math.sqrt(v_gap)] * 2, scale)
-        weight *= np.exp(-((gap - m) ** 2) / (2.0 * v_gap))
-        mu = mu0 + kappa * (gap - m)
-        return _NodeSet(chunks=(_node_terms(j_prime, 0.5 * gap, -0.5 * gap, -mu, weight) for _ in (0,)),
-                        band=_band(j_prime, (mu.min(), mu.max()), gap_range),
-                        meta={"rule": "reduced-2d", "n_nodes": len(gap), "n_r": len(gap)},
-                        points=lambda: iter([(j_prime - mu, _C_PER_GAP * gap, weight)]))
-    return polar.polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
 
 
 def _terms(initials: tuple, omega, weight, weight_zero, weight_sup) -> tuple[np.ndarray, np.ndarray, list]:
@@ -986,7 +811,7 @@ def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str
     """Disorder-averaged return probability by deterministic quadrature.
 
     With q=None the average runs on the exact 2D reduction over the gap
-    j1 - j2 and u = (j1 + j2)/2 - delta_e (see ``_reduced_nodes``), sized for
+    j1 - j2 and u = (j1 + j2)/2 - delta_e (see ``polar.reduced_nodes``), sized for
     the grid's t_max, for every noise spec including zero widths.  An
     explicit q gives a tensor rule: Gauss-Hermite in u = delta_e/(2 sigma_e)
     (or pdf-weighted Gauss-Legendre, see QuadratureSpec.delta_e_rule)
@@ -1033,8 +858,10 @@ def _quadrature_traces(p: ExchangeParams, spec: NoiseSpec, initials: tuple, time
     for initial in initials:
         if initial not in ("zero", "superposition"):
             raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
+    from . import polar  # the 2D reduction, which imports this module: MC and fit runs never load it
+
     # every node set is built, and its counts checked, before the first average
-    node_sets = [_reduced_nodes(spec, p.j_prime, float(times[-1]), scale) if q is None
+    node_sets = [polar.reduced_nodes(spec, p.j_prime, float(times[-1]), scale) if q is None
                  else _tensor_nodes(spec, q, p.j_prime, scale)
                  for scale in ((1, 2) if check_convergence else (1,))]
     averages = _average(node_sets[0], initials, times)

@@ -1,17 +1,19 @@
-"""The polar rule of the 2D disorder average (``disorder._reduced_nodes``).
+"""The exact 2D reduction of the disorder average and its polar rule (``reduced_nodes``).
 
-The return probability sees the noise only through the detuning d = j' - u
-and c = sqrt(0.75) gap.  In the plane (d, c) = r (cos phi, sin phi) the
-frequency omega is the radius r, amp_zero = sin^2 phi and amp_sup =
-sin 2 phi, so only r carries the time: the average is base + sum_k coef_k
-cos(r_k t) over the r nodes, each coefficient a sum over phi in closed
-form (product rules in polar coordinates: Stroud 1971; Davis & Rabinowitz
-1984).  The rule hands the evaluator one term per r node, which grows like
-t_max, where a rule in (gap, u) needs t_max^2 nodes.
+The return probability sees the noise only through the detuning d = j' - u,
+u = (j1 + j2)/2 - delta_e, and the gap j1 - j2.  ``reduced_nodes``
+integrates (j1 + j2)/2 and delta_e analytically, which leaves the extended
+skew-normal weight W(gap, u) over the gap and u, and integrates that.  In
+the plane (d, c) = r (cos phi, sin phi), c = sqrt(0.75) gap, the frequency
+omega is the radius r, amp_zero = sin^2 phi and amp_sup = sin 2 phi, so
+only r carries the time: the average is base + sum_k coef_k cos(r_k t)
+over the r nodes, each coefficient a sum over phi in closed form (product
+rules in polar coordinates: Stroud 1971; Davis & Rabinowitz 1984).  The
+rule hands the evaluator one term per r node, which grows like t_max, where
+a rule in (gap, u) needs t_max^2 nodes.
 
-The weight is the extended skew-normal W(gap, u) of ``_reduced_nodes``,
-kept on its 6-sigma truncation region, a polygon in (d, c) split at c = 0
-by the |gap| kink.  Each circle meets the region in arcs, between the
+W is kept on its 6-sigma truncation region, a polygon in (d, c) split at
+c = 0 by the |gap| kink.  Each circle meets the region in arcs, between the
 closed-form angles where it crosses the region's lines and the cut lines:
 c = 0, and u = u_k, u_k + w tau where the normal-CDF step is sharp
 (narrower than _SHARP_STEP of the Gaussian's least deviation).  An arc
@@ -21,7 +23,9 @@ serves.  The r rule is cut where the arc structure changes in a way that
 matters, graded where an arc appears at a line on which the weight does not
 vanish, and sized per panel by ``_gauss_points`` from the phase span t_max
 times the panel's length and the width of F(r), the weight summed over
-the circle, there.
+the circle, there.  The two limits of W that are 1D, a Gaussian in u at
+one gap and u fixed by the gap, take ``panel_rule`` in their one variable,
+sized by the same estimate.
 """
 
 from __future__ import annotations
@@ -31,6 +35,20 @@ import math
 import numpy as np
 
 from . import disorder
+
+# d = j' - u and c = sqrt(0.75) gap span the plane of the polar rule, where
+# omega = sqrt(d^2 + c^2) is the radius
+_C_PER_GAP = math.sqrt(0.75)
+
+# the precheck's bound, not a node count: ``reduced_nodes`` rejects a rule
+# whose phase span t_max * range, times this, passes _MAX_DIM_NODES in one
+# dimension, before any count is formed from it; Gauss-Legendre resolves
+# cos(omega(x) t), |d(omega)/dx| <= 1, from about 0.25 nodes per radian
+# (``_gauss_points``)
+_NODES_PER_RADIAN = 0.35
+
+# Gauss-Legendre nodes each arc of the 2D rule adds to its share
+_PANEL_MARGIN = 8
 
 # Gauss-Legendre nodes per standard deviation along an arc of the 2D rule: a
 # Gaussian over +-6 deviations takes about 25 for 1e-15
@@ -61,6 +79,72 @@ _POLAR_BLOCK = 2 ** 12
 # weight does not vanish, or a cut step) is graded over at most this many of
 # the Gaussian's least deviations
 _GRADED_SIGMAS = 4.0
+
+
+# Cody's rational approximations of erfc (Math. Comp. 1969): erf on
+# |y| <= 0.46875, erfc on (0.46875, 4] and on (4, inf), with coefficients
+# listed from the highest-degree term
+_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+          3.77485237685302021e2, 3.20937758913846947e3)
+_ERF_B = (1.0, 2.36012909523441209e1, 2.44024637934444173e2,
+          1.28261652607737228e3, 2.84423683343917062e3)
+_ERFC_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+           6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+           1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3)
+_ERFC_D = (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+           1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+           3.43936767414372164e3, 1.23033935480374942e3)
+_ERFC_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_Q = (1.0, 2.56852019228982242e0, 1.87295284992346725e0,
+           5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """Complementary error function of a 1D array by Cody's three ranges."""
+    y = np.abs(z)
+
+    def ratio(num, den, arg):  # num(arg) / den(arg), Horner in place
+        p, q = np.full_like(arg, num[0]), np.full_like(arg, den[0])
+        for a, b in zip(num[1:], den[1:]):
+            p *= arg
+            p += a
+            q *= arg
+            q += b
+        p /= q
+        return p
+
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    z_s = z[small]
+    out[small] = 1.0 - z_s * ratio(_ERF_A, _ERF_B, z_s * z_s)
+    tail = ~small
+    y_t = y[tail]
+    e_t = np.empty_like(y_t)
+    big = y_t > 4.0
+    e_t[~big] = ratio(_ERFC_C, _ERFC_D, y_t[~big])
+    y_b = y_t[big]
+    inv = 1.0 / (y_b * y_b)
+    e_t[big] = (1.0 / math.sqrt(math.pi) - inv * ratio(_ERFC_P, _ERFC_Q, inv)) / y_b
+    # exp(-y^2) as exp(-ysq^2) exp(-del), with ysq = y cut to 1/16 so ysq^2 is exact
+    ysq = np.trunc(y_t * 16.0) / 16.0
+    e_t *= np.exp(-ysq * ysq) * np.exp(-(y_t - ysq) * (y_t + ysq))
+    flip = z[tail] < 0.0  # erfc(-y) = 2 - erfc(y)
+    e_t[flip] = 2.0 - e_t[flip]
+    out[tail] = e_t
+    return out
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-x / sqrt(2)), elementwise.
+
+    Outside (-38.5, 8.5) the value rounds to exactly 0 or 1 and is set so,
+    without evaluating erfc; the rest goes through ``_erfc``.
+    """
+    out = (x > 0.0).astype(float)
+    live = (x > -38.5) & (x < 8.5)
+    out[live] = 0.5 * _erfc(-x[live] / math.sqrt(2.0))
+    return out
 
 
 def _size_class(n: np.ndarray) -> np.ndarray:
@@ -97,9 +181,10 @@ def panel_rule(edges, t_max: float, widths, scale: int, graded=(), depths=0.0) -
     """Gauss-Legendre nodes and weights on the consecutive panels between ``edges``.
 
     Panel k of length L carries the phase span t_max L of cos(omega t),
-    |d(omega)/dx| <= 1, and a weight of width widths[k]; it takes scale
-    times ``_gauss_points`` of both, at the weight's depth there, depths[k]
-    (0 by default).  A panel whose index is in ``graded``
+    |d(omega)/dx| <= 1, and a weight of width widths[k] (one width may
+    serve every panel); it takes scale times ``_gauss_points`` of both, at
+    the weight's depth there, depths[k] (0 by default), and the panels' sum
+    is checked against the caps.  A panel whose index is in ``graded``
     starts at a point where the integrand grows like sqrt(x - lo): it takes
     x = lo + L s^2 over s in [0, 1], which makes it smooth, sized as a
     panel twice as long, since the node spacing in x reaches twice its
@@ -123,9 +208,90 @@ def panel_rule(edges, t_max: float, widths, scale: int, graded=(), depths=0.0) -
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) -> disorder._NodeSet:
-    """The polar rule of ``disorder._reduced_nodes``; the arguments are its weight's parameters."""
-    w, s3 = disorder.QuadratureSpec().truncation_width, disorder._C_PER_GAP
+def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale: int = 1) -> disorder._NodeSet:
+    """Nodes of the exact 2D reduction of the (j1, j2, delta_e) average.
+
+    With s = (j1 + j2)/2, (s, gap) is jointly Gaussian before truncation:
+    gap ~ N(m, V), V = sigma_j1^2 + sigma_j2^2, and s | gap ~ N(mu, v) with
+    mu = (j01 + j02)/2 + kappa (gap - m), kappa = (sigma_j1^2 - sigma_j2^2)
+    / (2 V), v = sigma_j1^2 sigma_j2^2 / V.  Truncating j1, j2 >= 0 is
+    s >= |gap|/2, and integrating s against the field gradient (variance
+    v_e = 2 sigma_e^2) leaves the extended skew-normal weight (Azzalini 1985)
+    phi(gap; m, V) phi(u; mu, v + v_e) Phi((u - u_k) / tau) with
+    u_k = (|gap|/2 (v + v_e) - mu v_e) / v and tau = sqrt(v_e (v + v_e) / v).
+    Integrating u out again gives the gap mass phi(gap; m, V)
+    Phi((mu - |gap|/2) / sqrt(v)).
+
+    The truncation keeps gap in m +- w sqrt(V), cut where the gap mass falls
+    below Phi(-w), and u in mu +- w sqrt(v + v_e) above u_k - w tau.  Over
+    that region ``_polar_nodes`` integrates the weight in polar coordinates
+    about (u, gap) = (j', 0), where omega is the radius: each radius node is
+    one term (omega, weight, weight amp_zero, weight amp_sup), its sums over
+    the angle taken over the arcs of its circle in the region; ``meta``
+    records the weight evaluations (``n_nodes``), the terms (``n_r``) and
+    the sides of gap = 0 whose normal-CDF step the arcs cut out
+    (``cut_steps``).  Zero widths are the limits of these formulas.
+    sigma_e = 0 gives tau = 0: Phi is a hard edge at u = |gap|/2.  One zero
+    sigma_j gives v = 0 and kappa = +-1/2: s is fixed by gap, the gap mass
+    has a hard edge on one side only and Phi is 1.  The two limits that are
+    1D take ``panel_rule`` in their one variable, its terms from
+    ``oscillation_terms``: both sigma_j zero leave a Gaussian in u at the
+    one gap m, and v + v_e = 0 leaves u = mu(gap) along the gap, split at
+    0; with no noise at all, one node.  A span that rounds away at its
+    mean, so that it has no length, takes the zero-width limit too: the gap
+    span at m zeroes both coupling variances, and the u span at (j01 +
+    j02)/2 zeroes v + v_e.  Every span is checked first at
+    _NODES_PER_RADIAN against _MAX_DIM_NODES, as a float, before
+    ``math.ceil`` could overflow on a count; ``scale`` multiplies every
+    count of a rule.
+    """
+    w = disorder.QuadratureSpec.truncation_width
+    try:
+        var1, var2, v_e = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2, 2.0 * spec.sigma_e ** 2
+    except OverflowError:  # a width above 1e154, which no node count resolves: the check raises
+        disorder._check_node_counts(math.inf)
+    m, mu0 = spec.j01 - spec.j02, 0.5 * (spec.j01 + spec.j02)
+    if m - w * math.sqrt(var1 + var2) == m + w * math.sqrt(var1 + var2):  # rounds away at m
+        var1 = var2 = 0.0
+    v_gap = var1 + var2
+    kappa = (var1 - var2) / (2.0 * v_gap) if v_gap > 0 else 0.0
+    v = var1 * var2 / v_gap if v_gap > 0 else 0.0
+    v_u = v + v_e
+    half_u = w * math.sqrt(v_u)
+    if mu0 - half_u == mu0 + half_u:  # rounds away at the mean
+        v_u = 0.0
+    x_gap = _NODES_PER_RADIAN * t_max * 2.0 * w * math.sqrt(v_gap) * (1.0 + abs(kappa))
+    x_u = _NODES_PER_RADIAN * t_max * 2.0 * half_u
+    disorder._check_node_counts(scale * x_gap, scale * x_u)
+    # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to 0
+    # over widths sqrt(v) / (1/2 -+ kappa); kappa = +-1/2 has no g_-+
+    reach = mu0 - kappa * m
+    g_hi, width_hi, g_lo, width_lo = math.inf, 0.0, -math.inf, 0.0
+    if kappa < 0.5:
+        g_hi, width_hi = reach / (0.5 - kappa), math.sqrt(v) / (0.5 - kappa)
+    if kappa > -0.5:
+        g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
+    gap_range = (max(m - w * math.sqrt(v_gap), g_lo - w * width_lo), min(m + w * math.sqrt(v_gap), g_hi + w * width_hi))
+    if v_gap > 0.0 and v_u > 0.0:
+        return _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
+    # a 1D limit in x: the gap with u = mu(gap), or u at the one gap m
+    on_gap = v_gap > 0.0
+    x0, var, (lo, hi) = (m, v_gap, gap_range) if on_gap else (mu0, v_u, (mu0 - half_u, mu0 + half_u))
+    x, weight = np.full(1, x0), np.ones(1)
+    if var > 0.0:
+        x, weight = panel_rule([lo, 0.0, hi] if on_gap and lo < 0.0 < hi else [lo, hi], t_max, math.sqrt(var), scale)
+        weight *= np.exp(-((x - x0) ** 2) / (2.0 * var))
+    gap, u = (x, mu0 + kappa * (x - m)) if on_gap else (np.full_like(x, m), x)
+    u_range, gap_range = ((u.min(), u.max()), (lo, hi)) if on_gap else ((lo, hi), (m, m))
+    return disorder._NodeSet(chunks=(disorder._node_terms(j_prime, 0.5 * gap, -0.5 * gap, -u, weight) for _ in (0,)),
+                             band=disorder._band(j_prime, u_range, gap_range),
+                             meta={"rule": "reduced-2d", "n_nodes": len(x), "n_r": len(x)},
+                             points=lambda: iter([(j_prime - u, _C_PER_GAP * gap, weight)]))
+
+
+def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) -> disorder._NodeSet:
+    """The polar rule of ``reduced_nodes``; the arguments are its weight's parameters."""
+    w, s3 = disorder.QuadratureSpec.truncation_width, _C_PER_GAP
     v_u = v + v_e
     tau = math.sqrt(v_e * v_u / v) if v > 0 else 0.0
     half_u = w * math.sqrt(v_u)
@@ -289,14 +455,14 @@ def polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) 
     if tau > 0:
         k_side = np.where(np.sin(mid) >= 0.0, slope[1.0], slope[-1.0])[:, None]
         chords += np.diff(np.clip((j_prime - b - d_k - k_side * c_k / s3) / tau, -w, w), axis=1) ** 2
-    count = scale * _size_class(np.ceil(_NODES_PER_SIGMA * np.sqrt(chords).sum(axis=1)) + disorder._PANEL_MARGIN)
+    count = scale * _size_class(np.ceil(_NODES_PER_SIGMA * np.sqrt(chords).sum(axis=1)) + _PANEL_MARGIN)
 
     def weight(d, c):
         gap, u = c / s3, j_prime - d
         mu = mu0 + kappa * (gap - m)
         out = np.exp(-0.5 * ((gap - m) ** 2 / v_gap + (u - mu) ** 2 / v_u))
         if tau > 0.0:
-            out *= disorder._ndtr((u - (0.5 * np.abs(gap) * v_u - mu * v_e) / v) / tau)
+            out *= _ndtr((u - (0.5 * np.abs(gap) * v_u - mu * v_e) / v) / tau)
         return out
 
     # blocks of at most _POLAR_BLOCK nodes, each a run of arcs of a few counts

@@ -685,6 +685,40 @@ def test_cli_commands_load_no_scipy(tmp_path):
     assert all((tmp_path / f"{name}.out").stat().st_size > 0 for name in configs)
 
 
+def test_mc_and_fit_runs_never_load_the_polar_module(tmp_path):
+    """An MC simulate and a fit from its trace file run without importing
+    ``deoq_dyn.polar``, which only the quadrature route needs; a quadrature
+    simulate in the same process then loads it."""
+    times = {"t_max": 20.0, "n_points": 201}
+    trace = tmp_path / "mc.out"
+    configs = {
+        "mc": {"noise": {"sigma_e": 0.2, "sigma_j1": 0.1}, "times": times, "n_samples": 200, "seed": 1},
+        "fit": {"trace_file": str(trace)},
+        "quadrature": {"noise": {"sigma_e": 0.2}, "times": times},
+    }
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    runs = [["simulate", "--config", str(tmp_path / "mc.json"), "--out", str(trace), "--method", "mc"],
+            ["fit", "--config", str(tmp_path / "fit.json"), "--out", str(tmp_path / "fit.out")],
+            ["simulate", "--config", str(tmp_path / "quadrature.json"), "--out", str(tmp_path / "quadrature.out")]]
+    script = (
+        "import json, sys\n"
+        "import deoq_dyn.cli\n"
+        "mc, fit, quadrature = json.loads(sys.argv[1])\n"
+        "assert deoq_dyn.cli.main(mc) == 0 and deoq_dyn.cli.main(fit) == 0\n"
+        "assert 'deoq_dyn.polar' not in sys.modules, 'MC or fit loaded deoq_dyn.polar'\n"
+        "assert deoq_dyn.cli.main(quadrature) == 0\n"
+        "assert 'deoq_dyn.polar' in sys.modules\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert trace.stat().st_size > 0 and (tmp_path / "fit.out").stat().st_size > 0
+
+
 def test_simulate_runs_under_the_standard_profiler(tmp_path):
     """``python -m cProfile -m deoq_dyn.cli`` runs the CLI as ``__main__``
     while ``sys.modules["__main__"]`` is the profiler's module; the run

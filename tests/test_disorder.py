@@ -21,8 +21,6 @@ from deoq_dyn.disorder import (
     _czt,
     _hermgauss,
     _leggauss,
-    _ndtr,
-    _reduced_nodes,
     _tensor_nodes,
     disorder_average_mc,
     disorder_average_quadrature,
@@ -30,6 +28,7 @@ from deoq_dyn.disorder import (
     pdf_exchange,
     sample_noise,
 )
+from deoq_dyn.polar import _ndtr, reduced_nodes
 from deoq_dyn.qubit import (
     ExchangeParams,
     oscillation_terms,
@@ -323,6 +322,38 @@ def test_reduced_rule_matches_doubled_tensor_rule(case):
         np.testing.assert_allclose(reduced.values, tensor.values, rtol=0, atol=1e-7)
 
 
+@pytest.mark.parametrize("case", [(1.0, 0.0, 0.0), (0.0, 0.3, 0.0), (0.0, 0.0, 0.5)],
+                         ids=["u-limit", "gap-limit", "gap-limit-kappa-minus"])
+def test_reduced_rule_1d_limits_doubling_moves_no_point_by_1e_10(case):
+    """Both 1D limits, a Gaussian in u at the one gap and u = mu(gap)
+    along the gap, take panels sized by ``_gauss_points``: at t_max 200 the
+    doubled rule moves no point by more than 1e-10, for either state."""
+    times = np.linspace(0.0, 200.0, 2001)
+    for initial in ("zero", "superposition"):
+        trace = disorder_average_quadrature(P, NoiseSpec(*case), initial, times, check_convergence=True)
+        assert trace.metadata["n_r"] == trace.metadata["n_nodes"]  # one term per node: a 1D rule
+        assert trace.metadata["doubling_max_change"] <= 1e-10
+
+
+def test_reduced_rule_u_limit_takes_fewer_nodes_than_the_per_radian_rule():
+    """Both sigma_j zero leave a Gaussian in u; at sigma_e 1, t_max 100 the
+    ellipse estimate takes fewer nodes than the 602 of 0.35 per radian plus
+    a margin of 8."""
+    meta = reduced_nodes(NoiseSpec(sigma_e=1.0), P.j_prime, 100.0).meta
+    assert meta["n_r"] == meta["n_nodes"] < 602
+
+
+def test_one_panel_gap_limit_checks_its_own_node_count(monkeypatch):
+    """u = mu(gap) on one panel (a gap range that does not cross 0) checks
+    the 91 nodes it builds against the caps, not one count per width of a
+    two-panel rule (182)."""
+    calls = []
+    check = disorder._check_node_counts
+    monkeypatch.setattr(disorder, "_check_node_counts", lambda *counts: calls.append(counts) or check(*counts))
+    nodes = reduced_nodes(NoiseSpec(0.0, 0.2, 0.0, 3.0, 0.5), P.j_prime, 100.0)
+    assert [int(n) for n in calls[-1]] == [nodes.meta["n_nodes"]] == [91]
+
+
 @pytest.mark.parametrize("case", REDUCED_CASES + [(1.0, 0.5, 0.5, 0.5, 1.5)])
 def test_reduced_rule_doubling_moves_no_point_by_1e_7(case):
     """The name keeps the (gap, u) rule's bound; the polar rule holds 1e-10."""
@@ -340,11 +371,11 @@ def test_reduced_rule_skips_the_u_cuts_of_a_wide_cdf_step(monkeypatch):
     makes at most 40,000 weight evaluations (56,470 with the band cut, which
     moves no point by more than 1e-10)."""
     noise, times = NoiseSpec(1.0, 0.5, 0.5), np.linspace(0.0, 100.0, 401)
-    meta = _reduced_nodes(noise, P.j_prime, 100.0).meta
+    meta = reduced_nodes(noise, P.j_prime, 100.0).meta
     assert meta["cut_steps"] == 0 and meta["n_nodes"] <= 40_000
     decided = disorder_average_quadrature(P, noise, "superposition", times)
     monkeypatch.setattr(polar, "_SHARP_STEP", math.inf)
-    assert _reduced_nodes(noise, P.j_prime, 100.0).meta["cut_steps"] == 2
+    assert reduced_nodes(noise, P.j_prime, 100.0).meta["cut_steps"] == 2
     cut = disorder_average_quadrature(P, noise, "superposition", times)
     assert cut.metadata["n_nodes"] > 1.4 * meta["n_nodes"]
     assert np.max(np.abs(cut.values - decided.values)) <= 1e-10
@@ -355,8 +386,8 @@ def test_polar_blocks_bound_the_peak_memory_of_the_terms():
     cell at t_max 100 into terms, block by block, peaks at about 1.0 MiB
     traced; in blocks of 2^14 it was 3.3 MiB."""
     noise = NoiseSpec(1.0, 0.5, 0.5)
-    list(_reduced_nodes(noise, P.j_prime, 100.0).chunks)  # the arcs' Gauss rules, cached
-    nodes = _reduced_nodes(noise, P.j_prime, 100.0)
+    list(reduced_nodes(noise, P.j_prime, 100.0).chunks)  # the arcs' Gauss rules, cached
+    nodes = reduced_nodes(noise, P.j_prime, 100.0)
     tracemalloc.start()
     try:
         list(nodes.chunks)
@@ -393,7 +424,7 @@ def test_reduced_rule_keeps_the_u_cuts_of_a_sharp_cdf_step(case, t_max):
     Gaussian: both sides of gap = 0 cut it out of the arcs, as a band of its
     own, and the doubled rule moves no point by more than 1e-10; sigma_e = 0
     makes it a hard edge, with nothing to cut."""
-    nodes = _reduced_nodes(NoiseSpec(*case), P.j_prime, t_max)
+    nodes = reduced_nodes(NoiseSpec(*case), P.j_prime, t_max)
     assert nodes.meta["cut_steps"] == (2 if case[0] > 0 else 0)
     times = np.linspace(0.0, t_max, 401)
     trace = disorder_average_quadrature(P, NoiseSpec(*case), "superposition", times, check_convergence=True)
@@ -418,7 +449,7 @@ def test_largest_sweep_heavy_cell_sums_few_terms(monkeypatch):
 
 def _reduced_moments(noise):
     """Moments of the 2D rule's (r, phi) nodes, mapped back to (gap, u)."""
-    d, c, w = (np.concatenate(a) for a in zip(*_reduced_nodes(noise, P.j_prime, 100.0).points()))
+    d, c, w = (np.concatenate(a) for a in zip(*reduced_nodes(noise, P.j_prime, 100.0).points()))
     gap, u, w = c / math.sqrt(0.75), P.j_prime - d, w / w.sum()
     return {"u": w @ u, "uu": w @ (u * u), "ug": w @ (u * gap), "gg": w @ (gap * gap)}
 
@@ -1122,7 +1153,7 @@ def test_trace_metadata_records_quadrature_setup():
     assert md["rule"] == "reduced-2d"
     assert md["evaluator"] == "binned"
     assert 0.0 < md["error_bound"] <= disorder._NUFFT_ERROR
-    nodes = _reduced_nodes(noise, P.j_prime, 50.0)
+    nodes = reduced_nodes(noise, P.j_prime, 50.0)
     assert md["n_nodes"] == _node_count(nodes) and md["cut_steps"] == 0
     assert md["n_r"] == len(next(nodes.chunks)[0]) < md["n_nodes"]
     assert "n_delta_e" not in md and "quadrature_spec" not in md
@@ -1132,7 +1163,7 @@ def test_trace_metadata_records_quadrature_setup():
     silicon = replace(noise, sigma_e=0.0)
     md = disorder_average_quadrature(P, silicon, "zero", times).metadata
     assert md["rule"] == "reduced-2d" and md["cut_steps"] == 0
-    assert md["n_nodes"] == _node_count(_reduced_nodes(silicon, P.j_prime, 50.0))
+    assert md["n_nodes"] == _node_count(reduced_nodes(silicon, P.j_prime, 50.0))
 
 
 @pytest.mark.parametrize("rule", ["reduced-2d", "tensor"])
@@ -1144,7 +1175,7 @@ def test_node_set_drops_a_block_once_yielded(rule):
     if rule == "tensor":
         nodes = _tensor_nodes(noise, QuadratureSpec(n_hermite=8, n_legendre=8), P.j_prime)
     else:
-        nodes = _reduced_nodes(noise, P.j_prime, 50.0)
+        nodes = reduced_nodes(noise, P.j_prime, 50.0)
     chunk = next(nodes.chunks)
     refs = [weakref.ref(a) for a in chunk[1:]] + ([weakref.ref(chunk[0])] if rule == "tensor" else [])
     del chunk
@@ -1153,8 +1184,8 @@ def test_node_set_drops_a_block_once_yielded(rule):
 
 
 @pytest.mark.parametrize("make, n_nodes", [
-    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0), 38_140),
-    (lambda: _reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0, scale=2), 152_636),
+    (lambda: reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0), 38_140),
+    (lambda: reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0, scale=2), 152_636),
     (lambda: _tensor_nodes(NoiseSpec(sigma_e=0.3, sigma_j2=0.2), QuadratureSpec(2000, 2000, delta_e_rule="legendre"),
                            P.j_prime), 4_000_000),
 ], ids=["sweep-heavy-largest-cell", "sweep-heavy-largest-cell-doubled", "tensor-sigma-j1-0"])

@@ -9,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from deoq_dyn import disorder  # noqa: E402
+from deoq_dyn import disorder, polar  # noqa: E402
 from deoq_dyn.analysis import _envelope_points, fit_envelope  # noqa: E402
 from deoq_dyn.cli import main  # noqa: E402
 from deoq_dyn.disorder import (  # noqa: E402
@@ -110,7 +110,7 @@ def test_cdf_cuts_only_where_sharp_move_no_trace(axis, ratio, sigma, other, t_ma
     hypothesis.assume(1 / 3 <= built <= 3.0)
     noise = NoiseSpec(*widths, c1 * widths[1], c2 * widths[2])
     times = np.linspace(0.0, t_max, 401)
-    values = [disorder._average(disorder._reduced_nodes(noise, P.j_prime, t_max, scale), (initial,), times)[0][0]
+    values = [disorder._average(polar.reduced_nodes(noise, P.j_prime, t_max, scale), (initial,), times)[0][0]
               for scale in (1, 3)]
     assert np.max(np.abs(values[0] - values[1])) <= 1e-10
 
@@ -214,10 +214,10 @@ def test_fit_is_scale_covariant(t2, alpha, p_inf, wobble, log_k, pinned):
 def test_ndtr_is_a_distribution_function(xs):
     """Values in [0, 1], monotone in x, and Phi(x) + Phi(-x) = 1."""
     x = np.sort(np.array(xs))
-    phi = disorder._ndtr(x)
+    phi = polar._ndtr(x)
     assert np.all((phi >= 0.0) & (phi <= 1.0))
     assert np.all(np.diff(phi) >= 0.0)
-    np.testing.assert_allclose(phi + disorder._ndtr(-x), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(phi + polar._ndtr(-x), 1.0, rtol=0, atol=1e-15)
 
 
 def envelope_points_loop(times, values):

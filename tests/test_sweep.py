@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from deoq_dyn import disorder
+from deoq_dyn import disorder, polar
 from deoq_dyn.analysis import PhysicalScale, fit_trace, quality_factor, to_physical_time
 from deoq_dyn.disorder import NoiseSpec, disorder_average_quadrature
 from deoq_dyn.qubit import ExchangeParams
@@ -178,16 +178,16 @@ def test_material_points_build_one_node_set_and_one_pass(monkeypatch):
     evaluator calls, not 8 of each."""
     counts = {"nodes": 0, "passes": 0}
 
-    def counted(name, key):
-        original = getattr(disorder, name)
+    def counted(module, name, key):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[key] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(disorder, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("_reduced_nodes", "nodes")
-    counted("_evaluate", "passes")
+    counted(polar, "reduced_nodes", "nodes")
+    counted(disorder, "_evaluate", "passes")
     presets = (MaterialPreset("Si", 3e-9), MaterialPreset("GaAs", 1e-7))
     rows = material_comparison(presets=presets, sigma_j_values_ev=(0.05e-6, 0.1e-6))
     assert len(rows) == 8
