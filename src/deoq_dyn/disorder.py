@@ -479,13 +479,13 @@ def _legendre(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p / dp, 2.0 / dp ** 2
 
 
-# rules repeat across the traces of one command: the default materials run
-# asks for 346 Gauss-Legendre rules of 40 distinct sizes, the default sweep
-# for 153 of 66, and 64 cached rules miss no more often than an unbounded
-# cache; a Gauss-Legendre miss costs about 2 ms at 629 points and 15 ms at
-# 5,000 (the default sweep's 66 sizes: 0.2 s), a Gauss-Hermite one, O(n^2),
-# 0.6 s at 5,000; a sweep with a quadrature block asks for one
-# Gauss-Hermite rule of the same size per trace
+# rules repeat across the traces of one command: the default sweep asks for
+# 1,553 Gauss-Legendre rules of 108 sizes and builds 153 of them in 64
+# entries (0.08 s), and the default materials run asks for 1,317 of 51
+# sizes and builds 51, as an unbounded cache would (tools/rule_counts.py);
+# a Gauss-Legendre miss costs about 2 ms at 629 points and 15 ms at 5,000, a
+# Gauss-Hermite one, O(n^2), 0.6 s at 5,000; a sweep with a quadrature block
+# asks for one Gauss-Hermite rule of the same size per trace
 @functools.lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points and weights on [-1, 1], computed once per n.

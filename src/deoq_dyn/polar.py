@@ -40,13 +40,6 @@ from . import disorder
 # omega = sqrt(d^2 + c^2) is the radius
 _C_PER_GAP = math.sqrt(0.75)
 
-# the precheck's bound, not a node count: ``reduced_nodes`` rejects a rule
-# whose phase span t_max * range, times this, passes _MAX_DIM_NODES in one
-# dimension, before any count is formed from it; Gauss-Legendre resolves
-# cos(omega(x) t), |d(omega)/dx| <= 1, from about 0.25 nodes per radian
-# (``_gauss_points``)
-_NODES_PER_RADIAN = 0.35
-
 # Gauss-Legendre nodes each arc of the 2D rule adds to its share
 _PANEL_MARGIN = 8
 
@@ -168,13 +161,16 @@ def _gauss_points(phase, spread, depth=0.0) -> np.ndarray:
     depth) / (2 eta), and the panel's own tolerance is at most 1e-2.  For a
     pure cosine that is phase / 4 + 3.5 phase^(1/3) + O(1), the cliff at
     1/4 node per radian and its transition (37 points at 81 radians, where
-    1e-11 takes 36).
+    1e-11 takes 36).  The counts are floats, whole numbers up to inf, and
+    a span past the float range gives inf without a warning: a caller
+    checks them against the caps before it casts one to int.
     """
     eta = np.linspace(0.01, _ETA_MAX, 128)[:, None]
     grow = np.sinh(eta)
-    exponent = (0.5 * np.asarray(phase) * grow + 0.125 * (np.asarray(spread) * grow) ** 2
-                + np.maximum(-math.log(_RULE_TOLERANCE) - np.asarray(depth), math.log(100.0)))
-    return np.ceil((exponent / (2.0 * eta)).min(axis=0)).astype(int)
+    with np.errstate(over="ignore"):  # a span past the float range needs inf points
+        exponent = (0.5 * np.asarray(phase) * grow + 0.125 * (np.asarray(spread) * grow) ** 2
+                    + np.maximum(-math.log(_RULE_TOLERANCE) - np.asarray(depth), math.log(100.0)))
+        return np.ceil((exponent / (2.0 * eta)).min(axis=0))
 
 
 def panel_rule(edges, t_max: float, widths, scale: int, graded=(), depths=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +179,10 @@ def panel_rule(edges, t_max: float, widths, scale: int, graded=(), depths=0.0) -
     Panel k of length L carries the phase span t_max L of cos(omega t),
     |d(omega)/dx| <= 1, and a weight of width widths[k] (one width may
     serve every panel); it takes scale times ``_gauss_points`` of both, at
-    the weight's depth there, depths[k] (0 by default), and the panels' sum
-    is checked against the caps.  A panel whose index is in ``graded``
+    the weight's depth there, depths[k] (0 by default).  The panels' sum is
+    checked against the caps as a float, so that a phase span past the
+    float range raises with inf nodes, and only then is each panel's count
+    cast to int for its rule.  A panel whose index is in ``graded``
     starts at a point where the integrand grows like sqrt(x - lo): it takes
     x = lo + L s^2 over s in [0, 1], which makes it smooth, sized as a
     panel twice as long, since the node spacing in x reaches twice its
@@ -192,7 +190,8 @@ def panel_rule(edges, t_max: float, widths, scale: int, graded=(), depths=0.0) -
     """
     lengths = np.diff(edges)
     span = lengths * [2 if k in graded else 1 for k in range(len(lengths))]
-    need = scale * _gauss_points(t_max * span, span / np.asarray(widths), depths)
+    with np.errstate(over="ignore"):
+        need = scale * _gauss_points(t_max * span, span / np.asarray(widths), depths)
     disorder._check_node_counts(need.sum())
     nodes, weights = [], []
     for k, (lo, length) in enumerate(zip(edges, lengths)):
@@ -240,16 +239,20 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
     0; with no noise at all, one node.  A span that rounds away at its
     mean, so that it has no length, takes the zero-width limit too: the gap
     span at m zeroes both coupling variances, and the u span at (j01 +
-    j02)/2 zeroes v + v_e.  Every span is checked first at
-    _NODES_PER_RADIAN against _MAX_DIM_NODES, as a float, before
-    ``math.ceil`` could overflow on a count; ``scale`` multiplies every
-    count of a rule.
+    j02)/2 zeroes v + v_e.  ``scale`` multiplies every count of a rule.
+
+    Each rule is checked against the caps on the counts ``panel_rule``
+    sizes for it, as floats.  The polar set-up forms products of the
+    variances, which overflow for widths near 1e150, so it is guarded
+    first: the larger count ``_gauss_points`` gives to a rule over the gap
+    span or the u span alone, as a float, must pass the caps.  Widths
+    above 1e153, whose variances' sums would overflow, raise with inf
+    nodes before any of this.
     """
     w = disorder.QuadratureSpec.truncation_width
-    try:
-        var1, var2, v_e = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2, 2.0 * spec.sigma_e ** 2
-    except OverflowError:  # a width above 1e154, which no node count resolves: the check raises
+    if max(spec.sigma_e, spec.sigma_j1, spec.sigma_j2) > 1e153:
         disorder._check_node_counts(math.inf)
+    var1, var2, v_e = spec.sigma_j1 ** 2, spec.sigma_j2 ** 2, 2.0 * spec.sigma_e ** 2
     m, mu0 = spec.j01 - spec.j02, 0.5 * (spec.j01 + spec.j02)
     if m - w * math.sqrt(var1 + var2) == m + w * math.sqrt(var1 + var2):  # rounds away at m
         var1 = var2 = 0.0
@@ -260,9 +263,6 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
     half_u = w * math.sqrt(v_u)
     if mu0 - half_u == mu0 + half_u:  # rounds away at the mean
         v_u = 0.0
-    x_gap = _NODES_PER_RADIAN * t_max * 2.0 * w * math.sqrt(v_gap) * (1.0 + abs(kappa))
-    x_u = _NODES_PER_RADIAN * t_max * 2.0 * half_u
-    disorder._check_node_counts(scale * x_gap, scale * x_u)
     # mu = |gap|/2 at g_hi >= m >= g_lo; beyond them the gap mass falls to 0
     # over widths sqrt(v) / (1/2 -+ kappa); kappa = +-1/2 has no g_-+
     reach = mu0 - kappa * m
@@ -273,6 +273,8 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
         g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
     gap_range = (max(m - w * math.sqrt(v_gap), g_lo - w * width_lo), min(m + w * math.sqrt(v_gap), g_hi + w * width_hi))
     if v_gap > 0.0 and v_u > 0.0:
+        spans = [t_max * float(gap_range[1] - gap_range[0]), t_max * 2.0 * half_u]  # Python floats: inf, no warning
+        disorder._check_node_counts(scale * _gauss_points(spans, 2.0 * w).max())
         return _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
     # a 1D limit in x: the gap with u = mu(gap), or u at the one gap m
     on_gap = v_gap > 0.0

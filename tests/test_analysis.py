@@ -397,6 +397,35 @@ def test_pipeline_fit_of_simulated_traces():
     assert fit_sup.p_start == pytest.approx(0.933, abs=0.05)
 
 
+def _weak_noise_offsets(sigma_e, sigma_j):
+    """The superposition fit's T2* relative to the weak-noise oracle
+    sqrt(2) / sigma_omega, and its alpha - 2, on a window of 6 T2* at 40
+    samples per unit."""
+    t2 = math.sqrt(2.0) / math.sqrt(sigma_j ** 2 / 4 + sigma_j ** 2 + sigma_e ** 2 / 2)
+    times = np.linspace(0.0, 6.0 * t2, round(240.0 * t2) + 1)
+    noise = NoiseSpec(sigma_e=sigma_e, sigma_j1=sigma_j, sigma_j2=sigma_j)
+    fit = fit_trace(disorder_average_quadrature(P, noise, "superposition", times))
+    assert fit.status == "converged"
+    return fit.t2_star / t2 - 1.0, fit.alpha - 2.0
+
+
+def test_superposition_fit_meets_the_weak_noise_limit():
+    """As the widths go to 0, omega is linear in the noise, and the
+    superposition state decays as exp(-(t / T2*)^2) with T2* = sqrt(2) /
+    sigma_omega, sigma_omega^2 = sigma_j1^2 / 4 + sigma_j2^2 + sigma_e^2 / 2
+    (quasi-static Gaussian dephasing; Merkulov, Efros & Rosen, PRB 65,
+    205309, 2002).  At sigma 1e-3 every case is within 1e-5 in T2* and 2e-5
+    in alpha, and the cases with coupling noise within 1e-6 in T2*.  The
+    sigma_e-only offset (6.0e-6 in T2*) is the O(sigma^2) term of omega's
+    curvature in delta_e: it shrinks at least 3x at half the width."""
+    offsets = {name: _weak_noise_offsets(se, sj) for name, se, sj in
+               (("e", 1e-3, 0.0), ("j", 0.0, 1e-3), ("both", 1e-3, 1e-3))}
+    for name, (t2, alpha) in offsets.items():
+        assert abs(t2) <= 1e-5 and abs(alpha) <= 2e-5, (name, t2, alpha)
+    assert abs(offsets["j"][0]) <= 1e-6 and abs(offsets["both"][0]) <= 1e-6, offsets
+    assert abs(_weak_noise_offsets(5e-4, 0.0)[0]) <= abs(offsets["e"][0]) / 3.0, offsets
+
+
 def test_fitted_curve_tracks_envelope():
     times = np.linspace(0.0, 200.0, 8001)
     for se, sj in ((0.1, 0.1), (0.3, 0.05)):

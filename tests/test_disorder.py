@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from deoq_dyn.qubit import (
     return_probability_superposition,
     return_probability_zero,
 )
-from deoq_dyn.sweep import suggested_time_grid
+from deoq_dyn.sweep import SweepGrid, suggested_time_grid
 
 P = ExchangeParams()
 
@@ -629,16 +630,54 @@ def test_tensor_rule_of_underflowing_width_is_its_zero_width_limit(tiny, zero, r
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("noise, t_max", [
-    (NoiseSpec(sigma_e=1e200), 10.0),
-    (NoiseSpec(sigma_j1=1e200, sigma_j2=0.1), 10.0),
-    (NoiseSpec(sigma_e=1.0), 1e307),
-], ids=["sigma_e", "sigma_j1", "t_max"])
-def test_unresolvable_spans_exceed_the_node_caps(noise, t_max):
+@pytest.mark.parametrize("noise, t_max, count", [
+    (NoiseSpec(sigma_e=1e200), 10.0, "inf"),
+    (NoiseSpec(sigma_j1=1e200, sigma_j2=0.1), 10.0, "inf"),
+    (NoiseSpec(sigma_e=1.0), 1e307, r"\S+e\+307"),
+    (NoiseSpec(sigma_e=1e150, sigma_j1=0.2, sigma_j2=0.2), 10.0, r"\S+e\+151"),
+    (NoiseSpec(sigma_j1=1e150, sigma_j2=0.2), 10.0, r"\S+e\+151"),
+    (NoiseSpec(0.3, 0.2, 0.2), 1e307, r"\S+e\+307"),
+    (NoiseSpec(sigma_e=1e154), 10.0, "inf"),
+    (NoiseSpec(sigma_j1=1e154), 10.0, "inf"),
+], ids=["sigma_e", "sigma_j1", "t_max", "polar-sigma_e-1e150", "polar-sigma_j1-1e150", "polar-t_max",
+        "u-limit-sigma_e-1e154", "gap-limit-sigma_j1-1e154"])
+def test_unresolvable_spans_exceed_the_node_caps(noise, t_max, count):
     """Squares and counts past the float range are checked against the caps
-    as floats, not raised as OverflowError."""
-    with pytest.raises(ValueError, match="quadrature needs inf nodes|quadrature needs .*e\\+307"):
-        disorder_average_quadrature(P, noise, "zero", np.linspace(0.0, t_max, 11))
+    as floats, not raised as OverflowError or warned about as overflow.  The
+    1D u limit (sigma_e alone) is checked by its panel rule; the polar rule
+    is checked before its set-up, whose variance products overflow at
+    widths of 1e150, on its gap and u spans.  Widths of 1e154, whose
+    variances' sums overflow (2 sigma_e^2, or the 2 V under kappa), need
+    inf nodes, in either 1D limit too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"quadrature needs {count} nodes in one dimension"):
+            disorder_average_quadrature(P, noise, "zero", np.linspace(0.0, t_max, 11))
+
+
+def test_u_limit_is_checked_on_the_count_its_rule_takes(monkeypatch):
+    """sigma_e = 1 alone leaves a Gaussian in u, whose rule is checked on
+    the nodes ``panel_rule`` sizes for it: 3,909 build at t_max 900, t_max
+    1300 names its own 5,618, and check_convergence at t_max 700 names the
+    doubled 6,108 before either average runs."""
+    noise = NoiseSpec(sigma_e=1.0)
+    assert reduced_nodes(noise, P.j_prime, 900.0).meta["n_r"] == 3909
+    with pytest.raises(ValueError, match="quadrature needs 5618 nodes in one dimension"):
+        reduced_nodes(noise, P.j_prime, 1300.0)
+    calls = []
+    monkeypatch.setattr(disorder, "_average", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="quadrature needs 6108 nodes in one dimension"):
+        disorder_average_quadrature(P, noise, "zero", np.linspace(0.0, 700.0, 11), check_convergence=True)
+    assert calls == []
+
+
+def test_default_sweep_grid_builds_its_rules_at_t_max_900():
+    """Every cell of the default 66-cell grid builds its rule on a window of
+    900, the u limit at sigma_e 1 the largest with 3,909 radius nodes."""
+    grid = SweepGrid()
+    n_r = {(se, sj): reduced_nodes(NoiseSpec(se, sj, sj, grid.params.j1, grid.params.j2), P.j_prime, 900.0).meta["n_r"]
+           for se in grid.sigma_e_values for sj in grid.sigma_j_values}
+    assert max(n_r.values()) == n_r[(1.0, 0.0)] == 3909
 
 
 def test_unrepresentable_phase_is_invalid_input():
