@@ -40,8 +40,9 @@ the Gaussian's transform.  Its error is at most _NUFFT_ERROR sum |coef|
 no cost model and no second evaluator.
 
 The Monte Carlo average hands its N samples to the same evaluator as nodes
-of weight 1/N: one pass sums the mean and the second moment's
-cos(omega t) part, another its cos(2 omega t) part on the doubled band.
+of weight 1/N, in blocks of _SMALL_BLOCK: one pass sums the mean and the
+second moment's cos(omega t) part, another its cos(2 omega t) part on the
+doubled band.  Only the three draws are held whole, 24 bytes a sample.
 Its standard errors come from E[X^2] - E[X]^2 with a stated bound for the
 cancellation.  Monte Carlo thus checks the quadrature's node sets, not the
 evaluator, which the tests hold against the exact cos-matrix sum.
@@ -109,6 +110,13 @@ _MAX_BINS = 2 ** 22
 # the total bounds explicit tensor specs
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
+
+# nodes per block of the 2D rule's weight evaluations and of the Monte Carlo
+# samples: a block holds about 20 arrays of its length at once.  The polar rule
+# of the sigma_e 1, sigma_j 0.5 cell at t_max 100 peaks at 7.2 MiB traced in one
+# block and 1.0 MiB in blocks of this size; Monte Carlo at 1e5 samples x 8,001
+# times at 10.8 and 3.2 MiB, 2.3 of it the three draws
+_SMALL_BLOCK = 2 ** 12
 
 # nodes per chunk of the tensor rule, to bound its memory: a chunk's
 # temporaries are a few arrays of this length; a tensor average of 2,000 x
@@ -609,8 +617,8 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
     set; every chunk carries the same number of sets.  ``_average`` feeds
     it every node set, one set per initial state, with the band (om_lo,
     om_max) that ``_band`` gives for the set's ranges, and
-    ``disorder_average_mc`` its samples; a frequency outside the band is a
-    fault of the producer and raises NumericalError.  A phase om_max t_max
+    ``disorder_average_mc`` its samples, a block per chunk; a frequency
+    outside the band is a fault of the producer and raises NumericalError.  A phase om_max t_max
     whose bin index would leave the float range raises ValueError, and so
     does a phase om_phase t_max (om_phase = om_max unless given) whose
     rounding would exceed 1e-6 rad (``_check_phase``), and a band that
@@ -892,7 +900,11 @@ def disorder_average_mc(
     sample standard deviation over sqrt(n_samples).  Bit-reproducible for a
     given seed.
 
-    The N samples are nodes of weight 1/N for ``_evaluate``.  E[X] is
+    The N samples are nodes of weight 1/N for ``_evaluate``.  Only the three
+    draws are held whole: the ranges, the band and each evaluator pass form
+    one block of _SMALL_BLOCK samples' terms at a time.  Up to one block the
+    trace is bit for bit that of one whole pass; past it the sums round
+    differently.  E[X] is
     mean(amp)/2 - sum_k amp_k / (2 N) cos(omega_k t), on the band
     [min omega, max omega].  E[X^2] is the mean of amp^2 (3/8 - cos(omega t)/2
     + cos(2 omega t)/8); its cos(omega t) part is summed in the mean's pass,
@@ -915,30 +927,39 @@ def disorder_average_mc(
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    rng = np.random.default_rng(seed)
-    j1, j2, delta_e = sample_noise(rng, spec, size=n_samples)
+    j1, j2, delta_e = sample_noise(np.random.default_rng(seed), spec, size=n_samples)
+
+    def blocks(terms=True):  # each block's omega, amp and amp^2, or with terms=False its u and gap
+        for s in range(0, n_samples, _SMALL_BLOCK):
+            block = j1[s:s + _SMALL_BLOCK], j2[s:s + _SMALL_BLOCK], delta_e[s:s + _SMALL_BLOCK]
+            if terms:
+                omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, *block)
+                amp = -amp_zero if initial == "zero" else 0.5 * amp_sup
+                yield omega, amp, amp * amp
+            else:
+                yield 0.5 * (block[0] + block[1]) - block[2], block[0] - block[1]
+
     # before any frequency is formed, the bound over the ranges of u and of the gap is checked
     # on the bin grid, which a frequency whose square overflows leaves; the phase is checked
-    # on the sampled frequencies
-    u_range, gap_range = [(v.min(), v.max()) for v in (0.5 * (j1 + j2) - delta_e, j1 - j2)]
-    _check_grid(_band(p.j_prime, u_range, gap_range)[1], float(times[-1]))
-    omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, j1, j2, delta_e)
-    p0, amp = (1.0, -amp_zero) if initial == "zero" else (0.5, 0.5 * amp_sup)
-    band = (float(omega.min()), float(omega.max()))
-    sq = amp * amp
+    # on the sampled frequencies.  Each block gives (min, -max) of each array, so that one
+    # min over the blocks gives both ends
+    u_gap = np.array([[(v.min(), -v.max()) for v in block] for block in blocks(False)]).min(axis=0) * (1.0, -1.0)
+    _check_grid(_band(p.j_prime, *u_gap)[1], float(times[-1]))
+    ends = np.array([[(v.min(), -v.max()) for v in block[:2]] for block in blocks()]).min(axis=0) * (1.0, -1.0)
+    band, amp_range = tuple(ends[0].tolist()), ends[1]
+    p0 = 1.0 if initial == "zero" else 0.5
     # the cos(2 omega t) sum needs the most bins: it goes first, so a band past the cap costs no sum
-    (twice,), _, (b_twice,) = _evaluate([(2.0 * omega, sq[None] / (8.0 * n_samples), [0.0])],
+    (twice,), _, (b_twice,) = _evaluate(((2.0 * om, sq[None] / (8.0 * n_samples), [0.0]) for om, _, sq in blocks()),
                                         (2.0 * band[0], 2.0 * band[1]), times, om_phase=band[1])
-    # the mean and the second moment's cos(omega t) part share omega and the band: one pass, two sets
-    coef = np.empty((2, n_samples))
-    np.divide(amp, -2.0 * n_samples, out=coef[0])
-    np.divide(sq, -2.0 * n_samples, out=coef[1])
-    (mean, second), n_bins, (b1, b_once) = _evaluate([(omega, coef, [0.5 * amp.mean(), 0.375 * sq.mean()])],
-                                                     band, times)
+    # the mean and the second moment's cos(omega t) part share omega and the band: one pass, two
+    # sets; each block adds its sums over N, so one block gives mean(amp), bit for bit
+    (mean, second), n_bins, (b1, b_once) = _evaluate(
+        ((om, np.stack((a, sq)) / (-2.0 * n_samples), [0.5 * (a.sum() / n_samples), 0.375 * (sq.sum() / n_samples)])
+         for om, a, sq in blocks()), band, times)
     mean[0] = 0.0  # sin(0) = 0: the mean at t = 0 is exactly p0
     var = np.maximum(second + twice - mean * mean, 0.0)  # E[X^2] - E[X]^2
     var[0] = 0.0
-    if band[0] == band[1] and amp.min() == amp.max():  # samples that do not spread
+    if band[0] == band[1] and amp_range[0] == amp_range[1]:  # samples that do not spread
         var[:] = 0.0
     dof = n_samples - 1 or math.inf  # one sample has no spread: its errors are 0
     stderr_bound = math.sqrt((b_once + b_twice + (2.0 * np.abs(mean).max() + b1) * b1) / dof)

@@ -59,15 +59,6 @@ _ETA_MAX = math.log(3.0 + 2.0 * math.sqrt(2.0))
 # 38,140, on the sigma_e 1, sigma_j 0.5 cell at t_max 100)
 _SHARP_STEP = 0.5
 
-# weight evaluations per block of the 2D rule: a block holds about 20 arrays of
-# its length at once, its angles, the weight's normal CDF and the sums' terms.
-# Building and summing the sigma_e 1, sigma_j 0.5 rule at t_max 100 (38,140
-# evaluations) peaks at 7.2 MiB traced in one block, 3.4 MiB in blocks of
-# 2^14 and 1.0 MiB in blocks of this size, with no loss of speed; Si at 0.5
-# ueV (58,512) at 9.8, 3.8 and 2.0 MiB, the last its rule's set-up.  A
-# sixteenth of the tensor rule's _BLOCK_NODES
-_POLAR_BLOCK = 2 ** 12
-
 # the r panel above the foot of a hard line of the 2D rule (an edge where the
 # weight does not vanish, or a cut step) is graded over at most this many of
 # the Gaussian's least deviations
@@ -245,9 +236,10 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
     sizes for it, as floats.  The polar set-up forms products of the
     variances, which overflow for widths near 1e150, so it is guarded
     first: the larger count ``_gauss_points`` gives to a rule over the gap
-    span or the u span alone, as a float, must pass the caps.  Widths
-    above 1e153, whose variances' sums would overflow, raise with inf
-    nodes before any of this.
+    span or the u span alone, as a float, must pass the caps; on shorter
+    windows the set-up's own products are checked before it forms them.
+    Widths above 1e153, whose variances' sums would overflow, raise with
+    inf nodes before any of this.
     """
     w = disorder.QuadratureSpec.truncation_width
     if max(spec.sigma_e, spec.sigma_j1, spec.sigma_j2) > 1e153:
@@ -299,6 +291,13 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
     half_u = w * math.sqrt(v_u)
     # the covariance of the weight's Gaussian part in the plane (d, c), and its least deviation
     cov_cc, cov_cd, cov_dd = 0.75 * v_gap, -s3 * kappa * v_gap, kappa * kappa * v_gap + v_u
+    # the set-up forms the step's lines at w tau, which the mesh doubles up to 2^63 times, its
+    # slopes and offset, at most (v_u + v_e) / v (1 + |mu0 - kappa m|), and the covariances'
+    # quadratic forms over the Gaussian's reach: widths of 1e80 overflow them at any window
+    reach = math.hypot(j_prime - mu0, s3 * m) + w * math.sqrt(cov_cc + cov_dd)
+    ratio = (v_u + v_e) / v * (1.0 + abs(mu0 - kappa * m)) if v > 0 else 0.0
+    if not math.isfinite(2.0 ** 64 * w * tau + ratio + 4.0 * (cov_cc + cov_dd) * reach * reach):
+        disorder._check_node_counts(math.inf)
     sigma = math.sqrt(1.5 * v_gap * v_u / (cov_cc + cov_dd + math.hypot(cov_cc - cov_dd, 2.0 * cov_cd)))
 
     def form(x, y):  # x Lambda y, Lambda the Gaussian's precision in (d, c)
@@ -467,12 +466,12 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
             out *= _ndtr((u - (0.5 * np.abs(gap) * v_u - mu * v_e) / v) / tau)
         return out
 
-    # blocks of at most _POLAR_BLOCK nodes, each a run of arcs of a few counts
+    # blocks of at most disorder._SMALL_BLOCK nodes, each a run of arcs of a few counts
     blocks, size = [[]], 0
     for n in sorted(set(count.tolist())):
-        arcs, per = np.flatnonzero(count == n), max(1, _POLAR_BLOCK // n)
+        arcs, per = np.flatnonzero(count == n), max(1, disorder._SMALL_BLOCK // n)
         for part in (arcs[s:s + per] for s in range(0, len(arcs), per)):
-            if size + n * len(part) > _POLAR_BLOCK and blocks[-1]:
+            if size + n * len(part) > disorder._SMALL_BLOCK and blocks[-1]:
                 blocks, size = blocks + [[]], 0
             blocks[-1].append((int(n), part))
             size += n * len(part)

@@ -1,5 +1,6 @@
 """CLI contract: configs in, CSV/JSON out, exit codes, reproducibility."""
 
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from deoq_dyn import disorder
+from deoq_dyn import cli, disorder
 from deoq_dyn.analysis import fit_trace
 from deoq_dyn.cli import MATERIALS_HEADER, SWEEP_HEADER, TRACE_HEADER, main
 from deoq_dyn.disorder import NoiseSpec, disorder_average_quadrature
@@ -577,32 +578,66 @@ def test_tensor_rule_of_underflowing_width_writes_zero_width_trace(tmp_path, noi
                                [float(r[2]) for r in read_csv(ref)[1]], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("module, name, error, exit_code", [
-    (json, "dumps", ValueError, 2),
-    (os, "replace", OSError, 3),
-], ids=["serialize", "rename"])
-@pytest.mark.parametrize("command, cfg", [
-    ("simulate", {"times": {"t_max": 5.0, "n_points": 11}}),
-    ("fit", {"simulate": {"noise": {"sigma_e": 0.2}, "times": {"t_max": 20.0, "n_points": 81}}}),
-], ids=["csv", "json"])
-def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, command, cfg,
-                                           module, name, error, exit_code):
+def _fail_mid_stream(monkeypatch, seen):
+    """Make the third write to an output's temp file raise OSError, once the
+    header and the first piece of rows have reached it; its text then goes
+    to ``seen``."""
+    def failing_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" in mode:
+            write, count = fh.write, itertools.count()
+
+            def third_fails(text):
+                if next(count) == 2:
+                    fh.flush()
+                    seen.append(pathlib.Path(path).read_text())
+                    raise OSError("write failed")
+                return write(text)
+
+            fh.write = third_fails
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+
+_SMALL_SIMULATE = {"times": {"t_max": 5.0, "n_points": 11}}
+_SMALL_FIT = {"simulate": {"noise": {"sigma_e": 0.2}, "times": {"t_max": 20.0, "n_points": 81}}}
+
+
+@pytest.mark.parametrize("command, cfg, failure, exit_code", [
+    ("simulate", _SMALL_SIMULATE, (json, "dumps", ValueError), 2),
+    ("simulate", _SMALL_SIMULATE, (os, "replace", OSError), 3),
+    ("fit", _SMALL_FIT, (json, "dumps", ValueError), 2),
+    ("fit", _SMALL_FIT, (os, "replace", OSError), 3),
+    ("simulate", {"times": {"t_max": 5.0, "n_points": 2049}}, "mid-stream", 3),
+], ids=["csv-serialize", "csv-rename", "json-serialize", "json-rename", "csv-write"])
+def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, command, cfg, failure, exit_code):
     """Outputs are written to a temp file and renamed: a run that fails while
-    serializing or renaming leaves the earlier file as it was and no partial
-    file behind."""
+    serializing, writing or renaming leaves the earlier file as it was and no
+    partial file behind.  A trace CSV is written as it is formatted, a piece
+    of rows at a time; in the csv-write case its write fails when the header
+    and the first of three pieces of rows are in the temp file."""
     config, out = tmp_path / "cfg.json", tmp_path / "out"
     config.write_text(json.dumps(cfg))
     out.write_text("earlier output\n")
+    seen = []
+    if failure == "mid-stream":
+        _fail_mid_stream(monkeypatch, seen)
+    else:
+        module, name, error = failure
 
-    def fail(*args, **kwargs):
-        raise error(f"{name} failed")
+        def fail(*args, **kwargs):
+            raise error(f"{name} failed")
 
-    monkeypatch.setattr(module, name, fail)
+        monkeypatch.setattr(module, name, fail)
     code = main([command, "--config", str(config), "--out", str(out)])
     monkeypatch.undo()
     assert code == exit_code
     assert out.read_text() == "earlier output\n"
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
+    if failure == "mid-stream":
+        lines = seen[0].splitlines()
+        assert lines[0] == TRACE_HEADER and len(lines) == 1 + cli._ROWS_PER_PIECE
 
 
 @pytest.mark.parametrize("preset, message", [
