@@ -33,9 +33,9 @@ set's summed weights.
 The evaluator is a type-1 NUFFT by Gaussian gridding at oversampling 2
 (Dutt & Rokhlin 1993; Greengard & Lee 2004): each coefficient is spread in
 real arithmetic onto the 2 _SPREAD nearest bins of a frequency grid that
-covers the band, one chirp-z transform sums the bins at the grid times,
-and the result is shifted back by the first bin's frequency and divided by
-the Gaussian's transform.  Its error is at most _NUFFT_ERROR sum |coef|
+covers the band, a chirp-z transform sums the bins at the grid times a
+block at a time, and each block is shifted back by the first bin's
+frequency and divided by the Gaussian's transform.  Its error is at most _NUFFT_ERROR sum |coef|
 (2.1e-11 at 12 bins a side).  Every average takes this one path; there is
 no cost model and no second evaluator.
 
@@ -101,8 +101,8 @@ _NUFFT_ERROR = math.exp(-_GAUSS_A * _SPREAD ** 2) * (
 )
 
 # frequency bins of the evaluator: its chirp-z transform holds a few complex
-# arrays of twice this length; the default sweep grid and material presets
-# need at most 1,335
+# arrays of at most twice this length; the default sweep grid and material
+# presets need at most 1,335
 _MAX_BINS = 2 ** 22
 
 # node-count ceilings: per dimension about 5x what the default sweep grid and
@@ -112,10 +112,10 @@ _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
 
 # nodes per block of the 2D rule's weight evaluations and of the Monte Carlo
-# samples: a block holds about 20 arrays of its length at once.  The polar rule
-# of the sigma_e 1, sigma_j 0.5 cell at t_max 100 peaks at 7.2 MiB traced in one
-# block and 1.0 MiB in blocks of this size; Monte Carlo at 1e5 samples x 8,001
-# times at 10.8 and 3.2 MiB, 2.3 of it the three draws
+# samples, and the evaluator's least block of times: a block holds about 20
+# arrays of its length at once.  The polar rule of the sigma_e 1, sigma_j 0.5
+# cell at t_max 100 peaks at 7.2 MiB traced in one block and 1.0 MiB in blocks
+# of this size; Monte Carlo at 1e5 samples x 8,001 times at 10.8 and 3.2 MiB
 _SMALL_BLOCK = 2 ** 12
 
 # nodes per chunk of the tensor rule, to bound its memory: a chunk's
@@ -248,42 +248,45 @@ def _validate_times(times: np.ndarray) -> None:
             raise ValueError("times must be uniformly spaced")
 
 
-def _czt(x: np.ndarray, m: int, period: int) -> np.ndarray:
-    """Chirp-z transform X_j = sum_k x_k exp(-2 pi i j k / period), j < m (Bluestein 1968).
+def _czt(x: np.ndarray, m: int, period: int, starts=(0,)) -> Iterator[np.ndarray]:
+    """Chirp-z transform X_j = sum_k x_k exp(-2 pi i j k / period) in blocks (Bluestein 1968).
 
-    ``x`` is one row of n values or a (k, n) stack of rows; the result has
-    the same leading shape.  The chirp exp(-i pi k^2 / period) is taken from
-    its real phase, reduced exactly as the integer k^2 mod 2 period, so it
-    is rounded once, below 2 pi, at every length; the phase pi k^2 / period
-    itself, or a power of exp(-2 pi i / period), drifts in proportion to
-    k^2.  The convolution runs on the least 2^a 3^b 5^c >= n + m - 1
-    (``_smooth_length``), within 7% of it from 1,000 on, where a power of
-    two may be nearly twice it.  The chirp and the kernel's FFT are built
-    once and serve every row; each row is transformed on its own, in place
-    in one work array, so a row of a stack comes out bit for bit as it
-    would alone.  Apart from the result, three complex arrays are alive:
-    the chirp of max(m, n), the kernel and the work array.
+    Yields, for each j0 in ``starts``, X_j for j0 <= j < j0 + m: the
+    transform of x_k W^(j0 k), W = exp(-2 pi i / period) (the A of Rabiner,
+    Schafer & Rader 1969), in one array that the next block overwrites.
+    ``x`` is one row of n values or a (k, n) stack of rows; a block has the
+    same leading shape.  The chirp exp(-i pi k^2 / period) is taken from
+    its real phase, reduced exactly as the integer k^2 mod 2 period, and
+    W^(j0 k) from j0 k mod period, so each is rounded once, below 2 pi; a
+    power of exp(-2 pi i / period) drifts in proportion to k^2.  The
+    convolution runs on the least 2^a 3^b 5^c >= n + m - 1
+    (``_smooth_length``).  The chirp and the kernel's FFT are built once;
+    each row is transformed on its own, in place in one work array, so a
+    row of a stack comes out bit for bit as it would alone.  Beside the
+    block it holds the chirp of max(m, n), the kernel, the work array and
+    a twiddled chirp of n.
     """
     n = x.shape[-1]
-    k = np.arange(max(m, n))
-    chirp = (-1j * math.pi / period) * (k * k % (2 * period))
+    chirp = (-1j * math.pi / period) * (np.arange(max(m, n)) ** 2 % (2 * period))
     np.exp(chirp, out=chirp)  # in place: one complex array of max(m, n) at a time, not two
     nfft = _smooth_length(n + m - 1)
     kernel = np.zeros(nfft, dtype=complex)  # conj chirp at offsets 1 - n .. m - 1, from index 0
     np.conj(chirp[n - 1:0:-1], out=kernel[:n - 1])
     np.conj(chirp[:m], out=kernel[n - 1:n + m - 1])
     np.fft.fft(kernel, out=kernel)
-    rows = x.reshape(-1, n)
-    out = np.empty((len(rows), m), dtype=complex)
-    work = np.empty(nfft, dtype=complex)
-    for row, row_out in zip(rows, out):
-        np.multiply(row, chirp[:n], out=work[:n])
-        work[n:] = 0.0
-        np.fft.fft(work, out=work)
-        work *= kernel
-        np.fft.ifft(work, out=work)
-        np.multiply(work[n - 1:n + m - 1], chirp[:m], out=row_out)
-    return out.reshape(x.shape[:-1] + (m,))
+    work, out = np.empty(nfft, dtype=complex), np.empty(x.shape[:-1] + (m,), dtype=complex)
+    for start in starts:
+        head = (-2j * math.pi / period) * (start * np.arange(n) % period)  # W^(j0 k): 1 at j0 = 0
+        np.exp(head, out=head)
+        head *= chirp[:n]
+        for row, row_out in zip(x.reshape(-1, n), out.reshape(-1, m)):
+            np.multiply(row, head, out=work[:n])
+            work[n:] = 0.0
+            np.fft.fft(work, out=work)
+            work *= kernel
+            np.fft.ifft(work, out=work)
+            np.multiply(work[n - 1:n + m - 1], chirp[:m], out=row_out)
+        yield out
 
 
 def _smooth_length(n: int) -> int:
@@ -633,10 +636,12 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
     arithmetic: with a = h^2 / (4 tau) and x the node's offset from its bin,
     two exp per node, exp(-a x (x + 2 (m - 1))) and exp(2 a x), whose
     products with powers of the second and the tabulated exp(-a l^2) give
-    the weights exp(-a (l - x)^2) of bins l = -m + 1 .. m.  One
-    chirp-z transform sums the bins at the n_times grid times; the result is
-    shifted back by the first bin's frequency and divided by the Gaussian's
-    transform sqrt(4 pi tau) / h exp(-tau t^2).  Its error is at most
+    the weights exp(-a (l - x)^2) of bins l = -m + 1 .. m.  A chirp-z
+    transform sums the bins at b = min(n_times, max(_SMALL_BLOCK, n_bins))
+    grid times at a time, the last block ending at t_max (one block: the
+    whole window); each block is shifted back by the first bin's frequency
+    and divided by the Gaussian's transform sqrt(4 pi tau) / h exp(-tau t^2)
+    in place in the output.  Its error is at most
     _NUFFT_ERROR sum |coef_k| (2.1e-11 at m = 12), plus the rounding of the
     phases that ``_check_phase`` bounds; at t = 0 the sum is exact.
 
@@ -689,13 +694,22 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
                 mass[s, k:k + n_cells] += bell[k] * np.bincount(cell, weight, minlength=n_cells)
     n_times = len(times)
     steps = max(n_times - 1, 1)
-    t_frac = np.arange(n_times) / steps  # t / T on the grid
-    spectrum = _czt(mass, n_times, 4 * steps)  # phase step h dt = 2 pi / (4 steps)
-    shift = om_lo * times - (_SPREAD - 1) * 0.5 * math.pi * t_frac  # the first bin's phase
-    osc = spectrum.real * np.cos(shift) + spectrum.imag * np.sin(shift)
-    osc /= math.sqrt(math.pi / _GAUSS_A) * np.exp(-_GAUSS_A * _SPREAD ** 2 / 8.0 * t_frac ** 2)
-    osc[:, 0] = at_zero  # cos(0) = 1
-    return base[:, None] + osc, n_bins, [float(_NUFFT_ERROR * s) for s in abs_sum]
+    size = min(n_times, max(_SMALL_BLOCK, n_bins))  # times per block
+    starts = [*range(0, n_times - size, size), n_times - size]  # the last block ends at t_max
+    values = np.empty((len(mass), n_times))
+    for start, spectrum in zip(starts, _czt(mass, size, 4 * steps, starts)):  # h dt = 2 pi / (4 steps)
+        osc = values[:, start:start + size]
+        t_frac = np.arange(start, start + size, dtype=float)
+        t_frac /= steps  # t / T on the block
+        shift = om_lo * times[start:start + size]  # the first bin's phase
+        shift -= (_SPREAD - 1) * 0.5 * math.pi * t_frac
+        np.multiply(spectrum.real, np.cos(shift), out=osc)
+        spectrum.imag *= np.sin(shift, out=shift)
+        osc += spectrum.imag
+        osc /= math.sqrt(math.pi / _GAUSS_A) * np.exp(-_GAUSS_A * _SPREAD ** 2 / 8.0 * t_frac ** 2)
+        osc += base[:, None]
+    values[:, 0] = base + at_zero  # cos(0) = 1
+    return values, n_bins, [float(_NUFFT_ERROR * s) for s in abs_sum]
 
 
 @dataclass(frozen=True)
@@ -786,7 +800,7 @@ def _average(nodes: _NodeSet, initials: tuple, times: np.ndarray) -> list[tuple[
     """Average P over a node set for each initial state, in one ``_evaluate`` pass.
 
     Each chunk's terms carry one coefficient set per state.  Each sum is
-    divided by the summed weights.  Each state's metadata adds the
+    divided by the summed weights, in place.  Each state's metadata adds the
     evaluator's bin count and its error bound, in units of the averaged
     probability.
     """
@@ -800,7 +814,7 @@ def _average(nodes: _NodeSet, initials: tuple, times: np.ndarray) -> list[tuple[
             yield chunk
 
     values, n_bins, bounds = _evaluate(chunks(), nodes.band, times)
-    return [(v / mass, {**nodes.meta, "evaluator": "binned", "n_bins": n_bins, "error_bound": b / mass})
+    return [(np.divide(v, mass, out=v), {**nodes.meta, "evaluator": "binned", "n_bins": n_bins, "error_bound": b / mass})
             for v, b in zip(values, bounds)]
 
 
@@ -810,7 +824,7 @@ def _clip_probabilities(values: np.ndarray) -> np.ndarray:
             f"averaged probabilities left [0, 1] by more than 1e-6: "
             f"range [{values.min()!r}, {values.max()!r}]"
         )
-    return np.clip(values, 0.0, 1.0)
+    return np.clip(values, 0.0, 1.0, out=values)  # callers pass their own arrays
 
 
 def disorder_average_quadrature(p: ExchangeParams, spec: NoiseSpec, initial: str, times,
@@ -965,7 +979,7 @@ def disorder_average_mc(
     stderr_bound = math.sqrt((b_once + b_twice + (2.0 * np.abs(mean).max() + b1) * b1) / dof)
     return ProbabilityTrace(
         times=times,
-        values=_clip_probabilities(p0 + mean),
+        values=_clip_probabilities(np.add(p0, mean, out=mean)),
         initial=initial,
         method="monte-carlo",
         params=p,

@@ -239,7 +239,8 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
     span or the u span alone, as a float, must pass the caps; on shorter
     windows the set-up's own products are checked before it forms them.
     Widths above 1e153, whose variances' sums would overflow, raise with
-    inf nodes before any of this.
+    inf nodes before any of this, and a quadratic form that rounds to 0
+    raises ValueError.
     """
     w = disorder.QuadratureSpec.truncation_width
     if max(spec.sigma_e, spec.sigma_j1, spec.sigma_j2) > 1e153:
@@ -267,7 +268,11 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
     if v_gap > 0.0 and v_u > 0.0:
         spans = [t_max * float(gap_range[1] - gap_range[0]), t_max * 2.0 * half_u]  # Python floats: inf, no warning
         disorder._check_node_counts(scale * _gauss_points(spans, 2.0 * w).max())
-        return _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
+        try:
+            return _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
+        except ZeroDivisionError:
+            raise ValueError(f"noise widths sigma_e {spec.sigma_e:.6g}, sigma_j1 {spec.sigma_j1:.6g}, sigma_j2 "
+                             f"{spec.sigma_j2:.6g} are too far apart to integrate over t_max {t_max:.6g}") from None
     # a 1D limit in x: the gap with u = mu(gap), or u at the one gap m
     on_gap = v_gap > 0.0
     x0, var, (lo, hi) = (m, v_gap, gap_range) if on_gap else (mu0, v_u, (mu0 - half_u, mu0 + half_u))

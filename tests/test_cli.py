@@ -485,6 +485,20 @@ def test_frequency_square_overflow_exits_2_before_any_warning(tmp_path, capsys, 
     assert err == ["deoq-dyn: frequencies up to inf over t_max 10 overflow the bin grid"]
 
 
+def test_near_singular_noise_exits_2_without_traceback(tmp_path, capsys):
+    """Widths 1e28 apart on a window short enough to pass the node guard: the
+    polar set-up's quadratic form rounds to 0 along a line.  That raised an
+    uncaught ZeroDivisionError (a traceback, exit 1); it is invalid input,
+    named with the widths and the window."""
+    cfg = {"noise": {"sigma_e": 1e-8, "sigma_j1": 1e-8, "sigma_j2": 1e20}, "times": {"t_max": 1e-290, "n_points": 5}}
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["deoq-dyn: noise widths sigma_e 1e-08, sigma_j1 1e-08, sigma_j2 1e+20 are too far "
+                                "apart to integrate over t_max 1e-290"]
+
+
 def _broken_evaluator(chunks, band, times):
     """1.1 times each coefficient set's value at t = 0, at every time."""
     at_zero = sum(np.asarray(base) + coef.sum(axis=1) for _, coef, base in chunks)

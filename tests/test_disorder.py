@@ -766,7 +766,7 @@ def test_czt_matches_exact_dft(n, m):
     x = np.random.default_rng(n).normal(size=n).astype(complex)
     period = 2618  # 2 pi / period = 2.4e-3
     exact = np.exp(-2j * np.pi * (np.outer(np.arange(m), np.arange(n)) % period) / period) @ x
-    err = np.max(np.abs(_czt(x, m, period) - exact))
+    err = np.max(np.abs(next(_czt(x, m, period)) - exact))
     assert err <= 1e-12 * np.sum(np.abs(x))
 
 
@@ -785,24 +785,25 @@ def test_smooth_length_is_the_least_2_3_5_smooth_length():
 
 def test_czt_stacked_rows_match_single_rows_bit_for_bit():
     x = np.random.default_rng(7).normal(size=(3, 105))
-    stacked = _czt(x, 2001, 8000)
+    stacked = next(_czt(x, 2001, 8000))
     assert stacked.shape == (3, 2001)
     for row, out in zip(x, stacked):
-        assert np.array_equal(_czt(row, 2001, 8000), out)
+        assert np.array_equal(next(_czt(row, 2001, 8000)), out)
 
 
 def test_czt_peak_memory_on_a_materials_window():
-    """Two rows of 105 bins at 20,001 times: the result (0.61 MiB), the chirp,
-    the kernel and one work array of 20,250, about 1.7 MiB traced; with the
-    power-of-two padding of 32,768 and a new array per FFT it was 2.6 MiB."""
+    """Two rows of 105 bins at 20,001 times in one block: the result (0.61
+    MiB), the chirp, the kernel and one work array of 20,250, about 1.66 MiB
+    traced (1.81 while the chirp's integer index array stayed alive); with
+    the power-of-two padding of 32,768 and a new array per FFT it was 2.6 MiB."""
     x = np.random.default_rng(3).normal(size=(2, 105))
     tracemalloc.start()
     try:
-        _czt(x, 20_001, 80_000)
+        next(_czt(x, 20_001, 80_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert peak < 1.75 * 2 ** 20
 
 
 def test_czt_keeps_unit_modulus_at_large_size():
@@ -812,8 +813,109 @@ def test_czt_keeps_unit_modulus_at_large_size():
     """
     x = np.zeros(143_519, dtype=complex)
     x[-1] = 1.0
-    y = _czt(x, 20_001, 6_283_185)  # 2 pi / period = 1e-6
+    y = next(_czt(x, 20_001, 6_283_185))  # 2 pi / period = 1e-6
     assert np.max(np.abs(np.abs(y) - 1.0)) <= 1e-12
+
+
+def test_czt_blocks_match_exact_dft():
+    """A block at start j0 is the transform of x_k W^(j0 k): each of four
+    blocks, one starting off the grid of block lengths and one ending at
+    output 20,001, matches the exact DFT at its own outputs, and the one
+    at j0 = 0 is the plain transform.  The blocks share one buffer."""
+    x = np.random.default_rng(5).normal(size=(2, 105))
+    period, m, starts = 80_000, 1000, [0, 1000, 2500, 19_001]
+    blocks = [block.copy() for block in _czt(x, m, period, starts)]
+    for start, block in zip(starts, blocks):
+        j = np.arange(start, start + m)
+        exact = x @ np.exp(-2j * np.pi * (np.outer(np.arange(105), j) % period) / period)
+        assert np.max(np.abs(block - exact)) <= 1e-12 * np.abs(x).sum(axis=1).max()
+    assert np.array_equal(blocks[0], next(_czt(x, m, period)))
+
+
+def _band_chunks(n_bins, t_max, n_nodes=200, seed=11):
+    """One chunk of two coefficient sets on a band of n_bins bins over t_max, and the band."""
+    rng = np.random.default_rng(seed)
+    band = (1.0, 1.0 + (n_bins - 2 * disorder._SPREAD) * math.pi / (2.0 * t_max))
+    return [(rng.uniform(*band, n_nodes), rng.normal(size=(2, n_nodes)), [0.3, 0.1])], band
+
+
+def _czt_calls(monkeypatch):
+    """Record each _czt call's input, block length and starts."""
+    calls, czt = [], disorder._czt
+
+    def record(x, m, period, starts=(0,)):
+        calls.append((x.copy(), m, period, list(starts)))
+        return czt(x, m, period, starts)
+
+    monkeypatch.setattr(disorder, "_czt", record)
+    return calls
+
+
+B = disorder._SMALL_BLOCK
+
+
+@pytest.mark.parametrize("n_bins, n_times, blocks", [
+    (100, B - 1, 1), (100, B, 1), (100, B + 1, 2), (100, 3 * B + 1000, 4), (6000, 5001, 1),
+], ids=["b-1", "b", "b+1", "three-and-ragged", "wide-band"])
+def test_blocked_evaluator_matches_exact_sum(monkeypatch, n_bins, n_times, blocks):
+    """The evaluator sums its bins a block of b = max(4,096, n_bins) times at
+    a time, the last block ending at t_max; either side of a block edge, over
+    three blocks and a ragged rest, and on a band of more than 4,096 bins
+    (one block of all the times), it stays within its stated bound of the
+    exact cos sum."""
+    t_max = 400.0
+    times = np.linspace(0.0, t_max, n_times)
+    chunks, band = _band_chunks(n_bins, t_max)
+    calls = _czt_calls(monkeypatch)
+    values, got_bins, bounds = disorder._evaluate(chunks, band, times)
+    assert got_bins == n_bins
+    (_, m, _, starts), = calls
+    assert m == min(n_times, max(B, n_bins)) and len(starts) == blocks and starts[-1] + m == n_times
+    error = np.max(np.abs(values - _exact_sum(chunks, times)), axis=1)
+    assert np.all(error <= bounds)
+
+
+@pytest.mark.parametrize("n_bins, n_times", [(100, 801), (100, B), (6000, 5001)])
+def test_evaluator_within_one_block_is_the_whole_window_transform(monkeypatch, n_bins, n_times):
+    """A window of at most one block keeps the whole-window transform and its
+    tail bit for bit: one chirp-z of all the times, shifted back by the first
+    bin's phase and divided by the Gaussian's transform at once."""
+    times = np.linspace(0.0, 100.0, n_times)
+    chunks, band = _band_chunks(n_bins, times[-1])
+    calls = _czt_calls(monkeypatch)
+    values, _, _ = disorder._evaluate(chunks, band, times)
+    (mass, m, period, starts), = calls
+    assert (m, starts) == (n_times, [0])
+    steps = n_times - 1
+    t_frac = np.arange(n_times) / steps
+    spectrum = next(_czt(mass, n_times, 4 * steps))
+    a, m = disorder._GAUSS_A, disorder._SPREAD
+    shift = band[0] * times - (m - 1) * 0.5 * math.pi * t_frac
+    osc = spectrum.real * np.cos(shift) + spectrum.imag * np.sin(shift)
+    osc /= math.sqrt(math.pi / a) * np.exp(-a * m ** 2 / 8.0 * t_frac ** 2)
+    (_, coef, base), = chunks
+    osc[:, 0] = [c.sum() for c in coef]
+    assert np.array_equal(values, np.asarray(base)[:, None] + osc)
+
+
+@pytest.mark.parametrize("n_times, limit_mib", [(20_001, 0.8), (400_001, 8.0)])
+def test_evaluator_peak_memory_is_its_output_and_one_block(n_times, limit_mib):
+    """Two sets on about 100 bins: the output (0.31 MiB at 20,001 times, 6.1
+    at 400,001) and one block's transform and tail, about 0.45 MiB; the
+    evaluator peaked at 0.76 and 6.57 MiB traced here, where one transform
+    of all the times took 1.85 and 36.8.  A first call fills numpy's cache
+    of FFT plans, which outlives the evaluator."""
+    times = np.linspace(0.0, 2530.0, n_times)
+    chunks, band = _band_chunks(104, times[-1], n_nodes=300)
+    disorder._evaluate(chunks, band, times)
+    tracemalloc.start()
+    try:
+        values, n_bins, _ = disorder._evaluate(chunks, band, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_bins == 104 and values.shape == (2, n_times)
+    assert peak < limit_mib * 2 ** 20
 
 
 def test_ndtr_matches_erfc_on_dense_grid():

@@ -5,15 +5,27 @@ cells, one trace each, and the material points, one node set for both
 initial states of a point.  Per run it prints, from the trace metadata, the
 weight evaluations (``n_nodes``) and the terms (``n_r``) summed over the
 node sets with the largest of each and its cell, the largest ``n_bins``,
-and the Gauss-Legendre rules the run asked for and built, from
-``_leggauss.cache_info()``, emptied before each run.
+the largest tracemalloc peak of one average (its node set, evaluator
+pass and clipping) with its cell, and the Gauss-Legendre rules the run
+asked for and built, from ``_leggauss.cache_info()``, emptied before each
+run.  A peak includes what an average leaves cached, such as a Gauss rule
+or numpy's FFT plan for a new length, the first time it is built.
 Usage: python3 tools/rule_counts.py
 """
-import pathlib, sys
+import pathlib, sys, tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from deoq_dyn import disorder, sweep  # noqa: E402
 from deoq_dyn.qubit import ExchangeParams  # noqa: E402
+
+
+def traced(average, *args):
+    """average(*args) and its tracemalloc peak in MiB."""
+    tracemalloc.start()
+    try:
+        return average(*args), tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def sweep_metas():
@@ -21,8 +33,9 @@ def sweep_metas():
     for se in grid.sigma_e_values:
         for sj in grid.sigma_j_values:
             noise = disorder.NoiseSpec(se, sj, sj, grid.params.j1, grid.params.j2)
-            trace = disorder.disorder_average_quadrature(grid.params, noise, grid.initial, grid.times, q=grid.quadrature)
-            yield f"sigma_e {se}, sigma_j {sj}", trace.metadata
+            trace, peak = traced(disorder.disorder_average_quadrature, grid.params, noise, grid.initial, grid.times,
+                                 grid.quadrature)
+            yield f"sigma_e {se}, sigma_j {sj}", trace.metadata, peak
 
 
 def materials_metas():
@@ -31,8 +44,9 @@ def materials_metas():
         for sj_ev in sweep.default_material_sigma_j_ev():
             sj = float(sj_ev) / j0
             noise = disorder.NoiseSpec(preset.sigma_e_floor_ev / j0, sj, sj, p.j1, p.j2)
-            traces = disorder._quadrature_traces(p, noise, ("zero", "superposition"), sweep.suggested_time_grid(noise))
-            yield f"{preset.name} at sigma_j {sj_ev * 1e6:.4g} ueV", traces[0].metadata
+            traces, peak = traced(disorder._quadrature_traces, p, noise, ("zero", "superposition"),
+                                  sweep.suggested_time_grid(noise))
+            yield f"{preset.name} at sigma_j {sj_ev * 1e6:.4g} ueV", traces[0].metadata, peak
 
 
 def report(name, metas):
@@ -41,10 +55,12 @@ def report(name, metas):
     info = disorder._leggauss.cache_info()
     print(f"{name}: {len(metas)} node sets")
     for key in ("n_nodes", "n_r"):
-        total = sum(meta[key] for _, meta in metas)
-        cell, top = max(((cell, meta[key]) for cell, meta in metas), key=lambda item: item[1])
+        total = sum(meta[key] for _, meta, _ in metas)
+        cell, top = max(((cell, meta[key]) for cell, meta, _ in metas), key=lambda item: item[1])
         print(f"  {key}: {total:,} in all, at most {top:,} ({cell})")
-    print(f"  n_bins: at most {max(meta['n_bins'] for _, meta in metas):,}")
+    print(f"  n_bins: at most {max(meta['n_bins'] for _, meta, _ in metas):,}")
+    cell, _, peak = max(metas, key=lambda item: item[2])
+    print(f"  traced peak of one average: at most {peak:.2f} MiB ({cell})")
     print(f"  Gauss-Legendre rules: {info.hits + info.misses:,} asked for, {info.misses:,} built")
 
 
