@@ -7,9 +7,9 @@ envelope is collected from the trace's strict local maxima and fitted with
 
 by bounded least squares.  The amplitudes p_infinity and p_start enter
 linearly and are solved in closed form for each (t2_star, alpha), so the fit
-searches those two only: a fixed grid scored from per-column sums, then
-Levenberg-Marquardt steps on the variable-projection residual, with no
-restarts and no start guesses.  T2* comes out in hbar/j0 units;
+searches those two only: Levenberg-Marquardt steps on the
+variable-projection residual, from the line through the points on a
+Weibull plot, with no restarts.  T2* comes out in hbar/j0 units;
 ``PhysicalScale`` converts to seconds and ``quality_factor`` maps the
 dimensionless product j0*T2* to Q = exp(-1/(j0 T2*)).
 """
@@ -31,13 +31,9 @@ _NO_DECAY_AMPLITUDE = 0.02
 
 _ALPHA_BOUNDS = (0.5, 4.0)
 
-# the fit's search box in (log(t2_star / t_max), alpha), and the grid over
-# it whose best profiled SSE starts the polish; over the 207 fits of the
-# benchmark and the default grids, a 61 x 18 grid left one T2* 16% off
+# the fit's search box in (log(t2_star / t_max), alpha)
 _BOX_LO = np.array([math.log(1e-9), _ALPHA_BOUNDS[0]])
 _BOX_HI = np.array([math.log(10.0), _ALPHA_BOUNDS[1]])
-_LOG_T2_GRID = np.linspace(_BOX_LO[0], _BOX_HI[0], 121)
-_ALPHA_GRID = np.linspace(_BOX_LO[1], _BOX_HI[1], 36)
 
 
 @dataclass(frozen=True)
@@ -133,11 +129,6 @@ def extract_upper_envelope(trace: ProbabilityTrace) -> np.ndarray:
     return _envelope_points(trace.times, trace.values)
 
 
-def _ratio(num, den):
-    """num / den where den > 0, and 0 where the points leave an amplitude undetermined."""
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
 def _amplitudes(e: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> tuple[float, float, float]:
     """Best (sse, p_inf, p_start) at one (t2, alpha), in closed form.
 
@@ -179,70 +170,35 @@ def _amplitudes(e: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> t
     return float(sse[best]), float(p_inf[best, 0]), float(p_start[best, 0])
 
 
-def _grid_sse(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> np.ndarray:
-    """Profiled SSE at every (alpha, log t2) point of the start grid, from sums.
+def _start(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> list:
+    """(log(t2 / t_max), alpha) of the Weibull-plot line through the points, where the polish starts.
 
-    u and v are the point times (in units of t_max) and values.  Each alpha
-    row builds e = exp(-(u/t2)^alpha) once, in one n x 121 buffer that
-    serves every row, and keeps its column sums S1 = sum e, S2 = sum e^2 and Sew = sum e w,
-    with w = v - mean(v).  The four candidates of ``_amplitudes`` are closed
-    forms in these sums, and candidate (p_inf, p_start) has the SSE
-    n a^2 + 2 a b S1 + b^2 S2 - 2 b Sew + sum w^2, with a = p_inf - mean(v)
-    and b = p_start - p_inf.  The sums cancel where e is nearly constant, so
-    only the grid's argmin depends on them; the polish and every reported
-    number use ``_amplitudes`` on residual arrays.
-
-    In the columns of small t2, (u/t2)^alpha exceeds 746 at the smallest
-    u > 0, and so at every u > 0: exp underflows to exactly 0 there, and e
-    is 1 at u = 0 and 0 elsewhere.  Those columns take their sums in closed
-    form (the count of points at u = 0 for S1 and S2, their summed w for
-    Sew), equal to what the exponentials would give.  The rest evaluate exp
-    only where its argument is above -746 and take exactly 0 below, where an
-    exp that underflows costs several times a normal one; the grid is bit
-    for bit the one with exp evaluated everywhere.
+    u and v are the point times (in units of t_max) and values.  A
+    stretched exponential is a straight line on a Weibull plot: with
+    y = (v - p_inf) / (p_start - p_inf), log(-log y) = alpha log u -
+    alpha log t2 (Weibull 1951; Williams & Watts 1970).  p_start is the
+    fixed start or the largest of the first 5% of the values, and p_inf the
+    mean of the last tenth.  The points with u > 0 and y in (0.02, 0.98)
+    give the line by least squares in closed form; its slope is alpha and
+    its root log t2, both clipped into the box.  With fewer than two such
+    points, or a slope that is not positive, the start is alpha = 1,
+    t2 = 0.3 t_max.
     """
-    n, v_mean = len(v), float(np.mean(v))
-    w = v - v_mean
-    n_zero = int(u[0] == 0.0)  # the times increase: only the first can be 0
-    u_min, w_zero = u[n_zero], w[:n_zero].sum()  # the smallest u > 0; w summed over u = 0
-    s1, s2, sew = (np.empty((len(_ALPHA_GRID), len(_LOG_T2_GRID))) for _ in range(3))
-    flat, live = np.empty(n * len(_LOG_T2_GRID)), np.empty(n * len(_LOG_T2_GRID), dtype=bool)
-    for i, alpha in enumerate(_ALPHA_GRID):
-        col = np.exp(-alpha * _LOG_T2_GRID)  # t2^-alpha, falling along the row
-        # the first column where exp(-(u_min/t2)^alpha) may not underflow
-        first = np.searchsorted(-(u_min ** alpha) * col, -746.0)
-        s1[i, :first] = s2[i, :first] = n_zero
-        sew[i, :first] = w_zero
-        shape = (n, len(col) - first)
-        size = shape[0] * shape[1]
-        e = np.multiply.outer(-(u ** alpha), col[first:], out=flat[:size].reshape(shape))  # -(u / t2)^alpha
-        # exp above -746; max(e, 0) turns the arguments left below into exact 0s
-        np.exp(e, out=e, where=np.greater(e, -746.0, out=live[:size].reshape(shape)))
-        np.maximum(e, 0.0, out=e)
-        # einsum, not a BLAS product: with OpenBLAS that touched 2.5 MiB of
-        # library pages and buffers and raised a sweep's peak RSS as much
-        s1[i, first:], sew[i, first:], s2[i, first:] = e.sum(0), np.einsum("i,ij->j", w, e), np.einsum("ij,ij->j", e, e)
-    sev = sew + v_mean * s1
-
-    def pinned(start):  # p_start = start, p_inf clipped to [0, start]
-        return np.clip(_ratio(n * v_mean - sev - start * (s1 - s2), n - 2.0 * s1 + s2), 0.0, start), start
-
-    def sse(p_inf, p_start):
-        a, b = p_inf - v_mean, p_start - p_inf
-        return n * a * a + 2.0 * a * b * s1 + b * b * s2 - 2.0 * b * sew + float(w @ w)
-
-    if fixed_start is not None:
-        return sse(*pinned(fixed_start))
-    slope = _ratio(sew, s2 - s1 * s1 / n)
-    line = v_mean - slope * s1 / n
-    top = np.clip(line + slope, 0.0, 1.0)
-    level = min(max(v_mean, 0.0), 1.0)
-    return np.minimum.reduce([
-        sse(np.minimum(np.clip(line, 0.0, 1.0), top), top),
-        sse(*pinned(1.0)),
-        sse(0.0, np.clip(_ratio(sev, s2), 0.0, 1.0)),
-        np.broadcast_to(sse(level, level), s1.shape),
-    ])
+    n = len(v)
+    p_start = fixed_start if fixed_start is not None else float(v[:math.ceil(0.05 * n)].max())
+    p_inf = float(v[-math.ceil(0.1 * n):].mean())
+    if p_inf < p_start:
+        y = (v - p_inf) / (p_start - p_inf)
+        band = (u > 0) & (y > 0.02) & (y < 0.98)
+        if np.count_nonzero(band) >= 2:
+            x, z = np.log(u[band]), np.log(-np.log(y[band]))
+            x_mean, z_mean = x.sum() / len(x), z.sum() / len(z)
+            xc = x - x_mean
+            slope = float(xc @ (z - z_mean)) / float(xc @ xc)
+            if slope > 0:
+                return [min(max(x_mean - z_mean / slope, _BOX_LO[0]), _BOX_HI[0]),
+                        min(max(slope, _BOX_LO[1]), _BOX_HI[1])]
+    return [math.log(0.3), 1.0]
 
 
 def _project_out(cols: list, basis: list) -> list:
@@ -364,14 +320,14 @@ def fit_envelope(
     under 0 <= p_infinity <= p_start <= 1, t2_star in [1e-9, 10] t_max and
     alpha in [0.5, 4].  For fixed (t2_star, alpha) the amplitudes have a
     closed form (``_amplitudes``), so the search runs over
-    (log(t2_star / t_max), alpha) only.  The profiled SSE on a 121 x 36 grid
-    spanning the whole box (``_grid_sse``, from column sums) picks the
-    start.  From there ``minimize`` takes box-projected Levenberg-Marquardt
-    steps on the residual of the best amplitudes, with Kaufman's Jacobian:
-    the derivative of F with the amplitudes held fixed, less its projection
-    on the amplitudes that are free of their constraints (Kaufman 1975;
-    Golub & Pereyra 2003).  The result is deterministic, and scaling the
-    times and t_max scales t2_star alike.
+    (log(t2_star / t_max), alpha) only.  The start is the Weibull-plot line
+    through the points (``_start``, in closed form).  From there
+    ``minimize`` takes box-projected Levenberg-Marquardt steps on the
+    residual of the best amplitudes, with Kaufman's Jacobian: the derivative
+    of F with the amplitudes held fixed, less its projection on the
+    amplitudes that are free of their constraints (Kaufman 1975; Golub &
+    Pereyra 2003).  The result is deterministic, and scaling the times and
+    t_max scales t2_star alike.
 
     Parameters
     ----------
@@ -409,8 +365,6 @@ def fit_envelope(
 
     # in units of t_max the search is the same for every time scale
     u, v = te / t_max, ve
-    grid = _grid_sse(u, v, fixed_start)
-    i, k = np.unravel_index(np.argmin(grid), grid.shape)
     log_u = np.log(u, out=np.zeros_like(u), where=u > 0)
 
     def profiled(log_t2, alpha):  # sse, p_inf, p_start, e and (u / t2)^alpha at one point
@@ -428,7 +382,7 @@ def fit_envelope(
             [] if fixed_start is not None or p_start == 1.0 else [e])
         return p_inf + (p_start - p_inf) * e - v, _project_out([alpha * de, (log_t2 - log_u) * de], free)
 
-    res = minimize(residual, [_LOG_T2_GRID[k], _ALPHA_GRID[i]], _BOX_LO, _BOX_HI)
+    res = minimize(residual, _start(u, v, fixed_start), _BOX_LO, _BOX_HI)
     log_t2, alpha = res.x
     sse, p_inf, p_start, _, _ = profiled(log_t2, alpha)
     t2 = t_max * float(np.exp(log_t2))

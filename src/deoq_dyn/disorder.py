@@ -371,9 +371,13 @@ def _check_node_counts(*counts: float) -> None:
 
     ``counts`` are the nodes per dimension; they may be floats, even inf,
     so that a count is checked before ``math.ceil`` would overflow on it.
+    A nan count, which no cap can bound, raises ArithmeticError: it is a
+    rounding residue of a set-up, which its caller names.
     """
     widest, total = max(counts), math.prod(max(n, 1) for n in counts)
-    if widest > _MAX_DIM_NODES or total > _MAX_TENSOR_NODES:
+    if math.isnan(total):
+        raise ArithmeticError("a quadrature node count is nan")
+    if not (widest <= _MAX_DIM_NODES and total <= _MAX_TENSOR_NODES):
         raise ValueError(
             f"quadrature needs {np.ceil(widest):.6g} nodes in one dimension and "
             f"{np.ceil(total):.6g} in the tensor, above the limits of {_MAX_DIM_NODES} "

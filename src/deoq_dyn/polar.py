@@ -240,7 +240,8 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
     windows the set-up's own products are checked before it forms them.
     Widths above 1e153, whose variances' sums would overflow, raise with
     inf nodes before any of this, and a quadratic form that rounds to 0
-    raises ValueError.
+    raises ValueError, as does a width that rounds below 0 and so makes a
+    node count nan.
     """
     w = disorder.QuadratureSpec.truncation_width
     if max(spec.sigma_e, spec.sigma_j1, spec.sigma_j2) > 1e153:
@@ -270,7 +271,7 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
         disorder._check_node_counts(scale * _gauss_points(spans, 2.0 * w).max())
         try:
             return _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
-        except ZeroDivisionError:
+        except ArithmeticError:  # a quadratic form that rounded to 0, or a width below it
             raise ValueError(f"noise widths sigma_e {spec.sigma_e:.6g}, sigma_j1 {spec.sigma_j1:.6g}, sigma_j2 "
                              f"{spec.sigma_j2:.6g} are too far apart to integrate over t_max {t_max:.6g}") from None
     # a 1D limit in x: the gap with u = mu(gap), or u at the one gap m

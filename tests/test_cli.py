@@ -499,6 +499,24 @@ def test_near_singular_noise_exits_2_without_traceback(tmp_path, capsys):
                                 "apart to integrate over t_max 1e-290"]
 
 
+# the rounding residue below 0 and the width of 0 that make the count nan warn
+# on their way; closing those warnings is a condition-number guard of its own
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning",
+                            "ignore:divide by zero encountered in divide:RuntimeWarning")
+def test_nan_node_count_exits_2_without_traceback(tmp_path, capsys):
+    """Widths 1e30 apart on a window of 1e-100: the polar set-up's arc
+    widths round to below 0 (nan) and to 0 (inf), so the r rule's summed
+    count is nan.  nan > cap is False, so it passed the caps and its
+    int() raised an uncaught OverflowError (a traceback, exit 1)."""
+    cfg = {"noise": {"sigma_e": 0.1, "sigma_j1": 1e20, "sigma_j2": 1e50}, "times": {"t_max": 1e-100, "n_points": 11}}
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["deoq-dyn: noise widths sigma_e 0.1, sigma_j1 1e+20, sigma_j2 1e+50 are too far "
+                                "apart to integrate over t_max 1e-100"]
+
+
 def _broken_evaluator(chunks, band, times):
     """1.1 times each coefficient set's value at t = 0, at every time."""
     at_zero = sum(np.asarray(base) + coef.sum(axis=1) for _, coef, base in chunks)
