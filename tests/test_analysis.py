@@ -198,6 +198,92 @@ def test_fit_matches_recorded_optimum(case):
         assert fit.t2_star == pytest.approx(case["t2_star"], rel=1e-8)
 
 
+# the 121 x 36 start grid the Weibull-plot start replaced, over the fit's box
+_GRID_LOG_T2 = np.linspace(analysis._BOX_LO[0], analysis._BOX_HI[0], 121)
+_GRID_ALPHA = np.linspace(analysis._BOX_LO[1], analysis._BOX_HI[1], 36)
+
+
+def _grid_sse(u, v, fixed_start):
+    """The profiled SSE at every point of the start grid, with exp evaluated
+    at every grid point and envelope point: columns where exp(-(u/t2)^alpha)
+    underflows at every u > 0 and columns that run through the subnormal
+    band included."""
+    n, v_mean = len(v), float(np.mean(v))
+    w = v - v_mean
+    s1, s2, sew = (np.empty((len(_GRID_ALPHA), len(_GRID_LOG_T2))) for _ in range(3))
+    for i, alpha in enumerate(_GRID_ALPHA):
+        e = np.exp(np.multiply.outer(-(u ** alpha), np.exp(-alpha * _GRID_LOG_T2)))
+        s1[i], sew[i], s2[i] = e.sum(0), np.einsum("i,ij->j", w, e), np.einsum("ij,ij->j", e, e)
+    sev = sew + v_mean * s1
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+    def pinned(start):
+        return np.clip(ratio(n * v_mean - sev - start * (s1 - s2), n - 2.0 * s1 + s2), 0.0, start), start
+
+    def sse(p_inf, p_start):
+        a, b = p_inf - v_mean, p_start - p_inf
+        return n * a * a + 2.0 * a * b * s1 + b * b * s2 - 2.0 * b * sew + float(w @ w)
+
+    if fixed_start is not None:
+        return sse(*pinned(fixed_start))
+    slope = ratio(sew, s2 - s1 * s1 / n)
+    line = v_mean - slope * s1 / n
+    top = np.clip(line + slope, 0.0, 1.0)
+    level = min(max(v_mean, 0.0), 1.0)
+    return np.minimum.reduce([
+        sse(np.minimum(np.clip(line, 0.0, 1.0), top), top),
+        sse(*pinned(1.0)),
+        sse(0.0, np.clip(ratio(sev, s2), 0.0, 1.0)),
+        np.broadcast_to(sse(level, level), s1.shape),
+    ])
+
+
+def _assert_fit_beats_grid(points, fixed_start, t_max):
+    """The fit's SSE is no larger than the grid's best, within the rounding
+    bound of ``test_fit_matches_recorded_optimum``."""
+    fit = fit_envelope(points, fixed_start=fixed_start, t_max=t_max)
+    assert np.isfinite(fit.sse)
+    best = float(_grid_sse(points[:, 0] / t_max, points[:, 1], fixed_start).min())
+    rounding = 4 * np.finfo(float).eps * math.sqrt(best * np.sum((np.abs(points[:, 1]) + 1) ** 2))
+    assert fit.sse <= best * (1 + 1e-12) + rounding, (fit, best)
+
+
+_LATE = np.r_[0.0, np.linspace(60.0, 100.0, 30)]  # the smallest t > 0 is 0.6 t_max
+
+GRID_CASES = [(np.array(c["points"]), c["fixed_start"], c["t_max"]) for c in FIT_REGRESSION] + [
+    (np.column_stack([np.linspace(1.0, 100.0, 20), stretched(np.linspace(1.0, 100.0, 20), 0.3, 1.0, 20.0, 1.0)]),
+     None, 100.0),  # no point at t = 0
+    (np.column_stack([_LATE, stretched(_LATE, 0.4, 0.95, 70.0, 2.0)]), None, 100.0),
+    (np.column_stack([_LATE, stretched(_LATE, 0.4, 1.0, 70.0, 2.0)]), 1.0, 100.0),
+]
+
+
+@pytest.mark.parametrize("points, fixed_start, t_max", GRID_CASES,
+                         ids=[c["name"] for c in FIT_REGRESSION] + ["no-zero", "late", "late-pinned"])
+def test_grid_sse_skips_only_columns_that_underflow(points, fixed_start, t_max):
+    """From the Weibull-plot start, the polish ends no worse than the best
+    point of the 121 x 36 start grid it replaced, scored with exp at every
+    point, where most of the "late" cases' columns underflow to 0."""
+    _assert_fit_beats_grid(points, fixed_start, t_max)
+
+
+@pytest.mark.parametrize("fixed_start", [None, 0.9])
+def test_grid_sse_skips_exp_only_where_it_is_zero(fixed_start):
+    """On an envelope whose exp(-(u/t2)^alpha) runs through the subnormal
+    band into exact zeros over the box, the fit ends no worse than the best
+    point of the 121 x 36 start grid.  The points include u = 0."""
+    u = np.r_[0.0, np.geomspace(1e-3, 1.0, 60)]
+    v = stretched(u, 0.1, 0.9, 0.05, 1.5)
+    # -(u / t2)^alpha, by alpha, point u > 0 and log t2
+    arg = -np.array([np.multiply.outer(u[1:] ** a, np.exp(-a * _GRID_LOG_T2)) for a in _GRID_ALPHA])
+    values = np.exp(arg)
+    assert np.any((values > 0.0) & (values < np.finfo(float).tiny))  # subnormal
+    assert np.any((arg[:, :1, :] > -746.0) & (arg <= -746.0))  # exact zeros in columns not all zero
+    _assert_fit_beats_grid(np.column_stack([u, v]), fixed_start, 1.0)
+
+
 def _model_envelopes():
     """Noise-free model envelopes whose T2* spans at least 3 point spacings:
     (points, fixed_start, t2_star) over alpha 0.5-4, 20-400 points, p_inf
