@@ -180,9 +180,9 @@ def _start(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> list:
     fixed start or the largest of the first 5% of the values, and p_inf the
     mean of the last tenth.  The points with u > 0 and y in (0.02, 0.98)
     give the line by least squares in closed form; its slope is alpha and
-    its root log t2, both clipped into the box.  With fewer than two such
-    points, or a slope that is not positive, the start is alpha = 1,
-    t2 = 0.3 t_max.
+    its root log t2, both clipped into the box.  One such point gives the
+    line of slope 1 through it.  With no such point, or a slope that is not
+    positive, the start is alpha = 1, t2 = 0.3 t_max.
     """
     n = len(v)
     p_start = fixed_start if fixed_start is not None else float(v[:math.ceil(0.05 * n)].max())
@@ -190,11 +190,12 @@ def _start(u: np.ndarray, v: np.ndarray, fixed_start: Optional[float]) -> list:
     if p_inf < p_start:
         y = (v - p_inf) / (p_start - p_inf)
         band = (u > 0) & (y > 0.02) & (y < 0.98)
-        if np.count_nonzero(band) >= 2:
+        if band.any():
             x, z = np.log(u[band]), np.log(-np.log(y[band]))
             x_mean, z_mean = x.sum() / len(x), z.sum() / len(z)
             xc = x - x_mean
-            slope = float(xc @ (z - z_mean)) / float(xc @ xc)
+            spread = float(xc @ xc)
+            slope = float(xc @ (z - z_mean)) / spread if spread else 1.0  # one point: slope 1 through it
             if slope > 0:
                 return [min(max(x_mean - z_mean / slope, _BOX_LO[0]), _BOX_HI[0]),
                         min(max(slope, _BOX_LO[1]), _BOX_HI[1])]

@@ -42,7 +42,10 @@ no cost model and no second evaluator.
 The Monte Carlo average hands its N samples to the same evaluator as nodes
 of weight 1/N, in blocks of _SMALL_BLOCK: one pass sums the mean and the
 second moment's cos(omega t) part, another its cos(2 omega t) part on the
-doubled band.  Only the three draws are held whole, 24 bytes a sample.
+doubled band.  Its band, like the tensor rule's, is ``_band`` over the u
+and gap brackets of its draws' ranges (``_brackets``), so each block's
+terms are formed once per pass and never for a band of their own.  Only
+the three draws are held whole, 24 bytes a sample.
 Its standard errors come from E[X^2] - E[X]^2 with a stated bound for the
 cancellation.  Monte Carlo thus checks the quadrature's node sets, not the
 evaluator, which the tests hold against the exact cos-matrix sum.
@@ -576,12 +579,6 @@ def _nodes_delta_e(sigma_e: float, q: QuadratureSpec) -> tuple[np.ndarray, np.nd
     return _pdf_legendre(q.n_hermite, 0.0, s, -q.truncation_width * s, q.truncation_width)
 
 
-def _check_grid(om_max: float, t_max: float) -> None:
-    """Reject frequencies up to om_max whose bin index over t_max would leave the float range."""
-    if not om_max * (2.0 * t_max / math.pi) < 2.0 ** 1023:  # NaN fails too
-        raise ValueError(f"frequencies up to {om_max:.6g} over t_max {t_max:.6g} overflow the bin grid")
-
-
 def _check_phase(om_max: float, t_max: float) -> None:
     """Reject phases om_max t_max whose rounding alone exceeds 1e-6 rad."""
     if not om_max * t_max <= _MAX_PHASE:  # NaN fails too
@@ -613,6 +610,12 @@ def _band(j_prime: float, u_range: tuple, gap_range: tuple) -> tuple[float, floa
     margin = _BAND_MARGIN * (abs(j_prime) + max(abs(u_lo), abs(u_hi)) + g_max)
     om_lo = math.sqrt(d_min * d_min + 0.75 * g_min * g_min) - margin
     return max(0.0, om_lo), math.sqrt(d_max * d_max + 0.75 * g_max * g_max) + margin
+
+
+def _brackets(j1, j2, delta_e) -> tuple[tuple, tuple]:
+    """The u and gap brackets, as Python floats, over the ranges of these j1, j2 and delta_e values."""
+    (lo1, hi1), (lo2, hi2), (lo_e, hi_e) = ((float(x.min()), float(x.max())) for x in (j1, j2, delta_e))
+    return (0.5 * (lo1 + lo2) - hi_e, 0.5 * (hi1 + hi2) - lo_e), (lo1 - hi2, hi1 - lo2)
 
 
 def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
@@ -657,7 +660,8 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
     om_lo, om_max = band
     t_max = float(times[-1])
     per_bin = 2.0 * t_max / math.pi  # 1 / h
-    _check_grid(om_max, t_max)
+    if not om_max * per_bin < 2.0 ** 1023:  # a bin index past the float range; NaN fails too
+        raise ValueError(f"frequencies up to {om_max:.6g} over t_max {t_max:.6g} overflow the bin grid")
     _check_phase(om_max if om_phase is None else om_phase, t_max)
     n_cells = math.floor((om_max - om_lo) * per_bin) + 1
     n_bins = n_cells + 2 * _SPREAD - 1
@@ -774,8 +778,7 @@ def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, scale: int
 
     return _NodeSet(
         chunks=chunks(),
-        band=_band(j_prime, (0.5 * (x1.min() + x2.min()) - xe.max(), 0.5 * (x1.max() + x2.max()) - xe.min()),
-                   (x1.min() - x2.max(), x1.max() - x2.min())),
+        band=_band(j_prime, *_brackets(x1, x2, xe)),
         meta={"rule": "tensor", "n_delta_e": len(xe), "n_j1": len(x1), "n_j2": len(x2),
               "n_nodes": len(x1) * len(x2) * len(xe), "quadrature_spec": q,
               "delta_e_rule": q.delta_e_rule if spec.sigma_e > 0 else "collapsed"},
@@ -919,19 +922,23 @@ def disorder_average_mc(
     given seed.
 
     The N samples are nodes of weight 1/N for ``_evaluate``.  Only the three
-    draws are held whole: the ranges, the band and each evaluator pass form
-    one block of _SMALL_BLOCK samples' terms at a time.  Up to one block the
-    trace is bit for bit that of one whole pass; past it the sums round
-    differently.  E[X] is
-    mean(amp)/2 - sum_k amp_k / (2 N) cos(omega_k t), on the band
-    [min omega, max omega].  E[X^2] is the mean of amp^2 (3/8 - cos(omega t)/2
+    draws are held whole: each evaluator pass forms one block of
+    _SMALL_BLOCK samples' terms at a time.  Up to one block the trace is
+    bit for bit that of one whole pass; past it the sums round differently.
+    The band is ``_band`` over the u and gap brackets of the draws' ranges
+    (``_brackets``), as for the tensor rule, so no frequency is formed
+    before the first pass checks it on the bin grid.  E[X] is
+    mean(amp)/2 - sum_k amp_k / (2 N) cos(omega_k t), on that band
+    [om_lo, om_max].  E[X^2] is the mean of amp^2 (3/8 - cos(omega t)/2
     + cos(2 omega t)/8); its cos(omega t) part is summed in the mean's pass,
     as a second coefficient set, and its cos(2 omega t) part on
-    [2 min omega, 2 max omega], whose phase is checked on max omega t_max
-    like the others.  The standard error is
+    [2 om_lo, 2 om_max], whose phase is checked on om_max t_max like the
+    others.  The standard error is
     sqrt(max(E[X^2] - E[X]^2, 0) / (N - 1)), and at t = 0, where the mean is
-    exactly p0, it is 0, as it is at every time when all samples share
-    omega and amp (zero noise), where the difference would leave a
+    exactly p0, it is 0, as it is at every time when the u bracket and the
+    gap bracket are each one point (zero noise, or widths that round away
+    in u and the gap): every sample then shares u and gap, and so omega and amp
+    up to the rounding of its terms, and the difference would leave a
     rounding residue.  With b1 the mean's evaluator bound and b2 the
     summed bounds of the two E[X^2] sums, a standard error is off by at most
     sqrt(b2 + 2 |E[X]| b1 + b1^2) / sqrt(N - 1).  The metadata records the
@@ -947,24 +954,17 @@ def disorder_average_mc(
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     j1, j2, delta_e = sample_noise(np.random.default_rng(seed), spec, size=n_samples)
 
-    def blocks(terms=True):  # each block's omega, amp and amp^2, or with terms=False its u and gap
+    def blocks():  # each block's omega, amp and amp^2
         for s in range(0, n_samples, _SMALL_BLOCK):
             block = j1[s:s + _SMALL_BLOCK], j2[s:s + _SMALL_BLOCK], delta_e[s:s + _SMALL_BLOCK]
-            if terms:
-                omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, *block)
-                amp = -amp_zero if initial == "zero" else 0.5 * amp_sup
-                yield omega, amp, amp * amp
-            else:
-                yield 0.5 * (block[0] + block[1]) - block[2], block[0] - block[1]
+            omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, *block)
+            amp = -amp_zero if initial == "zero" else 0.5 * amp_sup
+            yield omega, amp, amp * amp
 
-    # before any frequency is formed, the bound over the ranges of u and of the gap is checked
-    # on the bin grid, which a frequency whose square overflows leaves; the phase is checked
-    # on the sampled frequencies.  Each block gives (min, -max) of each array, so that one
-    # min over the blocks gives both ends
-    u_gap = np.array([[(v.min(), -v.max()) for v in block] for block in blocks(False)]).min(axis=0) * (1.0, -1.0)
-    _check_grid(_band(p.j_prime, *u_gap)[1], float(times[-1]))
-    ends = np.array([[(v.min(), -v.max()) for v in block[:2]] for block in blocks()]).min(axis=0) * (1.0, -1.0)
-    band, amp_range = tuple(ends[0].tolist()), ends[1]
+    # the band brackets omega over the draws' ranges, as the tensor rule's does over its nodes'; it is
+    # taken before any frequency is formed, and the first pass checks it on the bin grid
+    u_range, gap_range = _brackets(j1, j2, delta_e)
+    band = _band(p.j_prime, u_range, gap_range)
     p0 = 1.0 if initial == "zero" else 0.5
     # the cos(2 omega t) sum needs the most bins: it goes first, so a band past the cap costs no sum
     (twice,), _, (b_twice,) = _evaluate(((2.0 * om, sq[None] / (8.0 * n_samples), [0.0]) for om, _, sq in blocks()),
@@ -977,7 +977,7 @@ def disorder_average_mc(
     mean[0] = 0.0  # sin(0) = 0: the mean at t = 0 is exactly p0
     var = np.maximum(second + twice - mean * mean, 0.0)  # E[X^2] - E[X]^2
     var[0] = 0.0
-    if band[0] == band[1] and amp_range[0] == amp_range[1]:  # samples that do not spread
+    if u_range[0] == u_range[1] and gap_range[0] == gap_range[1]:  # samples that do not spread
         var[:] = 0.0
     dof = n_samples - 1 or math.inf  # one sample has no spread: its errors are 0
     stderr_bound = math.sqrt((b_once + b_twice + (2.0 * np.abs(mean).max() + b1) * b1) / dof)

@@ -328,13 +328,15 @@ def test_fit_of_a_decay_over_before_a_long_flat_tail(over_at):
 
 
 @pytest.mark.parametrize("fixed_start", [None, 1.0])
-def test_fit_starts_at_the_fallback_with_one_point_in_the_band(fixed_start):
+def test_fit_starts_on_the_slope_1_line_with_one_point_in_the_band(fixed_start):
     """With T2* = 1 and alpha = 2 on unit spacing, only the point at t = 1
-    has y in (0.02, 0.98), so the polish starts at alpha = 1, T2* = 0.3
-    t_max, and still recovers the decay."""
+    has y in (0.02, 0.98), where y = 1/e, so the polish starts on the
+    slope-1 line through it, alpha = 1 and T2* = 1, not at the fallback
+    alpha = 1, T2* = 0.3 t_max, and recovers the decay."""
     times = np.arange(0.0, 31.0)
     values = stretched(times, 0.3, 0.95 if fixed_start is None else 1.0, 1.0, 2.0)
-    assert analysis._start(times / times[-1], values, fixed_start) == [math.log(0.3), 1.0]
+    start = analysis._start(times / times[-1], values, fixed_start)
+    assert start == pytest.approx([math.log(1.0 / times[-1]), 1.0], rel=0, abs=1e-12)
     fit = fit_envelope(np.column_stack([times, values]), fixed_start=fixed_start)
     assert fit.status == "converged"
     assert fit.t2_star == pytest.approx(1.0, rel=1e-9)

@@ -1239,24 +1239,41 @@ def test_mc_single_sample_zero_noise_is_closed_form():
 
 
 def test_mc_zero_noise_has_zero_stderr():
-    """With no noise every sample has the same omega and amp: their spread
-    is exactly 0, where E[X^2] - E[X]^2 would leave a rounding residue
-    (up to 4e-8 at 1,000 samples), and the bound is still recorded."""
+    """Draws whose u bracket and gap bracket each round to one point give
+    every sample the same u and gap, so the same omega and amp up to the
+    rounding of their terms: the standard errors are exactly 0, where
+    E[X^2] - E[X]^2 would leave a rounding residue (up to 4e-8 at 1,000
+    samples; 3.9e-8 for the zero state at widths of 1e-17, whose sampled
+    amplitudes differ in their last bit), and the bound is still recorded."""
     times = np.linspace(0.0, 20.0, 201)
-    for initial in ("zero", "superposition"):
-        trace = disorder_average_mc(P, NoiseSpec(), initial, times, 1000, seed=3)
-        assert np.all(trace.mc_std_errors == 0.0)
-        assert trace.metadata["stderr_error_bound"] > 0.0
+    for noise in (NoiseSpec(), NoiseSpec(sigma_e=1e-300), NoiseSpec(sigma_j1=1e-17), NoiseSpec(1e-17, 1e-17, 1e-17)):
+        for initial in ("zero", "superposition"):
+            trace = disorder_average_mc(P, noise, initial, times, 1000, seed=3)
+            assert np.all(trace.mc_std_errors == 0.0), (noise, initial)
+            assert trace.metadata["stderr_error_bound"] > 0.0
+
+
+def test_mc_forms_each_blocks_terms_once_per_evaluator_pass(monkeypatch):
+    """The band comes from the draws' ranges, so ``oscillation_terms`` runs
+    only in the two evaluator passes: at 10,000 samples, three blocks of
+    _SMALL_BLOCK, that is 6 calls."""
+    calls = []
+    terms = disorder.oscillation_terms
+    monkeypatch.setattr(disorder, "oscillation_terms", lambda *a: calls.append(len(a[1])) or terms(*a))
+    disorder_average_mc(P, NoiseSpec(0.1, 0.1, 0.1), "zero", np.linspace(0.0, 20.0, 201), 10_000, seed=3)
+    assert calls == 2 * [disorder._SMALL_BLOCK, disorder._SMALL_BLOCK, 10_000 - 2 * disorder._SMALL_BLOCK]
 
 
 def _mc_three_passes(noise, initial, times, n_samples, seed):
     """(values, standard errors) of the Monte Carlo average with one evaluator
     pass per sum: the cos(2 omega t) part of E[X^2], the mean, and the
-    cos(omega t) part of E[X^2], each a single coefficient set."""
+    cos(omega t) part of E[X^2], each a single coefficient set, on the band
+    of the draws' u and gap brackets, with the same no-spread test."""
     j1, j2, delta_e = sample_noise(np.random.default_rng(seed), noise, size=n_samples)
     omega, amp_zero, amp_sup = oscillation_terms(P.j_prime, j1, j2, delta_e)
     p0, amp = (1.0, -amp_zero) if initial == "zero" else (0.5, 0.5 * amp_sup)
-    band = (float(omega.min()), float(omega.max()))
+    u_range, gap_range = disorder._brackets(j1, j2, delta_e)
+    band = disorder._band(P.j_prime, u_range, gap_range)
     sq = amp * amp
 
     def one(omega, coef, base, band, **kw):
@@ -1269,7 +1286,7 @@ def _mc_three_passes(noise, initial, times, n_samples, seed):
     mean[0] = 0.0
     var = np.maximum(second + twice - mean * mean, 0.0)
     var[0] = 0.0
-    if band[0] == band[1] and amp.min() == amp.max():
+    if u_range[0] == u_range[1] and gap_range[0] == gap_range[1]:
         var[:] = 0.0
     return np.clip(p0 + mean, 0.0, 1.0), np.sqrt(var / (n_samples - 1 or math.inf))
 

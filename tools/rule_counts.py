@@ -1,4 +1,4 @@
-"""Print the quadrature counts of the default sweep and the default materials run.
+"""Print the quadrature counts of the default sweep and materials runs, and the default MC simulate's bins.
 
 Both runs are computed in this process, without their fits: the sweep's 66
 cells, one trace each, and the material points, one node set for both
@@ -9,13 +9,16 @@ the largest tracemalloc peak of one average (its node set, evaluator
 pass and clipping) with its cell, and the Gauss-Legendre rules the run
 asked for and built, from ``_leggauss.cache_info()``, emptied before each
 run.  A peak includes what an average leaves cached, such as a Gauss rule
-or numpy's FFT plan for a new length, the first time it is built.
+or numpy's FFT plan for a new length, the first time it is built.  Last,
+it runs the default Monte Carlo simulate config (1e5 samples x 8,001
+times) and prints its ``n_bins``, from the band of its draws' brackets,
+and the traced peak of its average.
 Usage: python3 tools/rule_counts.py
 """
 import pathlib, sys, tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-from deoq_dyn import disorder, sweep  # noqa: E402
+from deoq_dyn import cli, disorder, sweep  # noqa: E402
 from deoq_dyn.qubit import ExchangeParams  # noqa: E402
 
 
@@ -64,6 +67,16 @@ def report(name, metas):
     print(f"  Gauss-Legendre rules: {info.hits + info.misses:,} asked for, {info.misses:,} built")
 
 
+def report_mc():
+    cfg = cli.SimulateConfig(method="mc").resolved({})
+    trace, peak = traced(disorder.disorder_average_mc, cfg.params, cfg.noise, cfg.initial, cfg.times.grid(),
+                         cfg.n_samples, cfg.seed)
+    print(f"default MC simulate: {cfg.n_samples:,} samples x {len(trace.times):,} times")
+    print(f"  n_bins: {trace.metadata['n_bins']:,}")
+    print(f"  traced peak of its average: {peak:.2f} MiB")
+
+
 if __name__ == "__main__":
     report("default sweep", sweep_metas())
     report("default materials", materials_metas())
+    report_mc()
