@@ -22,10 +22,12 @@ Mahalanobis length and the step's), in a few sizes that the rule cache
 serves.  The r rule is cut where the arc structure changes in a way that
 matters, graded where an arc appears at a line on which the weight does not
 vanish, and sized per panel by ``_gauss_points`` from the phase span t_max
-times the panel's length and the width of F(r), the weight summed over
-the circle, there.  The two limits of W that are 1D, a Gaussian in u at
-one gap and u fixed by the gap, take ``panel_rule`` in their one variable,
-sized by the same estimate.
+times the panel's length and the width and depth of F(r), the weight
+summed over the circle, there: closed-form lower bounds from the
+Gaussian's axes and its distance from the panel, and the widths of the
+steps and hard lines it meets.  The two limits of W that are 1D, a
+Gaussian in u at one gap and u fixed by the gap, take ``panel_rule`` in
+their one variable, sized by the same estimate.
 """
 
 from __future__ import annotations
@@ -240,8 +242,7 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
     windows the set-up's own products are checked before it forms them.
     Widths above 1e153, whose variances' sums would overflow, raise with
     inf nodes before any of this, and a quadratic form that rounds to 0
-    raises ValueError, as does a width that rounds below 0 and so makes a
-    node count nan.
+    or below raises ValueError, as does a node count that rounds to nan.
     """
     w = disorder.QuadratureSpec.truncation_width
     if max(spec.sigma_e, spec.sigma_j1, spec.sigma_j2) > 1e153:
@@ -380,33 +381,27 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
             edges.append(radii[k])
         if graded_at[k]:
             starts.append(edges[-1])
-    # the Gaussian sampled over +-w deviations: each point's radius, radial deviation and
-    # exponent
-    grid = np.linspace(-w, w, 25)
-    a, b_ = np.meshgrid(grid, grid)
-    disk = a * a + b_ * b_ <= w * w
-    pts = np.array([center[0] - nc * big * a[disk] + nd * sigma * b_[disk],
-                    center[1] + nd * big * a[disk] + nc * sigma * b_[disk]])
-    rho = np.hypot(*pts)
-    order = np.argsort(rho)
-    rho, pts, depth = rho[order], pts[:, order], 0.5 * (a[disk] ** 2 + b_[disk] ** 2)[order]
-    spread = np.sqrt((cov_dd * pts[0] ** 2 + 2.0 * cov_cd * pts[0] * pts[1] + cov_cc * pts[1] ** 2)
-                     / np.where(rho > 0.0, rho * rho, np.inf))
-    spread[rho == 0.0] = sigma  # the origin: every direction is radial
+    # within w deviations of its long axis the Gaussian meets a circle of radius r at a cosine of at
+    # most near / max(r, near) off its narrow axis: its radial deviation there is at least radial(r)
+    near = abs(across) + w * sigma
+
+    def radial(r):
+        q = near / np.maximum(r, near)
+        return np.sqrt(sigma * sigma * q * q + big * big * (1.0 - q * q))
+
     # along a hard line p n + s t the weight is a Gaussian in s of deviation dev = 1 / sqrt(t
     # Lambda t) about s0, and a circle of radius r meets the line at the rate r / sqrt(r^2 -
     # p^2); that matters at the radii l_lo .. l_hi where the line carries weight, a zone
     hard_lines = []
     for a_d_, a_c_, p, _, width in [x[:4] + (0.0,) for x in region + cuts[1:] if x[4]] + steps:
         along, offset = (-a_c_, a_d_), (center[0] - p * a_d_, center[1] - p * a_c_)
-        dev = 1.0 / math.sqrt(form(along, along))
+        dev = 1.0 / math.sqrt(max(form(along, along), 0.0))  # a form rounded below 0 raises as at 0
         s0 = dev * dev * form(along, offset)
         rest = (offset[0] - s0 * along[0], offset[1] - s0 * along[1])
         ends = np.hypot(p, [s0 - w * dev, s0 + w * dev])
         l_lo, dev = abs(p) if abs(s0) <= w * dev else ends.min(), min(dev, width or dev)
-        at = (rho >= l_lo) & (rho <= ends.max())
         # a smooth step matters where it is narrower than the Gaussian there
-        if form(rest, rest) <= w * w and (not width or at.any() and dev < 0.5 * spread[at].min()):
+        if form(rest, rest) <= w * w and (not width or dev < 0.5 * radial(l_lo)):
             hard_lines.append((abs(p), dev, l_lo, ends.max()))
             zones.append((l_lo, ends.max(), math.inf))
     # above the foot p of a hard line F(r) grows like sqrt(r - p): the first panel, at most
@@ -425,15 +420,10 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
     edges = np.array(sorted(set(mesh[(mesh >= edges[0]) & (mesh <= edges[-1])].tolist())))
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
-    # a panel's width: the least radial deviation of the Gaussian at its sampled points
-    # there (or the nearest point's), and of the zones and hard lines it meets; its depth:
-    # the least of the Gaussian's exponent at its points within half the grid's spacing
-    first, last = np.searchsorted(rho, lo), np.searchsorted(rho, hi, side="right")
-    nearest = np.clip(np.searchsorted(rho, mid), 1, len(rho) - 1)
-    nearest -= mid - rho[nearest - 1] < rho[nearest] - mid
-    widths = np.array([spread[i:j].min() if j > i else spread[k] for i, j, k in zip(first, last, nearest)])
-    first, last = np.searchsorted(rho, lo - 0.5 * big), np.searchsorted(rho, hi + 0.5 * big, side="right")
-    depths = np.array([depth[i:j].min() if j > i else 0.5 * w * w for i, j in zip(first, last)])
+    # a panel's width: radial(lo), and the least of the zones and hard lines it meets; its depth: the
+    # Gaussian's exponent, at least |x - center|^2 / (2 big^2), at the radius nearest |center|
+    widths, rc = radial(lo), math.hypot(*center)
+    depths = 0.5 * (np.maximum(np.maximum(lo - rc, rc - hi), 0.0) / big) ** 2
     for z_lo, z_hi, width in zones:
         widths = np.where((z_lo < hi) & (z_hi > lo), np.minimum(widths, width), widths)
     for p, dev, l_lo, l_hi in hard_lines:
@@ -443,10 +433,12 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
 
     # each circle's arcs in the region, between the angles where it crosses a line
     a_d, a_c, const, sides = np.array(region + cuts)[:, :4].T
-    half_angle = np.arccos(np.clip(const / r[:, None], -1.0, 1.0))
+    with np.errstate(over="ignore"):  # a line out of reach: inf clips to +-1 and is not crossed
+        cos_half = const / r[:, None]
+    half_angle = np.arccos(np.clip(cos_half, -1.0, 1.0))
     phi = np.tile(np.arctan2(a_c, a_d), 2) + np.concatenate((-half_angle, half_angle), axis=1)
     phi = (phi + math.pi) % (2.0 * math.pi) - math.pi
-    crossed = np.tile(np.abs(const / r[:, None]) < 1.0, 2) & (np.tile(sides, 2) * np.sin(phi) >= 0.0)
+    crossed = np.tile(np.abs(cos_half) < 1.0, 2) & (np.tile(sides, 2) * np.sin(phi) >= 0.0)
     ends = np.full((len(r), 1), math.pi)
     phi = np.sort(np.concatenate((-ends, np.where(crossed, phi, np.nan), ends), axis=1), axis=1)
     lo, hi = phi[:, :-1], phi[:, 1:]

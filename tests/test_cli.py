@@ -485,36 +485,38 @@ def test_frequency_square_overflow_exits_2_before_any_warning(tmp_path, capsys, 
     assert err == ["deoq-dyn: frequencies up to inf over t_max 10 overflow the bin grid"]
 
 
-def test_near_singular_noise_exits_2_without_traceback(tmp_path, capsys):
+@pytest.mark.parametrize("sigma_e", [1e-8, 0.0], ids=["form-0", "form-below-0"])
+def test_near_singular_noise_exits_2_without_traceback(tmp_path, capsys, sigma_e):
     """Widths 1e28 apart on a window short enough to pass the node guard: the
-    polar set-up's quadratic form rounds to 0 along a line.  That raised an
-    uncaught ZeroDivisionError (a traceback, exit 1); it is invalid input,
-    named with the widths and the window."""
-    cfg = {"noise": {"sigma_e": 1e-8, "sigma_j1": 1e-8, "sigma_j2": 1e20}, "times": {"t_max": 1e-290, "n_points": 5}}
+    polar set-up's quadratic form along a line rounds to 0 (sigma_e 1e-8) or
+    below it (sigma_e 0).  That raised an uncaught ZeroDivisionError (a
+    traceback, exit 1) or a bare "math domain error" from the square root
+    (exit 2, naming nothing); it is invalid input, named with the widths and
+    the window."""
+    cfg = {"noise": {"sigma_e": sigma_e, "sigma_j1": 1e-8, "sigma_j2": 1e20}, "times": {"t_max": 1e-290, "n_points": 5}}
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines() == ["deoq-dyn: noise widths sigma_e 1e-08, sigma_j1 1e-08, sigma_j2 1e+20 are too far "
-                                "apart to integrate over t_max 1e-290"]
+    assert err.splitlines() == [f"deoq-dyn: noise widths sigma_e {sigma_e:.6g}, sigma_j1 1e-08, sigma_j2 1e+20 are too "
+                                "far apart to integrate over t_max 1e-290"]
 
 
-# the rounding residue below 0 and the width of 0 that make the count nan warn
-# on their way; closing those warnings is a condition-number guard of its own
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning",
-                            "ignore:divide by zero encountered in divide:RuntimeWarning")
 def test_nan_node_count_exits_2_without_traceback(tmp_path, capsys):
-    """Widths 1e30 apart on a window of 1e-100: the polar set-up's arc
-    widths round to below 0 (nan) and to 0 (inf), so the r rule's summed
-    count is nan.  nan > cap is False, so it passed the caps and its
-    int() raised an uncaught OverflowError (a traceback, exit 1)."""
+    """Widths 1e30 apart on a window of 1e-100.  Once the polar set-up's
+    sampled widths rounded below 0 (nan) and to 0 (inf) here, so the r
+    rule's summed count was nan, which passed the caps and raised an
+    uncaught OverflowError (a traceback, exit 1).  The r panels' widths
+    are now bounded in closed form, and the count is a number past the
+    caps: invalid input, one message and no warning."""
     cfg = {"noise": {"sigma_e": 0.1, "sigma_j1": 1e20, "sigma_j2": 1e50}, "times": {"t_max": 1e-100, "n_points": 11}}
     code, out = run_cli(tmp_path, "simulate", cfg)
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines() == ["deoq-dyn: noise widths sigma_e 0.1, sigma_j1 1e+20, sigma_j2 1e+50 are too far "
-                                "apart to integrate over t_max 1e-100"]
+    assert err.splitlines() == ["deoq-dyn: quadrature needs 2.00007e+40 nodes in one dimension and 2.00007e+40 in the "
+                                "tensor, above the limits of 5000 and 500000000; reduce the noise widths or the time "
+                                "window"]
 
 
 def _broken_evaluator(chunks, band, times):

@@ -663,9 +663,9 @@ def test_polar_set_up_is_guarded_on_short_windows(noise):
     """Windows of 1e-290 to 1e-100 pass the polar rule's guard on its spans
     with widths of 1e80 to 1e150, where the set-up's own products overflow:
     tau (v_e v_u / v), which puts nan in its lines' corners, at sigma_e 1e80
-    to 1e150, and the covariances over the Gaussian's sampled points at
-    sigma_j1 1e150 (10 of these 12 runs warned without the check).  The
-    set-up checks them first and raises with inf nodes, with no
+    to 1e150 (8 of these 12 runs warned without the check), and the
+    covariances' quadratic forms over the Gaussian's reach at sigma_j1
+    1e150.  The set-up checks them first and raises with inf nodes, with no
     RuntimeWarning; at 1e-100 widths of 1e150 name the spans' count."""
     for t_max in (1e-290, 1e-200, 1e-100):
         count = r"\S+e\+50" if t_max == 1e-100 and max(noise.sigma_e, noise.sigma_j1) == 1e150 else "inf"
@@ -673,6 +673,25 @@ def test_polar_set_up_is_guarded_on_short_windows(noise):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=f"quadrature needs {count} nodes in one dimension"):
                 disorder_average_quadrature(P, noise, "zero", np.linspace(0.0, t_max, 5))
+
+
+def test_nan_node_count_raises_arithmetic_error():
+    """A nan count passes no cap: it is a set-up's rounding residue, which
+    the caller names, so it raises ArithmeticError, not the caps' message."""
+    with pytest.raises(ArithmeticError, match="count is nan"):
+        disorder._check_node_counts(1.0, math.nan)
+
+
+def test_arcs_skip_lines_out_of_reach_without_warning():
+    """A thin strip (sigma_j1 1e-160 beside sigma_e 1e-8 and sigma_j2 0.3):
+    the cosine const / r of a line far beyond the smallest radii overflows
+    to inf, which clips to +-1 and leaves the line uncrossed, without an
+    overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nodes = reduced_nodes(NoiseSpec(1e-8, 1e-160, 0.3), P.j_prime, 1.0)
+        _, total, _, _ = next(nodes.chunks)
+    assert np.all(np.isfinite(total)) and total.sum() > 0.0
 
 
 def test_u_limit_is_checked_on_the_count_its_rule_takes(monkeypatch):

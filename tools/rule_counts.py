@@ -9,16 +9,19 @@ the largest tracemalloc peak of one average (its node set, evaluator
 pass and clipping) with its cell, and the Gauss-Legendre rules the run
 asked for and built, from ``_leggauss.cache_info()``, emptied before each
 run.  A peak includes what an average leaves cached, such as a Gauss rule
-or numpy's FFT plan for a new length, the first time it is built.  Last,
-it runs the default Monte Carlo simulate config (1e5 samples x 8,001
-times) and prints its ``n_bins``, from the band of its draws' brackets,
-and the traced peak of its average.
+or numpy's FFT plan for a new length, the first time it is built.  After
+the rule counts it prints the largest distance of a node set from its own
+rule at 3x the counts, max |P - P_3x| over both initial states, with its
+cell (about 6 s of the run).  Last, it runs the default Monte Carlo
+simulate config (1e5 samples x 8,001 times) and prints its ``n_bins``,
+from the band of its draws' brackets, and the traced peak of its average.
 Usage: python3 tools/rule_counts.py
 """
-import pathlib, sys, tracemalloc
+import functools, pathlib, sys, tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-from deoq_dyn import cli, disorder, sweep  # noqa: E402
+import numpy as np  # noqa: E402
+from deoq_dyn import cli, disorder, polar, sweep  # noqa: E402
 from deoq_dyn.qubit import ExchangeParams  # noqa: E402
 
 
@@ -31,6 +34,13 @@ def traced(average, *args):
         tracemalloc.stop()
 
 
+def off_3x(p, noise, times):
+    """max |P - P_3x| over both initial states: the 2D rule against itself at 3x its counts."""
+    ones, threes = (disorder._average(polar.reduced_nodes(noise, p.j_prime, float(times[-1]), scale),
+                                      ("zero", "superposition"), times) for scale in (1, 3))
+    return max(float(np.abs(one - three).max()) for (one, _), (three, _) in zip(ones, threes))
+
+
 def sweep_metas():
     grid = sweep.SweepGrid()
     for se in grid.sigma_e_values:
@@ -38,7 +48,8 @@ def sweep_metas():
             noise = disorder.NoiseSpec(se, sj, sj, grid.params.j1, grid.params.j2)
             trace, peak = traced(disorder.disorder_average_quadrature, grid.params, noise, grid.initial, grid.times,
                                  grid.quadrature)
-            yield f"sigma_e {se}, sigma_j {sj}", trace.metadata, peak
+            off = functools.partial(off_3x, grid.params, noise, grid.times)
+            yield f"sigma_e {se}, sigma_j {sj}", trace.metadata, peak, off
 
 
 def materials_metas():
@@ -47,9 +58,10 @@ def materials_metas():
         for sj_ev in sweep.default_material_sigma_j_ev():
             sj = float(sj_ev) / j0
             noise = disorder.NoiseSpec(preset.sigma_e_floor_ev / j0, sj, sj, p.j1, p.j2)
-            traces, peak = traced(disorder._quadrature_traces, p, noise, ("zero", "superposition"),
-                                  sweep.suggested_time_grid(noise))
-            yield f"{preset.name} at sigma_j {sj_ev * 1e6:.4g} ueV", traces[0].metadata, peak
+            times = sweep.suggested_time_grid(noise)
+            traces, peak = traced(disorder._quadrature_traces, p, noise, ("zero", "superposition"), times)
+            off = functools.partial(off_3x, p, noise, times)
+            yield f"{preset.name} at sigma_j {sj_ev * 1e6:.4g} ueV", traces[0].metadata, peak, off
 
 
 def report(name, metas):
@@ -58,13 +70,15 @@ def report(name, metas):
     info = disorder._leggauss.cache_info()
     print(f"{name}: {len(metas)} node sets")
     for key in ("n_nodes", "n_r"):
-        total = sum(meta[key] for _, meta, _ in metas)
-        cell, top = max(((cell, meta[key]) for cell, meta, _ in metas), key=lambda item: item[1])
+        total = sum(meta[key] for _, meta, _, _ in metas)
+        cell, top = max(((cell, meta[key]) for cell, meta, _, _ in metas), key=lambda item: item[1])
         print(f"  {key}: {total:,} in all, at most {top:,} ({cell})")
-    print(f"  n_bins: at most {max(meta['n_bins'] for _, meta, _ in metas):,}")
-    cell, _, peak = max(metas, key=lambda item: item[2])
+    print(f"  n_bins: at most {max(meta['n_bins'] for _, meta, _, _ in metas):,}")
+    cell, _, peak, _ = max(metas, key=lambda item: item[2])
     print(f"  traced peak of one average: at most {peak:.2f} MiB ({cell})")
     print(f"  Gauss-Legendre rules: {info.hits + info.misses:,} asked for, {info.misses:,} built")
+    cell, off = max(((cell, off()) for cell, _, _, off in metas), key=lambda item: item[1])
+    print(f"  |P - P_3x| over both states: at most {off:.1e} ({cell})")
 
 
 def report_mc():
