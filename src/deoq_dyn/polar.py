@@ -67,69 +67,15 @@ _SHARP_STEP = 0.5
 _GRADED_SIGMAS = 4.0
 
 
-# Cody's rational approximations of erfc (Math. Comp. 1969): erf on
-# |y| <= 0.46875, erfc on (0.46875, 4] and on (4, inf), with coefficients
-# listed from the highest-degree term
-_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
-          3.77485237685302021e2, 3.20937758913846947e3)
-_ERF_B = (1.0, 2.36012909523441209e1, 2.44024637934444173e2,
-          1.28261652607737228e3, 2.84423683343917062e3)
-_ERFC_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
-           6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
-           1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3)
-_ERFC_D = (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
-           1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
-           3.43936767414372164e3, 1.23033935480374942e3)
-_ERFC_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
-_ERFC_Q = (1.0, 2.56852019228982242e0, 1.87295284992346725e0,
-           5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
-
-
-def _erfc(z: np.ndarray) -> np.ndarray:
-    """Complementary error function of a 1D array by Cody's three ranges."""
-    y = np.abs(z)
-
-    def ratio(num, den, arg):  # num(arg) / den(arg), Horner in place
-        p, q = np.full_like(arg, num[0]), np.full_like(arg, den[0])
-        for a, b in zip(num[1:], den[1:]):
-            p *= arg
-            p += a
-            q *= arg
-            q += b
-        p /= q
-        return p
-
-    out = np.empty_like(y)
-    small = y <= 0.46875
-    z_s = z[small]
-    out[small] = 1.0 - z_s * ratio(_ERF_A, _ERF_B, z_s * z_s)
-    tail = ~small
-    y_t = y[tail]
-    e_t = np.empty_like(y_t)
-    big = y_t > 4.0
-    e_t[~big] = ratio(_ERFC_C, _ERFC_D, y_t[~big])
-    y_b = y_t[big]
-    inv = 1.0 / (y_b * y_b)
-    e_t[big] = (1.0 / math.sqrt(math.pi) - inv * ratio(_ERFC_P, _ERFC_Q, inv)) / y_b
-    # exp(-y^2) as exp(-ysq^2) exp(-del), with ysq = y cut to 1/16 so ysq^2 is exact
-    ysq = np.trunc(y_t * 16.0) / 16.0
-    e_t *= np.exp(-ysq * ysq) * np.exp(-(y_t - ysq) * (y_t + ysq))
-    flip = z[tail] < 0.0  # erfc(-y) = 2 - erfc(y)
-    e_t[flip] = 2.0 - e_t[flip]
-    out[tail] = e_t
-    return out
-
-
 def _ndtr(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF 0.5 erfc(-x / sqrt(2)), elementwise.
 
     Outside (-38.5, 8.5) the value rounds to exactly 0 or 1 and is set so,
-    without evaluating erfc; the rest goes through ``_erfc``.
+    without evaluating erfc; the rest takes ``math.erfc`` one by one.
     """
     out = (x > 0.0).astype(float)
     live = (x > -38.5) & (x < 8.5)
-    out[live] = 0.5 * _erfc(-x[live] / math.sqrt(2.0))
+    out[live] = 0.5 * np.fromiter(map(math.erfc, (-x[live] / math.sqrt(2.0)).tolist()), float)
     return out
 
 
@@ -236,10 +182,8 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
 
     Each rule is checked against the caps on the counts ``panel_rule``
     sizes for it, as floats.  The polar set-up forms products of the
-    variances, which overflow for widths near 1e150, so it is guarded
-    first: the larger count ``_gauss_points`` gives to a rule over the gap
-    span or the u span alone, as a float, must pass the caps; on shorter
-    windows the set-up's own products are checked before it forms them.
+    variances, which overflow for widths near 1e150, so it checks them
+    before it forms them and names inf nodes if they overflow.
     Widths above 1e153, whose variances' sums would overflow, raise with
     inf nodes before any of this, and a quadratic form that rounds to 0
     or below raises ValueError, as does a node count that rounds to nan.
@@ -268,8 +212,6 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
         g_lo, width_lo = -reach / (0.5 + kappa), math.sqrt(v) / (0.5 + kappa)
     gap_range = (max(m - w * math.sqrt(v_gap), g_lo - w * width_lo), min(m + w * math.sqrt(v_gap), g_hi + w * width_hi))
     if v_gap > 0.0 and v_u > 0.0:
-        spans = [t_max * float(gap_range[1] - gap_range[0]), t_max * 2.0 * half_u]  # Python floats: inf, no warning
-        disorder._check_node_counts(scale * _gauss_points(spans, 2.0 * w).max())
         try:
             return _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
         except ArithmeticError:  # a quadratic form that rounded to 0, or a width below it

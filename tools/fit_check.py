@@ -9,11 +9,15 @@ nfev (the polish's residual calls, ``Minimum.nfev``) and n_points (the
 points handed to ``fit_envelope``).  A fit that raises is recorded with
 status "fit-failure" and null numbers.
 
-Given BASE, an earlier OUT, it prints every status change, every SSE rise
-(marked when it exceeds the rounding bound 8 eps sqrt(sse n), which holds
-for values in [0, 1]), the largest relative T2* moves, the summed residual
-calls of both, and the fit time of this run.  Exits 1 on a status change or
-an SSE rise beyond that bound.
+Given BASE, an earlier OUT, it prints every status change, every SSE rise,
+the largest relative T2* moves, the summed residual calls of both, and the
+fit time of this run.  A rise is judged against the SSE of the base fit's
+(T2*, alpha) on this run's envelope points, with the amplitudes at their
+best for it (``analysis._amplitudes``), so that a trace moved by rounding
+is judged on its own points; a no-decay base fit, whose T2* is recorded as
+inf, is judged against its own SSE.  A rise is marked when it exceeds that
+reference by the rounding bound 8 eps sqrt(sse n), which holds for values
+in [0, 1].  Exits 1 on a status change or an SSE rise beyond that bound.
 Usage: python3 tools/fit_check.py OUT.jsonl [BASE.jsonl]
 """
 import json, math, pathlib, sys, time
@@ -47,7 +51,7 @@ def number(x):
 
 
 def records():
-    """One record per fit of the set, and the seconds spent fitting."""
+    """One record per fit of the set, the seconds spent fitting, and each fit's (points, fixed_start, t_max)."""
     polish, fit_envelope = analysis.minimize, analysis.fit_envelope
     seen = {}
 
@@ -56,15 +60,16 @@ def records():
         seen["nfev"] = res.nfev
         return res
 
-    def counted_fit(points, *args, **kwargs):
+    def counted_fit(points, fixed_start=None, t_max=None):
         seen["n_points"] = len(points)
-        return fit_envelope(points, *args, **kwargs)
+        seen["fit"] = (np.array(points, dtype=float), fixed_start, t_max)
+        return fit_envelope(points, fixed_start, t_max)
 
     cases = [(c["name"], lambda c=c: analysis.fit_envelope(np.array(c["points"]), c["fixed_start"], c["t_max"]))
              for c in json.loads((ROOT / "tests" / "fit_regression.json").read_text())["fits"]]
     cases += [(name, lambda t=trace: analysis.fit_trace(t)) for name, trace in traces()]
     analysis.minimize, analysis.fit_envelope = counted_minimize, counted_fit
-    out, spent = [], 0.0
+    out, spent, inputs = [], 0.0, {}
     try:
         for name, fit in cases:
             seen.clear()
@@ -77,13 +82,25 @@ def records():
             spent += time.perf_counter() - start
             out.append({"name": name, "status": status, "t2_star": number(t2), "alpha": number(alpha),
                         "sse": number(sse), "nfev": seen.get("nfev"), "n_points": seen.get("n_points")})
+            inputs[name] = seen.get("fit")
     finally:
         analysis.minimize, analysis.fit_envelope = polish, fit_envelope
-    return out, spent
+    return out, spent, inputs
 
 
-def compare(base, new, shown=10):
-    """Print the differences of two record lists; True if a status changed or an SSE rose past rounding."""
+def sse_at(t2_star, alpha, fit):
+    """The SSE of (t2_star, alpha) on a fit's points, amplitudes at their best, as ``fit_envelope`` forms it."""
+    points, fixed_start, t_max = fit
+    unit = t_max if t_max is not None else points[-1, 0]
+    e = np.exp(-(points[:, 0] / unit / (t2_star / unit)) ** alpha)
+    return analysis._amplitudes(e, points[:, 1], fixed_start)[0]
+
+
+def compare(base, new, inputs, shown=10):
+    """Print the differences of two record lists; True if a status changed or an SSE rose past rounding.
+
+    ``inputs`` maps a name of ``new`` to the (points, fixed_start, t_max) it was fitted on.
+    """
     old = {r["name"]: r for r in base}
     bad, moves = False, []
     for r in new:
@@ -95,11 +112,14 @@ def compare(base, new, shown=10):
             print(f"{r['name']}: status {b['status']} -> {r['status']}")
             bad = True
         if isinstance(b["sse"], float) and isinstance(r["sse"], float) and r["sse"] > b["sse"]:
-            bound = 8 * np.finfo(float).eps * math.sqrt(b["sse"] * r["n_points"])
-            over = r["sse"] - b["sse"] > bound
+            ref = b["sse"]
+            if isinstance(b["t2_star"], float):
+                ref = sse_at(b["t2_star"], b["alpha"], inputs[r["name"]])
+            bound = 8 * np.finfo(float).eps * math.sqrt(ref * r["n_points"])
+            over = r["sse"] - ref > bound
             bad |= over
-            print(f"{r['name']}: sse {b['sse']!r} -> {r['sse']!r} (+{r['sse'] - b['sse']:.2e}, "
-                  f"{'above' if over else 'within'} the rounding bound {bound:.2e})")
+            print(f"{r['name']}: sse {b['sse']!r} -> {r['sse']!r} (+{r['sse'] - b['sse']:.2e}; the base "
+                  f"parameters give {ref!r} here, {'above' if over else 'within'} the rounding bound {bound:.2e})")
         if isinstance(b["t2_star"], float) and isinstance(r["t2_star"], float):
             moves.append((abs(r["t2_star"] / b["t2_star"] - 1.0), r["name"], b["t2_star"], r["t2_star"]))
     for rel, name, a, c in sorted(moves, reverse=True)[:shown]:
@@ -112,9 +132,9 @@ def compare(base, new, shown=10):
 if __name__ == "__main__":
     if len(sys.argv) not in (2, 3):
         sys.exit(__doc__.rsplit("Usage: ", 1)[1])
-    recs, spent = records()
+    recs, spent, inputs = records()
     pathlib.Path(sys.argv[1]).write_text("".join(json.dumps(r) + "\n" for r in recs))
     print(f"{len(recs)} fits in {spent:.3f} s")
     if len(sys.argv) == 3:
         base = [json.loads(line) for line in pathlib.Path(sys.argv[2]).read_text().splitlines()]
-        sys.exit(1 if compare(base, recs) else 0)
+        sys.exit(1 if compare(base, recs, inputs) else 0)
