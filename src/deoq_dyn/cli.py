@@ -433,53 +433,52 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="deoq-dyn",
         description="Exchange-only qubit coherence under quasi-static noise",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
-        p.add_argument("--method", choices=("quadrature", "mc"), default=None,
-                       help="averaging method override")
-        p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count override")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", required=True, help="output file path")
+    parser.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
+    parser.add_argument("--method", choices=("quadrature", "mc"), default=None, help="averaging method override")
+    parser.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count override")
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    flags = {k: v for k, v in (("method", args.method), ("seed", args.seed), ("n_samples", args.samples))
-             if v is not None}
+def _config(args) -> dict:
+    """The JSON object at ``args.config``, with the flags applied.
+
+    The flags override keys of the simulate config that runs, and apply to
+    no other; a quadrature run leaves its Monte Carlo keys unread.  An
+    unreadable file raises OSError, any other fault ConfigError.
+    """
     try:
         with open(args.config) as fh:
             raw = fh.read()
     except OSError as exc:
-        print(f"deoq-dyn: cannot read config: {exc}", file=sys.stderr)
-        return 3
+        raise OSError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
-        print(f"deoq-dyn: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        print("deoq-dyn: config must be a JSON object", file=sys.stderr)
-        return 2
+        raise ConfigError("config must be a JSON object")
     if cfg.get("command") not in (None, args.command):
-        print(f"deoq-dyn: config declares command {cfg['command']!r} but {args.command!r} was invoked",
-              file=sys.stderr)
-        return 2
-    # the flags override keys of the simulate config that runs, and apply to no
-    # other; a quadrature run leaves its Monte Carlo keys unread
+        raise ConfigError(f"config declares command {cfg['command']!r} but {args.command!r} was invoked")
+    flags = {k: v for k, v in (("method", args.method), ("seed", args.seed), ("n_samples", args.samples))
+             if v is not None}
     sim = cfg if args.command == "simulate" else cfg.get("simulate") if args.command == "fit" else None
     if flags and not isinstance(sim, dict):
-        print(f"deoq-dyn {args.command}: --seed/--method/--samples do not apply", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--seed/--method/--samples do not apply to {args.command}")
     if isinstance(sim, dict):
         sim.update(flags)
         if sim.get("method", "quadrature") == "quadrature":
             for key in ("seed", "n_samples"):
                 sim.pop(key, None)
+    return cfg
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](cfg, args.out)
+        return _COMMANDS[args.command](_config(args), args.out)
     except ValueError as exc:
         print(f"deoq-dyn: {exc}", file=sys.stderr)
         return 2

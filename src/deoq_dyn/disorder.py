@@ -706,16 +706,24 @@ def _evaluate(chunks, band: tuple[float, float], times: np.ndarray,
     starts = [*range(0, n_times - size, size), n_times - size]  # the last block ends at t_max
     values = np.empty((len(mass), n_times))
     for start, spectrum in zip(starts, _czt(mass, size, 4 * steps, starts)):  # h dt = 2 pi / (4 steps)
-        osc = values[:, start:start + size]
         t_frac = np.arange(start, start + size, dtype=float)
         t_frac /= steps  # t / T on the block
         shift = om_lo * times[start:start + size]  # the first bin's phase
         shift -= (_SPREAD - 1) * 0.5 * math.pi * t_frac
-        np.multiply(spectrum.real, np.cos(shift), out=osc)
-        spectrum.imag *= np.sin(shift, out=shift)
-        osc += spectrum.imag
-        osc /= math.sqrt(math.pi / _GAUSS_A) * np.exp(-_GAUSS_A * _SPREAD ** 2 / 8.0 * t_frac ** 2)
-        osc += base[:, None]
+        cos = np.cos(shift)
+        np.sin(shift, out=shift)  # shift holds the phase's sine from here
+        t_frac *= t_frac  # t_frac holds the Gaussian's transform from here
+        t_frac *= -_GAUSS_A * _SPREAD ** 2 / 8.0
+        np.exp(t_frac, out=t_frac)
+        t_frac *= math.sqrt(math.pi / _GAUSS_A)
+        # a row at a time: a (b,) array broadcast over the (sets, b) block takes an 8,192-element buffer
+        for osc, row, b in zip(values[:, start:start + size], spectrum, base):
+            np.multiply(row.real, cos, out=osc)
+            row.imag *= shift
+            osc += row.imag
+            osc /= t_frac
+            osc += b
+        del t_frac, shift, cos  # the next block makes its arrays without these beside them
     values[:, 0] = base + at_zero  # cos(0) = 1
     return values, n_bins, [float(_NUFFT_ERROR * s) for s in abs_sum]
 

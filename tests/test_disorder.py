@@ -1478,3 +1478,137 @@ def test_quadrature_rejects_bad_inputs():
         disorder_average_quadrature(P, NoiseSpec(), "zero", np.array([0.0, 1.0, 3.0]))
     with pytest.raises(ValueError, match="n_samples"):
         disorder_average_mc(P, NoiseSpec(), "zero", times, 0, seed=1)
+
+
+@pytest.mark.parametrize("n_times", [B, 20_001], ids=["one-block", "five-blocks"])
+def test_evaluator_tail_holds_three_block_arrays(monkeypatch, n_times):
+    """Each block's tail (t / T, the phase, its cosine and sine, the
+    Gaussian's transform) holds three (b,) arrays beside the output, 96 KiB
+    at b = 4,096, and frees them before the next block: it works a row of
+    the (sets, b) block at a time, since a (b,) array broadcast over the
+    block takes numpy's 8,192-element buffer.  Broadcast, the tail peaked
+    at 165,528 bytes traced on one block and 132,696 on five; row by row it
+    peaks at 99,432 on both.  The chirp-z blocks are made before tracing
+    starts, so the peak is the tail's alone."""
+    times = np.linspace(0.0, 2530.0, n_times)
+    chunks, band = _band_chunks(104, times[-1], n_nodes=300)
+    czt = disorder._czt
+
+    def made_before(x, m, period, starts=(0,)):
+        blocks = [next(czt(x, m, period, (start,))).copy() for start in starts]
+        tracemalloc.start()
+        yield from blocks
+
+    monkeypatch.setattr(disorder, "_czt", made_before)
+    try:
+        values, _, _ = disorder._evaluate(chunks, band, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert np.array_equal(values, disorder._evaluate(chunks, band, times)[0])
+    assert peak < 3.5 * 8 * B
+
+
+def _density_at_degeneracy(noise):
+    """The (gap, u) density at gap 0, u = j', the origin of the polar plane:
+    gap 0 means j1 = j2 = s, and u = j' means delta_e = s - j'."""
+    def f(s):
+        return (pdf_exchange(s, noise.j01, noise.sigma_j1) * pdf_exchange(s, noise.j02, noise.sigma_j2)
+                * pdf_delta_e(s - P.j_prime, noise.sigma_e))
+    return integrate(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("sigma_e, sigma_j, predicted", [
+    (0.5, 0.3, -0.0478475), (1.0, 0.5, -0.1153463), (0.3, 0.1, 0.0),
+])
+def test_2d_tail_meets_the_degeneracy_point_endpoint_term(sigma_e, sigma_j, predicted):
+    """In the plane (d, c) = r (cos phi, sin phi) of the polar rule omega = r
+    and amp_zero = sin^2 phi, so P_zero(t) - P_inf = (1/2) int_0^inf r G(r)
+    cos(r t) dr, with G(r) the (d, c) density times sin^2 phi summed over the
+    circle of radius r.  G is even in r, so the endpoint expansion keeps
+    only odd derivatives of r G:
+
+        P_zero(t) = P_inf + A / t^2 + A4 / t^4 + O(t^-6),
+        A = -G(0) / 2 = -(pi / (2 sqrt(0.75))) rho,  A4 = (3/2) G''(0),
+
+    rho the (gap, u) density at the degeneracy point.  G''(0) = (pi / 4)
+    (rho_dd + 3 rho_cc) at the origin; here it is taken from the (d, c)
+    Gaussian before the couplings' truncation at 0, which leaves out a few
+    percent of A4 at (1.0, 0.5) and less at the other cells.
+
+    P_inf is eliminated by differencing t and 2 t: (4/3) t^2 (P(t) - P(2 t))
+    = A + (5/4) A4 / t^2 + O(t^-4) on t in [400, 800].  The tolerance is an
+    eighth of the next-order term, for its estimate, plus (8/3) t^2 times the
+    trace's stated error bound at both times, 4-8e-12 here (doubling the
+    rule, which these windows do not allow under the node caps, moves the
+    traces to 800 by 2e-13).  Against the next-order term alone the
+    differences read 2.8e-5 and 5.0e-6 at t = 400 (estimates 2.8e-5 and
+    5.1e-6), and the rest stays within 4.6e-7.  At (0.3, 0.1) the
+    degeneracy point lies 7 deviations out, rho is 1.8e-11, and the
+    quantity reads 0 within the trace's error."""
+    noise = NoiseSpec(sigma_e, sigma_j, sigma_j)
+    rho = _density_at_degeneracy(noise)
+    a = -(math.pi / (2.0 * polar._C_PER_GAP)) * rho
+    assert a == pytest.approx(predicted, abs=1e-7)
+    var_d = 0.25 * (noise.sigma_j1 ** 2 + noise.sigma_j2 ** 2) + 2.0 * noise.sigma_e ** 2
+    var_c = 0.75 * (noise.sigma_j1 ** 2 + noise.sigma_j2 ** 2)
+    mean_d, mean_c = P.j_prime - 0.5 * (noise.j01 + noise.j02), polar._C_PER_GAP * (noise.j01 - noise.j02)
+    curvature = (mean_d ** 2 / var_d ** 2 - 1.0 / var_d) + 3.0 * (mean_c ** 2 / var_c ** 2 - 1.0 / var_c)
+    a4 = 1.5 * (math.pi / 4.0) * (rho / polar._C_PER_GAP) * curvature
+    times = np.linspace(0.0, 1600.0, 64_001)
+    trace = disorder_average_quadrature(P, noise, "zero", times)
+    error = trace.metadata["error_bound"]
+    k = np.arange(16_000, 32_001)  # t in [400, 800]; 2 k is 2 t
+    t = times[k]
+    scaled = (4.0 / 3.0) * t ** 2 * (trace.values[k] - trace.values[2 * k])
+    next_term = 1.25 * a4 / t ** 2
+    assert np.all(np.abs(scaled - a - next_term) <= 0.125 * abs(next_term) + (8.0 / 3.0) * t ** 2 * error)
+
+
+def test_1d_tail_meets_stationary_phase():
+    """With both sigma_j zero, d = j' - u is Gaussian (mean mu, variance v =
+    2 sigma_e^2) and omega = sqrt(d^2 + c^2), c = sqrt(0.75) |j01 - j02|, is
+    stationary at d = 0 (omega'' = 1/c, amp_zero = 1).  With g(d) =
+    rho_d(d) c^2 / (d^2 + c^2) and theta = c t + pi/4, stationary phase
+    (Bender & Orszag 1978, ch. 6) gives
+
+        P_zero(t) = P_inf + (g(0) / 2) sqrt(2 pi c / t) (cos theta
+                    + A1 sin theta / t^(3/2) + A2 cos theta / t^(5/2) + ...)
+
+    up to the prefactor, so the residual R after the leading term obeys
+    R t^(3/2) = A1 sin theta + A2 cos theta / t + O(t^-2), with A1, A2 from
+    the even Taylor coefficients g2, g4 of g and omega's x^4, x^6
+    coefficients.  At sigma_e 0.5, A1 = 0.5918 (the 0.592 measured on
+    windows to 200 and to 800) and A2 = -1.025.  The test holds
+    |R t^(3/2) - A1 sin theta| to 1.25 |A2| / t, the quarter covering the
+    t^-2 term (2.7 / t^2 measured, under 3% of |A2| / t from t = 100 on),
+    plus t^(3/2) times the trace's stated error and 1e-9 for the rule's
+    6-deviation truncation, which moves P_inf by at most half the 2e-9 of
+    mass it drops.  P_inf is the Voigt mean of amp_zero, pi c V(mu; sqrt v,
+    c).  t_max is 2,000: at 3,000 this rule needs 6,471 nodes, above the
+    5,000 cap."""
+    noise = NoiseSpec(0.5, 0.0, 0.0)
+    c = polar._C_PER_GAP * abs(noise.j01 - noise.j02)
+    mu, v = P.j_prime - 0.5 * (noise.j01 + noise.j02), 2.0 * noise.sigma_e ** 2
+    g0 = math.exp(-mu * mu / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+    p_inf = 1.0 - 0.5 * math.pi * c * scipy.special.voigt_profile(mu, math.sqrt(v), c)
+    # g = g0 exp(al d - be d^2) (1 - d^2 / c^2 + d^4 / c^4 - ...): its even Taylor coefficients
+    al, be = mu / v, 0.5 / v
+    g2 = 2.0 * g0 * (al * al / 2.0 - be - 1.0 / c ** 2)
+    g4 = 24.0 * g0 * (al ** 4 / 24.0 - al * al * be / 2.0 + be * be / 2.0 - (al * al / 2.0 - be) / c ** 2 + 1.0 / c ** 4)
+    # omega = c + d^2 / (2 c) + b4 d^4 / 24 + b6 d^6 / 720 + ...
+    a, b4, b6 = 1.0 / c, -3.0 / c ** 3, 45.0 / c ** 5
+    t1 = g2 / 2.0 - g0 * b4 / (8.0 * a)
+    t2 = g4 / 8.0 - 15.0 * g2 * b4 / (48.0 * a) - g0 * b6 / (48.0 * a) + 105.0 * g0 * b4 ** 2 / (1152.0 * a * a)
+    a1 = -0.5 * math.sqrt(2.0 * math.pi * c) * t1 / a
+    a2 = -0.5 * math.sqrt(2.0 * math.pi * c) * t2 / (a * a)
+    assert a1 == pytest.approx(0.5918, abs=1e-4) and a2 == pytest.approx(-1.025, abs=1e-3)
+    times = np.linspace(0.0, 2000.0, 80_001)
+    trace = disorder_average_quadrature(P, noise, "zero", times)
+    t, values = times[times >= 100.0], trace.values[times >= 100.0]
+    theta = c * t + math.pi / 4.0
+    scaled = (values - p_inf - 0.5 * g0 * np.sqrt(2.0 * math.pi * c / t) * np.cos(theta)) * t ** 1.5
+    assert np.all(np.abs(scaled - a1 * np.sin(theta))
+                  <= 1.25 * abs(a2) / t + (trace.metadata["error_bound"] + 1e-9) * t ** 1.5)
+    assert np.max(np.abs(scaled[t >= 1000.0])) == pytest.approx(a1, abs=1e-3)
