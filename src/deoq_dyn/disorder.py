@@ -114,18 +114,14 @@ _MAX_BINS = 2 ** 22
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
 
-# nodes per block of the 2D rule's weight evaluations and of the Monte Carlo
-# samples, and the evaluator's least block of times: a block holds about 20
-# arrays of its length at once.  The polar rule of the sigma_e 1, sigma_j 0.5
-# cell at t_max 100 peaks at 7.2 MiB traced in one block and 1.0 MiB in blocks
-# of this size; Monte Carlo at 1e5 samples x 8,001 times at 10.8 and 3.2 MiB
+# nodes per block of the 2D rule's weight evaluations, of the Monte Carlo
+# samples and of the tensor rule's chunks, and the evaluator's least block of
+# times: a block holds about 20 arrays of its length at once.  The polar rule
+# of the sigma_e 1, sigma_j 0.5 cell at t_max 100 peaks at 7.2 MiB traced in
+# one block and 1.0 MiB in blocks of this size; Monte Carlo at 1e5 samples x
+# 8,001 times at 10.8 and 3.2 MiB; a tensor rule of 2,000 x 2,000 nodes with
+# sigma_j1 = 0 at 8.4 MiB in chunks of 2^16 nodes and 0.6 MiB in these
 _SMALL_BLOCK = 2 ** 12
-
-# nodes per chunk of the tensor rule, to bound its memory: a chunk's
-# temporaries are a few arrays of this length; a tensor average of 2,000 x
-# 2,000 nodes with sigma_j1 = 0, once one 4 M-node block, peaks at 40 MiB
-# RSS, not 401 MiB (fresh process, 2-core x86 host)
-_BLOCK_NODES = 2 ** 16
 
 # Gauss-Legendre P_n(cos theta): Stieltjes' interior expansion cut at 30
 # terms matched the exact cosine series in dP/dtheta to 5e-15 from the 5th
@@ -763,9 +759,9 @@ def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, scale: int
     - w sigma_ji), j0i + w sigma_ji], delta_e the rule of ``_nodes_delta_e``.
     ``scale`` multiplies the node counts of ``q``, which are checked against
     the limits once scaled.  A chunk is one j1 node times a run of
-    _BLOCK_NODES // n_delta_e j2 rows (at least one); each run's (j2,
-    delta_e) grids are built when its first chunk is drawn and shared by
-    its j1 nodes.
+    _SMALL_BLOCK // n_delta_e j2 rows (at least one), so it holds at most
+    max(_SMALL_BLOCK, n_delta_e) nodes; each run's (j2, delta_e) grids are
+    built when its first chunk is drawn and shared by its j1 nodes.
     """
     q = replace(q, n_hermite=scale * q.n_hermite, n_legendre=scale * q.n_legendre)
     _check_node_counts(q.n_hermite if spec.sigma_e > 0 else 1,
@@ -775,7 +771,7 @@ def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, scale: int
     x1, w1 = _pdf_legendre(q.n_legendre, spec.j01, spec.sigma_j1, max(0.0, spec.j01 - w * spec.sigma_j1), w)
     x2, w2 = _pdf_legendre(q.n_legendre, spec.j02, spec.sigma_j2, max(0.0, spec.j02 - w * spec.sigma_j2), w)
     xe, we = _nodes_delta_e(spec.sigma_e, q)
-    rows = max(1, _BLOCK_NODES // len(xe))
+    rows = max(1, _SMALL_BLOCK // len(xe))
 
     def chunks():
         for s in range(0, len(x2), rows):

@@ -213,7 +213,7 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
     gap_range = (max(m - w * math.sqrt(v_gap), g_lo - w * width_lo), min(m + w * math.sqrt(v_gap), g_hi + w * width_hi))
     if v_gap > 0.0 and v_u > 0.0:
         try:
-            return _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
+            return _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, v_u, half_u, gap_range)
         except ArithmeticError:  # a quadratic form that rounded to 0, or a width below it
             raise ValueError(f"noise widths sigma_e {spec.sigma_e:.6g}, sigma_j1 {spec.sigma_j1:.6g}, sigma_j2 "
                              f"{spec.sigma_j2:.6g} are too far apart to integrate over t_max {t_max:.6g}") from None
@@ -232,12 +232,14 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
                              points=lambda: iter([(j_prime - u, _C_PER_GAP * gap, weight)]))
 
 
-def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range) -> disorder._NodeSet:
-    """The polar rule of ``reduced_nodes``; the arguments are its weight's parameters."""
+def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, v_u, half_u, gap_range) -> disorder._NodeSet:
+    """The polar rule of ``reduced_nodes``; the arguments are its weight's parameters.
+
+    Features (r_lo, r_hi, dev, foot) size the r panels; arcs are counted
+    _SMALL_BLOCK / 8 at a time.
+    """
     w, s3 = disorder.QuadratureSpec.truncation_width, _C_PER_GAP
-    v_u = v + v_e
     tau = math.sqrt(v_e * v_u / v) if v > 0 else 0.0
-    half_u = w * math.sqrt(v_u)
     # the covariance of the weight's Gaussian part in the plane (d, c), and its least deviation
     cov_cc, cov_cd, cov_dd = 0.75 * v_gap, -s3 * kappa * v_gap, kappa * kappa * v_gap + v_u
     # the set-up forms the step's lines at w tau, which the mesh doubles up to 2^63 times, its
@@ -262,9 +264,9 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
     e0 = j_prime - mu0 + kappa * m  # d = e0 - kappa c / s3 on u = mu(gap)
     region = [line(0.0, 1.0, s3 * gap_range[0], hard=v == 0.0), line(0.0, -1.0, -s3 * gap_range[1], hard=v == 0.0),
               line(1.0, kappa / s3, e0 - half_u), line(-1.0, -kappa / s3, -e0 - half_u)]
-    # F(r) shows a width of the weight, sigma or a step's, where circles run along it: for the
-    # Gaussian where they cross the line through the origin along its narrow axis (within w
-    # deviations), for a step around the foot of its half-line
+    # on a feature's [r_lo, r_hi] circles run along the weight, and F(r) shows the width dev
+    # sqrt(1 - (foot / r)^2): the Gaussian's where they cross its narrow axis through the origin
+    # (within w deviations), a step's around the foot of its half-line, a hard line's
     big = math.sqrt(cov_cc + cov_dd - sigma * sigma)
     nd, nc = ((cov_cd, sigma * sigma - cov_dd) if abs(cov_dd - sigma * sigma) > abs(cov_cc - sigma * sigma)
               else (sigma * sigma - cov_cc, cov_cd))  # the narrow axis (nd, nc), the long one (-nc, nd)
@@ -272,10 +274,10 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
     nd, nc = (nd / norm, nc / norm) if norm > 0.0 else ((1.0, 0.0) if cov_dd <= cov_cc else (0.0, 1.0))
     center = (j_prime - mu0, s3 * m)
     off, across = nd * center[1] - nc * center[0], nd * center[0] + nc * center[1]
-    zones = []
+    features = []
     if abs(off) <= w * big:
         half = sigma * math.sqrt(w * w - (off / big) ** 2)
-        zones.append((max(abs(across) - half, 0.0) if abs(across) > half else 0.0, abs(across) + half, sigma))
+        features.append((max(abs(across) - half, 0.0), abs(across) + half, sigma, 0.0))
     cuts, slope, steps = [line(0.0, 1.0, 0.0)], {}, []
     if v > 0:
         b = -(mu0 - kappa * m) * v_e / v
@@ -289,8 +291,8 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
                 foot = line(-1.0, -k / s3, b - j_prime, side)
                 steps += [foot[:4] + (width,)] if width >= _SHARP_STEP * sigma else []
                 near = abs(foot[2]) if side * foot[2] * foot[1] >= 0.0 else abs(j_prime - b)
-                zones += [(near - w * width, near + w * width, width),
-                          (abs(j_prime - b) - w * (tau + width), abs(j_prime - b) + w * (tau + width), width)]
+                features += [(near - w * width, near + w * width, width, 0.0),
+                             (abs(j_prime - b) - w * (tau + width), abs(j_prime - b) + w * (tau + width), width, 0.0)]
 
     def inside(d, c, tol):
         ok = np.ones(np.broadcast(d, c).shape, dtype=bool)
@@ -333,8 +335,7 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
 
     # along a hard line p n + s t the weight is a Gaussian in s of deviation dev = 1 / sqrt(t
     # Lambda t) about s0, and a circle of radius r meets the line at the rate r / sqrt(r^2 -
-    # p^2); that matters at the radii l_lo .. l_hi where the line carries weight, a zone
-    hard_lines = []
+    # p^2); that matters at the radii l_lo .. l_hi where the line carries weight
     for a_d_, a_c_, p, _, width in [x[:4] + (0.0,) for x in region + cuts[1:] if x[4]] + steps:
         along, offset = (-a_c_, a_d_), (center[0] - p * a_d_, center[1] - p * a_c_)
         dev = 1.0 / math.sqrt(max(form(along, along), 0.0))  # a form rounded below 0 raises as at 0
@@ -344,15 +345,14 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
         l_lo, dev = abs(p) if abs(s0) <= w * dev else ends.min(), min(dev, width or dev)
         # a smooth step matters where it is narrower than the Gaussian there
         if form(rest, rest) <= w * w and (not width or dev < 0.5 * radial(l_lo)):
-            hard_lines.append((abs(p), dev, l_lo, ends.max()))
-            zones.append((l_lo, ends.max(), math.inf))
+            features.append((l_lo, ends.max(), dev, abs(p)))
     # above the foot p of a hard line F(r) grows like sqrt(r - p): the first panel, at most
     # _GRADED_SIGMAS sigma long and no longer than the gaps to the foot below and to the next
     # cut, is graded, and the panels after it double in length, each as far from p as it is
-    # long; beyond a zone F(r) falls like 1 / sqrt(r - r_zone), smoothed over the zone:
+    # long; beyond a feature F(r) falls like 1 / sqrt(r - r_hi), smoothed over the feature:
     # panels double from its half-length
     doubling, mesh, feet = 2.0 ** np.arange(64), [np.array(edges)], sorted(set(starts))
-    for lo, hi, _ in zones:
+    for lo, hi, _, _ in features:
         mesh.append(np.append(lo, hi + 0.5 * (hi - lo) * (doubling - 1.0)))
     for below, p, next_foot in zip([-math.inf] + feet, feet, feet[1:] + [math.inf]):
         h = min(p - below, min([e for e in edges if e > p], default=math.inf) - p, _GRADED_SIGMAS * sigma)
@@ -362,15 +362,13 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
     edges = np.array(sorted(set(mesh[(mesh >= edges[0]) & (mesh <= edges[-1])].tolist())))
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
-    # a panel's width: radial(lo), and the least of the zones and hard lines it meets; its depth: the
+    # a panel's width: radial(lo), and the least of the features it meets above their feet; its depth: the
     # Gaussian's exponent, at least |x - center|^2 / (2 big^2), at the radius nearest |center|
     widths, rc = radial(lo), math.hypot(*center)
     depths = 0.5 * (np.maximum(np.maximum(lo - rc, rc - hi), 0.0) / big) ** 2
-    for z_lo, z_hi, width in zones:
-        widths = np.where((z_lo < hi) & (z_hi > lo), np.minimum(widths, width), widths)
-    for p, dev, l_lo, l_hi in hard_lines:
-        on = (l_lo < hi) & (l_hi > lo) & (p < mid)
-        widths = np.where(on, np.minimum(widths, dev * np.sqrt(np.maximum(1.0 - (p / mid) ** 2, 0.0))), widths)
+    for f_lo, f_hi, dev, foot in features:
+        on = (f_lo < hi) & (f_hi > lo) & (foot < mid)
+        widths = np.where(on, np.minimum(widths, dev * np.sqrt(np.maximum(1.0 - (foot / mid) ** 2, 0.0))), widths)
     r, w_r = panel_rule(edges, t_max, widths, scale, set(np.searchsorted(edges, starts)), depths)
 
     # each circle's arcs in the region, between the angles where it crosses a line
@@ -389,14 +387,17 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, gap_range)
     ri, lo, hi, mid = np.nonzero(arc)[0], lo[arc], hi[arc], mid[arc]
     # an arc's count follows the weight along it: over eight chords, the Mahalanobis length
     # of the Gaussian part and the change of the normal-CDF argument within +-w, in quadrature
-    angle = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 9)
-    d_k, c_k = r[ri, None] * np.cos(angle), r[ri, None] * np.sin(angle)
-    dd, dc = np.diff(d_k, axis=1), np.diff(c_k, axis=1)
-    chords = form((dd, dc), (dd, dc))
-    if tau > 0:
-        k_side = np.where(np.sin(mid) >= 0.0, slope[1.0], slope[-1.0])[:, None]
-        chords += np.diff(np.clip((j_prime - b - d_k - k_side * c_k / s3) / tau, -w, w), axis=1) ** 2
-    count = scale * _size_class(np.ceil(_NODES_PER_SIGMA * np.sqrt(chords).sum(axis=1)) + _PANEL_MARGIN)
+    count, per = np.empty(len(ri), dtype=int), disorder._SMALL_BLOCK // 8
+    for s in range(0, len(ri), per):
+        arcs = slice(s, s + per)
+        angle = lo[arcs, None] + (hi - lo)[arcs, None] * np.linspace(0.0, 1.0, 9)
+        d_k, c_k = r[ri[arcs], None] * np.cos(angle), r[ri[arcs], None] * np.sin(angle)
+        dd, dc = np.diff(d_k, axis=1), np.diff(c_k, axis=1)
+        chords = form((dd, dc), (dd, dc))
+        if tau > 0:
+            k_side = np.where(np.sin(mid[arcs]) >= 0.0, slope[1.0], slope[-1.0])[:, None]
+            chords += np.diff(np.clip((j_prime - b - d_k - k_side * c_k / s3) / tau, -w, w), axis=1) ** 2
+        count[arcs] = scale * _size_class(np.ceil(_NODES_PER_SIGMA * np.sqrt(chords).sum(axis=1)) + _PANEL_MARGIN)
 
     def weight(d, c):
         gap, u = c / s3, j_prime - d

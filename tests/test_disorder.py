@@ -37,7 +37,7 @@ from deoq_dyn.qubit import (
     return_probability_superposition,
     return_probability_zero,
 )
-from deoq_dyn.sweep import SweepGrid, suggested_time_grid
+from deoq_dyn.sweep import DEFAULT_J0_EV, SweepGrid, suggested_time_grid
 
 P = ExchangeParams()
 
@@ -398,6 +398,27 @@ def test_polar_blocks_bound_the_peak_memory_of_the_terms():
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
     assert nodes.meta["n_nodes"] > 4 * disorder._SMALL_BLOCK
+
+
+def test_polar_set_up_sizes_its_arcs_a_block_at_a_time():
+    """The Si material point at sigma_j 0.5 ueV, whose sharp normal-CDF
+    step makes 58,036 weight evaluations, averages both initial states at
+    0.93 MiB traced once its Gauss rules are cached: the set-up forms the
+    chord lengths that size its arcs for _SMALL_BLOCK / 8 arcs at a time.
+    Formed for every arc at once, they held nine points of each and the
+    average peaked at 2.0 MiB."""
+    sigma_e, sigma_j = 3e-9 / DEFAULT_J0_EV, 0.5e-6 / DEFAULT_J0_EV
+    noise = NoiseSpec(sigma_e, sigma_j, sigma_j, P.j1, P.j2)
+    times = suggested_time_grid(noise)
+    disorder._quadrature_traces(P, noise, ("zero", "superposition"), times)  # the Gauss rules, cached
+    tracemalloc.start()
+    try:
+        traces = disorder._quadrature_traces(P, noise, ("zero", "superposition"), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traces[0].metadata["n_nodes"] == 58_036
+    assert peak < 1.25 * 2 ** 20
 
 
 def test_gauss_points_meet_the_rule_tolerance():
@@ -1443,7 +1464,7 @@ def test_node_set_drops_a_block_once_yielded(rule):
 ], ids=["sweep-heavy-largest-cell", "sweep-heavy-largest-cell-doubled", "tensor-sigma-j1-0"])
 def test_node_set_blocks_hold_at_most_block_nodes(make, n_nodes):
     """Every block of a node set, the 2D rule's weight evaluations or the
-    tensor rule's chunks, holds at most _BLOCK_NODES nodes, and the blocks
+    tensor rule's chunks, holds at most _SMALL_BLOCK nodes, and the blocks
     hold the node count of the metadata: the largest cell of the
     sweep-heavy benchmark (sigma_e 1, sigma_j 0.5, t_max 100) and a tensor
     rule whose j1 dimension collapses, so that a j1 slab is the whole 4
@@ -1451,7 +1472,7 @@ def test_node_set_blocks_hold_at_most_block_nodes(make, n_nodes):
     nodes = make()
     blocks = nodes.points() if nodes.points else nodes.chunks
     sizes = [np.size(block[2] if nodes.points else block[1]) for block in blocks]
-    assert max(sizes) <= disorder._BLOCK_NODES
+    assert max(sizes) <= disorder._SMALL_BLOCK
     assert sum(sizes) == nodes.meta["n_nodes"] == n_nodes
 
 
@@ -1510,13 +1531,18 @@ def test_evaluator_tail_holds_three_block_arrays(monkeypatch, n_times):
     assert peak < 3.5 * 8 * B
 
 
-def _density_at_degeneracy(noise):
-    """The (gap, u) density at gap 0, u = j', the origin of the polar plane:
-    gap 0 means j1 = j2 = s, and u = j' means delta_e = s - j'."""
+def _density(noise, gap, u):
+    """The (gap, u) density: j1, j2 = s +- gap/2 and delta_e = s - u, a map of
+    Jacobian 1, integrated over s."""
     def f(s):
-        return (pdf_exchange(s, noise.j01, noise.sigma_j1) * pdf_exchange(s, noise.j02, noise.sigma_j2)
-                * pdf_delta_e(s - P.j_prime, noise.sigma_e))
-    return integrate(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return (pdf_exchange(s + 0.5 * gap, noise.j01, noise.sigma_j1)
+                * pdf_exchange(s - 0.5 * gap, noise.j02, noise.sigma_j2) * pdf_delta_e(s - u, noise.sigma_e))
+    return integrate(f, 0.5 * abs(gap), np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _density_at_degeneracy(noise):
+    """The (gap, u) density at gap 0, u = j', the origin of the polar plane."""
+    return _density(noise, 0.0, P.j_prime)
 
 
 @pytest.mark.parametrize("sigma_e, sigma_j, predicted", [
@@ -1612,3 +1638,57 @@ def test_1d_tail_meets_stationary_phase():
     assert np.all(np.abs(scaled - a1 * np.sin(theta))
                   <= 1.25 * abs(a2) / t + (trace.metadata["error_bound"] + 1e-9) * t ** 1.5)
     assert np.max(np.abs(scaled[t >= 1000.0])) == pytest.approx(a1, abs=1e-3)
+
+
+@pytest.mark.parametrize("sigma_e, sigma_j, predicted, next_coef", [
+    (0.5, 0.3, -0.422396, 10.6), (1.0, 0.5, -0.0945168, -0.61),
+])
+def test_superposition_tail_meets_the_mixed_partials_at_degeneracy(sigma_e, sigma_j, predicted, next_coef):
+    """With amp_sup = sin 2 phi, P_sup(t) - P_inf = -(1/4) int_0^inf r H(r)
+    cos(r t) dr, H(r) the (d, c) density times sin 2 phi summed over the
+    circle of radius r.  The angular mean of sin 2 phi kills the density's
+    value and first derivatives at the origin, and of its second ones keeps
+    only the mixed d-c partial, B+ on c > 0 and B- on c < 0, one-sided
+    because of the |gap| kink: H(r) = (pi / 4) (B+ + B-) r^2 + O(r^3).  The endpoint expansion keeps
+    the odd derivatives of r H (Watson's lemma), so the t^-5 term vanishes
+    and
+
+        P_sup(t) = P_inf + K / t^4 + L / t^6 + O(t^-8),
+        K = -(3/2)(pi / 4)(B+ + B-) = (pi / 2)(rho_gu(0+, j') + rho_gu(0-, j')),
+
+    rho_gu the mixed partial of the (gap, u) density, here one-sided in the
+    gap and central in u at step 1e-3 (second order; 1e-6 from the limit).
+    At (1.0, 0.5) the two sides differ, -0.02992 against -0.03025.  L is
+    not derived: a least-squares fit of P_inf + K t^-4 + L t^-6 to the
+    traces on [40, 400] gave L = 10.6 and -0.61, within 7.9e-12 and 1.8e-12
+    of them, and K within 1.1e-4 and 2e-7 of these.
+
+    P_inf is eliminated by differencing t and 2 t: (16/15) t^4 (P(t) -
+    P(2 t)) = K + (21/20) L / t^2 + O(t^-4) on t in [50, 120], where both
+    L / t^2 and the trace's error bound times t^4 stay small.  The
+    tolerance is a quarter of the L term, for its estimate and the terms
+    after it, plus (32/15) t^4 times the stated error bound at both times.
+    What is left after the L term reads under 9% of it at (0.5, 0.3), and
+    under 3e-5 at (1.0, 0.5), where the error bound's 1.3e-5 to 4.3e-4
+    dominates; each side stays under a fifth of its tolerance.  The test
+    fails on an under-sized rule (_RULE_TOLERANCE 1e-7, _PANEL_MARGIN 0, or
+    0.7 of _gauss_points) and on one truncated at 5 deviations."""
+    noise = NoiseSpec(sigma_e, sigma_j, sigma_j)
+    h = 1e-3
+
+    def mixed(side):  # d^2 rho / d gap d u at gap 0 on one side
+        def d_gap(u):
+            return side * (-3.0 * _density(noise, 0.0, u) + 4.0 * _density(noise, side * h, u)
+                           - _density(noise, 2.0 * side * h, u)) / (2.0 * h)
+        return (d_gap(P.j_prime + h) - d_gap(P.j_prime - h)) / (2.0 * h)
+
+    k = 0.5 * math.pi * (mixed(1.0) + mixed(-1.0))
+    assert k == pytest.approx(predicted, abs=1e-6)
+    times = np.linspace(0.0, 240.0, 9_601)
+    trace = disorder_average_quadrature(P, noise, "superposition", times)
+    i = np.arange(2_000, 4_801)  # t in [50, 120]; 2 i is 2 t
+    t = times[i]
+    scaled = (16.0 / 15.0) * t ** 4 * (trace.values[i] - trace.values[2 * i])
+    next_term = 1.05 * next_coef / t ** 2
+    assert np.all(np.abs(scaled - k - next_term)
+                  <= 0.25 * abs(next_term) + (32.0 / 15.0) * t ** 4 * trace.metadata["error_bound"])
