@@ -114,9 +114,9 @@ _MAX_BINS = 2 ** 22
 _MAX_DIM_NODES = 5_000
 _MAX_TENSOR_NODES = 500_000_000
 
-# nodes per block of the 2D rule's weight evaluations, of the Monte Carlo
-# samples and of the tensor rule's chunks, and the evaluator's least block of
-# times: a block holds about 20 arrays of its length at once.  The polar rule
+# nodes per block of the 2D rule's weight evaluations and of the Monte Carlo
+# samples, and the least of the tensor rule's chunks and of the evaluator's
+# blocks of times: a block holds about 20 arrays of its length at once.  The polar rule
 # of the sigma_e 1, sigma_j 0.5 cell at t_max 100 peaks at 7.2 MiB traced in
 # one block and 1.0 MiB in blocks of this size; Monte Carlo at 1e5 samples x
 # 8,001 times at 10.8 and 3.2 MiB; a tensor rule of 2,000 x 2,000 nodes with
@@ -752,16 +752,19 @@ def _node_terms(j_prime: float, j1, j2, delta_e, weight) -> tuple:
     return omega, weight, weight * amp_zero, weight * amp_sup
 
 
-def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, scale: int = 1) -> _NodeSet:
-    """Tensor rule over (j1, j2, delta_e).
+def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, t_max: float, scale: int = 1) -> _NodeSet:
+    """Tensor rule over (j1, j2, delta_e), for windows to t_max.
 
     Each coupling takes the pdf-weighted Gauss-Legendre rule on [max(0, j0i
     - w sigma_ji), j0i + w sigma_ji], delta_e the rule of ``_nodes_delta_e``.
     ``scale`` multiplies the node counts of ``q``, which are checked against
     the limits once scaled.  A chunk is one j1 node times a run of
-    _SMALL_BLOCK // n_delta_e j2 rows (at least one), so it holds at most
-    max(_SMALL_BLOCK, n_delta_e) nodes; each run's (j2, delta_e) grids are
-    built when its first chunk is drawn and shared by its j1 nodes.
+    max(_SMALL_BLOCK, n_bins) // n_delta_e j2 rows (at least one), n_bins
+    the band's width in the evaluator's bins at t_max, whose sums
+    ``_evaluate`` pays once per chunk; so it holds at most
+    max(_SMALL_BLOCK, n_bins, n_delta_e) nodes.  Each run's (j2, delta_e)
+    grids are built when its first chunk is drawn and shared by its j1
+    nodes.
     """
     q = replace(q, n_hermite=scale * q.n_hermite, n_legendre=scale * q.n_legendre)
     _check_node_counts(q.n_hermite if spec.sigma_e > 0 else 1,
@@ -771,7 +774,9 @@ def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, scale: int
     x1, w1 = _pdf_legendre(q.n_legendre, spec.j01, spec.sigma_j1, max(0.0, spec.j01 - w * spec.sigma_j1), w)
     x2, w2 = _pdf_legendre(q.n_legendre, spec.j02, spec.sigma_j2, max(0.0, spec.j02 - w * spec.sigma_j2), w)
     xe, we = _nodes_delta_e(spec.sigma_e, q)
-    rows = max(1, _SMALL_BLOCK // len(xe))
+    band = _band(j_prime, *_brackets(x1, x2, xe))
+    n_bins = min(_MAX_BINS, (band[1] - band[0]) * 2.0 * t_max / math.pi)  # inf and NaN give _MAX_BINS
+    rows = max(1, int(max(_SMALL_BLOCK, n_bins)) // len(xe))
 
     def chunks():
         for s in range(0, len(x2), rows):
@@ -781,8 +786,7 @@ def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, scale: int
                 yield _node_terms(j_prime, x1[i], grid2, grid_e, w1[i] * w_chunk)
 
     return _NodeSet(
-        chunks=chunks(),
-        band=_band(j_prime, *_brackets(x1, x2, xe)),
+        chunks=chunks(), band=band,
         meta={"rule": "tensor", "n_delta_e": len(xe), "n_j1": len(x1), "n_j2": len(x2),
               "n_nodes": len(x1) * len(x2) * len(xe), "quadrature_spec": q,
               "delta_e_rule": q.delta_e_rule if spec.sigma_e > 0 else "collapsed"},
@@ -895,7 +899,7 @@ def _quadrature_traces(p: ExchangeParams, spec: NoiseSpec, initials: tuple, time
 
     # every node set is built, and its counts checked, before the first average
     node_sets = [polar.reduced_nodes(spec, p.j_prime, float(times[-1]), scale) if q is None
-                 else _tensor_nodes(spec, q, p.j_prime, scale)
+                 else _tensor_nodes(spec, q, p.j_prime, float(times[-1]), scale)
                  for scale in ((1, 2) if check_convergence else (1,))]
     averages = _average(node_sets[0], initials, times)
     if check_convergence:

@@ -233,11 +233,7 @@ def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale:
 
 
 def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, v_u, half_u, gap_range) -> disorder._NodeSet:
-    """The polar rule of ``reduced_nodes``; the arguments are its weight's parameters.
-
-    Features (r_lo, r_hi, dev, foot) size the r panels; arcs are counted
-    _SMALL_BLOCK / 8 at a time.
-    """
+    """The polar rule of ``reduced_nodes``; the arguments are its weight's parameters."""
     w, s3 = disorder.QuadratureSpec.truncation_width, _C_PER_GAP
     tau = math.sqrt(v_e * v_u / v) if v > 0 else 0.0
     # the covariance of the weight's Gaussian part in the plane (d, c), and its least deviation
@@ -264,8 +260,8 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, v_u, half_
     e0 = j_prime - mu0 + kappa * m  # d = e0 - kappa c / s3 on u = mu(gap)
     region = [line(0.0, 1.0, s3 * gap_range[0], hard=v == 0.0), line(0.0, -1.0, -s3 * gap_range[1], hard=v == 0.0),
               line(1.0, kappa / s3, e0 - half_u), line(-1.0, -kappa / s3, -e0 - half_u)]
-    # on a feature's [r_lo, r_hi] circles run along the weight, and F(r) shows the width dev
-    # sqrt(1 - (foot / r)^2): the Gaussian's where they cross its narrow axis through the origin
+    # on a feature (r_lo, r_hi, dev, foot) circles run along the weight, F(r) shows the width
+    # dev sqrt(1 - (foot / r)^2): the Gaussian's across its narrow axis through the origin
     # (within w deviations), a step's around the foot of its half-line, a hard line's
     big = math.sqrt(cov_cc + cov_dd - sigma * sigma)
     nd, nc = ((cov_cd, sigma * sigma - cov_dd) if abs(cov_dd - sigma * sigma) > abs(cov_cc - sigma * sigma)
@@ -335,7 +331,7 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, v_u, half_
 
     # along a hard line p n + s t the weight is a Gaussian in s of deviation dev = 1 / sqrt(t
     # Lambda t) about s0, and a circle of radius r meets the line at the rate r / sqrt(r^2 -
-    # p^2); that matters at the radii l_lo .. l_hi where the line carries weight
+    # p^2); that matters at the radii where the line carries weight
     for a_d_, a_c_, p, _, width in [x[:4] + (0.0,) for x in region + cuts[1:] if x[4]] + steps:
         along, offset = (-a_c_, a_d_), (center[0] - p * a_d_, center[1] - p * a_c_)
         dev = 1.0 / math.sqrt(max(form(along, along), 0.0))  # a form rounded below 0 raises as at 0
@@ -362,7 +358,7 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, v_u, half_
     edges = np.array(sorted(set(mesh[(mesh >= edges[0]) & (mesh <= edges[-1])].tolist())))
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
-    # a panel's width: radial(lo), and the least of the features it meets above their feet; its depth: the
+    # a panel's width: the least of radial(lo) and the features it meets above their feet; its depth: the
     # Gaussian's exponent, at least |x - center|^2 / (2 big^2), at the radius nearest |center|
     widths, rc = radial(lo), math.hypot(*center)
     depths = 0.5 * (np.maximum(np.maximum(lo - rc, rc - hi), 0.0) / big) ** 2

@@ -816,7 +816,7 @@ def test_evaluator_matches_cos_matrix():
     times = np.linspace(0.0, 80.0, 203)
     noise = NoiseSpec(sigma_e=0.3, sigma_j1=0.2, sigma_j2=0.1)
     q = QuadratureSpec(n_hermite=31, n_legendre=17, delta_e_rule="legendre")
-    omega, w, w_zero, w_sup = (np.concatenate(v) for v in zip(*_tensor_nodes(noise, q, P.j_prime).chunks))
+    omega, w, w_zero, w_sup = (np.concatenate(v) for v in zip(*_tensor_nodes(noise, q, P.j_prime, 80.0).chunks))
     cos_matrix = np.cos(np.outer(omega, times))
     mass = w.sum()
     for initial, coef, base in (
@@ -1418,7 +1418,7 @@ def test_trace_metadata_records_quadrature_setup():
     assert md["n_nodes"] == md["n_delta_e"] * md["n_j1"] * md["n_j2"]
     assert md["delta_e_rule"] == "legendre"
     assert md["quadrature_spec"] == q
-    assert md["n_nodes"] == _node_count(_tensor_nodes(noise, q, P.j_prime))
+    assert md["n_nodes"] == _node_count(_tensor_nodes(noise, q, P.j_prime, 50.0))
 
     # the 2D rule counts its weight evaluations, and the terms it hands the
     # evaluator, one per r node; its normal-CDF step is too wide to cut
@@ -1446,7 +1446,7 @@ def test_node_set_drops_a_block_once_yielded(rule):
     time."""
     noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.3)
     if rule == "tensor":
-        nodes = _tensor_nodes(noise, QuadratureSpec(n_hermite=8, n_legendre=8), P.j_prime)
+        nodes = _tensor_nodes(noise, QuadratureSpec(n_hermite=8, n_legendre=8), P.j_prime, 50.0)
     else:
         nodes = reduced_nodes(noise, P.j_prime, 50.0)
     chunk = next(nodes.chunks)
@@ -1460,7 +1460,7 @@ def test_node_set_drops_a_block_once_yielded(rule):
     (lambda: reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0), 38_140),
     (lambda: reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0, scale=2), 152_636),
     (lambda: _tensor_nodes(NoiseSpec(sigma_e=0.3, sigma_j2=0.2), QuadratureSpec(2000, 2000, delta_e_rule="legendre"),
-                           P.j_prime), 4_000_000),
+                           P.j_prime, 50.0), 4_000_000),
 ], ids=["sweep-heavy-largest-cell", "sweep-heavy-largest-cell-doubled", "tensor-sigma-j1-0"])
 def test_node_set_blocks_hold_at_most_block_nodes(make, n_nodes):
     """Every block of a node set, the 2D rule's weight evaluations or the
@@ -1468,13 +1468,25 @@ def test_node_set_blocks_hold_at_most_block_nodes(make, n_nodes):
     hold the node count of the metadata: the largest cell of the
     sweep-heavy benchmark (sigma_e 1, sigma_j 0.5, t_max 100) and a tensor
     rule whose j1 dimension collapses, so that a j1 slab is the whole 4
-    M-node rule."""
+    M-node rule, on a window (t_max 50) of fewer bins than _SMALL_BLOCK."""
     nodes = make()
     blocks = nodes.points() if nodes.points else nodes.chunks
     sizes = [np.size(block[2] if nodes.points else block[1]) for block in blocks]
     assert max(sizes) <= disorder._SMALL_BLOCK
     assert sum(sizes) == nodes.meta["n_nodes"] == n_nodes
 
+
+
+def test_tensor_chunks_grow_with_the_evaluators_bins():
+    """``_evaluate`` pays for its bins once per chunk, so on a long window a
+    tensor chunk takes as many j2 rows as fill the bins: at (sigma_e,
+    sigma_j1, sigma_j2) = (0.3, 0.2, 0.2) with 200 x 200 x 60 nodes to t_max
+    2,530 (7,827 bins) a j1 node's 200 rows go in runs of 130 and 70, not
+    in three runs of _SMALL_BLOCK // 60 = 68."""
+    nodes = _tensor_nodes(NoiseSpec(sigma_e=0.3, sigma_j1=0.2, sigma_j2=0.2),
+                          QuadratureSpec(60, 200, delta_e_rule="legendre"), P.j_prime, 2530.0)
+    sizes = [len(chunk[1]) for chunk in nodes.chunks]
+    assert sizes == [130 * 60] * 200 + [70 * 60] * 200
 
 def test_convergence_check_rejects_doubled_tensor_counts_past_the_limits(monkeypatch):
     """check_convergence doubles an explicit spec's counts; the doubled counts
@@ -1661,7 +1673,10 @@ def test_superposition_tail_meets_the_mixed_partials_at_degeneracy(sigma_e, sigm
     At (1.0, 0.5) the two sides differ, -0.02992 against -0.03025.  L is
     not derived: a least-squares fit of P_inf + K t^-4 + L t^-6 to the
     traces on [40, 400] gave L = 10.6 and -0.61, within 7.9e-12 and 1.8e-12
-    of them, and K within 1.1e-4 and 2e-7 of these.
+    of them, and K within 1.1e-4 and 2e-7 of these.  So only K is an
+    independent oracle: the L term, fitted to the traces this test reads,
+    at (0.5, 0.3) exceeds what the tolerance would leave without it (4.5e-3
+    at t = 50), and serves to let t start at 50.
 
     P_inf is eliminated by differencing t and 2 t: (16/15) t^4 (P(t) -
     P(2 t)) = K + (21/20) L / t^2 + O(t^-4) on t in [50, 120], where both

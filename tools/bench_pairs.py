@@ -6,7 +6,9 @@ BENCHMARK.json once per workload in each directory with --seed k, the
 parent first in even pairs and the change first in odd ones.  For each
 workload and end-to-end metric it prints both medians, the parent's
 interquartile range (IQR), the change's wins, ties and losses over the
-pairs, the bound and a verdict:
+pairs, the bound in the metric's unit and a verdict.  A bound in BENCHMARK.json is a share of
+the parent's median (0.25 lets wall_s worsen by 25%; perfbench/README.md),
+so the verdict scales it by that median:
 
 - better: the change wins at least nine tenths of the pairs, ties counting
   for neither, and its median is better by more than the parent's IQR;
@@ -29,18 +31,19 @@ def quartiles(runs):
 
 
 def verdict(parent, change, bound, lower_is_better=True):
-    """(verdict, wins, ties, losses) of the change's runs against the parent's, pair k against pair k."""
+    """(verdict, wins, ties, losses) of the change's runs against the parent's, pair k against pair k;
+    bound is a share of the parent's median."""
     sign = 1.0 if lower_is_better else -1.0
     gains = [sign * (p - c) for p, c in zip(parent, change)]
     wins, ties = sum(g > 0 for g in gains), sum(g == 0 for g in gains)
     (p_lo, p_mid, p_hi), c_mid = quartiles(parent), statistics.median(change)
-    gain = sign * (p_mid - c_mid)
+    gain, allowed = sign * (p_mid - c_mid), bound * abs(p_mid)
     separated = all(sign * (p - c) > 0 for p in parent for c in change)
     if wins >= 0.9 * len(gains) and gain > p_hi - p_lo:
         word = "better"
-    elif gain < -bound:
+    elif gain < -allowed:
         word = "worse"
-    elif p_hi - p_lo > bound and not separated:
+    elif p_hi - p_lo > allowed and not separated:
         word = "unresolved"
     else:
         word = "no worse"
@@ -77,14 +80,14 @@ def main():
     for w in workloads:
         parent, change = runs["parent", w], runs["change", w]
         print(f"{w} ({args.pairs} pairs)")
-        print(f"  {'metric':14} {'parent':>10} {'change':>10} {'parent IQR':>11} {'W/T/L':>8} {'bound':>7}  verdict")
+        print(f"  {'metric':14} {'parent':>10} {'change':>10} {'parent IQR':>11} {'W/T/L':>8} {'bound':>9}  verdict")
         for metric in bench["end_to_end"]:
             name = metric["name"]
             p, c = [r[0][name] for r in parent], [r[0][name] for r in change]
             word, wins, ties, losses = verdict(p, c, metric["bound"], metric["better"] == "lower")
             lo, _, hi = quartiles(p)
             print(f"  {name:14} {statistics.median(p):10.4g} {statistics.median(c):10.4g} {hi - lo:11.3g} "
-                  f"{f'{wins}/{ties}/{losses}':>8} {metric['bound']:7.3g}  {word}")
+                  f"{f'{wins}/{ties}/{losses}':>8} {metric['bound'] * statistics.median(p):9.3g}  {word}")
         p_fail, c_fail = (statistics.mean(r[1] for r in side) for side in (parent, change))
         print(f"  failed share of operations: parent {p_fail:.3g}, change {c_fail:.3g}"
               + ("  (the change fails more)" if c_fail > p_fail else ""))
