@@ -42,11 +42,13 @@ from .qubit import (
 from .sweep import (
     MaterialPoint,
     MaterialPreset,
+    MaterialsConfig,
     SweepCell,
+    SweepConfig,
     SweepGrid,
+    Times,
     default_material_presets,
     default_material_sigma_j_ev,
-    default_time_grid,
     material_comparison,
     run_cell,
     run_sweep,
@@ -61,18 +63,20 @@ __all__ = [
     "ExchangeParams",
     "MaterialPoint",
     "MaterialPreset",
+    "MaterialsConfig",
     "NoiseSpec",
     "NumericalError",
     "PhysicalScale",
     "ProbabilityTrace",
     "QuadratureSpec",
     "SweepCell",
+    "SweepConfig",
     "SweepGrid",
+    "Times",
     "build_full_hamiltonian",
     "build_logical_hamiltonian",
     "default_material_presets",
     "default_material_sigma_j_ev",
-    "default_time_grid",
     "disorder_average_mc",
     "disorder_average_quadrature",
     "evolve",

@@ -7,15 +7,18 @@ config that produced it (a trailing ``# config=...`` line in CSV, a
 the file alone.  Exit codes: 0 success, 2 invalid input, 3 I/O failure,
 4 internal numerical failure.
 
-Config model: each command has one frozen dataclass, ``SimulateConfig``,
-``FitConfig``, ``SweepConfig`` or ``MaterialsConfig``, whose fields are the
-command's keys with their defaults; its nested blocks are the package's own
-dataclasses.  One reader, ``_read``, builds it from the JSON object by the
-field annotations, the command runs from the object it read, and the echo
-is ``asdict`` of that object with None entries left out, so the config that
-runs a command and the config it writes cannot drift apart.  ``--method``,
-``--seed`` and ``--samples`` override the keys of the simulate config that
-runs (the top-level one, or ``fit``'s inline ``simulate`` block).
+Config model: each command has one frozen dataclass whose fields are the
+command's keys with their defaults, and whose nested blocks are the
+package's own dataclasses: ``SimulateConfig`` and ``FitConfig`` here,
+``SweepConfig`` and ``MaterialsConfig`` in ``sweep``.  One reader, ``_read``,
+builds it from the JSON object by the field annotations.  The command runs
+from the object it read: ``sweep.run_sweep`` and
+``sweep.material_comparison`` take theirs as it is, so a table run has no
+second model or second set of defaults.  The echo is ``asdict`` of that
+object with None entries left out, so the config that runs a command and
+the config it writes cannot drift apart.  ``--method``, ``--seed`` and
+``--samples`` override the keys of the simulate config that runs (the
+top-level one, or ``fit``'s inline ``simulate`` block).
 """
 
 from __future__ import annotations
@@ -41,24 +44,12 @@ from .disorder import (
     disorder_average_quadrature,
 )
 from .qubit import ExchangeParams
-from .sweep import (
-    DEFAULT_J0_EV,
-    DEFAULT_SIGMA_E_VALUES,
-    DEFAULT_SIGMA_J_VALUES,
-    MaterialPreset,
-    SweepGrid,
-    default_material_presets,
-    default_material_sigma_j_ev,
-    material_comparison,
-    run_sweep,
-)
+from .sweep import MaterialsConfig, SweepConfig, Times, _Initial, material_comparison, run_sweep
 
 SCHEMA_VERSION = "1"
 TRACE_HEADER = "t,t_seconds,p,p_stderr"
 SWEEP_HEADER = "sigma_e,sigma_j,j0_t2_star,t2_star_seconds,q,alpha,status"
 MATERIALS_HEADER = "material,sigma_j_ev,initial_condition,t2_star_seconds"
-
-_Initial = Literal["zero", "superposition"]
 
 # trace rows per piece of a simulate CSV, written as it is formatted: 8,001
 # rows go out in 8 pieces of 17-48 KB, not as one string of 0.16-0.38 MB
@@ -134,23 +125,6 @@ def _echo(cfg) -> dict:
 
 
 @dataclass(frozen=True)
-class _Times:
-    """The ``times`` block: a uniform grid from 0 to t_max (hbar/j0 units)."""
-
-    t_max: float = 200.0
-    n_points: int = 8001
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_points)
-
-
-@dataclass(frozen=True)
 class SimulateConfig:
     """The ``simulate`` config.
 
@@ -164,7 +138,7 @@ class SimulateConfig:
     params: ExchangeParams = ExchangeParams()
     noise: NoiseSpec = NoiseSpec()
     initial: _Initial = "zero"
-    times: _Times = _Times()
+    times: Times = Times()
     check_convergence: bool = False
     quadrature: Optional[QuadratureSpec] = None
     seed: int = 0
@@ -208,45 +182,6 @@ class FitConfig:
             raise ValueError("initial belongs inside simulate")
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """The sweep's ``grid`` block."""
-
-    sigma_e_values: list[float] = DEFAULT_SIGMA_E_VALUES
-    sigma_j_values: list[float] = DEFAULT_SIGMA_J_VALUES
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """The ``sweep`` config."""
-
-    command: Optional[Literal["sweep"]] = "sweep"
-    grid: _Grid = _Grid()
-    params: ExchangeParams = ExchangeParams()
-    initial: _Initial = "zero"
-    times: _Times = _Times()
-    quadrature: Optional[QuadratureSpec] = None
-    j0_ev: float = DEFAULT_J0_EV
-
-
-@dataclass(frozen=True)
-class MaterialsConfig:
-    """The ``materials`` config; null presets or widths mean the defaults."""
-
-    command: Optional[Literal["materials"]] = "materials"
-    presets: Optional[list[MaterialPreset]] = default_material_presets()
-    sigma_j_values_ev: Optional[list[float]] = tuple(map(float, default_material_sigma_j_ev()))
-    j0_ev: float = DEFAULT_J0_EV
-    both_initial_conditions: bool = True
-    params: ExchangeParams = ExchangeParams()
-
-    def __post_init__(self) -> None:
-        if not self.presets:
-            raise ValueError("presets must be a non-empty list")
-        if not (self.sigma_j_values_ev and all(v > 0 for v in self.sigma_j_values_ev)):
-            raise ValueError("sigma_j_values_ev must be a non-empty list of positive numbers")
-
-
 def _fmt(x) -> str:
     """9 significant digits (nan, inf and -inf as such); empty for missing values."""
     return "" if x is None else f"{x:.9g}"
@@ -263,7 +198,7 @@ def _write_atomic(path: str, pieces) -> None:
     writes a piece leaves no partial file and any earlier file intact."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             for piece in pieces:
                 fh.write(piece)
         os.replace(tmp, path)
@@ -315,7 +250,7 @@ def cmd_simulate(cfg: dict, out_path: str) -> int:
 
 def _read_trace_csv(path: str):
     """The rows (t, p, p_stderr or None) of a trace file and its embedded config."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != TRACE_HEADER:
         raise ConfigError(f"trace file must start with header {TRACE_HEADER!r}")
@@ -387,14 +322,10 @@ def cmd_fit(cfg: dict, out_path: str) -> int:
 def cmd_sweep(cfg: dict, out_path: str) -> int:
     """Run a (sigma_e, sigma_j) grid and write the T2*/Q map as CSV."""
     cfg = _read(SweepConfig, cfg, "config")
-    grid = SweepGrid(
-        cfg.grid.sigma_e_values, cfg.grid.sigma_j_values, cfg.initial, cfg.params,
-        cfg.times.grid(), cfg.quadrature,
-    )
     unit_s = PhysicalScale(cfg.j0_ev).time_unit_s
     # inf and nan (no decay, failed fit) carry through the product unchanged
     lines = [f"{_fmt(c.sigma_e)},{_fmt(c.sigma_j)},{_fmt(c.j0_t2_star)},"
-             f"{_fmt(c.j0_t2_star * unit_s)},{_fmt(c.q)},{_fmt(c.alpha)},{c.fit_status}\n" for c in run_sweep(grid)]
+             f"{_fmt(c.j0_t2_star * unit_s)},{_fmt(c.q)},{_fmt(c.alpha)},{c.fit_status}\n" for c in run_sweep(cfg)]
     _write_csv(out_path, SWEEP_HEADER, lines, cfg)
     return 0
 
@@ -405,14 +336,8 @@ def cmd_sweep(cfg: dict, out_path: str) -> int:
 def cmd_materials(cfg: dict, out_path: str) -> int:
     """Compare material presets across charge-noise widths; write CSV."""
     cfg = _read(MaterialsConfig, cfg, "config")
-    rows = material_comparison(
-        presets=cfg.presets,
-        sigma_j_values_ev=cfg.sigma_j_values_ev,
-        j0_ev=cfg.j0_ev,
-        both_initial_conditions=cfg.both_initial_conditions,
-        params=cfg.params,
-    )
-    lines = [f"{r.material},{_fmt(r.sigma_j_ev)},{r.initial_condition},{_fmt(r.t2_star_seconds)}\n" for r in rows]
+    lines = [f"{r.material},{_fmt(r.sigma_j_ev)},{r.initial_condition},{_fmt(r.t2_star_seconds)}\n"
+             for r in material_comparison(cfg)]
     _write_csv(out_path, MATERIALS_HEADER, lines, cfg)
     return 0
 
@@ -450,7 +375,7 @@ def _config(args) -> dict:
     unreadable file raises OSError, any other fault ConfigError.
     """
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read config: {exc}") from exc

@@ -379,7 +379,7 @@ def _check_node_counts(*counts: float) -> None:
     if not (widest <= _MAX_DIM_NODES and total <= _MAX_TENSOR_NODES):
         raise ValueError(
             f"quadrature needs {np.ceil(widest):.6g} nodes in one dimension and "
-            f"{np.ceil(total):.6g} in the tensor, above the limits of {_MAX_DIM_NODES} "
+            f"{np.ceil(total):.6g} in all, above the limits of {_MAX_DIM_NODES} "
             f"and {_MAX_TENSOR_NODES}; reduce the noise widths or the time window"
         )
 

@@ -5,13 +5,17 @@ disorder average, envelope extraction, stretched-exponential fit, quality
 factor.  Charge noise is applied symmetrically, sigma_j1 = sigma_j2 =
 sigma_j.  Material presets fix the magnetic-noise floor in eV and compare
 coherence times across a charge-noise range in physical units.
+
+Each run takes one config object, ``SweepConfig`` or ``MaterialsConfig``,
+whose fields are the keys of the CLI command that runs it, with the same
+defaults; the command echoes that object into its output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -24,13 +28,30 @@ DEFAULT_SIGMA_J_VALUES = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5)
 
 DEFAULT_J0_EV = 1e-6
 
-
-def default_time_grid() -> np.ndarray:
-    """Uniform grid to t = 200 hbar/j0 at 40 samples per time unit."""
-    return np.linspace(0.0, 200.0, 8001)
+_Initial = Literal["zero", "superposition"]
 
 
-def default_material_presets() -> tuple["MaterialPreset", ...]:
+@dataclass(frozen=True)
+class MaterialPreset:
+    """A host material, reduced to its magnetic-noise floor in eV.
+
+    The name is a field of a CSV row, so it may not hold a comma or a line
+    break, nor start with the comment mark ``#``.
+    """
+
+    name: str
+    sigma_e_floor_ev: float
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("preset name must be a non-empty string")
+        if self.name.startswith("#") or any(c in self.name for c in ",\r\n"):
+            raise ValueError(f"preset name {self.name!r} must not start with '#' or hold a comma or line break")
+        if not (math.isfinite(self.sigma_e_floor_ev) and self.sigma_e_floor_ev >= 0):
+            raise ValueError(f"sigma_e_floor_ev must be finite and >= 0, got {self.sigma_e_floor_ev!r}")
+
+
+def default_material_presets() -> tuple[MaterialPreset, ...]:
     """Magnetic-noise floors: isotopically purified 28Si, natural Si, GaAs."""
     return (
         MaterialPreset("28Si", 0.0),
@@ -45,19 +66,28 @@ def default_material_sigma_j_ev() -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Times:
+    """The ``times`` block: a uniform grid from 0 to t_max (hbar/j0 units)."""
+
+    t_max: float = 200.0
+    n_points: int = 8001
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
+        if self.n_points < 2:
+            raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
+
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.n_points)
+
+
+@dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian (sigma_e, sigma_j) grid plus everything a cell needs.
+    """The sweep's ``grid`` block: non-empty, strictly increasing widths, each finite and >= 0."""
 
-    quadrature=None sizes node counts per cell from the grid's time window;
-    a fixed QuadratureSpec is honored as given.
-    """
-
-    sigma_e_values: Sequence[float] = DEFAULT_SIGMA_E_VALUES
-    sigma_j_values: Sequence[float] = DEFAULT_SIGMA_J_VALUES
-    initial: str = "zero"
-    params: ExchangeParams = ExchangeParams()
-    times: np.ndarray = field(default_factory=default_time_grid)
-    quadrature: Optional[QuadratureSpec] = None
+    sigma_e_values: list[float] = DEFAULT_SIGMA_E_VALUES
+    sigma_j_values: list[float] = DEFAULT_SIGMA_J_VALUES
 
     def __post_init__(self) -> None:
         for name in ("sigma_e_values", "sigma_j_values"):
@@ -69,9 +99,48 @@ class SweepGrid:
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, vals)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """The ``sweep`` config: a (sigma_e, sigma_j) grid and everything a cell needs.
+
+    quadrature=None sizes node counts per cell from the time window; a fixed
+    QuadratureSpec is honored as given.  j0_ev only converts T2* to seconds.
+    """
+
+    command: Optional[Literal["sweep"]] = "sweep"
+    grid: SweepGrid = SweepGrid()
+    params: ExchangeParams = ExchangeParams()
+    initial: _Initial = "zero"
+    times: Times = Times()
+    quadrature: Optional[QuadratureSpec] = None
+    j0_ev: float = DEFAULT_J0_EV
+
+    def __post_init__(self) -> None:
         if self.initial not in ("zero", "superposition"):
             raise ValueError(f"initial must be 'zero' or 'superposition', got {self.initial!r}")
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+
+
+@dataclass(frozen=True)
+class MaterialsConfig:
+    """The ``materials`` config: presets, charge-noise widths in eV and the eV scale j0_ev.
+
+    Null presets or widths in a JSON config mean the defaults.
+    """
+
+    command: Optional[Literal["materials"]] = "materials"
+    presets: Optional[list[MaterialPreset]] = default_material_presets()
+    sigma_j_values_ev: Optional[list[float]] = tuple(map(float, default_material_sigma_j_ev()))
+    j0_ev: float = DEFAULT_J0_EV
+    both_initial_conditions: bool = True
+    params: ExchangeParams = ExchangeParams()
+
+    def __post_init__(self) -> None:
+        if not self.presets:
+            raise ValueError("presets must be a non-empty list")
+        if not (self.sigma_j_values_ev and all(v > 0 for v in self.sigma_j_values_ev)):
+            raise ValueError("sigma_j_values_ev must be a non-empty list of positive numbers")
 
 
 @dataclass(frozen=True)
@@ -91,20 +160,6 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
-class MaterialPreset:
-    """A host material, reduced to its magnetic-noise floor in eV."""
-
-    name: str
-    sigma_e_floor_ev: float
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("preset name must be a non-empty string")
-        if not (math.isfinite(self.sigma_e_floor_ev) and self.sigma_e_floor_ev >= 0):
-            raise ValueError(f"sigma_e_floor_ev must be finite and >= 0, got {self.sigma_e_floor_ev!r}")
-
-
-@dataclass(frozen=True)
 class MaterialPoint:
     """One material-comparison row, coherence time in seconds."""
 
@@ -115,6 +170,18 @@ class MaterialPoint:
     j0_t2_star: float
     alpha: float
     fit_status: str
+
+
+def _noise(sigma_e: float, sigma_j: float, params: ExchangeParams) -> NoiseSpec:
+    """A cell's noise: sigma_j on both couplings, whose means are those of params."""
+    return NoiseSpec(float(sigma_e), float(sigma_j), float(sigma_j), params.j1, params.j2)
+
+
+def _material_noises(config: MaterialsConfig):
+    """(preset, sigma_j_ev, noise) of each material point, preset-major, widths reduced by j0_ev."""
+    for preset in config.presets:
+        for sj_ev in map(float, config.sigma_j_values_ev):
+            yield preset, sj_ev, _noise(preset.sigma_e_floor_ev / config.j0_ev, sj_ev / config.j0_ev, config.params)
 
 
 def suggested_time_grid(noise: NoiseSpec) -> np.ndarray:
@@ -154,37 +221,25 @@ def score(trace: ProbabilityTrace) -> tuple[float, float, float, str]:
     return fit.t2_star, quality_factor(fit.t2_star), fit.alpha, fit.status
 
 
-def run_cell(sigma_e: float, sigma_j: float, config: SweepGrid) -> SweepCell:
+def run_cell(sigma_e: float, sigma_j: float, config: SweepConfig) -> SweepCell:
     """Average, fit, and score a single (sigma_e, sigma_j) grid point.
 
     Fit problems never raise; see ``score``.
     """
-    noise = NoiseSpec(
-        sigma_e=float(sigma_e),
-        sigma_j1=float(sigma_j),
-        sigma_j2=float(sigma_j),
-        j01=config.params.j1,
-        j02=config.params.j2,
-    )
     trace = disorder_average_quadrature(
-        config.params, noise, config.initial, config.times, q=config.quadrature
+        config.params, _noise(sigma_e, sigma_j, config.params), config.initial, config.times.grid(),
+        q=config.quadrature,
     )
     t2, q, alpha, status = score(trace)
     return SweepCell(float(sigma_e), float(sigma_j), t2, q, status, alpha)
 
 
-def run_sweep(grid: SweepGrid) -> list[SweepCell]:
+def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """All grid cells, row-major by sigma_e then sigma_j, computed one after another."""
-    return [run_cell(se, sj, grid) for se in grid.sigma_e_values for sj in grid.sigma_j_values]
+    return [run_cell(se, sj, config) for se in config.grid.sigma_e_values for sj in config.grid.sigma_j_values]
 
 
-def material_comparison(
-    presets: Sequence[MaterialPreset] = None,
-    sigma_j_values_ev: Sequence[float] = None,
-    j0_ev: float = DEFAULT_J0_EV,
-    both_initial_conditions: bool = True,
-    params: ExchangeParams = ExchangeParams(),
-) -> list[MaterialPoint]:
+def material_comparison(config: MaterialsConfig) -> list[MaterialPoint]:
     """Physical coherence times per (material, charge-noise width, initial).
 
     Noise widths arrive in eV and are reduced by j0_ev to simulation units;
@@ -194,28 +249,14 @@ def material_comparison(
     initial conditions of a point share one node set and one evaluator pass.
     Rows are ordered preset-major, then sigma_j, then initial condition.
     """
-    if presets is None:
-        presets = default_material_presets()
-    if sigma_j_values_ev is None:
-        sigma_j_values_ev = default_material_sigma_j_ev()
-    scale = PhysicalScale(j0_ev)
-    initials = ("zero", "superposition") if both_initial_conditions else ("zero",)
+    scale = PhysicalScale(config.j0_ev)
+    initials = ("zero", "superposition") if config.both_initial_conditions else ("zero",)
     rows: list[MaterialPoint] = []
-    for preset in presets:
-        sigma_e = preset.sigma_e_floor_ev / j0_ev
-        for sj_ev in sigma_j_values_ev:
-            sigma_j = float(sj_ev) / j0_ev
-            noise = NoiseSpec(
-                sigma_e=sigma_e,
-                sigma_j1=sigma_j,
-                sigma_j2=sigma_j,
-                j01=params.j1,
-                j02=params.j2,
-            )
-            times = suggested_time_grid(noise)
-            for initial, trace in zip(initials, _quadrature_traces(params, noise, initials, times)):
-                t2, _, alpha, status = score(trace)
-                # nan (no fit) and inf (no decay) pass through the unit conversion
-                t2_seconds = to_physical_time(t2, scale)
-                rows.append(MaterialPoint(preset.name, float(sj_ev), initial, t2_seconds, t2, alpha, status))
+    for preset, sj_ev, noise in _material_noises(config):
+        traces = _quadrature_traces(config.params, noise, initials, suggested_time_grid(noise))
+        for initial, trace in zip(initials, traces):
+            t2, _, alpha, status = score(trace)
+            # nan (no fit) and inf (no decay) pass through the unit conversion
+            t2_seconds = to_physical_time(t2, scale)
+            rows.append(MaterialPoint(preset.name, sj_ev, initial, t2_seconds, t2, alpha, status))
     return rows

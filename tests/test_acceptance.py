@@ -30,7 +30,7 @@ from deoq_dyn.qubit import (
     return_probability_superposition,
     return_probability_zero,
 )
-from deoq_dyn.sweep import SweepGrid, material_comparison, run_cell, run_sweep
+from deoq_dyn.sweep import MaterialsConfig, SweepConfig, material_comparison, run_cell, run_sweep
 
 BASE_SEED = 9000  # checked: all 24 series stay within 3 standard errors
 
@@ -202,10 +202,10 @@ def test_criterion_06_fit_round_trip():
 def test_criterion_07_grid_trends():
     start = time.perf_counter()
     failures = []
-    grid = SweepGrid()
-    cells = run_sweep(grid)
+    cfg = SweepConfig()
+    cells = run_sweep(cfg)
     t2 = {(c.sigma_e, c.sigma_j): c.j0_t2_star for c in cells}
-    se_vals, sj_vals = grid.sigma_e_values, grid.sigma_j_values
+    se_vals, sj_vals = cfg.grid.sigma_e_values, cfg.grid.sigma_j_values
     for se in se_vals:
         for a, b in zip(sj_vals, sj_vals[1:]):
             if t2[(se, b)] > t2[(se, a)] + 1e-9:
@@ -224,7 +224,7 @@ def test_criterion_07_grid_trends():
         failures.append(
             f"zero init: T2*(0.2,0)={t2[(0.2, 0.0)]:.3f} not above T2*(0,0.2)={t2[(0.0, 0.2)]:.3f}"
         )
-    sup = SweepGrid(initial="superposition")
+    sup = SweepConfig(initial="superposition")
     sup_a = run_cell(0.2, 0.0, sup).j0_t2_star
     sup_b = run_cell(0.0, 0.2, sup).j0_t2_star
     ratio_sup = sup_a / sup_b
@@ -258,7 +258,7 @@ def test_criterion_09_material_comparison():
     start = time.perf_counter()
     failures = []
     sj_ev = [0.003e-6, 0.01e-6, 0.05e-6, 0.1e-6, 0.5e-6]
-    rows = material_comparison(sigma_j_values_ev=sj_ev, both_initial_conditions=False)
+    rows = material_comparison(MaterialsConfig(sigma_j_values_ev=sj_ev, both_initial_conditions=False))
     t2 = {(r.material, r.sigma_j_ev): r.t2_star_seconds for r in rows}
     for sj in (0.003e-6, 0.01e-6, 0.05e-6):
         gaas = t2[("GaAs", sj)]

@@ -514,8 +514,8 @@ def test_nan_node_count_exits_2_without_traceback(tmp_path, capsys):
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines() == ["deoq-dyn: quadrature needs 2.00007e+40 nodes in one dimension and 2.00007e+40 in the "
-                                "tensor, above the limits of 5000 and 500000000; reduce the noise widths or the time "
+    assert err.splitlines() == ["deoq-dyn: quadrature needs 2.00007e+40 nodes in one dimension and 2.00007e+40 in "
+                                "all, above the limits of 5000 and 500000000; reduce the noise widths or the time "
                                 "window"]
 
 
@@ -678,7 +678,13 @@ def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, command, cfg, 
     ({"name": "x"}, "config.presets[0] needs sigma_e_floor_ev"),
     ({"sigma_e_floor_ev": 0.0}, "config.presets[0] needs name"),
     ({"name": "", "sigma_e_floor_ev": 0.0}, "preset name must be a non-empty string"),
-], ids=["floor", "name", "empty-name"])
+    # a name is the first field of its rows: a comma would add a field, a line
+    # break split the row, and a leading '#' make comment-skipping readers drop it
+    ({"name": "Si,28", "sigma_e_floor_ev": 0.0}, "config.presets[0]: preset name 'Si,28'"),
+    ({"name": "#GaAs", "sigma_e_floor_ev": 0.0}, "config.presets[0]: preset name '#GaAs'"),
+    ({"name": "Ga\nAs", "sigma_e_floor_ev": 0.0}, "config.presets[0]: preset name 'Ga\\nAs'"),
+    ({"name": "Ga\rAs", "sigma_e_floor_ev": 0.0}, "config.presets[0]: preset name 'Ga\\rAs'"),
+], ids=["floor", "name", "empty-name", "comma-name", "hash-name", "lf-name", "cr-name"])
 def test_materials_preset_needs_name_and_floor(tmp_path, capsys, preset, message):
     code, _ = run_cli(tmp_path, "materials", {"presets": [preset], "sigma_j_values_ev": [1e-7]})
     assert code == 2
@@ -691,6 +697,53 @@ def test_materials_rejects_bad_preset(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "materials", cfg)
     assert code == 2
     assert "sigma_e_floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, runner", [
+    ("sweep", {"grid": {"sigma_e_values": [0.2], "sigma_j_values": [0.1]}, "times": {"t_max": 20.0, "n_points": 201}},
+     "run_sweep"),
+    ("materials", {"presets": [{"name": "Si", "sigma_e_floor_ev": 3e-9}], "sigma_j_values_ev": [2e-7],
+                   "both_initial_conditions": False}, "material_comparison"),
+])
+def test_table_commands_run_the_config_they_echo(tmp_path, monkeypatch, command, cfg, runner):
+    """The sweep and materials commands hand the config object they read to
+    their runner, and the file's echo is that object."""
+    seen = []
+    run = getattr(cli, runner)
+    monkeypatch.setattr(cli, runner, lambda config: seen.append(config) or run(config))
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 0
+    (config,) = seen
+    assert type(config) is {"sweep": cli.SweepConfig, "materials": cli.MaterialsConfig}[command]
+    assert read_csv(out)[2] == json.loads(json.dumps(cli._echo(config)))
+
+
+def test_commands_read_and_write_utf8_without_the_locale(tmp_path):
+    """Configs, trace files and outputs are opened as UTF-8, never in the
+    locale's encoding: each command runs under ``-X warn_default_encoding``
+    with EncodingWarning an error, and writes the bytes of an in-process
+    run.  The preset name is not ASCII."""
+    times = {"t_max": 20.0, "n_points": 201}
+    configs = {
+        "simulate": {"noise": {"sigma_e": 0.2, "sigma_j1": 0.1, "sigma_j2": 0.1}, "times": times},
+        "fit": {"trace_file": str(tmp_path / "simulate.sub")},
+        "sweep": {"grid": {"sigma_e_values": [0.2], "sigma_j_values": [0.1]}, "times": times},
+        "materials": {"presets": [{"name": "\u00b2\u2078Si", "sigma_e_floor_ev": 0.0}], "sigma_j_values_ev": [2e-7],
+                      "both_initial_conditions": False},
+    }
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    for command, cfg in configs.items():
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "deoq_dyn.cli",
+             command, "--config", str(config), "--out", str(tmp_path / f"{command}.sub")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main([command, "--config", str(config), "--out", str(tmp_path / f"{command}.in")]) == 0
+        assert (tmp_path / f"{command}.sub").read_bytes() == (tmp_path / f"{command}.in").read_bytes()
+    assert (tmp_path / "materials.sub").read_bytes().splitlines()[1].startswith("\u00b2\u2078Si,".encode())
 
 
 # expected output file -> command line; the config is <stem>.config.json beside it

@@ -37,7 +37,7 @@ from deoq_dyn.qubit import (
     return_probability_superposition,
     return_probability_zero,
 )
-from deoq_dyn.sweep import DEFAULT_J0_EV, SweepGrid, suggested_time_grid
+from deoq_dyn.sweep import DEFAULT_J0_EV, SweepConfig, suggested_time_grid
 
 P = ExchangeParams()
 
@@ -732,9 +732,9 @@ def test_u_limit_is_checked_on_the_count_its_rule_takes(monkeypatch):
 def test_default_sweep_grid_builds_its_rules_at_t_max_900():
     """Every cell of the default 66-cell grid builds its rule on a window of
     900, the u limit at sigma_e 1 the largest with 3,909 radius nodes."""
-    grid = SweepGrid()
-    n_r = {(se, sj): reduced_nodes(NoiseSpec(se, sj, sj, grid.params.j1, grid.params.j2), P.j_prime, 900.0).meta["n_r"]
-           for se in grid.sigma_e_values for sj in grid.sigma_j_values}
+    cfg = SweepConfig()
+    n_r = {(se, sj): reduced_nodes(NoiseSpec(se, sj, sj, cfg.params.j1, cfg.params.j2), P.j_prime, 900.0).meta["n_r"]
+           for se in cfg.grid.sigma_e_values for sj in cfg.grid.sigma_j_values}
     assert max(n_r.values()) == n_r[(1.0, 0.0)] == 3909
 
 
@@ -743,9 +743,9 @@ def test_default_grid_2d_cells_build_at_t_max_1300():
     a window of 1300, checked on the count their r rule takes (2,890 to
     3,627 radius nodes), not on a rule over the gap or u span alone, which
     named 5,065-5,788 nodes for them."""
-    grid = SweepGrid()
-    n_r = [reduced_nodes(NoiseSpec(se, sj, sj, grid.params.j1, grid.params.j2), P.j_prime, 1300.0).meta["n_r"]
-           for se in (0.9, 1.0) for sj in grid.sigma_j_values if sj > 0.0]
+    cfg = SweepConfig()
+    n_r = [reduced_nodes(NoiseSpec(se, sj, sj, cfg.params.j1, cfg.params.j2), P.j_prime, 1300.0).meta["n_r"]
+           for se in (0.9, 1.0) for sj in cfg.grid.sigma_j_values if sj > 0.0]
     assert len(n_r) == 10 and min(n_r) == 2890 and max(n_r) == 3627
 
 

@@ -13,10 +13,12 @@ from deoq_dyn.sweep import (
     DEFAULT_SIGMA_E_VALUES,
     DEFAULT_SIGMA_J_VALUES,
     MaterialPreset,
+    MaterialsConfig,
+    SweepConfig,
     SweepGrid,
+    Times,
     default_material_presets,
     default_material_sigma_j_ev,
-    default_time_grid,
     material_comparison,
     run_cell,
     run_sweep,
@@ -28,14 +30,14 @@ SHORT_TIMES = np.linspace(0.0, 100.0, 2001)
 
 
 def short_grid(se_values, sj_values, **kw):
-    return SweepGrid(sigma_e_values=se_values, sigma_j_values=sj_values,
-                     times=SHORT_TIMES, **kw)
+    return SweepConfig(grid=SweepGrid(sigma_e_values=se_values, sigma_j_values=sj_values),
+                       times=Times(100.0, 2001), **kw)
 
 
 def test_default_grids():
     assert DEFAULT_SIGMA_E_VALUES == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     assert DEFAULT_SIGMA_J_VALUES == (0.0, 0.05, 0.1, 0.2, 0.3, 0.5)
-    times = default_time_grid()
+    times = Times().grid()
     assert times[0] == 0.0 and times[-1] == 200.0 and len(times) == 8001
 
 
@@ -113,7 +115,7 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="sigma_e_values"):
         SweepGrid(sigma_e_values=(-0.1, 0.2))
     with pytest.raises(ValueError, match="initial"):
-        SweepGrid(initial="plus")
+        SweepConfig(initial="plus")
 
 
 def test_material_defaults():
@@ -148,8 +150,8 @@ def test_suggested_time_grid_window():
 def test_material_comparison_small_run():
     presets = (MaterialPreset("clean", 0.0), MaterialPreset("noisy", 1e-7))
     sj = (0.01e-6, 0.1e-6)
-    rows = material_comparison(presets=presets, sigma_j_values_ev=sj,
-                               both_initial_conditions=False)
+    rows = material_comparison(MaterialsConfig(presets=presets, sigma_j_values_ev=sj,
+                                               both_initial_conditions=False))
     assert [(r.material, r.sigma_j_ev) for r in rows] == [
         ("clean", 0.01e-6), ("clean", 0.1e-6), ("noisy", 0.01e-6), ("noisy", 0.1e-6)
     ]
@@ -161,13 +163,13 @@ def test_material_comparison_small_run():
     # at strong charge noise the floor barely matters
     ratio = by[("noisy", 0.1e-6)].t2_star_seconds / by[("clean", 0.1e-6)].t2_star_seconds
     assert 0.7 < ratio <= 1.0
-    assert material_comparison(presets=presets, sigma_j_values_ev=sj,
-                               both_initial_conditions=False) == rows
+    assert material_comparison(MaterialsConfig(presets=presets, sigma_j_values_ev=sj,
+                                               both_initial_conditions=False)) == rows
 
 
 def test_material_comparison_both_initials_ordering():
     presets = (MaterialPreset("clean", 0.0),)
-    rows = material_comparison(presets=presets, sigma_j_values_ev=(0.1e-6,))
+    rows = material_comparison(MaterialsConfig(presets=presets, sigma_j_values_ev=(0.1e-6,)))
     assert [r.initial_condition for r in rows] == ["zero", "superposition"]
     assert all(r.material == "clean" for r in rows)
 
@@ -189,17 +191,17 @@ def test_material_points_build_one_node_set_and_one_pass(monkeypatch):
     counted(polar, "reduced_nodes", "nodes")
     counted(disorder, "_evaluate", "passes")
     presets = (MaterialPreset("Si", 3e-9), MaterialPreset("GaAs", 1e-7))
-    rows = material_comparison(presets=presets, sigma_j_values_ev=(0.05e-6, 0.1e-6))
+    rows = material_comparison(MaterialsConfig(presets=presets, sigma_j_values_ev=(0.05e-6, 0.1e-6)))
     assert len(rows) == 8
     assert counts == {"nodes": 4, "passes": 4}
 
 
 def test_material_zero_floor_matches_pure_charge_pipeline():
-    rows = material_comparison(
+    rows = material_comparison(MaterialsConfig(
         presets=(MaterialPreset("clean", 0.0),),
         sigma_j_values_ev=(0.1e-6,),
         both_initial_conditions=False,
-    )
+    ))
     noise = NoiseSpec(sigma_j1=0.1, sigma_j2=0.1)
     times = suggested_time_grid(noise)
     trace = disorder_average_quadrature(ExchangeParams(), noise, "zero", times)

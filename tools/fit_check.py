@@ -26,24 +26,22 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from deoq_dyn import analysis, disorder, sweep  # noqa: E402
-from deoq_dyn.qubit import ExchangeParams  # noqa: E402
 
 
 def traces():
     """(name, ProbabilityTrace) of the default sweep cells and the default materials run."""
-    grid = sweep.SweepGrid()
-    for se in grid.sigma_e_values:
-        for sj in grid.sigma_j_values:
-            noise = disorder.NoiseSpec(se, sj, sj, grid.params.j1, grid.params.j2)
-            yield f"sweep/{se}/{sj}", disorder.disorder_average_quadrature(grid.params, noise, grid.initial, grid.times)
-    p, j0 = ExchangeParams(), sweep.DEFAULT_J0_EV
-    for preset in sweep.default_material_presets():
-        for sj_ev in sweep.default_material_sigma_j_ev():
-            sj = float(sj_ev) / j0
-            noise = disorder.NoiseSpec(preset.sigma_e_floor_ev / j0, sj, sj, p.j1, p.j2)
-            both = disorder._quadrature_traces(p, noise, ("zero", "superposition"), sweep.suggested_time_grid(noise))
-            for trace in both:
-                yield f"materials/{preset.name}/{sj_ev:.6g}/{trace.initial}", trace
+    cfg = sweep.SweepConfig()
+    for se in cfg.grid.sigma_e_values:
+        for sj in cfg.grid.sigma_j_values:
+            trace = disorder.disorder_average_quadrature(cfg.params, sweep._noise(se, sj, cfg.params), cfg.initial,
+                                                         cfg.times.grid())
+            yield f"sweep/{se}/{sj}", trace
+    cfg = sweep.MaterialsConfig()
+    for preset, sj_ev, noise in sweep._material_noises(cfg):
+        both = disorder._quadrature_traces(cfg.params, noise, ("zero", "superposition"),
+                                           sweep.suggested_time_grid(noise))
+        for trace in both:
+            yield f"materials/{preset.name}/{sj_ev:.6g}/{trace.initial}", trace
 
 
 def number(x):

@@ -45,26 +45,24 @@ def off_3x(p, noise, times):
 
 
 def sweep_metas():
-    grid = sweep.SweepGrid()
-    for se in grid.sigma_e_values:
-        for sj in grid.sigma_j_values:
-            noise = disorder.NoiseSpec(se, sj, sj, grid.params.j1, grid.params.j2)
-            trace, peak = traced(disorder.disorder_average_quadrature, grid.params, noise, grid.initial, grid.times,
-                                 grid.quadrature)
-            off = functools.partial(off_3x, grid.params, noise, grid.times)
+    cfg = sweep.SweepConfig()
+    times = cfg.times.grid()
+    for se in cfg.grid.sigma_e_values:
+        for sj in cfg.grid.sigma_j_values:
+            noise = sweep._noise(se, sj, cfg.params)
+            trace, peak = traced(disorder.disorder_average_quadrature, cfg.params, noise, cfg.initial, times,
+                                 cfg.quadrature)
+            off = functools.partial(off_3x, cfg.params, noise, times)
             yield f"sigma_e {se}, sigma_j {sj}", trace.metadata, peak, off
 
 
 def materials_metas():
-    p, j0 = ExchangeParams(), sweep.DEFAULT_J0_EV
-    for preset in sweep.default_material_presets():
-        for sj_ev in sweep.default_material_sigma_j_ev():
-            sj = float(sj_ev) / j0
-            noise = disorder.NoiseSpec(preset.sigma_e_floor_ev / j0, sj, sj, p.j1, p.j2)
-            times = sweep.suggested_time_grid(noise)
-            traces, peak = traced(disorder._quadrature_traces, p, noise, ("zero", "superposition"), times)
-            off = functools.partial(off_3x, p, noise, times)
-            yield f"{preset.name} at sigma_j {sj_ev * 1e6:.4g} ueV", traces[0].metadata, peak, off
+    cfg = sweep.MaterialsConfig()
+    for preset, sj_ev, noise in sweep._material_noises(cfg):
+        times = sweep.suggested_time_grid(noise)
+        traces, peak = traced(disorder._quadrature_traces, cfg.params, noise, ("zero", "superposition"), times)
+        off = functools.partial(off_3x, cfg.params, noise, times)
+        yield f"{preset.name} at sigma_j {sj_ev * 1e6:.4g} ueV", traces[0].metadata, peak, off
 
 
 def report(name, metas):
