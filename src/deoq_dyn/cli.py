@@ -34,7 +34,7 @@ from typing import Literal, Optional, Union, get_args, get_origin, get_type_hint
 
 import numpy as np
 
-from .analysis import PhysicalScale, extract_upper_envelope, fit_trace, quality_factor
+from .analysis import PhysicalScale, _envelope_points, fit_trace, quality_factor
 from .disorder import (
     NoiseSpec,
     NumericalError,
@@ -310,7 +310,8 @@ def cmd_fit(cfg: dict, out_path: str) -> int:
     if unit_s is not None and math.isfinite(fit.t2_star):
         out["t2_star_seconds"] = _json_value(fit.t2_star * unit_s)
     if fit.status == "insufficient-peaks":
-        out["n_envelope_points"] = len(extract_upper_envelope(trace))
+        # counted without extract_upper_envelope, which refuses a 2-point trace that the fit scores
+        out["n_envelope_points"] = len(_envelope_points(trace.times, trace.values))
     report = {"schema_version": SCHEMA_VERSION, "config": _echo(cfg), "fit": out}
     _write_atomic(out_path, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return 0

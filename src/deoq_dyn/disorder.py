@@ -493,14 +493,10 @@ def _legendre(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p / dp, 2.0 / dp ** 2
 
 
-# rules repeat across the traces of one command: the default sweep asks for
-# 1,553 Gauss-Legendre rules of 108 sizes and builds 153 of them in 64
-# entries (0.08 s), and the default materials run asks for 1,317 of 51
-# sizes and builds 51, as an unbounded cache would (tools/rule_counts.py);
-# a Gauss-Legendre miss costs about 2 ms at 629 points and 15 ms at 5,000, a
-# Gauss-Hermite one, O(n^2), 0.6 s at 5,000; a sweep with a quadrature block
-# asks for one Gauss-Hermite rule of the same size per trace
-@functools.lru_cache(maxsize=64)
+# rules repeat across the traces of one command, so each size is built once
+# per process and kept: a 21 x 21 sweep map holds 158 Gauss-Legendre rules,
+# 0.31 MiB (tools/rule_counts.py)
+@functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points and weights on [-1, 1], computed once per n.
 
@@ -523,7 +519,7 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _newton_rule(n, theta, np.cos, functools.partial(_legendre, n))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite points and weights for the weight exp(-x^2), computed once per n.
 

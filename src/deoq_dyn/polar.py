@@ -18,16 +18,16 @@ closed-form angles where it crosses the region's lines and the cut lines:
 c = 0, and u = u_k, u_k + w tau where the normal-CDF step is sharp
 (narrower than _SHARP_STEP of the Gaussian's least deviation).  An arc
 takes Gauss-Legendre nodes in phi by the weight's variation along it (its
-Mahalanobis length and the step's), in a few sizes that the rule cache
-serves.  The r rule is cut where the arc structure changes in a way that
-matters, graded where an arc appears at a line on which the weight does not
-vanish, and sized per panel by ``_gauss_points`` from the phase span t_max
-times the panel's length and the width and depth of F(r), the weight
-summed over the circle, there: closed-form lower bounds from the
-Gaussian's axes and its distance from the panel, and the widths of the
-steps and hard lines it meets.  The two limits of W that are 1D, a
-Gaussian in u at one gap and u fixed by the gap, take ``panel_rule`` in
-their one variable, sized by the same estimate.
+Mahalanobis length and the step's).  The r rule is cut where the arc
+structure changes in a way that matters, graded where an arc appears at a
+line on which the weight does not vanish, and sized per panel by
+``_gauss_points`` from the phase span t_max times the panel's length and
+the width and depth of F(r), the weight summed over the circle, there:
+closed-form lower bounds from the Gaussian's axes and its distance from
+the panel, and the widths of the steps and hard lines it meets.  The two
+limits of W that are 1D, a Gaussian in u at one gap and u fixed by the
+gap, take ``panel_rule`` in their one variable, sized by the same
+estimate.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ _ETA_MAX = math.log(3.0 + 2.0 * math.sqrt(2.0))
 
 # a normal-CDF step of the 2D rule narrower than this many of the Gaussian's
 # least deviations is cut out of the arcs, as a band of its own; a wider one
-# is resolved with the Gaussian (cutting every step puts 56,470 nodes, not
-# 38,140, on the sigma_e 1, sigma_j 0.5 cell at t_max 100)
+# is resolved with the Gaussian (cutting every step puts 54,403 nodes, not
+# 34,406, on the sigma_e 1, sigma_j 0.5 cell at t_max 100)
 _SHARP_STEP = 0.5
 
 # the r panel above the foot of a hard line of the 2D rule (an edge where the
@@ -77,12 +77,6 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
     live = (x > -38.5) & (x < 8.5)
     out[live] = 0.5 * np.fromiter(map(math.erfc, (-x[live] / math.sqrt(2.0)).tolist()), float)
     return out
-
-
-def _size_class(n: np.ndarray) -> np.ndarray:
-    """The least size >= n of 1 to 8 and q 2^k, q in 5..8: four sizes an octave, closed under doubling."""
-    step = np.exp2(np.maximum(np.ceil(np.log2(n)) - 3.0, 0.0))
-    return (np.ceil(n / step) * step).astype(int)
 
 
 def _gauss_points(phase, spread, depth=0.0) -> np.ndarray:
@@ -393,7 +387,7 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, v_u, half_
         if tau > 0:
             k_side = np.where(np.sin(mid[arcs]) >= 0.0, slope[1.0], slope[-1.0])[:, None]
             chords += np.diff(np.clip((j_prime - b - d_k - k_side * c_k / s3) / tau, -w, w), axis=1) ** 2
-        count[arcs] = scale * _size_class(np.ceil(_NODES_PER_SIGMA * np.sqrt(chords).sum(axis=1)) + _PANEL_MARGIN)
+        count[arcs] = scale * (np.ceil(_NODES_PER_SIGMA * np.sqrt(chords).sum(axis=1)) + _PANEL_MARGIN)
 
     def weight(d, c):
         gap, u = c / s3, j_prime - d
@@ -403,26 +397,26 @@ def _polar_nodes(j_prime, t_max, scale, m, mu0, v_gap, kappa, v, v_e, v_u, half_
             out *= _ndtr((u - (0.5 * np.abs(gap) * v_u - mu * v_e) / v) / tau)
         return out
 
-    # blocks of at most disorder._SMALL_BLOCK nodes, each a run of arcs of a few counts
-    blocks, size = [[]], 0
-    for n in sorted(set(count.tolist())):
-        arcs, per = np.flatnonzero(count == n), max(1, disorder._SMALL_BLOCK // n)
-        for part in (arcs[s:s + per] for s in range(0, len(arcs), per)):
-            if size + n * len(part) > disorder._SMALL_BLOCK and blocks[-1]:
-                blocks, size = blocks + [[]], 0
-            blocks[-1].append((int(n), part))
-            size += n * len(part)
+    # blocks of at most disorder._SMALL_BLOCK nodes (or one arc that has more), whole arcs in their
+    # order; node k of an arc of count n is entry k of the n-point rule in the rules laid end to end
+    sizes, stop = sorted(set(count.tolist())), np.cumsum(count)
+    x_all, w_all = (np.concatenate(a) for a in zip(*map(disorder._leggauss, sizes)))
+    shift = np.cumsum([0] + sizes[:-1])[np.searchsorted(sizes, count)] - (stop - count)
+    half_phi = 0.5 * (hi - lo)
+    mid_phi = lo + half_phi
+    splits = [0]
+    while splits[-1] < len(count):
+        top = stop[splits[-1]] - count[splits[-1]] + disorder._SMALL_BLOCK
+        splits.append(max(splits[-1] + 1, int(np.searchsorted(stop, top, side="right"))))
 
     def nodes():  # each block's r index, sin phi, cos phi and weight without the Jacobian
-        for block in blocks:
-            angle, w_angle, node_r = [], [], []
-            for n, part in block:
-                x, wx = disorder._leggauss(n)
-                half = 0.5 * (hi[part] - lo[part])
-                angle.append((half[:, None] * x + (lo[part] + half)[:, None]).ravel())
-                w_angle.append((half[:, None] * wx).ravel())
-                node_r.append(ri[part].repeat(n))
-            angle, wt, node_r = (np.concatenate(a) for a in (angle, w_angle, node_r))
+        for a0, a1 in zip(splits, splits[1:]):
+            n = count[a0:a1]
+            at = np.repeat(shift[a0:a1], n) + np.arange(stop[a0] - n[0], stop[a1 - 1])
+            wt = np.repeat(half_phi[a0:a1], n)
+            angle = wt * x_all[at] + np.repeat(mid_phi[a0:a1], n)
+            wt *= w_all[at]
+            node_r = np.repeat(ri[a0:a1], n)
             sin, cos, radius = np.sin(angle), np.cos(angle), r[node_r]
             wt *= weight(radius * cos, radius * sin)
             yield node_r, sin, cos, wt

@@ -300,6 +300,42 @@ def test_fit_inline_simulate(tmp_path):
     assert report["fit"]["t2_star_seconds"] > 0
 
 
+def test_fit_of_a_two_point_trace_reports_what_sweep_scores(tmp_path):
+    """On a 2-point time grid the sweep scores a zero-state cell
+    insufficient-peaks and writes nan in its row; fit, from a trace file or
+    inline, writes the same status with the one envelope point (0, p0) and
+    exits 0.  It used to exit 2 from the envelope extraction's >= 3 point
+    guard, called again after the fit."""
+    times = {"t_max": 50.0, "n_points": 2}
+    code, out = run_cli(tmp_path, "sweep", {"grid": {"sigma_e_values": [0.2], "sigma_j_values": [0.1]},
+                                            "times": times}, name="sweep")
+    assert code == 0
+    assert read_csv(out)[1] == [["0.2", "0.1", "nan", "nan", "nan", "nan", "insufficient-peaks"]]
+    sim = {"noise": {"sigma_e": 0.2, "sigma_j1": 0.1, "sigma_j2": 0.1}, "times": times}
+    code, trace_path = run_cli(tmp_path, "simulate", sim, name="trace")
+    assert code == 0
+    for name, cfg in [("file", {"trace_file": str(trace_path)}), ("inline", {"simulate": sim})]:
+        code, report_path = run_cli(tmp_path, "fit", cfg, name=name)
+        assert code == 0, name
+        fit = json.loads(report_path.read_text())["fit"]
+        assert fit["status"] == "insufficient-peaks" and fit["n_envelope_points"] == 1, name
+        assert fit["t2_star"] is None and fit["q"] is None, name
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,t_seconds,p\n0,,1\n", "trace file must start with header"),
+    ("{header}\n0,,1\n", "malformed trace row '0,,1'"),
+    ("{header}\n0,,one,\n", "malformed trace row '0,,one,'"),
+    ("{header}\n# config={{}}\n", "trace file contains no data rows"),
+], ids=["header", "three-fields", "non-numeric", "header-only"])
+def test_fit_rejects_malformed_trace_file(tmp_path, capsys, text, message):
+    trace_path = tmp_path / "malformed.csv"
+    trace_path.write_text(text.format(header=TRACE_HEADER))
+    code, out = run_cli(tmp_path, "fit", {"trace_file": str(trace_path)})
+    assert code == 2 and not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_fit_requires_exactly_one_source(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "fit", {})
     assert code == 2

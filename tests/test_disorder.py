@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from scipy.integrate import quad as integrate
 
 from deoq_dyn import disorder, polar
@@ -384,9 +385,9 @@ def test_reduced_rule_skips_the_u_cuts_of_a_wide_cdf_step(monkeypatch):
 
 
 def test_polar_blocks_bound_the_peak_memory_of_the_terms():
-    """Summing the 38,140 weight evaluations of the sigma_e 1, sigma_j 0.5
-    cell at t_max 100 into terms, block by block, peaks at about 1.0 MiB
-    traced; in blocks of 2^14 it was 3.3 MiB."""
+    """Summing the 34,406 weight evaluations of the sigma_e 1, sigma_j 0.5
+    cell at t_max 100 into terms, block by block, peaks at about 0.8 MiB
+    traced; in blocks of 2^14 it was 3.1 MiB."""
     noise = NoiseSpec(1.0, 0.5, 0.5)
     list(reduced_nodes(noise, P.j_prime, 100.0).chunks)  # the arcs' Gauss rules, cached
     nodes = reduced_nodes(noise, P.j_prime, 100.0)
@@ -402,8 +403,8 @@ def test_polar_blocks_bound_the_peak_memory_of_the_terms():
 
 def test_polar_set_up_sizes_its_arcs_a_block_at_a_time():
     """The Si material point at sigma_j 0.5 ueV, whose sharp normal-CDF
-    step makes 58,036 weight evaluations, averages both initial states at
-    0.93 MiB traced once its Gauss rules are cached: the set-up forms the
+    step makes 56,795 weight evaluations, averages both initial states at
+    0.96 MiB traced once its Gauss rules are cached: the set-up forms the
     chord lengths that size its arcs for _SMALL_BLOCK / 8 arcs at a time.
     Formed for every arc at once, they held nine points of each and the
     average peaked at 2.0 MiB."""
@@ -417,7 +418,7 @@ def test_polar_set_up_sizes_its_arcs_a_block_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traces[0].metadata["n_nodes"] == 58_036
+    assert traces[0].metadata["n_nodes"] == 56_795
     assert peak < 1.25 * 2 ** 20
 
 
@@ -1227,6 +1228,43 @@ def test_quadrature_matches_mc_within_errors():
             assert np.all(diff <= 3.6 * m.mc_std_errors + 1e-12)
 
 
+def test_mc_standard_errors_are_calibrated():
+    """Monte Carlo's standard errors have the size of its errors.  At the 49
+    nonzero times of criterion 4 (50 points to 150) and five cases, 200
+    seeds (1000-1199) of 20,000 samples give z = (p_mc - p_quad) / stderr,
+    the quadrature's own error (about 1e-11) negligible against stderrs of
+    order 1e-3.  At each (case, time) the sum over seeds of z^2 must lie
+    within the chi^2(200) quantiles and |mean z| within the normal quantile
+    over sqrt(200), both two-sided.  The 490 statistics share a
+    family-wise false-fail probability of 1e-6 by Bonferroni, which holds
+    whatever the correlation across times: a correct sampler fails this
+    test with probability at most 1e-6, to the normal approximation of z.
+    The same z with the stderrs scaled by 0.8 or 1.25 must fail it, so the
+    test is shown to have power: at these seeds the sums lie in 153-264
+    against [102, 344] and |mean z| is at most 0.19 against 0.42, and x 0.8
+    puts 41 sums outside, x 1.25 two (raise the seeds if it puts none)."""
+    times, seeds = np.linspace(0.0, 150.0, 50), range(1000, 1200)
+    z = []
+    for se, sj, initial in [(0.5, 0.2, "zero"), (0.5, 0.2, "superposition"), (0.1, 0.5, "zero"),
+                            (0.1, 0.5, "superposition"), (0.75, 0.0, "zero")]:
+        noise = NoiseSpec(sigma_e=se, sigma_j1=sj, sigma_j2=sj)
+        quad = disorder_average_quadrature(P, noise, initial, times).values[1:]
+        mcs = [disorder_average_mc(P, noise, initial, times, 20_000, seed) for seed in seeds]
+        z.append([(m.values[1:] - quad) / m.mc_std_errors[1:] for m in mcs])  # t = 0 is exact
+    z = np.array(z)  # (case, seed, time)
+    alpha = 1e-6 / (2 * z.shape[0] * z.shape[2])  # two statistics per (case, time)
+    lo, hi = scipy.stats.chi2.ppf(0.5 * alpha, len(seeds)), scipy.stats.chi2.isf(0.5 * alpha, len(seeds))
+    mean_bound = scipy.stats.norm.isf(0.5 * alpha) / math.sqrt(len(seeds))
+
+    def misses(z):
+        sums = np.sum(z * z, axis=1)
+        return int(np.sum((sums < lo) | (sums > hi)) + np.sum(np.abs(z.mean(axis=1)) > mean_bound))
+
+    assert misses(z) == 0
+    for scale in (0.8, 1.25):
+        assert misses(z / scale) > 0, scale
+
+
 def test_mc_deterministic_and_stderr_present():
     times = np.linspace(0.0, 40.0, 81)
     noise = NoiseSpec(sigma_e=0.2, sigma_j1=0.1, sigma_j2=0.1)
@@ -1457,8 +1495,8 @@ def test_node_set_drops_a_block_once_yielded(rule):
 
 
 @pytest.mark.parametrize("make, n_nodes", [
-    (lambda: reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0), 38_140),
-    (lambda: reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0, scale=2), 152_636),
+    (lambda: reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0), 34_406),
+    (lambda: reduced_nodes(NoiseSpec(sigma_e=1.0, sigma_j1=0.5, sigma_j2=0.5), P.j_prime, 100.0, scale=2), 137_608),
     (lambda: _tensor_nodes(NoiseSpec(sigma_e=0.3, sigma_j2=0.2), QuadratureSpec(2000, 2000, delta_e_rule="legendre"),
                            P.j_prime, 50.0), 4_000_000),
 ], ids=["sweep-heavy-largest-cell", "sweep-heavy-largest-cell-doubled", "tensor-sigma-j1-0"])

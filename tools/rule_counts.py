@@ -12,10 +12,17 @@ run.  A peak includes what an average leaves cached, such as a Gauss rule
 or numpy's FFT plan for a new length, the first time it is built.  After
 the rule counts it prints the largest distance of a node set from its own
 rule at 3x the counts, max |P - P_3x| over both initial states, with its
-cell (about 6 s of the run).  Last, it runs the default Monte Carlo
-simulate config (1e5 samples x 8,001 times) and prints its ``n_bins``,
-from the band of its draws' brackets, and the traced peak of its average.
-Then it times a tensor rule of 2,000 x 2,000 Legendre nodes on 2,001 times
+cell (about 6 s of the run).  Then it averages a 21 x 21 map, sigma_e in
+linspace(0, 1, 21) x sigma_j in linspace(0, 0.5, 21) in the default sweep
+config (zero state, 8,001 times to 200), cell by cell as ``sweep`` does,
+and prints its weight evaluations and terms, the Gauss-Legendre rules it
+asked for, built and holds, the nodes those rules hold (the cache keeps
+every size it builds, so these are the distinct sizes asked for, summed)
+and the averages' wall time, from an emptied cache.  Next, it runs the
+default Monte Carlo simulate config (1e5 samples x 8,001 times) and prints
+its ``n_bins``, from the band of its draws' brackets, and the traced peak
+of its average.
+Last, it times a tensor rule of 2,000 x 2,000 Legendre nodes on 2,001 times
 to 50 at (sigma_e, sigma_j1, sigma_j2) = (0.3, 0, 0.2), whose j1 dimension
 collapses, once its Gauss rules are cached, and prints its traced peak.
 Usage: python3 tools/rule_counts.py
@@ -82,6 +89,28 @@ def report(name, metas):
     print(f"  |P - P_3x| over both states: at most {off:.1e} ({cell})")
 
 
+def report_map():
+    cfg = sweep.SweepConfig()
+    times, rule, sizes = cfg.times.grid(), disorder._leggauss, set()
+    disorder._leggauss.cache_clear()
+    disorder._leggauss = lambda n: sizes.add(n) or rule(n)
+    try:
+        start = time.perf_counter()
+        metas = [disorder.disorder_average_quadrature(cfg.params, sweep._noise(se, sj, cfg.params), cfg.initial,
+                                                      times).metadata
+                 for se in np.linspace(0.0, 1.0, 21) for sj in np.linspace(0.0, 0.5, 21)]
+        wall = time.perf_counter() - start
+    finally:
+        disorder._leggauss = rule
+    info = rule.cache_info()
+    print(f"21 x 21 map: {len(metas)} cells, {len(times):,} times to {times[-1]:g}, {cfg.initial} state")
+    for key in ("n_nodes", "n_r"):
+        print(f"  {key}: {sum(meta[key] for meta in metas):,} in all")
+    print(f"  Gauss-Legendre rules: {info.hits + info.misses:,} asked for, {info.misses:,} built, "
+          f"{info.currsize:,} held with {sum(sizes):,} nodes ({16 * sum(sizes) / 2 ** 20:.2f} MiB)")
+    print(f"  averages: {wall:.2f} s")
+
+
 def report_mc():
     cfg = cli.SimulateConfig(method="mc").resolved({})
     trace, peak = traced(disorder.disorder_average_mc, cfg.params, cfg.noise, cfg.initial, cfg.times.grid(),
@@ -107,5 +136,6 @@ def report_tensor():
 if __name__ == "__main__":
     report("default sweep", sweep_metas())
     report("default materials", materials_metas())
+    report_map()
     report_mc()
     report_tensor()
