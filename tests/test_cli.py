@@ -326,7 +326,7 @@ def test_fit_of_a_two_point_trace_reports_what_sweep_scores(tmp_path):
     ("t,t_seconds,p\n0,,1\n", "trace file must start with header"),
     ("{header}\n0,,1\n", "malformed trace row '0,,1'"),
     ("{header}\n0,,one,\n", "malformed trace row '0,,one,'"),
-    ("{header}\n# config={{}}\n", "trace file contains no data rows"),
+    ("{header}\n", "trace file contains no data rows"),
 ], ids=["header", "three-fields", "non-numeric", "header-only"])
 def test_fit_rejects_malformed_trace_file(tmp_path, capsys, text, message):
     trace_path = tmp_path / "malformed.csv"
