@@ -420,7 +420,7 @@ def fit_trace(trace: ProbabilityTrace) -> EnvelopeFit:
         idx = np.unique(np.linspace(0, len(times) - 1, 200).astype(int))
         pts = np.column_stack([times[idx], values[idx]])
         return fit_envelope(pts, fixed_start=fixed, t_max=float(times[-1]))
-    env = extract_upper_envelope(trace)
+    env = _envelope_points(times, values)
     if len(env) >= 2 and env[0, 1] < env[1, 1]:
         env = env[1:]
     # the last tenth of the samples, and at least the last one

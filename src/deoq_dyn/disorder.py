@@ -28,7 +28,11 @@ their terms with ``oscillation_terms``, through ``_node_terms``.  ``_average``
 turns each chunk into (omega, coef, base) for one evaluator,
 ``_evaluate``, with one row of coefficients per initial state, so one
 node set and one pass serve both states, and divides the sums by the
-set's summed weights.
+set's summed weights.  A state's row comes from the state table
+``_STATES``, which gives each state's probability p0 + amp sin^2(omega t /
+2) as p0 and amp of ``oscillation_terms``' (amp_zero, amp_sup); the Monte
+Carlo average and ``ProbabilityTrace``'s t = 0 check read it too, and
+``_state`` rejects any other state.
 
 The evaluator is a type-1 NUFFT by Gaussian gridding at oversampling 2
 (Dutt & Rokhlin 1993; Greengard & Lee 2004): each coefficient is spread in
@@ -136,6 +140,19 @@ _LEG_END_NODES = 10
 _LEG_SERIES_MAX = 90
 
 
+# each initial state's return probability p0 + amp sin^2(omega t / 2) as (p0,
+# amp), amp a function of oscillation_terms' (amp_zero, amp_sup)
+_STATES = {"zero": (1.0, lambda amp_zero, amp_sup: -amp_zero),
+           "superposition": (0.5, lambda amp_zero, amp_sup: 0.5 * amp_sup)}
+
+
+def _state(initial: str) -> tuple:
+    """(p0, amp) of ``initial`` in ``_STATES``; any other value raises ValueError."""
+    if initial not in tuple(_STATES):
+        raise ValueError(f"initial must be {' or '.join(map(repr, _STATES))}, got {initial!r}")
+    return _STATES[initial]
+
+
 class NumericalError(RuntimeError):
     """An average left its valid range: a fault of the method, not of the input."""
 
@@ -214,13 +231,9 @@ class ProbabilityTrace:
             raise ValueError("values and times must have the same shape")
         if not (np.all(np.isfinite(values)) and values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("probabilities must be finite and lie in [0, 1]")
-        if self.initial not in ("zero", "superposition"):
-            raise ValueError(f"initial must be 'zero' or 'superposition', got {self.initial!r}")
-        expected0 = 1.0 if self.initial == "zero" else 0.5
-        if abs(values[0] - expected0) > 1e-9:
-            raise ValueError(
-                f"value at t=0 is {values[0]!r}, expected {expected0} for initial={self.initial!r}"
-            )
+        p0, _ = _state(self.initial)
+        if abs(values[0] - p0) > 1e-9:
+            raise ValueError(f"value at t=0 is {values[0]!r}, expected {p0} for initial={self.initial!r}")
         if self.mc_std_errors is not None:
             errs = np.asarray(self.mc_std_errors, dtype=float)
             if errs.shape != times.shape:
@@ -725,14 +738,13 @@ class _NodeSet:
     """A quadrature rule as spectral terms, for ``_average``.
 
     ``chunks`` yields (omega, weight, weight amp_zero, weight amp_sup)
-    arrays: each term adds weight (1 - amp_zero sin^2(omega t / 2)) to the
-    zero-state sum and weight (1 + amp_sup sin^2(omega t / 2)) / 2 to the
-    superposition one.  A node set keeps no reference to a chunk once
-    yielded.  The weights need not have unit mass: ``_average`` divides by
-    their sum.  ``band`` (om_lo, om_max), from ``_band``, holds every
-    omega.  ``meta`` describes the rule, with its node count
-    ``meta["n_nodes"]``: the nodes at which the weight was evaluated.  The
-    2D reduction's ``points()`` yields its nodes as (d, c, weight) blocks in
+    arrays: each term adds weight times a state's probability p0 + amp
+    sin^2(omega t / 2) (``_STATES``) to that state's sum.  A node set keeps
+    no reference to a chunk once yielded.  The weights need not have unit
+    mass: ``_average`` divides by their sum.  ``band`` (om_lo, om_max), from
+    ``_band``, holds every omega.  ``meta`` describes the rule, with its
+    node count ``meta["n_nodes"]``: the nodes at which the weight was
+    evaluated.  The 2D reduction's ``points()`` yields its nodes as (d, c, weight) blocks in
     the plane of ``polar.reduced_nodes``, for inspection.
     """
 
@@ -792,18 +804,18 @@ def _tensor_nodes(spec: NoiseSpec, q: QuadratureSpec, j_prime: float, t_max: flo
 def _terms(initials: tuple, omega, weight, weight_zero, weight_sup) -> tuple[np.ndarray, np.ndarray, list]:
     """(omega, coef, base) of P = base + sum_k coef_k cos(omega_k t) for one chunk.
 
-    coef has one row, and base one entry, per initial state.  The
-    sin^2(omega t / 2) of the closed-form probabilities is rewritten as
-    (1 - cos(omega t)) / 2.
+    coef has one row, and base one entry, per initial state.  A state's
+    (p0, amp) in ``_STATES`` gives its probability p0 + amp sin^2(omega t /
+    2), and sin^2 is rewritten as (1 - cos(omega t)) / 2: with a = amp
+    applied to (weight amp_zero, weight amp_sup), base is p0 sum weight +
+    sum a / 2 and coef is -a / 2.
     """
     coef, base = np.empty((len(initials), len(omega))), []
     for row, initial in zip(coef, initials):
-        if initial == "zero":
-            np.multiply(0.5, weight_zero, out=row)
-            base.append(float(weight.sum() - 0.5 * weight_zero.sum()))
-        else:
-            np.multiply(-0.25, weight_sup, out=row)
-            base.append(float(0.5 * weight.sum() + 0.25 * weight_sup.sum()))
+        p0, amp = _STATES[initial]
+        weight_amp = amp(weight_zero, weight_sup)
+        np.multiply(-0.5, weight_amp, out=row)
+        base.append(float(p0 * weight.sum() + 0.5 * weight_amp.sum()))
     return omega, coef, base
 
 
@@ -889,8 +901,7 @@ def _quadrature_traces(p: ExchangeParams, spec: NoiseSpec, initials: tuple, time
     times = np.asarray(times, dtype=float)
     _validate_times(times)
     for initial in initials:
-        if initial not in ("zero", "superposition"):
-            raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
+        _state(initial)
     from . import polar  # the 2D reduction, which imports this module: MC and fit runs never load it
 
     # every node set is built, and its counts checked, before the first average
@@ -921,7 +932,8 @@ def disorder_average_mc(
     """Monte Carlo disorder average with per-point standard errors.
 
     Samples (j1, j2, delta_e) once and averages the closed-form probability
-    p0 + X, X = amp sin^2(omega t / 2), over them; the standard error is the
+    p0 + X, X = amp sin^2(omega t / 2) (the state's p0 and amp in
+    ``_STATES``), over them; the standard error is the
     sample standard deviation over sqrt(n_samples).  Bit-reproducible for a
     given seed.
 
@@ -951,8 +963,7 @@ def disorder_average_mc(
     """
     times = np.asarray(times, dtype=float)
     _validate_times(times)
-    if initial not in ("zero", "superposition"):
-        raise ValueError(f"initial must be 'zero' or 'superposition', got {initial!r}")
+    p0, amp_of = _state(initial)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
@@ -962,14 +973,13 @@ def disorder_average_mc(
         for s in range(0, n_samples, _SMALL_BLOCK):
             block = j1[s:s + _SMALL_BLOCK], j2[s:s + _SMALL_BLOCK], delta_e[s:s + _SMALL_BLOCK]
             omega, amp_zero, amp_sup = oscillation_terms(p.j_prime, *block)
-            amp = -amp_zero if initial == "zero" else 0.5 * amp_sup
+            amp = amp_of(amp_zero, amp_sup)
             yield omega, amp, amp * amp
 
     # the band brackets omega over the draws' ranges, as the tensor rule's does over its nodes'; it is
     # taken before any frequency is formed, and the first pass checks it on the bin grid
     u_range, gap_range = _brackets(j1, j2, delta_e)
     band = _band(p.j_prime, u_range, gap_range)
-    p0 = 1.0 if initial == "zero" else 0.5
     # the cos(2 omega t) sum needs the most bins: it goes first, so a band past the cap costs no sum
     (twice,), _, (b_twice,) = _evaluate(((2.0 * om, sq[None] / (8.0 * n_samples), [0.0]) for om, _, sq in blocks()),
                                         (2.0 * band[0], 2.0 * band[1]), times, om_phase=band[1])

@@ -115,29 +115,28 @@ def panel_rule(edges, t_max: float, widths, scale: int, graded=(), depths=0.0) -
     the weight's depth there, depths[k] (0 by default).  The panels' sum is
     checked against the caps as a float, so that a phase span past the
     float range raises with inf nodes, and only then is each panel's count
-    cast to int for its rule.  A panel whose index is in ``graded``
-    starts at a point where the integrand grows like sqrt(x - lo): it takes
-    x = lo + L s^2 over s in [0, 1], which makes it smooth, sized as a
-    panel twice as long, since the node spacing in x reaches twice its
-    mean at s = 1.
+    cast to int for its rule.  A panel whose index is in ``graded`` (an
+    index past the last panel grades none) starts at a point where the
+    integrand grows like sqrt(x - lo): it takes x = lo + L s^2 over s in
+    [0, 1], which makes it smooth, sized as a panel twice as long, since
+    the node spacing in x reaches twice its mean at s = 1.  The panels'
+    rules on [-1, 1] are laid end to end and mapped at once, each node t of
+    weight w by its own panel's lo and L: to x = lo + L (t + 1) / 2 of
+    weight L w / 2 on a plain panel, and to x = lo + L s^2 of weight L s w,
+    s = (t + 1) / 2, on a graded one.
     """
     lengths = np.diff(edges)
-    span = lengths * [2 if k in graded else 1 for k in range(len(lengths))]
+    graded = np.isin(np.arange(len(lengths)), list(graded))
+    span = lengths * (1 + graded)
     with np.errstate(over="ignore"):
         need = scale * _gauss_points(t_max * span, span / np.asarray(widths), depths)
     disorder._check_node_counts(need.sum())
-    nodes, weights = [], []
-    for k, (lo, length) in enumerate(zip(edges, lengths)):
-        x, wx = disorder._leggauss(int(need[k]))
-        if k in graded:
-            s = 0.5 * (x + 1.0)
-            nodes.append(lo + length * s * s)
-            weights.append(length * s * wx)
-        else:
-            half = 0.5 * length
-            nodes.append(half * x + (lo + half))
-            weights.append(half * wx)
-    return np.concatenate(nodes), np.concatenate(weights)
+    counts = need.astype(int)
+    x, wx = (np.concatenate(a) for a in zip(*map(disorder._leggauss, counts.tolist())))
+    lo, length, graded = (np.repeat(a, counts) for a in (np.asarray(edges)[:-1], lengths, graded))
+    half, s = 0.5 * length, 0.5 * (x + 1.0)
+    return (np.where(graded, lo + length * s * s, half * x + (lo + half)),
+            np.where(graded, length * s * wx, half * wx))
 
 
 def reduced_nodes(spec: disorder.NoiseSpec, j_prime: float, t_max: float, scale: int = 1) -> disorder._NodeSet:

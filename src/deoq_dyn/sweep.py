@@ -20,7 +20,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .analysis import PhysicalScale, fit_trace, quality_factor, to_physical_time
-from .disorder import NoiseSpec, ProbabilityTrace, QuadratureSpec, _quadrature_traces, disorder_average_quadrature
+from .disorder import NoiseSpec, ProbabilityTrace, QuadratureSpec, _quadrature_traces, _state, disorder_average_quadrature
 from .qubit import ExchangeParams
 
 DEFAULT_SIGMA_E_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -118,8 +118,7 @@ class SweepConfig:
     j0_ev: float = DEFAULT_J0_EV
 
     def __post_init__(self) -> None:
-        if self.initial not in ("zero", "superposition"):
-            raise ValueError(f"initial must be 'zero' or 'superposition', got {self.initial!r}")
+        _state(self.initial)
 
 
 @dataclass(frozen=True)

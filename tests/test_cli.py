@@ -300,18 +300,20 @@ def test_fit_inline_simulate(tmp_path):
     assert report["fit"]["t2_star_seconds"] > 0
 
 
-def test_fit_of_a_two_point_trace_reports_what_sweep_scores(tmp_path):
-    """On a 2-point time grid the sweep scores a zero-state cell
+@pytest.mark.parametrize("initial", ["zero", "superposition"])
+def test_fit_of_a_two_point_trace_reports_what_sweep_scores(tmp_path, initial):
+    """On a 2-point time grid the sweep scores a cell of either state
     insufficient-peaks and writes nan in its row; fit, from a trace file or
     inline, writes the same status with the one envelope point (0, p0) and
     exits 0.  It used to exit 2 from the envelope extraction's >= 3 point
-    guard, called again after the fit."""
+    guard: called again after the fit, and in the fit itself on the rising
+    superposition trace, which the sweep then scored fit-failure."""
     times = {"t_max": 50.0, "n_points": 2}
     code, out = run_cli(tmp_path, "sweep", {"grid": {"sigma_e_values": [0.2], "sigma_j_values": [0.1]},
-                                            "times": times}, name="sweep")
+                                            "initial": initial, "times": times}, name="sweep")
     assert code == 0
     assert read_csv(out)[1] == [["0.2", "0.1", "nan", "nan", "nan", "nan", "insufficient-peaks"]]
-    sim = {"noise": {"sigma_e": 0.2, "sigma_j1": 0.1, "sigma_j2": 0.1}, "times": times}
+    sim = {"noise": {"sigma_e": 0.2, "sigma_j1": 0.1, "sigma_j2": 0.1}, "initial": initial, "times": times}
     code, trace_path = run_cli(tmp_path, "simulate", sim, name="trace")
     assert code == 0
     for name, cfg in [("file", {"trace_file": str(trace_path)}), ("inline", {"simulate": sim})]:

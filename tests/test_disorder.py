@@ -441,6 +441,66 @@ def test_gauss_points_meet_the_rule_tolerance():
         assert abs(w @ f(x) - exact) > 1e-12, (phase, spread)
 
 
+def panel_rule_loop(edges, t_max, widths, scale, graded=(), depths=0.0):
+    """``polar.panel_rule`` one panel at a time: each panel's rule, mapped and appended."""
+    lengths = np.diff(edges)
+    span = lengths * [2 if k in graded else 1 for k in range(len(lengths))]
+    need = scale * polar._gauss_points(t_max * span, span / np.asarray(widths), depths)
+    nodes, weights = [], []
+    for k, (lo, length) in enumerate(zip(edges, lengths)):
+        x, wx = _leggauss(int(need[k]))
+        if k in graded:
+            s = 0.5 * (x + 1.0)
+            nodes.append(lo + length * s * s)
+            weights.append(length * s * wx)
+        else:
+            half = 0.5 * length
+            nodes.append(half * x + (lo + half))
+            weights.append(half * wx)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("feet", [[], [0.3], [0.45, 1.7], [0.3, 0.45, 1.0, 1.7, 2.05], [4.0], [1.0, 4.0]],
+                         ids=["plain", "first", "two", "all", "past-the-end", "one-and-past-the-end"])
+def test_panel_rule_maps_its_panels_as_one_panel_at_a_time(scale, feet):
+    """All panels' rules, mapped at once by each node's panel, give bit for
+    bit the nodes and weights of one panel at a time, plain and graded.  A
+    foot at the last edge, which ``np.searchsorted`` finds at the panel
+    count, grades no panel.  A 1D limit's list of edges with one width and
+    no depths maps the same way."""
+    edges = np.array([0.3, 0.45, 1.0, 1.7, 2.05, 4.0])
+    widths, depths = np.array([0.2, 0.05, 0.3, 1.0, 0.4]), np.array([0.0, 1.5, 0.0, 4.0, 0.2])
+    graded = set(np.searchsorted(edges, feet))
+    for args in [(edges, 60.0, widths, scale, graded, depths), ([-1.2, 0.0, 0.7], 30.0, 0.4, scale)]:
+        (x, w), (x_loop, w_loop) = polar.panel_rule(*args), panel_rule_loop(*args)
+        assert np.array_equal(x, x_loop) and np.array_equal(w, w_loop)
+
+
+def test_terms_of_each_state_are_its_closed_forms():
+    """``_terms`` reads each state's p0 and amplitude from the state table and
+    gives bit for bit the closed forms: for the zero state base sum w - sum w
+    amp_zero / 2 and coef w amp_zero / 2, for the superposition base sum w / 2
+    + sum w amp_sup / 4 and coef -w amp_sup / 4."""
+    rng = np.random.default_rng(38)
+    omega, weight = rng.uniform(0.0, 3.0, 1000), rng.uniform(0.0, 1.0, 1000)
+    weight_zero, weight_sup = weight * rng.uniform(0.0, 1.0, 1000), weight * rng.uniform(-1.0, 1.0, 1000)
+    out, coef, base = disorder._terms(("zero", "superposition"), omega, weight, weight_zero, weight_sup)
+    assert out is omega
+    assert np.array_equal(coef[0], 0.5 * weight_zero) and base[0] == float(weight.sum() - 0.5 * weight_zero.sum())
+    assert np.array_equal(coef[1], -0.25 * weight_sup)
+    assert base[1] == float(0.5 * weight.sum() + 0.25 * weight_sup.sum())
+
+
+@pytest.mark.parametrize("build", [
+    lambda initial: disorder_average_quadrature(P, NoiseSpec(), initial, np.linspace(0.0, 1.0, 3)),
+    lambda initial: disorder_average_mc(P, NoiseSpec(), initial, np.linspace(0.0, 1.0, 3), 10, 0),
+], ids=["quadrature", "mc"])
+def test_an_unknown_initial_state_is_invalid_input(build):
+    with pytest.raises(ValueError, match="initial must be 'zero' or 'superposition', got 'plus'"):
+        build("plus")
+
+
 @pytest.mark.parametrize("t_max", [40.0, 100.0])
 @pytest.mark.parametrize("case", [c for c in REDUCED_CASES if c[0] <= 0.003 and c[1:3] == (0.3, 0.3)])
 def test_reduced_rule_keeps_the_u_cuts_of_a_sharp_cdf_step(case, t_max):

@@ -22,17 +22,27 @@ and the averages' wall time, from an emptied cache.  Next, it runs the
 default Monte Carlo simulate config (1e5 samples x 8,001 times) and prints
 its ``n_bins``, from the band of its draws' brackets, and the traced peak
 of its average.
-Last, it times a tensor rule of 2,000 x 2,000 Legendre nodes on 2,001 times
+Then it times a tensor rule of 2,000 x 2,000 Legendre nodes on 2,001 times
 to 50 at (sigma_e, sigma_j1, sigma_j2) = (0.3, 0, 0.2), whose j1 dimension
 collapses, once its Gauss rules are cached, and prints its traced peak.
+Last, it runs the commands of the sweep-heavy and materials-subset
+benchmark workloads (configs from perfbench/workloads.py, outputs to a
+temporary directory) through ``cli.main``, three times each from an emptied
+Gauss-Legendre cache (cold) and each time once more with the rules cached
+(warm), and prints the rules a cold run builds, their nodes and the
+seconds spent building them, and the cold and warm wall times, as medians
+over the three.  The cold runs are not fresh processes: the imports, and
+what the reports above left in numpy, are already there.
 Usage: python3 tools/rule_counts.py
 """
-import functools, pathlib, sys, time, tracemalloc
+import functools, json, pathlib, statistics, sys, tempfile, time, tracemalloc
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 from deoq_dyn import cli, disorder, polar, sweep  # noqa: E402
 from deoq_dyn.qubit import ExchangeParams  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 def traced(average, *args):
@@ -133,9 +143,48 @@ def report_tensor():
     print(f"  average: {wall * 1e3:.0f} ms, traced peak {peak:.2f} MiB")
 
 
+def report_command(name, tmp):
+    """The rules a cold run of the workload's command builds, their build time, and its cold and warm wall times."""
+    (step,) = WORKLOADS[name].steps(1, tmp)
+    config = tmp / f"{name}.json"
+    config.write_text(json.dumps(step.config))
+    argv = [step.command, "--config", str(config), "--out", str(tmp / step.out)]
+    rule, built, runs = disorder._leggauss, [], []
+
+    def timed(n):  # the rule; a call that builds it adds its size and build time to built
+        misses, start = rule.cache_info().misses, time.perf_counter()
+        out = rule(n)
+        if rule.cache_info().misses > misses:
+            built.append((n, time.perf_counter() - start))
+        return out
+
+    disorder._leggauss = timed
+    try:
+        for _ in range(3):
+            rule.cache_clear()
+            built.clear()
+            walls = []
+            for _ in range(2):  # cold, then warm
+                start = time.perf_counter()
+                if cli.main(argv) != 0:
+                    sys.exit(f"{name}: {' '.join(argv)} failed")
+                walls.append(time.perf_counter() - start)
+            runs.append((sum(t for _, t in built), *walls))
+    finally:
+        disorder._leggauss = rule
+    build_s, cold, warm = (statistics.median(x) for x in zip(*runs))
+    print(f"{name}: {step.command} through cli.main, median of 3")
+    print(f"  Gauss-Legendre rules built cold: {len(built):,}, {sum(n for n, _ in built):,} nodes, "
+          f"{build_s * 1e3:.1f} ms to build")
+    print(f"  wall: {cold * 1e3:.1f} ms cold, {warm * 1e3:.1f} ms warm")
+
+
 if __name__ == "__main__":
     report("default sweep", sweep_metas())
     report("default materials", materials_metas())
     report_map()
     report_mc()
     report_tensor()
+    with tempfile.TemporaryDirectory() as work:
+        for workload in ("sweep-heavy", "materials-subset"):
+            report_command(workload, pathlib.Path(work))
